@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SEED_ENV_VAR = "KONTACT_SEED"
 
@@ -30,9 +30,6 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.n_sample_points < 1:
             raise ValueError("need at least one sample point")
-
-    def with_(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
 
 
 def default_seed() -> int:

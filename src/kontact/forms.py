@@ -6,6 +6,11 @@ antisymmetry sign bookkeeping funnelled through one permutation-parity
 routine.  Vector fields, R^k-valued one-forms, k-vector fields, and smooth
 maps between charts live here too, together with wedge, d, interior product,
 Lie bracket/derivative, pullback, and first prolongations.
+
+Vector fields are dense component tuples but usually sparse in content, so
+directional derivatives, Lie brackets and form evaluation skip zero
+components and coordinates a scalar does not depend on: their cost grows with
+the nonzero components, not with the chart dimension.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from .expr import (
     ONE,
     ZERO,
     ExprLike,
+    Product,
     Rational,
     ScalarExpr,
+    Sum,
     Var,
     as_expr,
     differentiate,
@@ -36,6 +43,10 @@ __all__ = [
     "lie_bracket", "lie_derivative_form", "pullback", "prolongation",
     "form_on_vectors", "parameter_chart",
 ]
+
+
+def _is_zero(e: ScalarExpr) -> bool:
+    return isinstance(e, Rational) and e.value == 0
 
 
 def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -145,7 +156,7 @@ class DifferentialForm:
             if list(key) != sorted(set(key)):
                 raise ValueError(f"key {key} must be strictly increasing")
             e = as_expr(value)
-            if isinstance(e, Rational) and e.value == 0:
+            if _is_zero(e):
                 continue
             normalized[key] = e
         if degree > chart.dim and normalized:
@@ -247,13 +258,20 @@ class VectorField:
         return cls(chart, [ZERO] * chart.dim)
 
     def apply(self, f: ExprLike) -> ScalarExpr:
-        """Directional derivative X(f) of a scalar."""
+        """Directional derivative X(f) of a scalar.
+
+        Differentiates only along nonzero components whose coordinate f
+        depends on, so the cost is per nonzero component.
+        """
         f = as_expr(f)
-        terms = [
+        names = free_variables(f)
+        if not names:
+            return ZERO
+        return Sum.make([
             comp * differentiate(f, name)
             for comp, name in zip(self.components, self.chart.coords)
-        ]
-        return sum(terms, ZERO)
+            if name in names and not _is_zero(comp)
+        ])
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_chart(self, other)
@@ -275,7 +293,7 @@ class VectorField:
         bits = [
             f"({c}) d/d{name}"
             for c, name in zip(self.components, self.chart.coords)
-            if not (isinstance(c, Rational) and c.value == 0)
+            if not _is_zero(c)
         ]
         return " + ".join(bits) or "<zero vector field>"
 
@@ -401,7 +419,7 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
             if j in key:
                 continue
             dc = differentiate(c, name)
-            if isinstance(dc, Rational) and dc.value == 0:
+            if _is_zero(dc):
                 continue
             terms.append(((j,) + key, dc))
     return DifferentialForm.from_terms(chart, a.degree + 1, terms)
@@ -416,7 +434,7 @@ def interior_product(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     for key, c in a.coeffs.items():
         for r, i in enumerate(key):
             comp = X.components[i]
-            if isinstance(comp, Rational) and comp.value == 0:
+            if _is_zero(comp):
                 continue
             rest = key[:r] + key[r + 1:]
             term = comp * c if r % 2 == 0 else -(comp * c)
@@ -444,8 +462,11 @@ def interior_product_k(
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^i = X(Y^i) - Y(X^i)."""
     _require_same_chart(X, Y)
-    return VectorField(X.chart, [X.apply(yc) - Y.apply(xc)
-                                 for xc, yc in zip(X.components, Y.components)])
+    comps = []
+    for xc, yc in zip(X.components, Y.components):
+        xy, yx = X.apply(yc), Y.apply(xc)
+        comps.append(ZERO if _is_zero(xy) and _is_zero(yx) else xy - yx)
+    return VectorField(X.chart, comps)
 
 
 def lie_derivative_form(X: VectorField, a: DifferentialForm) -> DifferentialForm:
@@ -495,7 +516,11 @@ def prolongation(psi: SmoothMap) -> list[list[ScalarExpr]]:
 
 
 def form_on_vectors(a: DifferentialForm, vectors: Sequence[Sequence[ExprLike]]) -> ScalarExpr:
-    """Evaluate a degree-p form on p vectors given as component lists."""
+    """Evaluate a degree-p form on p vectors given as component lists.
+
+    Permutation products with a zero factor and keys whose determinant
+    vanishes contribute no terms.
+    """
     if len(vectors) != a.degree:
         raise ValueError(f"need {a.degree} vectors, got {len(vectors)}")
     vecs = [[as_expr(c) for c in v] for v in vectors]
@@ -504,14 +529,17 @@ def form_on_vectors(a: DifferentialForm, vectors: Sequence[Sequence[ExprLike]]) 
             raise ValueError("vector component count must equal the chart dimension")
     if a.degree == 0:
         return a.coeffs.get((), ZERO)
-    total = ZERO
+    terms = []
     for key, c in a.coeffs.items():
-        det = ZERO
+        products = []
         for perm in itertools.permutations(range(a.degree)):
+            factors = [vecs[col][key[row]] for row, col in enumerate(perm)]
+            if any(_is_zero(f) for f in factors):
+                continue
             _, sign = sort_with_sign(perm)
-            prod = ONE
-            for row, col in enumerate(perm):
-                prod = prod * vecs[col][key[row]]
-            det = det + (prod if sign > 0 else -prod)
-        total = total + c * det
-    return total
+            prod = Product.make(factors)
+            products.append(prod if sign > 0 else -prod)
+        det = Sum.make(products)
+        if not _is_zero(det):
+            terms.append(c * det)
+    return Sum.make(terms)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .expr import ZERO, Rational, ScalarExpr, as_expr, evaluate, free_variables, substitute
 from .forms import DifferentialForm, SmoothMap, exterior_derivative, prolongation
-from .kcontact import KContactStructure, ReebFrame, compute_reeb, structure_matrices_at
+from .kcontact import KContactStructure, ReebFrame, check_structure_at, compute_reeb
 from .legendrian import LegendrianParametrization, verify_isotropic
 from .linalg import least_norm_solution, nullspace_basis, numeric_rank
 from .zerotest import sample_points, zero_test
@@ -128,16 +128,6 @@ def _point_floats(point: Mapping) -> dict:
     return {k: float(v) for k, v in point.items()}
 
 
-def _structure_ok_at(sys: KContactHamiltonianSystem, point: dict, config: RunConfig) -> bool:
-    eta, deta = structure_matrices_at(sys.structure, point)
-    k, dim = sys.k, sys.dim
-    if numeric_rank(eta, config.rank_threshold) != k:
-        return False
-    if dim - numeric_rank(deta, config.rank_threshold) != k:
-        return False
-    return dim - numeric_rank(np.vstack([eta, deta]), config.rank_threshold) == 0
-
-
 def _assemble_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
     """Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing."""
     k, dim = sys.k, sys.dim
@@ -168,7 +158,7 @@ def solve_hddw_at_point(
 ) -> HdDWPointSolution:
     """Least-norm particular solution plus orthonormal nullspace basis at a point."""
     p = _point_floats(point)
-    if not _structure_ok_at(sys, p, config):
+    if not check_structure_at(sys.structure, p, config).all_pass:
         raise StructureDegenerateAtPoint(f"defining conditions fail at {p}")
     A, b = _assemble_at(sys, p)
     x = least_norm_solution(A, b, config.rank_threshold)

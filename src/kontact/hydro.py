@@ -252,7 +252,7 @@ class FluidTensors:
 
     @property
     def beta(self) -> list[ScalarExpr]:
-        T_inv = Pow_inv(self.temperature)
+        T_inv = self.temperature ** -1
         return [c * T_inv for c in self.u]
 
     def norm_defect(self) -> ScalarExpr:
@@ -264,12 +264,6 @@ class FluidTensors:
 
     def check_normalized(self, config: RunConfig = DEFAULT_CONFIG) -> bool:
         return zero_test(self.norm_defect(), self.chart.domain(), config).is_zero
-
-
-def Pow_inv(e: ScalarExpr) -> ScalarExpr:
-    from .expr import Pow
-
-    return Pow.make(e, Fraction(-1))
 
 
 def projectors(u: FluidTensors) -> tuple[list, list]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem
-from .expr import ONE, ZERO, ScalarExpr, Var, evaluate
+from .expr import ONE, ZERO, Rational, ScalarExpr, Var, evaluate
 from .forms import (
     Chart,
     DifferentialForm,
@@ -32,8 +32,8 @@ from .zerotest import is_probably_zero, sample_points
 
 __all__ = [
     "KContactStructure", "ReebFrame", "PointCheck", "StructureReport",
-    "verify_kcontact", "compute_reeb", "check_reeb_commutation",
-    "canonical_structure", "check_polarization",
+    "structure_matrices_at", "check_structure_at", "verify_kcontact", "compute_reeb",
+    "check_reeb_commutation", "canonical_structure", "check_polarization",
 ]
 
 
@@ -140,42 +140,60 @@ class StructureReport:
         }
 
 
-def _eta_rows(s: KContactStructure) -> list[list[ScalarExpr]]:
-    dim = s.dim
-    rows = []
-    for f in s.eta.forms:
-        rows.append([f.coeffs.get((i,), ZERO) for i in range(dim)])
-    return rows
-
-
-def _deta_bilinear(d: DifferentialForm, dim: int) -> list[list[ScalarExpr]]:
-    """B[i][j] = d_eta(e_i, e_j) as expressions (antisymmetric)."""
-    B = [[ZERO] * dim for _ in range(dim)]
-    for (i, j), c in d.coeffs.items():
-        B[i][j] = c
-        B[j][i] = -c
-    return B
-
-
-def _stacked_deta_rows(s: KContactStructure) -> list[list[ScalarExpr]]:
-    """Rows of the stacked contraction matrices: v in kernel iff all rows kill v."""
-    dim = s.dim
-    rows = []
-    for d in s.d_eta:
-        B = _deta_bilinear(d, dim)
-        rows.extend(B)
-    return rows
-
-
-def _eval_rows(rows, point) -> np.ndarray:
-    return np.array([[float(evaluate(e, point)) for e in row] for row in rows], dtype=float)
-
-
 def structure_matrices_at(s: KContactStructure, point: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(eta coefficient matrix k x dim, stacked d-eta contraction matrix) at a point."""
-    eta = _eval_rows(_eta_rows(s), point)
-    deta = _eval_rows(_stacked_deta_rows(s), point)
+    """(eta coefficient matrix k x dim, stacked d-eta contraction matrix) at a point.
+
+    Row alpha*dim + i of the stacked matrix holds d eta^alpha(e_i, .): v is in
+    the common kernel iff every row kills v.  Each nonzero coefficient is
+    evaluated once; its antisymmetric mirror is the negated value.
+    """
+    k, dim = s.k, s.dim
+    eta = np.zeros((k, dim))
+    deta = np.zeros((k * dim, dim))
+    for alpha, f in enumerate(s.eta.forms):
+        for (i,), c in f.coeffs.items():
+            eta[alpha, i] = float(evaluate(c, point))
+    for alpha, d in enumerate(s.d_eta):
+        base = alpha * dim
+        for (i, j), c in d.coeffs.items():
+            v = float(evaluate(c, point))
+            deta[base + i, j] = v
+            deta[base + j, i] = -v
     return eta, deta
+
+
+def _components_at(rows, dim: int, point: dict) -> np.ndarray:
+    """Vector components as matrix rows at a point; zero components are not evaluated."""
+    M = np.zeros((len(rows), dim))
+    for r, comps in enumerate(rows):
+        for i, c in enumerate(comps):
+            if not (isinstance(c, Rational) and c.value == 0):
+                M[r, i] = float(evaluate(c, point))
+    return M
+
+
+def check_structure_at(s: KContactStructure, point: dict,
+                       config: RunConfig = DEFAULT_CONFIG) -> PointCheck:
+    """The three defining conditions at one point, from numeric SVD ranks.
+
+    cond1: the eta coefficient matrix has rank k (ker eta has corank k);
+    cond2: the common kernel of the d-eta contractions has dimension k;
+    cond3: the two kernels intersect trivially.
+    """
+    eta, deta = structure_matrices_at(s, point)
+    k, dim = s.k, s.dim
+    r_eta = numeric_rank(eta, config.rank_threshold)
+    ker_deta = dim - numeric_rank(deta, config.rank_threshold)
+    inter = dim - numeric_rank(np.vstack([eta, deta]), config.rank_threshold)
+    return PointCheck(
+        point=point,
+        eta_rank=r_eta,
+        ker_deta_dim=ker_deta,
+        intersection_dim=inter,
+        cond1=r_eta == k,
+        cond2=ker_deta == k,
+        cond3=inter == 0,
+    )
 
 
 def verify_kcontact(
@@ -183,39 +201,15 @@ def verify_kcontact(
     n_points: int = 20,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> StructureReport:
-    """Check the three defining conditions at sampled points.
-
-    cond1: the eta coefficient matrix has rank k (ker eta has corank k);
-    cond2: the common kernel of the d-eta contractions has dimension k;
-    cond3: the two kernels intersect trivially.
-    Failing structures yield a report, not an exception.
-    """
+    """Check the three defining conditions (see check_structure_at) at sampled
+    points.  Failing structures yield a report, not an exception."""
     rng = random.Random(config.seed)
     pts = sample_points(s.chart.coords, s.chart.domain(), n_points, rng,
                         config.max_sample_retries)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
-    eta_rows = _eta_rows(s)
-    deta_rows = _stacked_deta_rows(s)
-    k, dim = s.k, s.dim
-    checks = []
-    for p in pts:
-        eta = _eval_rows(eta_rows, p)
-        deta = _eval_rows(deta_rows, p)
-        r_eta = numeric_rank(eta, config.rank_threshold)
-        ker_deta = dim - numeric_rank(deta, config.rank_threshold)
-        combined = np.vstack([eta, deta])
-        inter = dim - numeric_rank(combined, config.rank_threshold)
-        checks.append(PointCheck(
-            point=p,
-            eta_rank=r_eta,
-            ker_deta_dim=ker_deta,
-            intersection_dim=inter,
-            cond1=r_eta == k,
-            cond2=ker_deta == k,
-            cond3=inter == 0,
-        ))
-    return StructureReport(k=k, dim=dim, points=tuple(checks))
+    checks = tuple(check_structure_at(s, p, config) for p in pts)
+    return StructureReport(k=s.k, dim=s.dim, points=checks)
 
 
 def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> ReebFrame:
@@ -226,7 +220,14 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> Re
     sides; pivots decided by the sampling zero test.
     """
     dim, k = s.dim, s.k
-    rows = _eta_rows(s) + _stacked_deta_rows(s)
+    # eta rows, then d eta^beta(e_i, .) for every beta and i
+    rows = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta.forms]
+    for d in s.d_eta:
+        B = [[ZERO] * dim for _ in range(dim)]
+        for (i, j), c in d.coeffs.items():
+            B[i][j] = c
+            B[j][i] = -c
+        rows.extend(B)
     rhs: list[list[ScalarExpr]] = []
     for beta in range(k):
         rhs.append([ONE if alpha == beta else ZERO for alpha in range(k)])
@@ -351,12 +352,12 @@ def check_polarization(
         for b in range(a + 1, len(fields))
     ]
     for p in pts:
-        M = _eval_rows(span_rows, p)
+        M = _components_at(span_rows, dim, p)
         r = numeric_rank(M, config.rank_threshold)
         if r != expected_rank:
             return False
         for br in brackets:
-            v = _eval_rows([br], p)
+            v = _components_at([br], dim, p)
             if numeric_rank(np.vstack([M, v]), config.rank_threshold) != r:
                 return False
     return True

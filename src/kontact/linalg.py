@@ -6,7 +6,6 @@ expression field with the sampling zero test deciding pivots.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import SingularSystem, ZeroTestInconclusive
-from .expr import Pow, Rational, ScalarExpr, evaluate
+from .expr import Pow, Rational, ScalarExpr
 from .zerotest import SampleDomain, zero_test
 
 __all__ = ["numeric_rank", "nullspace_basis", "least_norm_solution", "solve_symbolic"]
@@ -119,18 +118,3 @@ def solve_symbolic(
 
     return [[B[pivot_of_col[col]][j] for j in range(n_rhs)] for col in range(n)]
 
-
-def rational_points_to_floats(points: Sequence[dict]) -> list[dict]:
-    return [{k: float(v) for k, v in p.items()} for p in points]
-
-
-def sample_float_points(variables, domain: SampleDomain, n: int, config: RunConfig):
-    from .zerotest import sample_points
-
-    rng = random.Random(config.seed)
-    pts = sample_points(variables, domain, n, rng, config.max_sample_retries)
-    return pts
-
-
-def eval_matrix(rows: Sequence[Sequence[ScalarExpr]], point: dict) -> np.ndarray:
-    return np.array([[float(evaluate(e, point)) for e in row] for row in rows], dtype=float)

@@ -38,11 +38,6 @@ class SampleDomain:
     def range_of(self, name: str) -> tuple[Fraction, Fraction]:
         return self.ranges.get(name, _DEFAULT_RANGE)
 
-    def merged(self, other: "SampleDomain") -> "SampleDomain":
-        ranges = dict(self.ranges)
-        ranges.update(other.ranges)
-        return SampleDomain(ranges, self.constraints + other.constraints)
-
 
 ANYWHERE = SampleDomain()
 

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from kontact import forms
 from kontact.config import RunConfig
 from kontact.errors import ChartMismatch, ZeroDegree
-from kontact.expr import Rational, Var
+from kontact.expr import ONE, ZERO, Rational, Var, as_expr, differentiate, free_variables
 from kontact.forms import (
     Chart,
     DifferentialForm,
@@ -308,6 +310,121 @@ class TestFormOnVectors:
         direct = form_on_vectors(a, [X, Y])
         assert is_probably_zero(
             via_ip.coeffs.get((), Rational(Fraction(0))) - direct, config=FAST)
+
+
+# Dense references: the coordinate-by-coordinate versions of apply,
+# lie_bracket and form_on_vectors that the sparse ones must reproduce exactly.
+
+def dense_apply(X: VectorField, f):
+    f = as_expr(f)
+    terms = [comp * differentiate(f, name)
+             for comp, name in zip(X.components, X.chart.coords)]
+    return sum(terms, ZERO)
+
+
+def dense_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    return VectorField(X.chart, [dense_apply(X, yc) - dense_apply(Y, xc)
+                                 for xc, yc in zip(X.components, Y.components)])
+
+
+def dense_form_on_vectors(a: DifferentialForm, vectors):
+    vecs = [[as_expr(c) for c in v] for v in vectors]
+    if a.degree == 0:
+        return a.coeffs.get((), ZERO)
+    total = ZERO
+    for key, c in a.coeffs.items():
+        det = ZERO
+        for perm in itertools.permutations(range(a.degree)):
+            _, sign = sort_with_sign(perm)
+            prod = ONE
+            for row, col in enumerate(perm):
+                prod = prod * vecs[col][key[row]]
+            det = det + (prod if sign > 0 else -prod)
+        total = total + c * det
+    return total
+
+
+def sparse_components(rng: random.Random, chart: Chart, n_nonzero: int) -> list:
+    """Mostly-zero components; nonzero ones mix constants and few-variable trees."""
+    comps = [ZERO] * chart.dim
+    for i in rng.sample(range(chart.dim), n_nonzero):
+        if rng.random() < 0.2:
+            comps[i] = Rational(Fraction(rng.randint(-2, 2)))
+        else:
+            comps[i] = rand_expr(rng, rng.sample(chart.coords, 4), depth=3)
+    return comps
+
+
+class TestSparseMatchesDense:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_apply_and_bracket(self, seed):
+        rng = random.Random(seed)
+        ch = rand_chart(rng, 7)
+        X = VectorField(ch, sparse_components(rng, ch, rng.randint(1, 4)))
+        Y = VectorField(ch, sparse_components(rng, ch, rng.randint(1, 4)))
+        f = rand_expr(rng, ch.coords, depth=3) + rand_expr(rng, ch.coords, depth=3)
+        assert X.apply(f) == dense_apply(X, f)
+        assert lie_bracket(X, Y).components == dense_lie_bracket(X, Y).components
+        assert lie_bracket(Y, X).components == dense_lie_bracket(Y, X).components
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_form_on_vectors(self, seed, degree):
+        rng = random.Random(100 * degree + seed)
+        ch = rand_chart(rng, 7)
+        a = rand_form(rng, ch, degree, n_terms=4)
+        vectors = [sparse_components(rng, ch, rng.randint(1, 4)) for _ in range(degree)]
+        assert form_on_vectors(a, vectors) == dense_form_on_vectors(a, vectors)
+
+    def test_hydro_polarization_brackets(self):
+        from kontact.hydro import hydro_polarization
+
+        V = hydro_polarization(3)
+        for X, Y in itertools.combinations(V[::3], 2):
+            assert lie_bracket(X, Y).components == dense_lie_bracket(X, Y).components
+
+
+class TestBracketWork:
+    """Bracket work scales with nonzero components, not with dim^2 (1156 on hydro4)."""
+
+    @staticmethod
+    def count_differentiations(monkeypatch, X, Y) -> int:
+        calls = []
+
+        def counting(e, v):
+            calls.append(v)
+            return differentiate(e, v)
+
+        monkeypatch.setattr(forms, "differentiate", counting)
+        lie_bracket(X, Y)
+        return len(calls)
+
+    @staticmethod
+    def bound(X, Y) -> int:
+        """Nonzero components of one field times the free variables of the other."""
+        def nnz(F):
+            return sum(1 for c in F.components if c != ZERO)
+
+        def n_free(F):
+            return sum(len(free_variables(c)) for c in F.components)
+
+        return nnz(X) * n_free(Y) + nnz(Y) * n_free(X)
+
+    def test_hydro4_polarization_pair(self, monkeypatch):
+        from kontact.hydro import hydro_polarization
+
+        V = hydro_polarization(4)
+        X, Y = V[0], V[16]    # beta_0 d/dS_0 + d/dT_0_0 and -xi d/dS_0 + d/dN_0
+        assert self.count_differentiations(monkeypatch, X, Y) <= self.bound(X, Y) <= 8
+
+    def test_field_moving_a_coefficient(self, monkeypatch):
+        from kontact.hydro import hydro_polarization
+
+        V = hydro_polarization(4)
+        Y = V[16]             # -xi d/dS_0 + d/dN_0
+        X = VectorField.coordinate(Y.chart, "xi") + V[0]
+        count = self.count_differentiations(monkeypatch, X, Y)
+        assert 1 <= count <= self.bound(X, Y) <= 12
 
 
 class TestChart:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from kontact.config import RunConfig
 from kontact.errors import SingularSystem
-from kontact.expr import ONE, Rational, Var, ZERO
+from kontact.expr import ONE, Rational, Var, ZERO, evaluate
 from kontact.forms import (
     Chart,
     DifferentialForm,
@@ -24,10 +25,12 @@ from kontact.kcontact import (
     canonical_structure,
     check_polarization,
     check_reeb_commutation,
+    check_structure_at,
     compute_reeb,
+    structure_matrices_at,
     verify_kcontact,
 )
-from kontact.zerotest import is_probably_zero
+from kontact.zerotest import is_probably_zero, sample_points
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -262,3 +265,44 @@ class TestReebDistributionIntegrability:
             s = canonical_structure(n, k)
             frame = compute_reeb(s, FAST)
             assert check_reeb_commutation(frame, config=FAST)
+
+
+def dense_structure_matrices(s, point):
+    """Every entry of the eta and stacked d-eta matrices evaluated as a tree."""
+    dim = s.dim
+    eta = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta.forms]
+    deta = []
+    for d in s.d_eta:
+        B = [[ZERO] * dim for _ in range(dim)]
+        for (i, j), c in d.coeffs.items():
+            B[i][j] = c
+            B[j][i] = -c
+        deta.extend(B)
+
+    def ev(rows):
+        return np.array([[float(evaluate(e, point)) for e in row] for row in rows])
+
+    return ev(eta), ev(deta)
+
+
+class TestStructureMatrices:
+    @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "thermo",
+                                      "canonical:1,1", "canonical:2,3", "canonical:3,2"])
+    def test_sparse_fill_matches_dense_evaluation(self, name):
+        from kontact.fileio import resolve_structure
+
+        s = resolve_structure(name).structure
+        pts = sample_points(s.chart.coords, s.chart.domain(), 3, random.Random(7))
+        # exact rational points (verify_kcontact) and float points (hddw)
+        for p in pts + [{c: float(v) for c, v in q.items()} for q in pts]:
+            eta, deta = structure_matrices_at(s, p)
+            eta_ref, deta_ref = dense_structure_matrices(s, p)
+            assert np.array_equal(eta, eta_ref)
+            assert np.array_equal(deta, deta_ref)
+
+    def test_point_check_matches_report(self):
+        s = canonical_structure(2, 2)
+        report = verify_kcontact(s, n_points=3, config=FAST)
+        for pc in report.points:
+            assert check_structure_at(s, pc.point, FAST) == pc
+            assert pc.all_pass and pc.eta_rank == 2 and pc.ker_deta_dim == 2
