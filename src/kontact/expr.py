@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
+
+import numpy as np
 
 from .errors import DomainError, ParseError, UnboundVariable
 
@@ -25,7 +27,7 @@ __all__ = [
     "ScalarExpr", "Rational", "Var", "Sum", "Product", "Pow", "Exp", "Log",
     "Point", "as_expr", "const", "var", "exp", "log", "sqrt",
     "differentiate", "evaluate", "substitute", "free_variables", "parse_expr",
-    "ZERO", "ONE",
+    "Program", "compile_expr", "ZERO", "ONE",
 ]
 
 
@@ -452,17 +454,154 @@ def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
     raise TypeError(f"unknown node {e!r}")
 
 
-def is_rational_expr(e: ScalarExpr) -> bool:
-    """True for trees built from rationals, +, *, and integer powers only."""
-    if isinstance(e, (Rational, Var)):
-        return True
-    if isinstance(e, Sum):
-        return all(is_rational_expr(t) for t in e.terms)
-    if isinstance(e, Product):
-        return all(is_rational_expr(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return e.exponent.denominator == 1 and is_rational_expr(e.base)
-    return False
+# ---------------------------------------------------------------------------
+# compilation to a shared-node program
+
+_CONST, _VAR, _SUM, _PRODUCT, _POW, _EXP, _LOG = range(7)
+
+
+class Program(NamedTuple):
+    """An expression as a straight-line program with one instruction per distinct subtree.
+
+    Instruction i is (op, payload, args); args index earlier instructions and
+    the last instruction is the root.  summands are the instructions of the
+    root's top-level summands (the root alone when it is not a sum).
+    rational is True when only rationals, +, * and integer powers occur.
+    """
+
+    code: tuple
+    summands: tuple
+    free_vars: frozenset
+    rational: bool
+
+    def run_exact(self, point: Mapping[str, Numeric]) -> Numeric:
+        """The root's value at one point, each shared node computed once.
+
+        Exact Fraction arithmetic for a rational program at a rational point.
+        Raises DomainError for a zero base under a negative power.
+        """
+        vals = []
+        for op, payload, args in self.code:
+            if op == _PRODUCT:
+                v = vals[args[0]]
+                for a in args[1:]:
+                    v = v * vals[a]
+            elif op == _SUM:
+                v = vals[args[0]]
+                for a in args[1:]:
+                    v = v + vals[a]
+            elif op == _VAR:
+                v = point[payload]
+            elif op == _CONST:
+                v = payload
+            elif op == _POW and payload.denominator == 1:
+                base = vals[args[0]]
+                if base == 0 and payload < 0:
+                    raise DomainError("division by zero")
+                v = base ** int(payload)
+            else:
+                raise TypeError("run_exact needs a rational program")
+            vals.append(v)
+        return vals[-1]
+
+    def run_float(self, columns: Mapping[str, np.ndarray], n: int):
+        """(value, scale, skip) at n points at once, in float64.
+
+        columns holds each free variable's values at the points.  scale is the
+        magnitude of the largest top-level summand.  skip marks the points
+        where evaluate raises DomainError (a negative base under a fractional
+        power, a zero base under a negative power, log of a non-positive
+        value, overflow of a power or exp) or the value is not finite.
+        """
+        skip = np.zeros(n, dtype=bool)
+        vals = []
+        with np.errstate(all="ignore"):
+            for op, payload, args in self.code:
+                if op == _PRODUCT:
+                    v = vals[args[0]]
+                    for a in args[1:]:
+                        v = v * vals[a]
+                elif op == _SUM:
+                    v = vals[args[0]]
+                    for a in args[1:]:
+                        v = v + vals[a]
+                elif op == _VAR:
+                    v = columns[payload]
+                elif op == _CONST:
+                    v = np.full(n, float(payload))
+                elif op == _POW:
+                    base = vals[args[0]]
+                    if payload.denominator != 1:
+                        skip |= base < 0
+                    if payload < 0:
+                        skip |= base == 0
+                    v = np.power(base, float(payload))
+                    skip |= np.isinf(v) & np.isfinite(base)
+                elif op == _EXP:
+                    arg = vals[args[0]]
+                    v = np.exp(arg)
+                    skip |= np.isinf(v) & np.isfinite(arg)
+                else:
+                    arg = vals[args[0]]
+                    skip |= arg <= 0
+                    v = np.log(arg)
+                vals.append(v)
+            value = vals[-1]
+            scale = np.abs(vals[self.summands[0]])
+            for s in self.summands[1:]:
+                scale = np.maximum(scale, np.abs(vals[s]))
+        skip |= ~np.isfinite(value)
+        return value, scale, skip
+
+
+def compile_expr(e: ScalarExpr) -> Program:
+    """Compile e in one pass, giving equal subtrees one shared instruction.
+
+    A node's structural key is its op, its payload and the instruction
+    indices of its children, so equal subtrees built separately meet in one
+    key.  The tables live only for this call.
+    """
+    code: list[tuple] = []
+    root = _emit(e, code, {}, {})
+    names = frozenset(payload for op, payload, _ in code if op == _VAR)
+    rational = all(op in (_CONST, _VAR, _SUM, _PRODUCT)
+                   or (op == _POW and payload.denominator == 1)
+                   for op, payload, _ in code)
+    summands = code[root][2] if isinstance(e, Sum) else (root,)
+    return Program(tuple(code), summands, names, rational)
+
+
+def _emit(node: ScalarExpr, code: list, index: dict, seen: dict) -> int:
+    """The instruction computing node, appending it and its children to code.
+
+    index maps structural keys to instructions; seen maps id(node) to its
+    instruction, so a node object shared within the tree is keyed once.
+    """
+    i = seen.get(id(node))
+    if i is not None:
+        return i
+    if isinstance(node, Product):
+        key = (_PRODUCT, None, tuple([_emit(f, code, index, seen) for f in node.factors]))
+    elif isinstance(node, Sum):
+        key = (_SUM, None, tuple([_emit(t, code, index, seen) for t in node.terms]))
+    elif isinstance(node, Var):
+        key = (_VAR, node.name, ())
+    elif isinstance(node, Rational):
+        key = (_CONST, node.value, ())
+    elif isinstance(node, Pow):
+        key = (_POW, node.exponent, (_emit(node.base, code, index, seen),))
+    elif isinstance(node, Exp):
+        key = (_EXP, None, (_emit(node.arg, code, index, seen),))
+    elif isinstance(node, Log):
+        key = (_LOG, None, (_emit(node.arg, code, index, seen),))
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    i = index.get(key)
+    if i is None:
+        i = index[key] = len(code)
+        code.append(key)
+    seen[id(node)] = i
+    return i
 
 
 # ---------------------------------------------------------------------------

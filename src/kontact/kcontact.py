@@ -351,6 +351,8 @@ def check_polarization(
         for a in range(len(fields))
         for b in range(a + 1, len(fields))
     ]
+    # a structurally zero bracket adds a zero row, which cannot change the rank
+    brackets = [br for br in brackets if any(c != ZERO for c in br)]
     for p in pts:
         M = _components_at(span_rows, dim, p)
         r = numeric_rank(M, config.rank_threshold)

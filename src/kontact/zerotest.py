@@ -1,10 +1,15 @@
 """Probabilistic zero-testing of expressions by seeded sampling.
 
-An expression is accepted as (probably) zero when |value| stays within
-atol + rtol*scale at every sampled point of its domain, where scale is the
-magnitude of the largest top-level summand (a cancellation proxy).  Points
-are exact rationals, so purely rational expressions are checked with exact
-arithmetic rather than tolerances.
+Each expression is compiled once into a program with one instruction per
+distinct subtree (expr.compile_expr).  Points are exact rationals, so a
+purely rational expression is checked with exact Fraction arithmetic at each
+point, and any nonzero value rejects it.  Any other expression is run in
+float64 over all sample points at once, and is accepted as (probably) zero
+when |value| stays within atol + rtol*scale at every evaluated point, where
+scale is the magnitude of the largest top-level summand (a cancellation
+proxy).  Points where the expression is undefined (a singularity the domain
+constraints did not exclude) or its value is not finite are skipped and
+counted; with none left the test raises SampleDomainEmpty.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, SampleDomainEmpty
-from .expr import ScalarExpr, Sum, evaluate, free_variables, is_rational_expr
+from .expr import Rational, ScalarExpr, compile_expr, evaluate, free_variables
 
 __all__ = ["SampleDomain", "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points"]
 
@@ -50,6 +57,8 @@ class ZeroTestResult:
     exact: bool
     # every sample was tiny yet above tolerance: neither verdict is safe
     inconclusive: bool = False
+    # points drawn minus points evaluated (singular or non-finite there)
+    n_skipped: int = 0
 
     def __bool__(self) -> bool:
         return self.is_zero
@@ -95,66 +104,50 @@ def sample_points(
     return points
 
 
-def _value_and_scale(e: ScalarExpr, point: Mapping) -> tuple[float, float]:
-    """Evaluate e, returning (value, magnitude of largest top-level summand)."""
-    if isinstance(e, Sum):
-        total = Fraction(0)
-        scale = 0.0
-        for term in e.terms:
-            v = evaluate(term, point)
-            scale = max(scale, abs(float(v)))
-            total = total + v
-        return total, scale
-    v = evaluate(e, point)
-    return v, abs(float(v))
-
-
 def zero_test(
     e: ScalarExpr,
     domain: SampleDomain = ANYWHERE,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> ZeroTestResult:
     """Sample e over the domain and decide whether it is identically zero."""
-    names = free_variables(e)
-    exact = is_rational_expr(e)
-    if not names:
-        v, scale = _value_and_scale(e, {})
-        tol = config.atol + config.rtol * scale
-        va = abs(float(v))
-        if exact:
-            return ZeroTestResult(v == 0, va, 1, True)
-        is_zero = va <= tol
-        return ZeroTestResult(is_zero, va, 1, False,
-                              inconclusive=not is_zero and va < config.inconclusive_margin)
-
-    rng = random.Random(config.seed)
-    n = config.n_sample_points
-    points = sample_points(names, domain, n, rng, config.max_sample_retries)
-    max_abs = 0.0
-    all_within = True
-    n_evaluated = 0
-    for p in points:
-        try:
-            v, scale = _value_and_scale(e, p)
-        except DomainError:
-            # constraint predicates did not exclude this singular point; skip it
-            continue
-        n_evaluated += 1
-        va = abs(float(v))
-        max_abs = max(max_abs, va)
-        if exact:
-            if v != 0:
-                all_within = False
-        else:
-            if va > config.atol + config.rtol * scale:
-                all_within = False
-    if n_evaluated == 0:
+    if isinstance(e, Rational):  # folded at construction: nothing to compile
+        return ZeroTestResult(e.value == 0, abs(float(e.value)), 1, True)
+    program = compile_expr(e)
+    if program.free_vars:
+        rng = random.Random(config.seed)
+        points = sample_points(program.free_vars, domain, config.n_sample_points, rng,
+                               config.max_sample_retries)
+    else:
+        points = [{}]
+    if program.rational:
+        values = []
+        for p in points:
+            try:
+                values.append(program.run_exact(p))
+            except DomainError:
+                # constraint predicates did not exclude this singular point; skip it
+                continue
+        within = all(v == 0 for v in values)
+        magnitudes = [abs(float(v)) for v in values]
+    else:
+        columns = {name: np.array([float(p[name]) for p in points])
+                   for name in program.free_vars}
+        value, scale, skip = program.run_float(columns, len(points))
+        keep = ~skip
+        residuals = np.abs(value[keep])
+        within = bool(np.all(residuals <= config.atol + config.rtol * scale[keep]))
+        magnitudes = residuals.tolist()
+    n_skipped = len(points) - len(magnitudes)
+    if not magnitudes:
+        if not program.free_vars:
+            raise DomainError(f"constant expression {e} is undefined or not finite")
         raise SampleDomainEmpty(
-            "every sampled point hit a singularity; tighten the domain constraints")
-    if exact:
-        return ZeroTestResult(all_within, max_abs, n_evaluated, True)
-    return ZeroTestResult(all_within, max_abs, n_evaluated, False,
-                          inconclusive=not all_within and max_abs < config.inconclusive_margin)
+            "every sampled point hit a singularity or a non-finite value; "
+            "tighten the domain constraints")
+    max_abs = max(magnitudes)
+    inconclusive = not program.rational and not within and max_abs < config.inconclusive_margin
+    return ZeroTestResult(within, max_abs, len(magnitudes), program.rational,
+                          inconclusive=inconclusive, n_skipped=n_skipped)
 
 
 def is_probably_zero(

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from kontact.config import RunConfig
-from kontact.expr import Rational, ScalarExpr, Var
+from kontact.errors import DomainError
+from kontact.expr import Rational, ScalarExpr, Var, log
 from kontact.forms import Chart, DifferentialForm
 
 
@@ -54,6 +55,18 @@ def rand_expr(rng: random.Random, names, depth: int = 2,
         return log(inner * inner + 1)
     return (rand_expr(rng, names, depth - 1)
             - rand_expr(rng, names, depth - 1))
+
+
+def with_singular_tops(e, *exponents, take_log=False):
+    """e, then e raised to each exponent, then log(e), where these can be built."""
+    builds = [lambda b, q=q: b ** q for q in exponents] + ([log] if take_log else [])
+    out = [e]
+    for build in builds:
+        try:
+            out.append(build(e))
+        except DomainError:  # folded to a constant outside the domain
+            pass
+    return out
 
 
 def rand_chart(rng: random.Random, dim: int) -> Chart:

@@ -15,7 +15,7 @@ from kontact.errors import (
     StructureDegenerateAtPoint,
     ZeroTestInconclusive,
 )
-from kontact.expr import Rational, Var, sqrt, var
+from kontact.expr import Rational, Var, parse_expr, sqrt, var
 from kontact.forms import (
     Chart,
     DifferentialForm,
@@ -26,7 +26,7 @@ from kontact.forms import (
 )
 from kontact.hddw import KContactHamiltonianSystem, solve_hddw_at_point
 from kontact.kcontact import KContactStructure, compute_reeb
-from kontact.zerotest import SampleDomain, is_probably_zero
+from kontact.zerotest import SampleDomain, is_probably_zero, zero_test
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -53,6 +53,14 @@ class TestSampleDomainEmpty:
         dom = SampleDomain({"x": (Fraction(-2), Fraction(-1))})
         with pytest.raises(SampleDomainEmpty):
             is_probably_zero(log(x), dom, FAST)
+
+    def test_non_finite_values_do_not_pass(self):
+        # exp(700*x) overflows for x > 1.014; below that the product
+        # overflows and the value is inf - inf = nan, which is neither within
+        # nor beyond the tolerance
+        e = parse_expr("1 + exp(700*x)*exp(700*x) - exp(700*x)*exp(700*x)")
+        with pytest.raises(SampleDomainEmpty):
+            zero_test(e, SampleDomain(ranges={"x": (1, 2)}))
 
 
 def _ambiguous_structure() -> KContactStructure:

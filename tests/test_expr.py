@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kontact.errors import DomainError, ParseError, UnboundVariable
 from kontact.expr import (
+    Exp,
+    Log,
     Point,
+    Pow,
+    Product,
     Rational,
+    Sum,
+    compile_expr,
     differentiate,
     evaluate,
     exp,
@@ -25,7 +33,7 @@ from kontact.expr import (
 )
 from kontact.zerotest import SampleDomain, is_probably_zero, zero_test
 
-from conftest import rand_expr, rand_rational
+from conftest import rand_expr, rand_rational, with_singular_tops
 
 
 def finite_difference(e, v: str, point: dict, step: float = 1e-5) -> float:
@@ -256,3 +264,115 @@ class TestImmutability:
         b = parse_expr("x + 2*y")
         assert a == b
         assert hash(a) == hash(b)
+
+
+NAMES = ["x", "y", "z"]
+
+
+def _children(e):
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Exp, Log)):
+        return (e.arg,)
+    return ()
+
+
+def distinct_subtrees(e) -> int:
+    """Structurally distinct subtrees, counted by dataclass equality."""
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(_children(node))
+    return len(seen)
+
+
+def tree_nodes(e) -> int:
+    return 1 + sum(tree_nodes(c) for c in _children(e))
+
+
+def reference_values(e, points):
+    """evaluate per point; None where it raises DomainError or is not finite."""
+    out = []
+    for p in points:
+        try:
+            v = evaluate(e, p)
+        except DomainError:
+            v = None
+        out.append(v if v is not None and math.isfinite(v) else None)
+    return out
+
+
+class TestCompile:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_program_equals_evaluate(self, seed):
+        rng = random.Random(seed)
+        poly = rand_expr(rng, NAMES, depth=4)
+        points = [{n: rand_rational(rng, denom=2) for n in NAMES} for _ in range(8)]
+        for e in with_singular_tops(poly, -1, -2):
+            program = compile_expr(e)
+            assert program.rational
+            assert program.free_vars == free_variables(e)
+            for p, ref in zip(points, reference_values(e, points)):
+                if ref is None:
+                    with pytest.raises(DomainError):
+                        program.run_exact(p)
+                else:
+                    assert program.run_exact(p) == ref
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_float_program_matches_evaluate(self, seed):
+        rng = random.Random(seed)
+        base = rand_expr(rng, NAMES, depth=3, transcendental=True)
+        points = [{n: rng.uniform(-2, 2) for n in NAMES} for _ in range(16)]
+        columns = {n: np.array([p[n] for p in points]) for n in NAMES}
+        for e in with_singular_tops(base, -1, Fraction(-1, 2), take_log=True):
+            program = compile_expr(e)
+            assert program.free_vars == free_variables(e)
+            value, _, skip = program.run_float(columns, len(points))
+            for i, ref in enumerate(reference_values(e, points)):
+                assert skip[i] == (ref is None)
+                if ref is not None:
+                    assert math.isclose(value[i], ref, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_scale_is_largest_top_level_summand(self):
+        program = compile_expr(parse_expr("3*x - 5*y + 1/2"))
+        _, scale, _ = program.run_float({"x": np.array([1.0, -2.0]), "y": np.array([0.5, 0.0])}, 2)
+        assert scale.tolist() == [3.0, 6.0]
+
+    def test_equal_subtrees_built_separately_share_one_instruction(self):
+        x, y = var("x"), var("y")
+        a = exp(x + 1) * y
+        b = exp(x + 1) * y
+        assert a is not b and a == b
+        program = compile_expr(a * log(b + 2) - b)
+        # x, 1, x + 1, exp(x + 1), y, the product, 2, the sum, log, -1,
+        # -(product), the product with log, the root
+        assert len(program.code) == distinct_subtrees(a * log(b + 2) - b) == 13
+
+    def test_bjorken_residual_compiles_to_its_distinct_subtrees(self):
+        from kontact.bjorken import (
+            BjorkenFlow,
+            DissipativeDecomposition,
+            PGTSuperpotential,
+            apply_pgt,
+            entropy_production,
+        )
+
+        flow = BjorkenFlow()
+        before = DissipativeDecomposition.perfect_fluid(flow)
+        after = apply_pgt(before, PGTSuperpotential("gamma", "T^3"), flow)
+        e = entropy_production(after, flow)
+        program = compile_expr(e)
+        assert len(program.code) == distinct_subtrees(e)
+        assert 10 * len(program.code) < tree_nodes(e)
+        assert not program.rational
+        assert program.free_vars == free_variables(e)

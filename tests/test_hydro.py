@@ -104,7 +104,7 @@ class TestHydroStructure:
         frame = hydro_reeb_frame(s)
         assert check_reeb_commutation(frame, config=FAST)
 
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_polarization(self, k):
         s = hydro_kcontact_form(k)
         fields = hydro_polarization(k)

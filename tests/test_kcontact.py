@@ -30,6 +30,7 @@ from kontact.kcontact import (
     structure_matrices_at,
     verify_kcontact,
 )
+from kontact.linalg import numeric_rank
 from kontact.zerotest import is_probably_zero, sample_points
 
 FAST = RunConfig(n_sample_points=16)
@@ -230,6 +231,30 @@ class TestPolarization:
         V = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
              for a in (1, 2) for i in (1, 2)]
         assert check_polarization(s, V, n_points=5, config=FAST)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 3), (3, 2), (1, 4)])
+    def test_canonical_momentum_polarizations(self, n, k):
+        s = canonical_structure(n, k)
+        V = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
+             for a in range(1, k + 1) for i in range(1, n + 1)]
+        assert check_polarization(s, V, n_points=5, config=FAST)
+
+    def test_structurally_zero_brackets_cost_no_rank(self, monkeypatch):
+        # all 276 hydro4 brackets are structurally zero, so each point takes
+        # the span's rank and nothing else
+        from kontact import kcontact
+        from kontact.hydro import hydro_kcontact_form, hydro_polarization
+
+        ranks = []
+
+        def counting_rank(M, rel_threshold):
+            ranks.append(M.shape)
+            return numeric_rank(M, rel_threshold)
+
+        monkeypatch.setattr(kcontact, "numeric_rank", counting_rank)
+        assert check_polarization(hydro_kcontact_form(4), hydro_polarization(4),
+                                  n_points=5, config=FAST)
+        assert len(ranks) == 5
 
     def test_reeb_direction_fails(self):
         s = canonical_structure(2, 2)
