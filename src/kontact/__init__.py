@@ -64,9 +64,9 @@ from .forms import (
 from .kcontact import (
     KContactStructure,
     ReebFrame,
-    StructureReport,
     canonical_structure,
     check_polarization,
+    check_reeb,
     check_reeb_commutation,
     compute_reeb,
     verify_kcontact,
@@ -117,6 +117,16 @@ from .bjorken import (
     full_pgt_demo,
     shear_tensor,
 )
-from .zerotest import SampleDomain, is_probably_zero, zero_test
+from .zerotest import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    Check,
+    SampleDomain,
+    combine,
+    is_probably_zero,
+    zero_check,
+    zero_test,
+)
 
 __version__ = "0.1.0"

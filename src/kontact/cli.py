@@ -13,19 +13,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .config import RunConfig, default_seed
-from .errors import (
-    KontactError,
-    ParseError,
-    SampleDomainEmpty,
-    SingularSystem,
-    ZeroTestInconclusive,
-)
+from .errors import KontactError, ParseError, SampleDomainEmpty, ZeroTestInconclusive
 from .expr import parse_expr
 from .fileio import (
     BuiltinStructure,
@@ -41,33 +34,10 @@ from .hddw import (
     solve_hddw_at_point,
 )
 from .idealgas import run_isentropic
-from .kcontact import (
-    canonical_structure,
-    check_polarization,
-    check_reeb_commutation,
-    compute_reeb,
-    verify_kcontact,
-)
+from .kcontact import canonical_structure, check_polarization, check_reeb, verify_kcontact
 from .legendrian import build_parametrization, check_compatibility, verify_isotropic
-from .zerotest import sample_points
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, combine, sample_points, zero_check
 from .bjorken import DEFAULT_T_PROFILE, full_pgt_demo
-
-PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
-
-
-@dataclass
-class Check:
-    name: str
-    verdict: str
-    max_residual: float | None = None
-    detail: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "verdict": self.verdict,
-               "max_residual": self.max_residual}
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
 
 
 def _config_from_args(args) -> RunConfig:
@@ -101,9 +71,7 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
             "rank_threshold": config.rank_threshold,
         },
         "checks": [c.to_dict() for c in checks],
-        "verdict": (FAIL if any(c.verdict == FAIL for c in checks)
-                    else INCONCLUSIVE if any(c.verdict == INCONCLUSIVE for c in checks)
-                    else PASS),
+        "verdict": combine(c.verdict for c in checks),
     }
     if not args.no_timestamp:
         report["wall_time_s"] = round(time.perf_counter() - started, 3)
@@ -145,25 +113,8 @@ def cmd_verify_structure(args) -> int:
     config = _config_from_args(args)
     holder = _resolve(args)
     s = holder.structure
-    checks: list[Check] = []
-    report = verify_kcontact(s, n_points=args.points, config=config)
-    checks.append(Check("corank_condition", _verdict(report.cond1),
-                        detail={"k": report.k, "dim": report.dim,
-                                "rank_table": report.to_dict()["points"]}))
-    checks.append(Check("reeb_rank_condition", _verdict(report.cond2)))
-    checks.append(Check("trivial_intersection", _verdict(report.cond3)))
-    frame = None
-    try:
-        frame = compute_reeb(s, config)
-        checks.append(Check("reeb_frame", PASS, detail={
-            "components": [[str(c) for c in R.components] for R in frame]}))
-    except ZeroTestInconclusive as err:
-        checks.append(Check("reeb_frame", INCONCLUSIVE, detail={"error": str(err)}))
-    except SingularSystem as err:
-        checks.append(Check("reeb_frame", FAIL, detail={"error": str(err)}))
-    if frame is not None:
-        checks.append(Check("reeb_commutation",
-                            _verdict(check_reeb_commutation(frame, config=config))))
+    checks = verify_kcontact(s, n_points=args.points, config=config)
+    checks += check_reeb(s, config)
     if holder.polarization is not None:
         ok = check_polarization(s, holder.polarization, n_points=min(args.points, 10),
                                 config=config)
@@ -176,31 +127,16 @@ def cmd_reeb(args) -> int:
     started = time.perf_counter()
     config = _config_from_args(args)
     holder = _resolve(args)
-    checks: list[Check] = []
-    try:
-        frame = compute_reeb(holder.structure, config)
-    except ZeroTestInconclusive as err:
-        checks.append(Check("reeb_frame", INCONCLUSIVE, detail={"error": str(err)}))
-        return _emit("reeb", config, checks, args, started)
-    except SingularSystem as err:
-        checks.append(Check("reeb_frame", FAIL, detail={"error": str(err)}))
-        return _emit("reeb", config, checks, args, started)
-    checks.append(Check("reeb_frame", PASS, detail={
-        "components": [[str(c) for c in R.components] for R in frame]}))
-    checks.append(Check("reeb_commutation",
-                        _verdict(check_reeb_commutation(frame, config=config))))
-    return _emit("reeb", config, checks, args, started)
+    return _emit("reeb", config, check_reeb(holder.structure, config), args, started)
 
 
 def cmd_legendrian(args) -> int:
     started = time.perf_counter()
     config = _config_from_args(args)
     kf = load_kfunction_file(args.path)
-    checks: list[Check] = []
     compat = check_compatibility(kf, config)
-    checks.append(Check("compatibility", _verdict(compat.compatible),
-                        detail={"syntactic_linear_form": compat.syntactic_linear_form}))
-    if not compat.compatible:
+    checks = [compat]
+    if compat.verdict != PASS:
         return _emit("legendrian", config, checks, args, started)
     L = build_parametrization(kf, config)
     admissible = sorted({kf.n + (kf.k - 1) * n1 for n1 in range(kf.n + 1)})
@@ -269,17 +205,13 @@ def cmd_hddw(args) -> int:
                                 "n_points": len(points)}))
     if args.section:
         sect = load_section_file(args.section, s.chart, s.k)
-        rep = section_residual(sys_, sect, config)
-        checks.append(Check("section_residual", _verdict(rep.all_zero),
-                            max_residual=rep.max_abs))
+        eq1, eq2 = section_residual(sys_, sect)
+        checks.append(zero_check("section_residual", eq1 + [eq2],
+                                 sect.source.domain(), config))
         if getattr(holder, "name", "").startswith("hydro"):
             from .hydro import equilibrium_conditions_residual
 
-            eq = equilibrium_conditions_residual(sect, s.k, config)
-            checks.append(Check(
-                "equilibrium_families",
-                _verdict(eq.all_pass and eq.agrees_with_hddw),
-                detail=eq.to_dict()))
+            checks.append(equilibrium_conditions_residual(sect, s.k, config))
     return _emit("hddw", config, checks, args, started)
 
 
@@ -313,13 +245,8 @@ def cmd_ideal_gas(args) -> int:
 def cmd_bjorken(args) -> int:
     started = time.perf_counter()
     config = _config_from_args(args)
-    rep = full_pgt_demo(gamma=args.gamma, I=args.I,
-                        temperature_profile=args.T_profile, config=config)
-    checks = [Check(name, _verdict(ok)) for name, ok in rep["checks"].items()]
-    checks.append(Check("all_identities", _verdict(rep["all_pass"]),
-                        max_residual=rep["max_residual"],
-                        detail={"gamma": rep["gamma"], "I": rep["I"],
-                                "T_profile": rep["T_profile"]}))
+    checks = full_pgt_demo(gamma=args.gamma, I=args.I,
+                           temperature_profile=args.T_profile, config=config)
     return _emit("bjorken", config, checks, args, started)
 
 

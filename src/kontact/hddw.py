@@ -31,11 +31,10 @@ from .forms import DifferentialForm, SmoothMap, exterior_derivative, prolongatio
 from .kcontact import KContactStructure, ReebFrame, check_structure_at, compute_reeb
 from .legendrian import LegendrianParametrization, verify_isotropic
 from .linalg import least_norm_solution, nullspace_basis, numeric_rank
-from .zerotest import sample_points, zero_test
+from .zerotest import FAIL, PASS, Check, is_probably_zero, sample_points
 
 __all__ = [
-    "KContactHamiltonianSystem", "HdDWPointSolution", "SectionCandidate",
-    "SectionResidualReport", "ConstrainedSolutionReport", "Trajectory",
+    "KContactHamiltonianSystem", "HdDWPointSolution", "SectionCandidate", "Trajectory",
     "hddw_rhs", "solve_hddw_at_point", "pseudo_gauge_shift",
     "section_residual", "integrate_contact_flow", "check_constrained_solution",
     "expected_nullspace_dim",
@@ -212,34 +211,15 @@ class SectionCandidate:
     psi: SmoothMap
 
 
-@dataclass
-class SectionResidualReport:
-    """Symbolic residuals of both field equations along a section, with the
-    sampled maximum of their absolute values."""
-
-    eq1: list          # one residual expression per ambient coordinate
-    eq2: ScalarExpr
-    max_abs: float
-    all_zero: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "eq1_residuals": [str(e) for e in self.eq1],
-            "eq2_residual": str(self.eq2),
-            "max_abs": self.max_abs,
-            "all_zero": self.all_zero,
-        }
-
-
 def section_residual(
     sys: KContactHamiltonianSystem,
     candidate: SectionCandidate | SmoothMap,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> SectionResidualReport:
+) -> tuple[list, ScalarExpr]:
     """Substitute a section and its prolongation into both field equations.
 
-    Residual components live on the section's parameter chart; the report
-    carries the symbolic residuals and their sampled maximum.
+    Returns the symbolic residuals (eq1, eq2): eq1 holds one expression per
+    ambient coordinate, eq2 the pairing equation.  Both live on the section's
+    parameter chart; zero_check over that chart's domain gives the verdict.
     """
     psi = candidate.psi if isinstance(candidate, SectionCandidate) else candidate
     if psi.target != sys.chart:
@@ -268,15 +248,7 @@ def section_residual(
         col = columns[alpha]
         for (i,), c in f.coeffs.items():
             eq2 = eq2 + substitute(c, binds) * col[i]
-
-    domain = psi.source.domain()
-    max_abs = 0.0
-    all_zero = True
-    for e in eq1 + [eq2]:
-        res = zero_test(e, domain, config)
-        max_abs = max(max_abs, res.max_abs)
-        all_zero = all_zero and res.is_zero
-    return SectionResidualReport(eq1=eq1, eq2=eq2, max_abs=max_abs, all_zero=all_zero)
+    return eq1, eq2
 
 
 @dataclass
@@ -336,55 +308,35 @@ def integrate_contact_flow(
     return Trajectory(chart_coords=coords, dt=dt, states=states)
 
 
-@dataclass
-class ConstrainedSolutionReport:
-    """Feasibility of tangent solutions along a Legendrian, with the
-    constrained nullspace dimension (the remaining pseudo-gauge freedom)."""
-
-    h_vanishes_on_L: bool
-    feasible: bool | None
-    constrained_nullspace_dim: int | None
-    expected_pseudo_gauge_dof: int | None
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "H_vanishes_on_L": self.h_vanishes_on_L,
-            "feasible": self.feasible,
-            "constrained_nullspace_dim": self.constrained_nullspace_dim,
-            "expected_pseudo_gauge_dof": self.expected_pseudo_gauge_dof,
-            "n_points": self.n_points,
-        }
-
-
 def check_constrained_solution(
     sys: KContactHamiltonianSystem,
     L: LegendrianParametrization | SmoothMap,
     n_points: int = 5,
     config: RunConfig = DEFAULT_CONFIG,
-) -> ConstrainedSolutionReport:
+) -> Check:
     """Tangency analysis along a Legendrian parametrization.
 
     First the necessity test: H composed with the parametrization must vanish.
     If it does, the pointwise system is re-solved with the unknowns restricted
     to the image of the tangent map, reporting feasibility and the dimension
     k*dim L - rank of the restricted system.  The expected count comes from
-    the polarized-case formula k*dim L - (n*(k+1) - dim L).
+    the polarized-case formula k*dim L - (n*(k+1) - dim L).  The check passes
+    when H vanishes on L and the restricted system is feasible at every
+    sampled point.
     """
     smooth = L.map if isinstance(L, LegendrianParametrization) else L
     if not verify_isotropic(smooth, sys.structure, config):
         raise NotIsotropic("parametrization image is not isotropic for this structure")
     binds = smooth.bindings()
     h_on_L = substitute(sys.H, binds)
-    h_zero = zero_test(h_on_L, smooth.source.domain(), config).is_zero
-    if not h_zero:
-        return ConstrainedSolutionReport(
-            h_vanishes_on_L=False,
-            feasible=None,
-            constrained_nullspace_dim=None,
-            expected_pseudo_gauge_dof=None,
-            n_points=0,
-        )
+    if not is_probably_zero(h_on_L, smooth.source.domain(), config):
+        return Check("constrained_solution", FAIL, detail={
+            "H_vanishes_on_L": False,
+            "feasible": None,
+            "constrained_nullspace_dim": None,
+            "expected_pseudo_gauge_dof": None,
+            "n_points": 0,
+        })
 
     k, dim = sys.k, sys.dim
     dim_L = smooth.source.dim
@@ -414,11 +366,10 @@ def check_constrained_solution(
         if residual > config.rank_threshold * scale:
             feasible = False
         null_dims.add(k * dim_L - numeric_rank(Ares, config.rank_threshold))
-    null_dim = max(null_dims) if null_dims else None
-    return ConstrainedSolutionReport(
-        h_vanishes_on_L=True,
-        feasible=feasible,
-        constrained_nullspace_dim=null_dim,
-        expected_pseudo_gauge_dof=expected,
-        n_points=len(params),
-    )
+    return Check("constrained_solution", PASS if feasible else FAIL, detail={
+        "H_vanishes_on_L": True,
+        "feasible": feasible,
+        "constrained_nullspace_dim": max(null_dims) if null_dims else None,
+        "expected_pseudo_gauge_dof": expected,
+        "n_points": len(params),
+    })

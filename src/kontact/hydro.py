@@ -20,12 +20,12 @@ from .expr import ExprLike, Rational, ScalarExpr, Var, ZERO, as_expr, differenti
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
 from .hddw import KContactHamiltonianSystem, SectionCandidate, section_residual
 from .kcontact import KContactStructure, ReebFrame
-from .zerotest import zero_test
+from .zerotest import PASS, Check, combine, is_probably_zero, zero_check
 
 __all__ = [
     "MinkowskiMetric", "FluidTensors", "hydro_chart", "hydro_kcontact_form",
     "hydro_reeb_frame", "hydro_polarization", "hydro_system",
-    "EquilibriumReport", "equilibrium_conditions_residual", "entropy_current",
+    "equilibrium_conditions_residual", "entropy_current",
     "projectors", "equilibrium_legendrian", "spacetime_chart",
 ]
 
@@ -129,55 +129,20 @@ def spacetime_chart(k: int = 4) -> Chart:
     return Chart([f"t_{m}" for m in range(k)])
 
 
-@dataclass(frozen=True)
-class FamilyResult:
-    name: str
-    passes: bool
-    max_abs: float
-    n_exprs: int
-
-
-@dataclass
-class EquilibriumReport:
-    """Per-family residuals of the global-equilibrium conditions."""
-
-    families: dict
-    hddw_all_zero: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return all(f.passes for f in self.families.values())
-
-    @property
-    def agrees_with_hddw(self) -> bool:
-        return self.all_pass == self.hddw_all_zero
-
-    def failing_families(self) -> list[str]:
-        return [name for name, f in self.families.items() if not f.passes]
-
-    def to_dict(self) -> dict:
-        return {
-            "families": {
-                name: {"pass": f.passes, "max_abs": f.max_abs, "n_exprs": f.n_exprs}
-                for name, f in self.families.items()
-            },
-            "all_pass": self.all_pass,
-            "hddw_all_zero": self.hddw_all_zero,
-            "agrees_with_hddw": self.agrees_with_hddw,
-        }
-
-
 def equilibrium_conditions_residual(
     psi: SectionCandidate | SmoothMap,
     k: int = 4,
     config: RunConfig = DEFAULT_CONFIG,
-) -> EquilibriumReport:
+) -> Check:
     """Evaluate the seven equilibrium condition families on a hydro section.
 
     Families: d xi, div N, div P, d V, d beta, div T (contraction on the
-    second index, as produced by the field equations), div S.  The overall
-    verdict is cross-checked against the raw field-equation residual of the
-    H = 0 system on the same section.
+    second index, as produced by the field equations), div S.  The check is
+    cross-checked against the raw field-equation residual of the H = 0
+    system on the same section: it passes when every family and that
+    residual vanish, and fails when any of them fails (so in particular when
+    the families and the field equations disagree).  Its max_residual is the
+    largest family residual.
     """
     smooth = psi.psi if isinstance(psi, SectionCandidate) else psi
     chart = hydro_chart(k)
@@ -202,18 +167,25 @@ def equilibrium_conditions_residual(
         "div_S": [sum((d(f"S_{mu}", mu) for mu in range(k)), ZERO)],
     }
     domain = smooth.source.domain()
-    results = {}
-    for name, exprs in families.items():
-        max_abs = 0.0
-        ok = True
-        for e in exprs:
-            res = zero_test(e, domain, config)
-            max_abs = max(max_abs, res.max_abs)
-            ok = ok and res.is_zero
-        results[name] = FamilyResult(name=name, passes=ok, max_abs=max_abs,
-                                     n_exprs=len(exprs))
-    raw = section_residual(hydro_system(k), smooth, config)
-    return EquilibriumReport(families=results, hddw_all_zero=raw.all_zero)
+    results = {name: zero_check(name, exprs, domain, config)
+               for name, exprs in families.items()}
+    eq1, eq2 = section_residual(hydro_system(k), smooth)
+    raw = zero_check("section_residual", eq1 + [eq2], domain, config)
+    all_pass = all(c.verdict == PASS for c in results.values())
+    hddw_all_zero = raw.verdict == PASS
+    detail = {
+        "families": {
+            name: {"pass": c.verdict == PASS, "max_abs": c.max_residual,
+                   "n_exprs": len(families[name])}
+            for name, c in results.items()
+        },
+        "all_pass": all_pass,
+        "hddw_all_zero": hddw_all_zero,
+        "agrees_with_hddw": all_pass == hddw_all_zero,
+    }
+    return Check("equilibrium_families",
+                 combine([c.verdict for c in results.values()] + [raw.verdict]),
+                 max(c.max_residual for c in results.values()), detail)
 
 
 def entropy_current(k: int = 4) -> list[ScalarExpr]:
@@ -263,7 +235,7 @@ class FluidTensors:
         return total - 1
 
     def check_normalized(self, config: RunConfig = DEFAULT_CONFIG) -> bool:
-        return zero_test(self.norm_defect(), self.chart.domain(), config).is_zero
+        return is_probably_zero(self.norm_defect(), self.chart.domain(), config)
 
 
 def projectors(u: FluidTensors) -> tuple[list, list]:

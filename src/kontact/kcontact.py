@@ -9,13 +9,13 @@ frame is solved symbolically from its duality/annihilation equations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem
+from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem, ZeroTestInconclusive
 from .expr import ONE, ZERO, Rational, ScalarExpr, Var, evaluate
 from .forms import (
     Chart,
@@ -28,12 +28,12 @@ from .forms import (
     lie_bracket,
 )
 from .linalg import numeric_rank, solve_symbolic
-from .zerotest import is_probably_zero, sample_points
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points
 
 __all__ = [
-    "KContactStructure", "ReebFrame", "PointCheck", "StructureReport",
+    "KContactStructure", "ReebFrame", "PointCheck",
     "structure_matrices_at", "check_structure_at", "verify_kcontact", "compute_reeb",
-    "check_reeb_commutation", "canonical_structure", "check_polarization",
+    "check_reeb", "check_reeb_commutation", "canonical_structure", "check_polarization",
 ]
 
 
@@ -91,53 +91,6 @@ class PointCheck:
     @property
     def all_pass(self) -> bool:
         return self.cond1 and self.cond2 and self.cond3
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    k: int
-    dim: int
-    points: tuple = field(default=())
-
-    @property
-    def cond1(self) -> bool:
-        return all(p.cond1 for p in self.points)
-
-    @property
-    def cond2(self) -> bool:
-        return all(p.cond2 for p in self.points)
-
-    @property
-    def cond3(self) -> bool:
-        return all(p.cond3 for p in self.points)
-
-    @property
-    def is_kcontact(self) -> bool:
-        return bool(self.points) and all(p.all_pass for p in self.points)
-
-    def failing_points(self) -> list[PointCheck]:
-        return [p for p in self.points if not p.all_pass]
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "dim": self.dim,
-            "n_points": len(self.points),
-            "cond1_corank_k": self.cond1,
-            "cond2_reeb_rank_k": self.cond2,
-            "cond3_trivial_intersection": self.cond3,
-            "is_kcontact": self.is_kcontact,
-            "points": [
-                {
-                    "point": {k: str(v) for k, v in p.point.items()},
-                    "eta_rank": p.eta_rank,
-                    "ker_deta_dim": p.ker_deta_dim,
-                    "intersection_dim": p.intersection_dim,
-                    "pass": p.all_pass,
-                }
-                for p in self.points
-            ],
-        }
 
 
 def structure_matrices_at(s: KContactStructure, point: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +153,33 @@ def verify_kcontact(
     s: KContactStructure,
     n_points: int = 20,
     config: RunConfig = DEFAULT_CONFIG,
-) -> StructureReport:
-    """Check the three defining conditions (see check_structure_at) at sampled
-    points.  Failing structures yield a report, not an exception."""
+) -> list[Check]:
+    """The three defining conditions (see check_structure_at) at sampled points,
+    one check each: corank_condition (its detail holds the per-point rank
+    table), reeb_rank_condition and trivial_intersection.  Failing structures
+    yield failing checks, not an exception."""
     rng = random.Random(config.seed)
     pts = sample_points(s.chart.coords, s.chart.domain(), n_points, rng,
                         config.max_sample_retries)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
-    checks = tuple(check_structure_at(s, p, config) for p in pts)
-    return StructureReport(k=s.k, dim=s.dim, points=checks)
+    rows = [check_structure_at(s, p, config) for p in pts]
+    rank_table = [
+        {
+            "point": {k: str(v) for k, v in pc.point.items()},
+            "eta_rank": pc.eta_rank,
+            "ker_deta_dim": pc.ker_deta_dim,
+            "intersection_dim": pc.intersection_dim,
+            "pass": pc.all_pass,
+        }
+        for pc in rows
+    ]
+    return [
+        Check("corank_condition", PASS if all(pc.cond1 for pc in rows) else FAIL,
+              detail={"k": s.k, "dim": s.dim, "rank_table": rank_table}),
+        Check("reeb_rank_condition", PASS if all(pc.cond2 for pc in rows) else FAIL),
+        Check("trivial_intersection", PASS if all(pc.cond3 for pc in rows) else FAIL),
+    ]
 
 
 def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> ReebFrame:
@@ -244,6 +214,23 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> Re
     ])
     _check_reeb_invariants(s, frame, config)
     return frame
+
+
+def check_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    """The reeb_frame check (the solved components, or why there is no frame)
+    and, when the frame exists, the reeb_commutation check."""
+    try:
+        frame = compute_reeb(s, config)
+    except ZeroTestInconclusive as err:
+        return [Check("reeb_frame", INCONCLUSIVE, detail={"error": str(err)})]
+    except SingularSystem as err:
+        return [Check("reeb_frame", FAIL, detail={"error": str(err)})]
+    commutes = check_reeb_commutation(frame, config=config)
+    return [
+        Check("reeb_frame", PASS,
+              detail={"components": [[str(c) for c in R.components] for R in frame]}),
+        Check("reeb_commutation", PASS if commutes else FAIL),
+    ]
 
 
 def _check_reeb_invariants(s: KContactStructure, frame: ReebFrame, config: RunConfig):

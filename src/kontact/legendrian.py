@@ -8,7 +8,6 @@ construction (contact form, first law, Gibbs equality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,10 +16,10 @@ from .errors import ChartMismatch, IncompatibleKFunction, NotHomogeneous
 from .expr import ExprLike, ScalarExpr, Var, as_expr, differentiate, free_variables
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, pullback
 from .kcontact import KContactStructure, canonical_structure
-from .zerotest import is_probably_zero
+from .zerotest import FAIL, PASS, Check, is_probably_zero
 
 __all__ = [
-    "ParametrizingKFunction", "LegendrianParametrization", "CompatibilityReport",
+    "ParametrizingKFunction", "LegendrianParametrization",
     "check_compatibility", "build_parametrization", "verify_isotropic",
     "legendrian_dimension", "thermo_chart", "thermo_structure",
     "thermo_parametrization", "check_gibbs_equality",
@@ -73,16 +72,6 @@ class ParametrizingKFunction:
         return differentiate(self.F[alpha - 1], f"p_{alpha}_{i}")
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    compatible: bool
-    # the structural F^alpha = sum_i p^alpha_i f^i(q^j) certificate, when found
-    syntactic_linear_form: bool
-
-    def __bool__(self) -> bool:
-        return self.compatible
-
-
 def _detect_linear_form(f: ParametrizingKFunction, config: RunConfig) -> bool:
     """Detect F^alpha = sum_{i in I} p^alpha_i f^i(q^j) with shared f^i."""
     q_names = {f"q_{j}" for j in f.J}
@@ -109,23 +98,20 @@ def _detect_linear_form(f: ParametrizingKFunction, config: RunConfig) -> bool:
 def check_compatibility(
     f: ParametrizingKFunction,
     config: RunConfig = DEFAULT_CONFIG,
-) -> CompatibilityReport:
+) -> Check:
     """The condition dF^alpha/dp^alpha_i == dF^beta/dp^beta_i for all i, alpha, beta.
 
     Always true for k=1.  Decided by sampling, with the structural linear form
-    of the k-function detected separately as an exact certificate.
+    of the k-function detected separately as an exact certificate (the
+    detail's syntactic_linear_form).
     """
     syntactic = f.k > 1 and bool(f.I) and _detect_linear_form(f, config)
-    if f.k == 1:
-        return CompatibilityReport(True, False)
-    if syntactic:
-        return CompatibilityReport(True, True)
-    for i in f.I:
-        base = f.momentum_partial(1, i)
-        for alpha in range(2, f.k + 1):
-            if not is_probably_zero(base - f.momentum_partial(alpha, i), config=config):
-                return CompatibilityReport(False, False)
-    return CompatibilityReport(True, False)
+    compatible = f.k == 1 or syntactic or all(
+        is_probably_zero(f.momentum_partial(1, i) - f.momentum_partial(alpha, i),
+                         config=config)
+        for i in f.I for alpha in range(2, f.k + 1))
+    return Check("compatibility", PASS if compatible else FAIL,
+                 detail={"syntactic_linear_form": syntactic})
 
 
 class LegendrianParametrization:
@@ -161,7 +147,7 @@ def build_parametrization(
         p^alpha_i (i in I) = p^alpha_i
         p^alpha_j (j in J) = dF^alpha/dq^j
     """
-    if not check_compatibility(f, config):
+    if check_compatibility(f, config).verdict != PASS:
         raise IncompatibleKFunction(
             "momentum partials differ between components; no parametrization")
     ambient = canonical_structure(f.n, f.k).chart

@@ -12,9 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import SingularSystem, ZeroTestInconclusive
+from .errors import SingularSystem
 from .expr import Pow, Rational, ScalarExpr
-from .zerotest import SampleDomain, zero_test
+from .zerotest import SampleDomain, is_probably_zero
 
 __all__ = ["numeric_rank", "nullspace_basis", "least_norm_solution", "solve_symbolic"]
 
@@ -46,17 +46,6 @@ def least_norm_solution(M: np.ndarray, b: np.ndarray, rel_threshold: float) -> n
     return np.linalg.pinv(M, rcond=rel_threshold) @ b
 
 
-def _is_zero_entry(e: ScalarExpr, domain: SampleDomain, config: RunConfig,
-                   context: str) -> bool:
-    if isinstance(e, Rational):
-        return e.value == 0
-    res = zero_test(e, domain, config)
-    if res.inconclusive:
-        raise ZeroTestInconclusive(
-            f"{context}: entry neither clearly zero nor nonzero (max |value| {res.max_abs:.2e})")
-    return res.is_zero
-
-
 def solve_symbolic(
     rows: Sequence[Sequence[ScalarExpr]],
     rhs: Sequence[Sequence[ScalarExpr]],
@@ -85,7 +74,7 @@ def solve_symbolic(
     for col in range(n):
         piv = None
         for r in range(next_row, m):
-            if not _is_zero_entry(A[r][col], domain, config, f"{what} pivot (col {col})"):
+            if not is_probably_zero(A[r][col], domain, config):
                 piv = r
                 break
         if piv is None:
@@ -113,7 +102,7 @@ def solve_symbolic(
         raise SingularSystem(f"{what}: no pivot for unknowns {missing} (under-determined)")
     for r in range(next_row, m):
         for j in range(n_rhs):
-            if not _is_zero_entry(B[r][j], domain, config, f"{what} consistency"):
+            if not is_probably_zero(B[r][j], domain, config):
                 raise SingularSystem(f"{what}: inconsistent equation (row {r})")
 
     return [[B[pivot_of_col[col]][j] for j in range(n_rhs)] for col in range(n)]

@@ -10,6 +10,9 @@ scale is the magnitude of the largest top-level summand (a cancellation
 proxy).  Points where the expression is undefined (a singularity the domain
 constraints did not exclude) or its value is not finite are skipped and
 counted; with none left the test raises SampleDomainEmpty.
+
+Every verdict of the engine, from these zero tests up to the CLI report, is
+a Check: pass, fail or inconclusive, with its largest residual and details.
 """
 
 from __future__ import annotations
@@ -17,15 +20,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DomainError, SampleDomainEmpty
+from .errors import DomainError, SampleDomainEmpty, ZeroTestInconclusive
 from .expr import Rational, ScalarExpr, compile_expr, evaluate, free_variables
 
-__all__ = ["SampleDomain", "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points"]
+__all__ = [
+    "PASS", "FAIL", "INCONCLUSIVE", "Check", "combine", "zero_check",
+    "SampleDomain", "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points",
+]
 
 _DEFAULT_RANGE = (Fraction(-2), Fraction(2))
 _DENOM = 64  # sample coordinates are multiples of 1/64
@@ -48,6 +54,31 @@ class SampleDomain:
 
 ANYWHERE = SampleDomain()
 
+PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+
+
+@dataclass
+class Check:
+    """One named verdict (PASS, FAIL or INCONCLUSIVE) with its evidence."""
+
+    name: str
+    verdict: str
+    max_residual: float | None = None
+    detail: dict | None = None
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name, "verdict": self.verdict,
+               "max_residual": self.max_residual}
+        if self.detail is not None:
+            out["detail"] = self.detail
+        return out
+
+
+def combine(verdicts: Iterable[str]) -> str:
+    """Any fail fails; otherwise any inconclusive is inconclusive; else pass."""
+    seen = set(verdicts)
+    return FAIL if FAIL in seen else INCONCLUSIVE if INCONCLUSIVE in seen else PASS
+
 
 @dataclass(frozen=True)
 class ZeroTestResult:
@@ -63,12 +94,9 @@ class ZeroTestResult:
     def __bool__(self) -> bool:
         return self.is_zero
 
-
-def _draw_value(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    steps = int((hi - lo) * _DENOM)
-    if steps <= 0:
-        return lo
-    return lo + Fraction(rng.randint(0, steps), _DENOM)
+    @property
+    def verdict(self) -> str:
+        return PASS if self.is_zero else INCONCLUSIVE if self.inconclusive else FAIL
 
 
 def sample_points(
@@ -82,6 +110,13 @@ def sample_points(
     names = sorted(set(variables))
     for c in domain.constraints:
         names = sorted(set(names) | free_variables(c))
+    # coordinate = lo + r/_DENOM with r drawn from 0..steps (lo itself when
+    # steps <= 0), written as one fraction over lo.denominator * _DENOM
+    grid = []
+    for name in names:
+        lo, hi = domain.range_of(name)
+        grid.append((name, lo, int((hi - lo) * _DENOM), lo.numerator * _DENOM,
+                     lo.denominator, lo.denominator * _DENOM))
     points = []
     attempts = 0
     while len(points) < n:
@@ -89,7 +124,8 @@ def sample_points(
             raise SampleDomainEmpty(
                 f"could not find {n} valid sample points after {attempts} attempts")
         attempts += 1
-        p = {name: _draw_value(rng, *domain.range_of(name)) for name in names}
+        p = {name: Fraction(num + rng.randint(0, steps) * den, scale) if steps > 0 else lo
+             for name, lo, steps, num, den, scale in grid}
         ok = True
         for c in domain.constraints:
             try:
@@ -155,4 +191,25 @@ def is_probably_zero(
     domain: SampleDomain = ANYWHERE,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> bool:
-    return zero_test(e, domain, config).is_zero
+    """The zero test as a bool; raises ZeroTestInconclusive when it cannot decide."""
+    if isinstance(e, Rational):
+        return e.value == 0
+    res = zero_test(e, domain, config)
+    if res.inconclusive:
+        raise ZeroTestInconclusive(
+            f"expression neither clearly zero nor nonzero (max |value| {res.max_abs:.2e})")
+    return res.is_zero
+
+
+def zero_check(
+    name: str,
+    exprs: Sequence[ScalarExpr],
+    domain: SampleDomain = ANYWHERE,
+    config: RunConfig = DEFAULT_CONFIG,
+    detail: dict | None = None,
+) -> Check:
+    """Zero-test every expression into one check: the verdicts combined, and
+    the largest residual over all of them (0.0 for no expressions)."""
+    results = [zero_test(e, domain, config) for e in exprs]
+    return Check(name, combine(r.verdict for r in results),
+                 max((r.max_abs for r in results), default=0.0), detail)

@@ -53,7 +53,7 @@ from kontact.legendrian import (
     thermo_structure,
 )
 from kontact.bjorken import full_pgt_demo
-from kontact.zerotest import zero_test
+from kontact.zerotest import PASS, zero_check, zero_test
 
 from conftest import rand_chart, rand_form
 
@@ -68,13 +68,8 @@ def report(number: int, description: str, ok: bool, extra: str = ""):
 
 
 def max_residual_of(form, domain, config=CONFIG) -> tuple[bool, float]:
-    worst = 0.0
-    all_zero = True
-    for c in form.coeffs.values():
-        res = zero_test(c, domain, config)
-        worst = max(worst, res.max_abs)
-        all_zero = all_zero and res.is_zero
-    return all_zero, worst
+    check = zero_check("coefficients", list(form.coeffs.values()), domain, config)
+    return check.verdict == PASS, check.max_residual
 
 
 def test_criterion_01_exterior_calculus_laws():
@@ -148,8 +143,7 @@ def test_criterion_02_reeb_reproduction():
 def test_criterion_03_hydro_structure():
     started = time.perf_counter()
     s = hydro_kcontact_form(4)
-    rep = verify_kcontact(s, n_points=100, config=CONFIG)
-    ok = rep.is_kcontact
+    ok = all(c.verdict == PASS for c in verify_kcontact(s, n_points=100, config=CONFIG))
     frame = compute_reeb(s, CONFIG)
     for m in range(4):
         comps = frame[m].components
@@ -251,14 +245,15 @@ def test_criterion_07_equilibrium_conditions():
     constant = SmoothMap(src, ch, [Rational(Fraction(i + 1, 5))
                                    for i in range(ch.dim)])
     rep = equilibrium_conditions_residual(constant, k, CONFIG)
-    ok = rep.all_pass and rep.agrees_with_hddw
-    ok = ok and all(f.max_abs == 0.0 for f in rep.families.values())
+    ok = rep.verdict == PASS and rep.detail["agrees_with_hddw"]
+    ok = ok and all(f["max_abs"] == 0.0 for f in rep.detail["families"].values())
 
     comps = {c: Rational(Fraction(1)) for c in ch.coords}
     comps["xi"] = Var("t_0")
     perturbed = SmoothMap(src, ch, [comps[c] for c in ch.coords])
-    rep2 = equilibrium_conditions_residual(perturbed, k, CONFIG)
-    ok = ok and rep2.failing_families() == ["d_xi"] and rep2.agrees_with_hddw
+    rep2 = equilibrium_conditions_residual(perturbed, k, CONFIG).detail
+    failing = [name for name, f in rep2["families"].items() if not f["pass"]]
+    ok = ok and failing == ["d_xi"] and rep2["agrees_with_hddw"]
     report(7, "constant hydro sections are exact equilibria; linear xi flagged "
               "in exactly the d_xi family", ok)
 
@@ -266,13 +261,13 @@ def test_criterion_07_equilibrium_conditions():
 def test_criterion_08_bjorken_identities():
     started = time.perf_counter()
     main_run = full_pgt_demo(gamma="gamma", I="T^3",
-                             config=RunConfig(seed=42, n_sample_points=64))
-    ok = main_run["all_pass"] and main_run["max_residual"] < 1e-10
-    worst = main_run["max_residual"]
+                             config=RunConfig(seed=42, n_sample_points=64))[-1]
+    ok = main_run.verdict == PASS and main_run.max_residual < 1e-10
+    worst = main_run.max_residual
     for I in ("exp(T)", "5/4"):
-        rep = full_pgt_demo(gamma="gamma", I=I, config=CONFIG)
-        ok = ok and rep["all_pass"] and rep["max_residual"] < 1e-10
-        worst = max(worst, rep["max_residual"])
+        rep = full_pgt_demo(gamma="gamma", I=I, config=CONFIG)[-1]
+        ok = ok and rep.verdict == PASS and rep.max_residual < 1e-10
+        worst = max(worst, rep.max_residual)
     elapsed = time.perf_counter() - started
     report(8, "boost-invariant identities and entropy-production invariance "
               "for symbolic gamma and I in {T^3, exp(T), const}",
@@ -284,9 +279,9 @@ def test_criterion_09_constrained_solution_counting():
     L = equilibrium_legendrian(4)
     assert L.source.dim == 6
     rep = check_constrained_solution(sys_, L, n_points=5, config=CONFIG)
-    ok = (rep.h_vanishes_on_L and rep.feasible
-          and rep.constrained_nullspace_dim == 0
-          and rep.expected_pseudo_gauge_dof == 0)
+    ok = (rep.verdict == PASS and rep.detail["H_vanishes_on_L"] and rep.detail["feasible"]
+          and rep.detail["constrained_nullspace_dim"] == 0
+          and rep.detail["expected_pseudo_gauge_dof"] == 0)
     report(9, "hydro equilibrium family: H vanishes, tangent solution exists "
               "and is unique (0 remaining gauge freedom)", ok)
 

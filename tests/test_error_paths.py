@@ -90,6 +90,25 @@ class TestInconclusivePivot:
         assert main(["reeb", str(path), "--samples", "16", "--no-timestamp"]) == 3
 
 
+class TestInconclusiveIdentities:
+    def test_bjorken_below_float_noise_exits_three(self, tmp_path):
+        # tolerances of 1e-30 cannot call residuals of ~1e-15 zero, and they
+        # sit far below the 1e-6 margin, so no identity may read as failed
+        path = tmp_path / "bjorken.json"
+        argv = ["bjorken", "--I", "5/4", "--samples", "16", "--atol", "1e-30",
+                "--rtol", "1e-30", "--json", str(path), "--no-timestamp"]
+        assert main(argv) == 3
+        report = json.loads(path.read_text())
+        assert report["verdict"] == "inconclusive"
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks.pop("all_identities")["verdict"] == "inconclusive"
+        assert len(checks) == 8
+        for name, c in checks.items():
+            exact = c["max_residual"] == 0.0
+            assert c["verdict"] == ("pass" if exact else "inconclusive"), name
+        assert any(c["verdict"] == "inconclusive" for c in checks.values())
+
+
 class TestDegeneratePoint:
     def test_solver_rejects_degenerate_structure(self):
         ch = Chart(["x", "y", "z"])

@@ -42,7 +42,7 @@ from kontact.legendrian import (
     build_parametrization,
     thermo_structure,
 )
-from kontact.zerotest import is_probably_zero
+from kontact.zerotest import FAIL, PASS, is_probably_zero, zero_check
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -168,9 +168,10 @@ class TestSectionResidual:
         chart = hydro_chart(k)
         src = parameter_chart(k)
         psi = SmoothMap(src, chart, [Rational(Fraction(i, 7)) for i in range(chart.dim)])
-        rep = section_residual(sys_, SectionCandidate(psi), FAST)
-        assert rep.all_zero
-        assert rep.max_abs == 0.0
+        eq1, eq2 = section_residual(sys_, SectionCandidate(psi))
+        rep = zero_check("section_residual", eq1 + [eq2], src.domain(), FAST)
+        assert rep.verdict == PASS
+        assert rep.max_residual == 0.0
 
     def test_time_dependent_ratio_breaks_first_equation(self):
         from kontact.hydro import hydro_chart, hydro_system
@@ -182,10 +183,10 @@ class TestSectionResidual:
         comps = {c: Rational(Fraction(1)) for c in chart.coords}
         comps["xi"] = Var("t_0")
         psi = SmoothMap(src, chart, [comps[c] for c in chart.coords])
-        rep = section_residual(sys_, psi, FAST)
-        assert not rep.all_zero
+        eq1, eq2 = section_residual(sys_, psi)
+        assert zero_check("section_residual", eq1 + [eq2], src.domain(), FAST).verdict == FAIL
         # the offending residual sits at the baryon-current coordinate slot
-        bad = rep.eq1[chart.index("N_0")]
+        bad = eq1[chart.index("N_0")]
         assert is_probably_zero(bad - 1, config=FAST)
 
     def test_wrong_parameter_dimension(self):
@@ -194,7 +195,7 @@ class TestSectionResidual:
         src = parameter_chart(3)
         psi = SmoothMap(src, s.chart, [0] * s.dim)
         with pytest.raises(SourceNotRk):
-            section_residual(sys_, psi, FAST)
+            section_residual(sys_, psi)
 
     def test_wrong_target(self):
         s = canonical_structure(1, 2)
@@ -202,7 +203,7 @@ class TestSectionResidual:
         other = Chart(["a", "b"])
         psi = SmoothMap(parameter_chart(2), other, [0, 0])
         with pytest.raises(ChartMismatch):
-            section_residual(sys_, psi, FAST)
+            section_residual(sys_, psi)
 
 
 class TestIntegrateContactFlow:
@@ -268,8 +269,9 @@ class TestConstrainedSolution:
         L = build_parametrization(kf, FAST)
         sys_ = KContactHamiltonianSystem(s, Var("s_1"))
         rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
-        assert rep.h_vanishes_on_L
-        assert rep.feasible
+        assert rep.verdict == PASS
+        assert rep.detail["H_vanishes_on_L"]
+        assert rep.detail["feasible"]
 
     def test_nonvanishing_H_stops_early(self):
         s = canonical_structure(2, 2)
@@ -277,8 +279,9 @@ class TestConstrainedSolution:
         L = build_parametrization(kf, FAST)
         sys_ = KContactHamiltonianSystem(s, 1)
         rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
-        assert not rep.h_vanishes_on_L
-        assert rep.feasible is None
+        assert rep.verdict == FAIL
+        assert not rep.detail["H_vanishes_on_L"]
+        assert rep.detail["feasible"] is None
 
     def test_non_isotropic_input_rejected(self):
         s = canonical_structure(1, 1)
@@ -293,10 +296,10 @@ class TestConstrainedSolution:
 
         sys_ = hydro_system(4)
         L = equilibrium_legendrian(4)
-        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
-        assert rep.h_vanishes_on_L and rep.feasible
-        assert rep.constrained_nullspace_dim == 0
-        assert rep.expected_pseudo_gauge_dof == 0
+        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST).detail
+        assert rep["H_vanishes_on_L"] and rep["feasible"]
+        assert rep["constrained_nullspace_dim"] == 0
+        assert rep["expected_pseudo_gauge_dof"] == 0
 
     def test_gauge_count_formula(self):
         # k dim L - (n(k+1) - dim L) for the built parametrizations
@@ -304,7 +307,7 @@ class TestConstrainedSolution:
         kf = ParametrizingKFunction(2, 2, [1], ["p_1_1 * q_2", "p_2_1 * q_2"])
         L = build_parametrization(kf, FAST)
         sys_ = KContactHamiltonianSystem(s, 0)
-        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
+        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST).detail
         n, k, dim_L = 2, 2, L.dim
-        assert rep.expected_pseudo_gauge_dof == k * dim_L - (n * (k + 1) - dim_L)
-        assert rep.constrained_nullspace_dim == rep.expected_pseudo_gauge_dof
+        assert rep["expected_pseudo_gauge_dof"] == k * dim_L - (n * (k + 1) - dim_L)
+        assert rep["constrained_nullspace_dim"] == rep["expected_pseudo_gauge_dof"]

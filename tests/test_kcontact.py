@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kontact.kcontact import (
     ReebFrame,
     canonical_structure,
     check_polarization,
+    check_reeb,
     check_reeb_commutation,
     check_structure_at,
     compute_reeb,
@@ -31,7 +33,7 @@ from kontact.kcontact import (
     verify_kcontact,
 )
 from kontact.linalg import numeric_rank
-from kontact.zerotest import is_probably_zero, sample_points
+from kontact.zerotest import FAIL, PASS, is_probably_zero, sample_points
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -68,9 +70,9 @@ class TestCanonicalStructure:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_verifier_passes(self, n, k):
         s = canonical_structure(n, k)
-        report = verify_kcontact(s, n_points=5, config=FAST)
-        assert report.is_kcontact
-        assert report.dim == k + n + n * k
+        checks = verify_kcontact(s, n_points=5, config=FAST)
+        assert all(c.verdict == PASS for c in checks)
+        assert checks[0].detail["dim"] == k + n + n * k
 
     def test_differential_is_dq_wedge_dp(self):
         s = canonical_structure(2, 2)
@@ -86,10 +88,11 @@ class TestVerifyKContact:
         ch = Chart(["x", "y", "z"])
         dx = DifferentialForm.dx(ch, "x")
         s = KContactStructure(RkValuedOneForm([dx, dx]))
-        report = verify_kcontact(s, n_points=5, config=FAST)
-        assert not report.cond1
-        assert report.points[0].eta_rank == 1
-        assert report.failing_points()
+        corank = verify_kcontact(s, n_points=5, config=FAST)[0]
+        assert corank.name == "corank_condition" and corank.verdict == FAIL
+        rank_table = corank.detail["rank_table"]
+        assert rank_table[0]["eta_rank"] == 1
+        assert not any(row["pass"] for row in rank_table)
 
     def test_missing_reeb_rank(self):
         # eta = (dx, dy) on R^2: ker d eta is everything, rank 2 == k but
@@ -98,15 +101,17 @@ class TestVerifyKContact:
         ch = Chart(["x", "y", "z"])
         s = KContactStructure(RkValuedOneForm([
             DifferentialForm.dx(ch, "x"), DifferentialForm.dx(ch, "y")]))
-        report = verify_kcontact(s, n_points=4, config=FAST)
-        assert not report.cond2
+        reeb_rank = verify_kcontact(s, n_points=4, config=FAST)[1]
+        assert reeb_rank.name == "reeb_rank_condition" and reeb_rank.verdict == FAIL
 
     def test_report_serialization(self):
         s = canonical_structure(1, 1)
-        report = verify_kcontact(s, n_points=3, config=FAST)
-        d = report.to_dict()
-        assert d["is_kcontact"] and d["n_points"] == 3
-        assert len(d["points"]) == 3
+        checks = [c.to_dict() for c in verify_kcontact(s, n_points=3, config=FAST)]
+        assert [c["name"] for c in checks] == [
+            "corank_condition", "reeb_rank_condition", "trivial_intersection"]
+        assert all(c["verdict"] == PASS and c["max_residual"] is None for c in checks)
+        rank_table = checks[0]["detail"]["rank_table"]
+        assert len(rank_table) == 3 and all(row["pass"] for row in rank_table)
 
 
 class TestComputeReeb:
@@ -158,6 +163,17 @@ class TestComputeReeb:
         s = KContactStructure(RkValuedOneForm([dx, dx]))
         with pytest.raises(SingularSystem):
             compute_reeb(s, FAST)
+
+    def test_check_reeb(self):
+        ok = check_reeb(canonical_structure(2, 2), FAST)
+        assert [(c.name, c.verdict) for c in ok] == [
+            ("reeb_frame", PASS), ("reeb_commutation", PASS)]
+        assert len(ok[0].detail["components"]) == 2
+        ch = Chart(["x", "y", "z"])
+        dx = DifferentialForm.dx(ch, "x")
+        bad = check_reeb(KContactStructure(RkValuedOneForm([dx, dx])), FAST)
+        assert [(c.name, c.verdict) for c in bad] == [("reeb_frame", FAIL)]
+        assert "not k-contact" in bad[0].detail["error"]
 
     def test_uniqueness_perturbation_breaks_equations(self):
         # negative control: any perturbed frame violates a defining equation
@@ -327,7 +343,9 @@ class TestStructureMatrices:
 
     def test_point_check_matches_report(self):
         s = canonical_structure(2, 2)
-        report = verify_kcontact(s, n_points=3, config=FAST)
-        for pc in report.points:
-            assert check_structure_at(s, pc.point, FAST) == pc
+        rank_table = verify_kcontact(s, n_points=3, config=FAST)[0].detail["rank_table"]
+        for row in rank_table:
+            pc = check_structure_at(s, {c: Fraction(v) for c, v in row["point"].items()}, FAST)
+            assert (pc.eta_rank, pc.ker_deta_dim, pc.intersection_dim, pc.all_pass) == (
+                row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"], row["pass"])
             assert pc.all_pass and pc.eta_rank == 2 and pc.ker_deta_dim == 2

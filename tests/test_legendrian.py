@@ -28,7 +28,7 @@ from kontact.legendrian import (
     verify_isotropic,
 )
 from kontact.idealgas import ideal_gas_energy
-from kontact.zerotest import is_probably_zero
+from kontact.zerotest import FAIL, PASS, is_probably_zero
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -38,18 +38,18 @@ class TestCompatibility:
         F = [f"p_{a}_1 * (q_3^2 + 1) + p_{a}_2 * q_3" for a in (1, 2, 3)]
         kf = ParametrizingKFunction(3, 3, [1, 2], F)
         rep = check_compatibility(kf, FAST)
-        assert rep.compatible
-        assert rep.syntactic_linear_form
+        assert rep.verdict == PASS
+        assert rep.detail["syntactic_linear_form"]
 
     def test_k1_always_compatible(self):
         kf = ParametrizingKFunction(2, 1, [1], ["p_1_1^2 + q_2"])
         rep = check_compatibility(kf, FAST)
-        assert rep.compatible
-        assert not rep.syntactic_linear_form
+        assert rep.verdict == PASS
+        assert not rep.detail["syntactic_linear_form"]
 
     def test_mismatched_partials_fail(self):
         kf = ParametrizingKFunction(1, 2, [1], ["p_1_1 * 1", "2 * p_2_1"])
-        assert not check_compatibility(kf, FAST)
+        assert check_compatibility(kf, FAST).verdict == FAIL
 
     def test_own_momenta_only(self):
         with pytest.raises(ValueError):
@@ -57,8 +57,7 @@ class TestCompatibility:
 
     def test_empty_I_trivially_compatible(self):
         kf = ParametrizingKFunction(2, 2, [], ["q_1 * q_2", "q_1 + q_2"])
-        rep = check_compatibility(kf, FAST)
-        assert rep.compatible
+        assert check_compatibility(kf, FAST).verdict == PASS
 
 
 class TestBuildParametrization:
@@ -100,7 +99,7 @@ class TestBuildParametrization:
                          for i in I]
                 F_template.append(" + ".join(terms) if terms else "q_1")
             kf = ParametrizingKFunction(n, k, I, F_template)
-            if not check_compatibility(kf, FAST):
+            if check_compatibility(kf, FAST).verdict != PASS:
                 continue
             L = build_parametrization(kf, FAST)
             n1 = len(I)

@@ -10,9 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kontact.config import DEFAULT_CONFIG, RunConfig
-from kontact.errors import DomainError, SampleDomainEmpty
-from kontact.expr import Pow, Product, Rational, Sum, Var, evaluate, free_variables, parse_expr
-from kontact.zerotest import ANYWHERE, SampleDomain, ZeroTestResult, sample_points, zero_test
+from kontact.errors import DomainError, SampleDomainEmpty, ZeroTestInconclusive
+from kontact.expr import (
+    Pow, Product, Rational, Sum, Var, evaluate, free_variables, parse_expr, sqrt,
+)
+from kontact.zerotest import (
+    ANYWHERE,
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    SampleDomain,
+    ZeroTestResult,
+    combine,
+    is_probably_zero,
+    sample_points,
+    zero_check,
+    zero_test,
+)
 
 from conftest import rand_expr, with_singular_tops
 
@@ -158,3 +172,84 @@ class TestAgainstReference:
         res = assert_agrees(parse_expr(text), SampleDomain(ranges), DEFAULT_CONFIG)
         assert res.n_skipped > 0
         assert res.n_points + res.n_skipped == DEFAULT_CONFIG.n_sample_points
+
+
+# ---------------------------------------------------------------------------
+# sample drawing: the same points as one lo + Fraction(randint, 64) per draw
+
+
+def reference_sample_points(names, domain, n, rng):
+    points = []
+    while len(points) < n:
+        p = {}
+        for name in sorted(set(names)):
+            lo, hi = domain.range_of(name)
+            steps = int((hi - lo) * 64)
+            p[name] = lo if steps <= 0 else lo + Fraction(rng.randint(0, steps), 64)
+        if all(evaluate(c, p) > 0 for c in domain.constraints):
+            points.append(p)
+    return points
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("ranges", [
+        {},
+        {"x": (Fraction(1, 3), Fraction(7, 5)), "y": (Fraction(-5, 4), Fraction(-1, 8))},
+        # empty and degenerate ranges draw nothing and give lo
+        {"x": (Fraction(1, 2), Fraction(1, 2)), "y": (Fraction(3), Fraction(1))},
+        {"x": (1, 2)},
+    ])
+    def test_same_points_as_reference(self, ranges):
+        x, y = Var("x"), Var("y")
+        for constraints in [(), (x + y + 3,)]:
+            domain = SampleDomain(ranges, constraints)
+            got = sample_points(["y", "x", "z"], domain, 40, random.Random(5))
+            want = reference_sample_points(["y", "x", "z"], domain, 40, random.Random(5))
+            assert got == want
+            assert all(type(v) is type(w) for p, q in zip(got, want)
+                       for v, w in zip(p.values(), q.values()))
+
+
+# ---------------------------------------------------------------------------
+# three-valued verdicts: combine, zero_check and the bool predicate
+
+TINY = Rational(Fraction(1, 10**8)) * sqrt(Var("x") * Var("x") + 1)
+
+
+class TestVerdicts:
+    def test_combine(self):
+        assert combine([]) == PASS
+        assert combine([PASS, PASS]) == PASS
+        assert combine([PASS, INCONCLUSIVE]) == INCONCLUSIVE
+        assert combine([INCONCLUSIVE, FAIL, PASS]) == FAIL
+        assert combine([FAIL, INCONCLUSIVE]) == FAIL
+
+    def test_result_verdict(self):
+        x = Var("x")
+        assert zero_test(x - x).verdict == PASS
+        assert zero_test(x).verdict == FAIL
+        assert zero_test(TINY).verdict == INCONCLUSIVE
+
+    def test_zero_check_fail_beats_inconclusive(self):
+        x = Var("x")
+        check = zero_check("mixed", [x - x, TINY, x], config=CONFIG, detail={"n": 3})
+        assert check.name == "mixed" and check.verdict == FAIL
+        assert check.detail == {"n": 3}
+        assert zero_check("tiny", [x - x, TINY], config=CONFIG).verdict == INCONCLUSIVE
+        assert zero_check("zero", [x - x, Rational(Fraction(0))]).verdict == PASS
+
+    def test_zero_check_max_residual_is_max_over_expressions(self):
+        x = Var("x")
+        exprs = [x - x, TINY, x * x, Rational(Fraction(-5)), x]
+        check = zero_check("all", exprs, config=CONFIG)
+        assert check.max_residual == max(zero_test(e, config=CONFIG).max_abs for e in exprs)
+        assert check.max_residual == 5.0  # |x*x| and |x| stay below 5 on [-2, 2]
+        assert zero_check("none", []).max_residual == 0.0
+
+    def test_is_probably_zero_raises_when_inconclusive(self):
+        with pytest.raises(ZeroTestInconclusive):
+            is_probably_zero(TINY)
+
+    def test_is_probably_zero_answers_rationals_exactly(self):
+        assert is_probably_zero(Rational(Fraction(0)))
+        assert not is_probably_zero(Rational(Fraction(1, 10**12)))
