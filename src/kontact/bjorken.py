@@ -28,7 +28,7 @@ from .expr import (
 )
 from .forms import Chart
 from .hydro import FluidTensors, MinkowskiMetric, projectors
-from .zerotest import Check, SampleDomain, combine, is_probably_zero, zero_check
+from .zerotest import Check, SampleDomain, combine, zero_check
 
 __all__ = [
     "BjorkenFlow", "PGTSuperpotential", "DissipativeDecomposition",
@@ -142,13 +142,13 @@ def contract_symmetric(x: Sequence[Sequence[ScalarExpr]],
     return total
 
 
-def check_sigma_identity(flow: BjorkenFlow, config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """sigma_{mu nu} sigma^{mu nu} = (2/3) theta^2 for the boost-invariant flow."""
+def check_sigma_identity(flow: BjorkenFlow, config: RunConfig = DEFAULT_CONFIG) -> Check:
+    """The sigma_identity check: sigma_{mu nu} sigma^{mu nu} = (2/3) theta^2."""
     sigma = shear_tensor(flow)
     theta = expansion_scalar(flow)
     ss = contract_symmetric(sigma, sigma, flow.metric)
     defect = ss - Rational(Fraction(2, 3)) * theta * theta
-    return is_probably_zero(defect, flow.domain(), config)
+    return zero_check("sigma_identity", [defect], flow.domain(), config)
 
 
 class PGTSuperpotential:

@@ -28,10 +28,16 @@ from .errors import (
 )
 from .expr import ZERO, Rational, ScalarExpr, as_expr, evaluate, free_variables, substitute
 from .forms import DifferentialForm, SmoothMap, exterior_derivative, prolongation
-from .kcontact import KContactStructure, ReebFrame, check_structure_at, compute_reeb
+from .kcontact import (
+    KContactStructure,
+    ReebFrame,
+    check_structure_at,
+    compute_reeb,
+    structure_matrices_at,
+)
 from .legendrian import LegendrianParametrization, verify_isotropic
 from .linalg import least_norm_solution, nullspace_basis, numeric_rank
-from .zerotest import FAIL, PASS, Check, is_probably_zero, sample_points
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
     "KContactHamiltonianSystem", "HdDWPointSolution", "SectionCandidate", "Trajectory",
@@ -127,26 +133,20 @@ def _point_floats(point: Mapping) -> dict:
     return {k: float(v) for k, v in point.items()}
 
 
-def _assemble_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing."""
-    k, dim = sys.k, sys.dim
-    A = np.zeros((dim + 1, k * dim))
-    b = np.zeros(dim + 1)
-    for alpha, d in enumerate(sys.structure.d_eta):
-        base = alpha * dim
-        for (i, l), c in d.coeffs.items():
-            v = float(evaluate(c, point))
-            # column index is the component slot, row is the covector slot
-            A[l, base + i] += v
-            A[i, base + l] -= v
+def _assemble_at(sys: KContactHamiltonianSystem, point: dict, eta: np.ndarray,
+                 deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
+
+    eta and deta are structure_matrices_at(sys.structure, point).  Column
+    alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are deta
+    transposed and row dim is eta flattened (+ 0.0 turns -0.0 into 0.0).
+    """
+    A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
+    b = np.zeros(sys.dim + 1)
     rhs1, rhs2 = hddw_rhs(sys)
     for (l,), c in rhs1.coeffs.items():
         b[l] = float(evaluate(c, point))
-    for alpha, f in enumerate(sys.structure.eta.forms):
-        base = alpha * dim
-        for (i,), c in f.coeffs.items():
-            A[dim, base + i] += float(evaluate(c, point))
-    b[dim] = float(evaluate(rhs2, point))
+    b[sys.dim] = float(evaluate(rhs2, point))
     return A, b
 
 
@@ -157,9 +157,10 @@ def solve_hddw_at_point(
 ) -> HdDWPointSolution:
     """Least-norm particular solution plus orthonormal nullspace basis at a point."""
     p = _point_floats(point)
-    if not check_structure_at(sys.structure, p, config).all_pass:
+    matrices = structure_matrices_at(sys.structure, p)
+    if not check_structure_at(sys.structure, p, config, matrices).all_pass:
         raise StructureDegenerateAtPoint(f"defining conditions fail at {p}")
-    A, b = _assemble_at(sys, p)
+    A, b = _assemble_at(sys, p, *matrices)
     x = least_norm_solution(A, b, config.rank_threshold)
     residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
@@ -322,16 +323,20 @@ def check_constrained_solution(
     k*dim L - rank of the restricted system.  The expected count comes from
     the polarized-case formula k*dim L - (n*(k+1) - dim L).  The check passes
     when H vanishes on L and the restricted system is feasible at every
-    sampled point.
+    sampled point.  It is inconclusive when the isotropy of L or the vanishing
+    of H on L is.
     """
     smooth = L.map if isinstance(L, LegendrianParametrization) else L
-    if not verify_isotropic(smooth, sys.structure, config):
+    isotropy = verify_isotropic(smooth, sys.structure, config).verdict
+    if isotropy == FAIL:
         raise NotIsotropic("parametrization image is not isotropic for this structure")
     binds = smooth.bindings()
-    h_on_L = substitute(sys.H, binds)
-    if not is_probably_zero(h_on_L, smooth.source.domain(), config):
-        return Check("constrained_solution", FAIL, detail={
-            "H_vanishes_on_L": False,
+    h_on_L = zero_check("H_on_L", [substitute(sys.H, binds)], smooth.source.domain(),
+                        config).verdict
+    verdict = INCONCLUSIVE if INCONCLUSIVE in (isotropy, h_on_L) else h_on_L
+    if verdict != PASS:
+        return Check("constrained_solution", verdict, detail={
+            "H_vanishes_on_L": None if h_on_L == INCONCLUSIVE else h_on_L == PASS,
             "feasible": None,
             "constrained_nullspace_dim": None,
             "expected_pseudo_gauge_dof": None,
@@ -353,7 +358,7 @@ def check_constrained_solution(
     null_dims = set()
     for u in params:
         x = {name: float(evaluate(c, u)) for name, c in zip(sys.chart.coords, smooth.components)}
-        A, b = _assemble_at(sys, x)
+        A, b = _assemble_at(sys, x, *structure_matrices_at(sys.structure, x))
         J = np.array([[float(evaluate(jac[i][r], u)) for r in range(dim_L)]
                       for i in range(dim)])
         Ares = np.zeros((dim + 1, k * dim_L))

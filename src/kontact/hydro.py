@@ -20,7 +20,7 @@ from .expr import ExprLike, Rational, ScalarExpr, Var, ZERO, as_expr, differenti
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
 from .hddw import KContactHamiltonianSystem, SectionCandidate, section_residual
 from .kcontact import KContactStructure, ReebFrame
-from .zerotest import PASS, Check, combine, is_probably_zero, zero_check
+from .zerotest import PASS, Check, combine, zero_check
 
 __all__ = [
     "MinkowskiMetric", "FluidTensors", "hydro_chart", "hydro_kcontact_form",
@@ -234,8 +234,9 @@ class FluidTensors:
             total = total + self.metric.sign(m) * c * c
         return total - 1
 
-    def check_normalized(self, config: RunConfig = DEFAULT_CONFIG) -> bool:
-        return is_probably_zero(self.norm_defect(), self.chart.domain(), config)
+    def check_normalized(self, config: RunConfig = DEFAULT_CONFIG) -> Check:
+        """The normalized check: u_mu u^mu = 1."""
+        return zero_check("normalized", [self.norm_defect()], self.chart.domain(), config)
 
 
 def projectors(u: FluidTensors) -> tuple[list, list]:

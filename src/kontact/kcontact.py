@@ -28,7 +28,7 @@ from .forms import (
     lie_bracket,
 )
 from .linalg import numeric_rank, solve_symbolic
-from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points, zero_check
 
 __all__ = [
     "KContactStructure", "ReebFrame", "PointCheck",
@@ -126,14 +126,16 @@ def _components_at(rows, dim: int, point: dict) -> np.ndarray:
 
 
 def check_structure_at(s: KContactStructure, point: dict,
-                       config: RunConfig = DEFAULT_CONFIG) -> PointCheck:
+                       config: RunConfig = DEFAULT_CONFIG,
+                       matrices: tuple[np.ndarray, np.ndarray] | None = None) -> PointCheck:
     """The three defining conditions at one point, from numeric SVD ranks.
 
     cond1: the eta coefficient matrix has rank k (ker eta has corank k);
     cond2: the common kernel of the d-eta contractions has dimension k;
     cond3: the two kernels intersect trivially.
+    matrices, when given, is structure_matrices_at(s, point), already built.
     """
-    eta, deta = structure_matrices_at(s, point)
+    eta, deta = matrices if matrices is not None else structure_matrices_at(s, point)
     k, dim = s.k, s.dim
     r_eta = numeric_rank(eta, config.rank_threshold)
     ker_deta = dim - numeric_rank(deta, config.rank_threshold)
@@ -225,11 +227,10 @@ def check_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> list
         return [Check("reeb_frame", INCONCLUSIVE, detail={"error": str(err)})]
     except SingularSystem as err:
         return [Check("reeb_frame", FAIL, detail={"error": str(err)})]
-    commutes = check_reeb_commutation(frame, config=config)
     return [
         Check("reeb_frame", PASS,
               detail={"components": [[str(c) for c in R.components] for R in frame]}),
-        Check("reeb_commutation", PASS if commutes else FAIL),
+        check_reeb_commutation(frame, config=config),
     ]
 
 
@@ -254,19 +255,14 @@ def check_reeb_commutation(
     frame: ReebFrame,
     domain=None,
     config: RunConfig = DEFAULT_CONFIG,
-) -> bool:
-    """True iff every pairwise bracket of the frame vanishes under sampling."""
-    fields = frame.fields if isinstance(frame, ReebFrame) else tuple(frame)
-    if not fields:
-        return True
-    dom = domain if domain is not None else fields[0].chart.domain()
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            br = lie_bracket(fields[a], fields[b])
-            for c in br.components:
-                if not is_probably_zero(c, dom, config):
-                    return False
-    return True
+) -> Check:
+    """The reeb_commutation check: every pairwise bracket of the frame vanishes."""
+    fields = tuple(frame)
+    if domain is None and fields:
+        domain = fields[0].chart.domain()
+    brackets = [c for a in range(len(fields)) for b in range(a + 1, len(fields))
+                for c in lie_bracket(fields[a], fields[b]).components]
+    return zero_check("reeb_commutation", brackets, domain, config)
 
 
 def canonical_structure(n: int, k: int) -> KContactStructure:
@@ -295,40 +291,34 @@ def check_polarization(
     V: Sequence[VectorField],
     n_points: int = 20,
     config: RunConfig = DEFAULT_CONFIG,
-) -> bool:
-    """Decide whether span(V) is a polarization of ker eta.
+) -> Check:
+    """The polarization check: whether span(V) is a polarization of ker eta.
 
-    Requires: every field annihilates every eta^alpha; the span has rank n*k
-    at sampled points (with dim = k + n + n*k); pairwise brackets stay inside
-    the span at sampled points; and d eta^alpha vanishes on every pair
-    (isotropy).
+    Requires: every field annihilates every eta^alpha and d eta^alpha
+    vanishes on every pair (isotropy), both by zero tests; the span has rank
+    n*k at sampled points (with dim = k + n + n*k); and pairwise brackets stay
+    inside the span at sampled points.
     """
     fields = list(V)
-    if not fields:
-        return False
+    detail = {"n_fields": len(fields)}
     chart = s.chart
     for f in fields:
         if f.chart != chart:
             raise ChartMismatch("polarization fields live off the structure chart")
     k, dim = s.k, s.dim
-    if (dim - k) % (k + 1) != 0:
-        return False
-    n = (dim - k) // (k + 1)
-    expected_rank = n * k
+    if not fields or (dim - k) % (k + 1) != 0:
+        return Check("polarization", FAIL, detail=detail)
+    expected_rank = (dim - k) // (k + 1) * k
     domain = chart.domain()
 
-    for f in fields:
-        for eta_a in s.eta.forms:
-            pairing = interior_product(f, eta_a).coeffs.get((), ZERO)
-            if not is_probably_zero(pairing, domain, config):
-                return False
-
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            for d in s.d_eta:
-                val = form_on_vectors(d, [fields[a].components, fields[b].components])
-                if not is_probably_zero(val, domain, config):
-                    return False
+    exprs = [interior_product(f, eta_a).coeffs.get((), ZERO)
+             for f in fields for eta_a in s.eta.forms]
+    exprs += [form_on_vectors(d, [fields[a].components, fields[b].components])
+              for a in range(len(fields)) for b in range(a + 1, len(fields))
+              for d in s.d_eta]
+    zero = zero_check("polarization", exprs, domain, config, detail)
+    if zero.verdict == FAIL:
+        return zero
 
     rng = random.Random(config.seed)
     pts = sample_points(chart.coords, domain, n_points, rng, config.max_sample_retries)
@@ -343,10 +333,8 @@ def check_polarization(
     for p in pts:
         M = _components_at(span_rows, dim, p)
         r = numeric_rank(M, config.rank_threshold)
-        if r != expected_rank:
-            return False
-        for br in brackets:
-            v = _components_at([br], dim, p)
-            if numeric_rank(np.vstack([M, v]), config.rank_threshold) != r:
-                return False
-    return True
+        if r != expected_rank or any(
+                numeric_rank(np.vstack([M, _components_at([br], dim, p)]),
+                             config.rank_threshold) != r for br in brackets):
+            return Check("polarization", FAIL, zero.max_residual, detail)
+    return zero

@@ -16,7 +16,7 @@ from .errors import ChartMismatch, IncompatibleKFunction, NotHomogeneous
 from .expr import ExprLike, ScalarExpr, Var, as_expr, differentiate, free_variables
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, pullback
 from .kcontact import KContactStructure, canonical_structure
-from .zerotest import FAIL, PASS, Check, is_probably_zero
+from .zerotest import PASS, Check, is_probably_zero, zero_check, zero_test
 
 __all__ = [
     "ParametrizingKFunction", "LegendrianParametrization",
@@ -73,7 +73,9 @@ class ParametrizingKFunction:
 
 
 def _detect_linear_form(f: ParametrizingKFunction, config: RunConfig) -> bool:
-    """Detect F^alpha = sum_{i in I} p^alpha_i f^i(q^j) with shared f^i."""
+    """Detect F^alpha = sum_{i in I} p^alpha_i f^i(q^j) with shared f^i.
+
+    An inconclusive residue gives no certificate; the sampled check decides."""
     q_names = {f"q_{j}" for j in f.J}
     shared: dict[int, ScalarExpr] = {}
     for i in f.I:
@@ -90,7 +92,7 @@ def _detect_linear_form(f: ParametrizingKFunction, config: RunConfig) -> bool:
         residue = f.F[alpha - 1]
         for i in f.I:
             residue = residue - Var(f"p_{alpha}_{i}") * shared[i]
-        if not is_probably_zero(residue, config=config):
+        if not zero_test(residue, config=config).is_zero:
             return False
     return True
 
@@ -106,12 +108,11 @@ def check_compatibility(
     detail's syntactic_linear_form).
     """
     syntactic = f.k > 1 and bool(f.I) and _detect_linear_form(f, config)
-    compatible = f.k == 1 or syntactic or all(
-        is_probably_zero(f.momentum_partial(1, i) - f.momentum_partial(alpha, i),
-                         config=config)
-        for i in f.I for alpha in range(2, f.k + 1))
-    return Check("compatibility", PASS if compatible else FAIL,
-                 detail={"syntactic_linear_form": syntactic})
+    verdict = PASS if syntactic else zero_check(
+        "compatibility",
+        [f.momentum_partial(1, i) - f.momentum_partial(alpha, i)
+         for i in f.I for alpha in range(2, f.k + 1)], config=config).verdict
+    return Check("compatibility", verdict, detail={"syntactic_linear_form": syntactic})
 
 
 class LegendrianParametrization:
@@ -150,6 +151,11 @@ def build_parametrization(
     if check_compatibility(f, config).verdict != PASS:
         raise IncompatibleKFunction(
             "momentum partials differ between components; no parametrization")
+    return _parametrization(f)
+
+
+def _parametrization(f: ParametrizingKFunction) -> LegendrianParametrization:
+    """build_parametrization without its compatibility check."""
     ambient = canonical_structure(f.n, f.k).chart
     source = f.parameter_chart()
     components: dict[str, ScalarExpr] = {}
@@ -177,18 +183,15 @@ def verify_isotropic(
     L: LegendrianParametrization | SmoothMap,
     s: KContactStructure,
     config: RunConfig = DEFAULT_CONFIG,
-) -> bool:
-    """Pull every eta^alpha and d eta^alpha back along L; all must vanish."""
+) -> Check:
+    """The isotropy check: every eta^alpha and d eta^alpha pulled back along L
+    vanishes."""
     smooth = L.map if isinstance(L, LegendrianParametrization) else L
     if smooth.target != s.chart:
         raise ChartMismatch("parametrization does not land on the structure chart")
-    domain = smooth.source.domain()
-    for w in list(s.eta.forms) + list(s.d_eta):
-        pulled = pullback(smooth, w)
-        for c in pulled.coeffs.values():
-            if not is_probably_zero(c, domain, config):
-                return False
-    return True
+    return zero_check("isotropy", [c for w in s.eta.forms + s.d_eta
+                                   for c in pullback(smooth, w).coeffs.values()],
+                      smooth.source.domain(), config)
 
 
 def legendrian_dimension(n: int, k: int, n1: int) -> int:
@@ -263,8 +266,9 @@ def check_gibbs_equality(
     f: ExprLike,
     L: SmoothMap | None = None,
     config: RunConfig = DEFAULT_CONFIG,
-) -> bool:
-    """E + PV = TS + mu N through the state map generated by f.
+) -> Check:
+    """The gibbs_equality check: E + PV = TS + mu N through the state map
+    generated by f.
 
     Requires f homogeneous of degree one (Euler identity, checked by
     sampling); raises NotHomogeneous otherwise.
@@ -281,4 +285,4 @@ def check_gibbs_equality(
     comp = phi.bindings()
     gibbs = (comp["E"] + comp["P"] * comp["V"]
              - comp["T"] * comp["S"] - comp["mu"] * comp["N"])
-    return is_probably_zero(gibbs, phi.source.domain(), config)
+    return zero_check("gibbs_equality", [gibbs], phi.source.domain(), config)

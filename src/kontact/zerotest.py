@@ -91,9 +91,6 @@ class ZeroTestResult:
     # points drawn minus points evaluated (singular or non-finite there)
     n_skipped: int = 0
 
-    def __bool__(self) -> bool:
-        return self.is_zero
-
     @property
     def verdict(self) -> str:
         return PASS if self.is_zero else INCONCLUSIVE if self.inconclusive else FAIL
@@ -191,7 +188,8 @@ def is_probably_zero(
     domain: SampleDomain = ANYWHERE,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> bool:
-    """The zero test as a bool; raises ZeroTestInconclusive when it cannot decide."""
+    """The zero test as a bool; raises ZeroTestInconclusive when it cannot decide.
+    Only for decisions that cannot be a check (pivots, preconditions)."""
     if isinstance(e, Rational):
         return e.value == 0
     res = zero_test(e, domain, config)

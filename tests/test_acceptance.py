@@ -151,7 +151,7 @@ def test_criterion_03_hydro_structure():
         ok = ok and sum(1 for c in comps if c != ZERO) == 1
     fields = hydro_polarization(4)
     ok = ok and len(fields) == 24
-    ok = ok and check_polarization(s, fields, n_points=10, config=CONFIG)
+    ok = ok and check_polarization(s, fields, n_points=10, config=CONFIG).verdict == PASS
     elapsed = time.perf_counter() - started
     report(3, "hydro k=4 passes all defining conditions at 100 points; "
               "Reeb frame d/dS; polarization rank 24",
@@ -212,7 +212,7 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
     gibbs = (comp["E"] + comp["P"] * comp["V"]
              - comp["T"] * comp["S"] - comp["mu"] * comp["N"])
     res = zero_test(gibbs, gibbs_phi.source.domain(), CONFIG)
-    ok = ok and check_gibbs_equality(f, config=CONFIG) and res.is_zero
+    ok = ok and check_gibbs_equality(f, config=CONFIG).verdict == PASS and res.is_zero
     worst = max(worst, res.max_abs)
 
     report(5, "isotropy pullbacks and Gibbs equality within 1e-9",

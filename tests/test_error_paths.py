@@ -108,6 +108,20 @@ class TestInconclusiveIdentities:
             assert c["verdict"] == ("pass" if exact else "inconclusive"), name
         assert any(c["verdict"] == "inconclusive" for c in checks.values())
 
+    def test_legendrian_compatibility_reaches_the_report(self, tmp_path):
+        # the momentum partials differ by 1e-8 sqrt(q_2^2+1): compatibility is
+        # inconclusive, and the run still writes its report
+        kf = tmp_path / "kf.json"
+        kf.write_text(json.dumps({"n": 2, "k": 2, "I": [1], "F": [
+            "p_1_1*(1 + 1/100000000*sqrt(q_2^2+1))", "p_2_1"]}))
+        path = tmp_path / "legendrian.json"
+        argv = ["legendrian", str(kf), "--json", str(path), "--no-timestamp"]
+        assert main(argv) == 3
+        report = json.loads(path.read_text())
+        assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
+            ("compatibility", "inconclusive")]
+        assert report["verdict"] == "inconclusive"
+
 
 class TestDegeneratePoint:
     def test_solver_rejects_degenerate_structure(self):

@@ -17,7 +17,7 @@ from kontact.errors import (
     NotIsotropic,
     SourceNotRk,
 )
-from kontact.expr import Rational, Var, ZERO, differentiate, evaluate
+from kontact.expr import Rational, Var, ZERO, differentiate, evaluate, parse_expr
 from kontact.forms import Chart, SmoothMap, parameter_chart
 from kontact.hddw import (
     KContactHamiltonianSystem,
@@ -42,7 +42,7 @@ from kontact.legendrian import (
     build_parametrization,
     thermo_structure,
 )
-from kontact.zerotest import FAIL, PASS, is_probably_zero, zero_check
+from kontact.zerotest import FAIL, INCONCLUSIVE, PASS, is_probably_zero, zero_check
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -277,11 +277,16 @@ class TestConstrainedSolution:
         s = canonical_structure(2, 2)
         kf = ParametrizingKFunction(2, 2, [], ["0", "0"])
         L = build_parametrization(kf, FAST)
-        sys_ = KContactHamiltonianSystem(s, 1)
-        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
-        assert rep.verdict == FAIL
-        assert not rep.detail["H_vanishes_on_L"]
-        assert rep.detail["feasible"] is None
+        for H, verdict, vanishes in [
+            ("1", FAIL, False),
+            # H on L is 1e-8 sqrt(q_1^2+1): neither clearly zero nor not
+            ("1/100000000 * sqrt(q_1^2 + 1)", INCONCLUSIVE, None),
+        ]:
+            sys_ = KContactHamiltonianSystem(s, parse_expr(H))
+            rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
+            assert rep.verdict == verdict
+            assert rep.detail["H_vanishes_on_L"] is vanishes
+            assert rep.detail["feasible"] is None
 
     def test_non_isotropic_input_rejected(self):
         s = canonical_structure(1, 1)
@@ -290,6 +295,14 @@ class TestConstrainedSolution:
         sys_ = KContactHamiltonianSystem(s, 0)
         with pytest.raises(NotIsotropic):
             check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+
+    def test_inconclusive_isotropy_is_passed_through(self):
+        s = canonical_structure(1, 1)
+        graph = SmoothMap(Chart(["q_1"]), s.chart,
+                          [parse_expr("1/100000000 * sqrt(q_1^2 + 1)"), Var("q_1"), 0])
+        sys_ = KContactHamiltonianSystem(s, 0)
+        rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        assert rep.verdict == INCONCLUSIVE
 
     def test_hydro_equilibrium_family_unique_tangent_solution(self):
         from kontact.hydro import equilibrium_legendrian, hydro_system

@@ -10,7 +10,7 @@ import pytest
 
 from kontact.config import RunConfig
 from kontact.errors import SingularSystem
-from kontact.expr import ONE, Rational, Var, ZERO, evaluate
+from kontact.expr import ONE, Rational, Var, ZERO, evaluate, parse_expr
 from kontact.forms import (
     Chart,
     DifferentialForm,
@@ -33,7 +33,7 @@ from kontact.kcontact import (
     verify_kcontact,
 )
 from kontact.linalg import numeric_rank
-from kontact.zerotest import FAIL, PASS, is_probably_zero, sample_points
+from kontact.zerotest import FAIL, INCONCLUSIVE, PASS, is_probably_zero, sample_points
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -211,18 +211,23 @@ class TestComputeReeb:
 class TestReebCommutation:
     def test_canonical_commutes(self):
         s = canonical_structure(1, 2)
-        assert check_reeb_commutation(compute_reeb(s, FAST), config=FAST)
+        assert check_reeb_commutation(compute_reeb(s, FAST), config=FAST).verdict == PASS
 
     def test_hydro_commutes(self):
         from kontact.hydro import hydro_kcontact_form, hydro_reeb_frame
 
         s = hydro_kcontact_form(3)
-        assert check_reeb_commutation(hydro_reeb_frame(s), config=FAST)
+        assert check_reeb_commutation(hydro_reeb_frame(s), config=FAST).verdict == PASS
 
     def test_noncommuting_frame_detected(self):
         ch = Chart(["x", "y"])
-        frame = ReebFrame([VectorField(ch, [1, 0]), VectorField(ch, [0, Var("x")])])
-        assert not check_reeb_commutation(frame, config=FAST)
+        # the second bracket, 1e-8 x/sqrt(x^2+1) d/dy, is neither clearly zero nor not
+        for y_component, verdict in [("x", FAIL), ("1/100000000 * sqrt(x^2 + 1)", INCONCLUSIVE)]:
+            frame = ReebFrame([VectorField(ch, [1, 0]),
+                               VectorField(ch, [0, parse_expr(y_component)])])
+            check = check_reeb_commutation(frame, config=FAST)
+            assert (check.name, check.verdict) == ("reeb_commutation", verdict)
+            assert 0 < check.max_residual
 
 
 class TestContactEquivalence:
@@ -246,14 +251,14 @@ class TestPolarization:
         s = canonical_structure(2, 2)
         V = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
              for a in (1, 2) for i in (1, 2)]
-        assert check_polarization(s, V, n_points=5, config=FAST)
+        assert check_polarization(s, V, n_points=5, config=FAST).verdict == PASS
 
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 3), (3, 2), (1, 4)])
     def test_canonical_momentum_polarizations(self, n, k):
         s = canonical_structure(n, k)
         V = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
              for a in range(1, k + 1) for i in range(1, n + 1)]
-        assert check_polarization(s, V, n_points=5, config=FAST)
+        assert check_polarization(s, V, n_points=5, config=FAST).verdict == PASS
 
     def test_structurally_zero_brackets_cost_no_rank(self, monkeypatch):
         # all 276 hydro4 brackets are structurally zero, so each point takes
@@ -269,7 +274,7 @@ class TestPolarization:
 
         monkeypatch.setattr(kcontact, "numeric_rank", counting_rank)
         assert check_polarization(hydro_kcontact_form(4), hydro_polarization(4),
-                                  n_points=5, config=FAST)
+                                  n_points=5, config=FAST).verdict == PASS
         assert len(ranks) == 5
 
     def test_reeb_direction_fails(self):
@@ -277,12 +282,21 @@ class TestPolarization:
         V = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
              for a in (1, 2) for i in (1, 2)]
         V[0] = VectorField.coordinate(s.chart, "s_1")
-        assert not check_polarization(s, V, n_points=5, config=FAST)
+        assert check_polarization(s, V, n_points=5, config=FAST).verdict == FAIL
+
+    def test_tiny_eta_pairing_is_inconclusive(self):
+        # eta(d/dp + 1e-8 sqrt(q^2+1) d/ds) is tiny but not zero: no exception
+        s = canonical_structure(1, 1)
+        field = VectorField(s.chart, [parse_expr("1/100000000 * sqrt(q_1^2 + 1)"), 0, 1])
+        check = check_polarization(s, [field], n_points=5, config=FAST)
+        assert (check.name, check.verdict) == ("polarization", INCONCLUSIVE)
+        assert check.detail == {"n_fields": 1}
+        assert 0 < check.max_residual < FAST.inconclusive_margin
 
     def test_wrong_rank_fails(self):
         s = canonical_structure(2, 2)
         V = [VectorField.coordinate(s.chart, "p_1_1")] * 4
-        assert not check_polarization(s, V, n_points=5, config=FAST)
+        assert check_polarization(s, V, n_points=5, config=FAST).verdict == FAIL
 
     def test_non_integrable_span_fails(self):
         # within ker eta but brackets leave the span
@@ -297,7 +311,7 @@ class TestPolarization:
         f1 = VectorField(ch, [Var("p_1_1"), 1, 0, 0, 0])
         f2 = VectorField.coordinate(ch, "p_1_1")
         # f1 in ker eta, f2 in ker eta; [f2, f1] = d/ds not in span
-        assert not check_polarization(s, [f1, f2], n_points=5, config=FAST)
+        assert check_polarization(s, [f1, f2], n_points=5, config=FAST).verdict == FAIL
 
 
 class TestReebDistributionIntegrability:
@@ -305,7 +319,7 @@ class TestReebDistributionIntegrability:
         for (n, k) in [(1, 2), (2, 2), (1, 3)]:
             s = canonical_structure(n, k)
             frame = compute_reeb(s, FAST)
-            assert check_reeb_commutation(frame, config=FAST)
+            assert check_reeb_commutation(frame, config=FAST).verdict == PASS
 
 
 def dense_structure_matrices(s, point):

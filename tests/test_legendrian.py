@@ -28,7 +28,7 @@ from kontact.legendrian import (
     verify_isotropic,
 )
 from kontact.idealgas import ideal_gas_energy
-from kontact.zerotest import FAIL, PASS, is_probably_zero
+from kontact.zerotest import FAIL, INCONCLUSIVE, PASS, is_probably_zero
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -50,6 +50,17 @@ class TestCompatibility:
     def test_mismatched_partials_fail(self):
         kf = ParametrizingKFunction(1, 2, [1], ["p_1_1 * 1", "2 * p_2_1"])
         assert check_compatibility(kf, FAST).verdict == FAIL
+        # partials differ by 1e-8 sqrt(q_2^2+1): neither clearly equal nor not
+        kf = ParametrizingKFunction(
+            2, 2, [1], ["p_1_1 * (1 + 1/100000000 * sqrt(q_2^2 + 1))", "p_2_1"])
+        assert check_compatibility(kf, FAST).verdict == INCONCLUSIVE
+
+    def test_inconclusive_residue_is_no_certificate(self):
+        # shared partials, but F - p q_2 is tiny: the sampled check decides
+        F = [f"p_{a}_1 * q_2 + 1/100000000 * sqrt(q_2^2 + 1)" for a in (1, 2)]
+        rep = check_compatibility(ParametrizingKFunction(2, 2, [1], F), FAST)
+        assert rep.verdict == PASS
+        assert not rep.detail["syntactic_linear_form"]
 
     def test_own_momenta_only(self):
         with pytest.raises(ValueError):
@@ -114,18 +125,25 @@ class TestVerifyIsotropic:
         kf = ParametrizingKFunction(2, 4, [1], F)
         L = build_parametrization(kf, FAST)
         s = canonical_structure(2, 4)
-        assert verify_isotropic(L, s, FAST)
+        assert verify_isotropic(L, s, FAST).verdict == PASS
 
     def test_ideal_gas_state_family_is_isotropic(self):
         phi = thermo_parametrization(ideal_gas_energy(Fraction(3, 2)))
-        assert verify_isotropic(phi, thermo_structure(), FAST)
+        assert verify_isotropic(phi, thermo_structure(), FAST).verdict == PASS
 
     def test_constant_momentum_graph_is_not(self):
-        # s = 0, p = 1 over q: pullback of ds - p dq is -dq
         s = canonical_structure(1, 1)
         base = Chart(["q_1"])
-        graph = SmoothMap(base, s.chart, [0, Var("q_1"), 1])
-        assert not verify_isotropic(graph, s, FAST)
+        for s_component, p_component, verdict in [
+            # s = 0, p = 1 over q: pullback of ds - p dq is -dq
+            ("0", "1", FAIL),
+            # s = 1e-8 sqrt(q^2+1), p = 0: the pullback is tiny but not zero
+            ("1/100000000 * sqrt(q_1^2 + 1)", "0", INCONCLUSIVE),
+        ]:
+            graph = SmoothMap(base, s.chart,
+                              [parse_expr(s_component), Var("q_1"), parse_expr(p_component)])
+            check = verify_isotropic(graph, s, FAST)
+            assert (check.name, check.verdict) == ("isotropy", verdict)
 
 
 class TestLegendrianDimension:
@@ -200,11 +218,11 @@ class TestThermo:
 class TestGibbsEquality:
     def test_degree_one_homogeneous(self):
         f = parse_expr("3/2 * S^(1/3) * V^(1/3) * N^(1/3)")
-        assert check_gibbs_equality(f, config=FAST)
+        assert check_gibbs_equality(f, config=FAST).verdict == PASS
 
     def test_other_exponents(self):
         f = parse_expr("S^(1/2) * V^(1/4) * N^(1/4)")
-        assert check_gibbs_equality(f, config=FAST)
+        assert check_gibbs_equality(f, config=FAST).verdict == PASS
 
     def test_not_homogeneous_raises(self):
         with pytest.raises(NotHomogeneous):
