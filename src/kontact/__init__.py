@@ -104,7 +104,6 @@ from .hydro import (
     hydro_polarization,
     hydro_system,
     projectors,
-    spacetime_chart,
 )
 from .bjorken import (
     BjorkenFlow,

@@ -219,14 +219,6 @@ class DissipativeDecomposition:
         zero_44 = [[ZERO] * 4 for _ in range(4)]
         return cls(E=E, PV=PV, Pi_tot=ZERO, shear_part=zero_44)
 
-    def total_tensor(self, flow: BjorkenFlow) -> list[list[ScalarExpr]]:
-        delta, _ = projectors(flow.fluid())
-        return [[
-            self.E * flow.u[m] * flow.u[n]
-            - (self.PV + self.Pi_tot) * delta[m][n]
-            + self.shear_part[m][n]
-            for n in range(4)] for m in range(4)]
-
 
 def apply_pgt(
     d: DissipativeDecomposition,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig, default_seed
 from .errors import KontactError, ParseError, SampleDomainEmpty, ZeroTestInconclusive
-from .expr import parse_expr
+from .expr import ZERO, parse_expr
 from .fileio import (
     BuiltinStructure,
     load_kfunction_file,
@@ -207,12 +207,14 @@ def cmd_hddw(args) -> int:
     if args.section:
         sect = load_section_file(args.section, s.chart, s.k)
         eq1, eq2 = section_residual(sys_, sect)
-        checks.append(zero_check("section_residual", eq1 + [eq2],
-                                 sect.source.domain(), config))
-        if getattr(holder, "name", "").startswith("hydro"):
+        raw = zero_check("section_residual", eq1 + [eq2], sect.source.domain(), config)
+        checks.append(raw)
+        if args.builtin and holder.name.startswith("hydro"):
             from .hydro import equilibrium_conditions_residual
 
-            checks.append(equilibrium_conditions_residual(sect, s.k, config))
+            # its cross-check is the H = 0 system's residual: the one above when H is 0
+            checks.append(equilibrium_conditions_residual(sect, s.k, config,
+                                                          raw if H == ZERO else None))
     return _emit("hddw", config, checks, args, started)
 
 

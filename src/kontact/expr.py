@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ __all__ = [
     "ScalarExpr", "Rational", "Var", "Sum", "Product", "Pow", "Exp", "Log",
     "Point", "as_expr", "const", "var", "exp", "log", "sqrt",
     "differentiate", "evaluate", "substitute", "free_variables", "parse_expr",
-    "Program", "compile_expr", "ZERO", "ONE",
+    "Program", "compile_expr", "compile_exprs", "ZERO", "ONE",
 ]
 
 
@@ -81,16 +81,6 @@ class ScalarExpr:
 
     def __pow__(self, exponent):
         return Pow.make(self, _as_fraction_exponent(exponent))
-
-    def diff(self, v: str) -> "ScalarExpr":
-        return differentiate(self, v)
-
-    def subs(self, bindings: Mapping[str, ExprLike]) -> "ScalarExpr":
-        return substitute(self, bindings)
-
-    @property
-    def free_vars(self) -> frozenset:
-        return free_variables(self)
 
     def __str__(self) -> str:
         return _render(self, 0)
@@ -461,15 +451,17 @@ _CONST, _VAR, _SUM, _PRODUCT, _POW, _EXP, _LOG = range(7)
 
 
 class Program(NamedTuple):
-    """An expression as a straight-line program with one instruction per distinct subtree.
+    """Expressions as one straight-line program with one instruction per distinct subtree.
 
-    Instruction i is (op, payload, args); args index earlier instructions and
-    the last instruction is the root.  summands are the instructions of the
-    root's top-level summands (the root alone when it is not a sum).
-    rational is True when only rationals, +, * and integer powers occur.
+    Instruction i is (op, payload, args); args index earlier instructions.
+    roots are the expressions' instructions; run_exact and run_float compute
+    the last root, whose top-level summands are summands (the root alone when
+    it is not a sum).  rational is True when only rationals, +, * and integer
+    powers occur.
     """
 
     code: tuple
+    roots: tuple
     summands: tuple
     free_vars: frozenset
     rational: bool
@@ -502,7 +494,7 @@ class Program(NamedTuple):
             else:
                 raise TypeError("run_exact needs a rational program")
             vals.append(v)
-        return vals[-1]
+        return vals[self.roots[-1]]
 
     def run_float(self, columns: Mapping[str, np.ndarray], n: int):
         """(value, scale, skip) at n points at once, in float64.
@@ -546,7 +538,7 @@ class Program(NamedTuple):
                     skip |= arg <= 0
                     v = np.log(arg)
                 vals.append(v)
-            value = vals[-1]
+            value = vals[self.roots[-1]]
             scale = np.abs(vals[self.summands[0]])
             for s in self.summands[1:]:
                 scale = np.maximum(scale, np.abs(vals[s]))
@@ -555,20 +547,27 @@ class Program(NamedTuple):
 
 
 def compile_expr(e: ScalarExpr) -> Program:
-    """Compile e in one pass, giving equal subtrees one shared instruction.
+    """Compile e in one pass, giving equal subtrees one shared instruction."""
+    return compile_exprs([e])
+
+
+def compile_exprs(exprs: Sequence[ScalarExpr]) -> Program:
+    """Compile several expressions into one program over one shared table.
 
     A node's structural key is its op, its payload and the instruction
-    indices of its children, so equal subtrees built separately meet in one
-    key.  The tables live only for this call.
+    indices of its children, so equal subtrees built separately, within one
+    root or across roots, meet in one key.  The tables live only for this
+    call.
     """
     code: list[tuple] = []
-    root = _emit(e, code, {}, {})
+    index, seen = {}, {}
+    roots = tuple(_emit(e, code, index, seen) for e in exprs)
     names = frozenset(payload for op, payload, _ in code if op == _VAR)
     rational = all(op in (_CONST, _VAR, _SUM, _PRODUCT)
                    or (op == _POW and payload.denominator == 1)
                    for op, payload, _ in code)
-    summands = code[root][2] if isinstance(e, Sum) else (root,)
-    return Program(tuple(code), summands, names, rational)
+    summands = code[roots[-1]][2] if exprs and isinstance(exprs[-1], Sum) else roots[-1:]
+    return Program(tuple(code), roots, summands, names, rational)
 
 
 def _emit(node: ScalarExpr, code: list, index: dict, seen: dict) -> int:

@@ -190,13 +190,6 @@ class DifferentialForm:
         i = coord if isinstance(coord, int) else chart.index(coord)
         return cls(chart, 1, {(i,): ONE})
 
-    def coeff(self, key: Sequence[int]) -> ScalarExpr:
-        skey, sign = sort_with_sign(tuple(key))
-        if sign == 0:
-            return ZERO
-        c = self.coeffs.get(skey, ZERO)
-        return -c if sign < 0 else c
-
     def is_structurally_zero(self) -> bool:
         return not self.coeffs
 
@@ -374,10 +367,6 @@ class SmoothMap:
 
     def bindings(self) -> dict[str, ScalarExpr]:
         return dict(zip(self.target.coords, self.components))
-
-    def compose_scalar(self, f: ExprLike) -> ScalarExpr:
-        """f written on the target chart, composed with this map."""
-        return substitute(as_expr(f), self.bindings())
 
     def jacobian(self) -> list[list[ScalarExpr]]:
         """Rows indexed by target coordinate, columns by source coordinate."""

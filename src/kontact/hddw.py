@@ -3,10 +3,13 @@
 The two defining equations (the contraction of a k-vector field with the
 structure differentials against dH minus its Reeb transport, and the duality
 pairing against -H) are pointwise linear in the k*dim unknown components.
-This module assembles and solves them numerically at chart points (least-norm
-particular solution plus the SVD nullspace: the pseudo-gauge directions),
-evaluates the induced PDE residuals for candidate sections, and integrates
-k=1 flows with a classic 4th-order one-step method.
+This module assembles and solves them numerically at chart points, evaluates
+the induced PDE residuals for candidate sections, and integrates k=1 flows
+with a classic 4th-order one-step method.  At each point the float
+coefficients come from generated runners (runner.float_runner), one kept on
+the structure and one on the system, and one SVD of the assembled matrix
+gives the least-norm particular solution, the rank and the nullspace: the
+pseudo-gauge directions.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     SourceNotRk,
     StructureDegenerateAtPoint,
 )
-from .expr import ZERO, Rational, ScalarExpr, as_expr, evaluate, free_variables, substitute
+from .expr import ZERO, Rational, ScalarExpr, as_expr, free_variables, substitute
 from .forms import DifferentialForm, SmoothMap, exterior_derivative, prolongation
 from .kcontact import (
     KContactStructure,
@@ -36,7 +39,8 @@ from .kcontact import (
     structure_matrices_at,
 )
 from .legendrian import LegendrianParametrization, verify_isotropic
-from .linalg import least_norm_solution, nullspace_basis, numeric_rank
+from .linalg import least_norm_solution
+from .runner import entries_at, float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
@@ -68,6 +72,7 @@ class KContactHamiltonianSystem:
         self._reeb = reeb
         self._config = config
         self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
+        self._rhs_at = None  # _assemble_at's runner, built on first use
 
     @property
     def chart(self):
@@ -129,10 +134,6 @@ class HdDWPointSolution:
         return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-def _point_floats(point: Mapping) -> dict:
-    return {k: float(v) for k, v in point.items()}
-
-
 def _assemble_at(sys: KContactHamiltonianSystem, point: dict, eta: np.ndarray,
                  deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
@@ -140,14 +141,13 @@ def _assemble_at(sys: KContactHamiltonianSystem, point: dict, eta: np.ndarray,
     eta and deta are structure_matrices_at(sys.structure, point).  Column
     alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are deta
     transposed and row dim is eta flattened (+ 0.0 turns -0.0 into 0.0).
+    b comes from a float runner over hddw_rhs, kept on the system.
     """
     A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
-    b = np.zeros(sys.dim + 1)
-    rhs1, rhs2 = hddw_rhs(sys)
-    for (l,), c in rhs1.coeffs.items():
-        b[l] = float(evaluate(c, point))
-    b[sys.dim] = float(evaluate(rhs2, point))
-    return A, b
+    if sys._rhs_at is None:
+        rhs1, rhs2 = hddw_rhs(sys)
+        sys._rhs_at = entries_at((sys.dim + 1,), [*rhs1.coeffs.items(), ((sys.dim,), rhs2)])
+    return A, sys._rhs_at(point)
 
 
 def solve_hddw_at_point(
@@ -155,13 +155,14 @@ def solve_hddw_at_point(
     point: Mapping,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> HdDWPointSolution:
-    """Least-norm particular solution plus orthonormal nullspace basis at a point."""
-    p = _point_floats(point)
+    """Least-norm particular solution plus orthonormal nullspace basis at a point,
+    both from one SVD of the assembled matrix (linalg.least_norm_solution)."""
+    p = {name: float(v) for name, v in point.items()}
     matrices = structure_matrices_at(sys.structure, p)
     if not check_structure_at(sys.structure, p, config, matrices).all_pass:
         raise StructureDegenerateAtPoint(f"defining conditions fail at {p}")
     A, b = _assemble_at(sys, p, *matrices)
-    x = least_norm_solution(A, b, config.rank_threshold)
+    x, _, null_rows = least_norm_solution(A, b, config.rank_threshold)
     residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
     tolerance = config.rank_threshold * scale
@@ -169,7 +170,6 @@ def solve_hddw_at_point(
         raise InconsistentSystem(
             f"no solution within tolerance at {p}: residual {residual:.3e}")
     k, dim = sys.k, sys.dim
-    null_rows = nullspace_basis(A, config.rank_threshold)
     return HdDWPointSolution(
         point=p,
         particular=x.reshape(k, dim),
@@ -354,23 +354,22 @@ def check_constrained_solution(
     params = sample_points(smooth.source.coords, smooth.source.domain(),
                            n_points, rng, config.max_sample_retries)
     jac = smooth.jacobian()
+    # the image point, then the tangent map J (dim x dim_L) row by row
+    image_at = float_runner(list(smooth.components) + [c for row in jac for c in row])
     feasible = True
     null_dims = set()
     for u in params:
-        x = {name: float(evaluate(c, u)) for name, c in zip(sys.chart.coords, smooth.components)}
+        values = image_at(u)
+        x = dict(zip(sys.chart.coords, values[:dim]))
         A, b = _assemble_at(sys, x, *structure_matrices_at(sys.structure, x))
-        J = np.array([[float(evaluate(jac[i][r], u)) for r in range(dim_L)]
-                      for i in range(dim)])
-        Ares = np.zeros((dim + 1, k * dim_L))
-        for alpha in range(k):
-            Ares[:, alpha * dim_L:(alpha + 1) * dim_L] = \
-                A[:, alpha * dim:(alpha + 1) * dim] @ J
-        y = least_norm_solution(Ares, b, config.rank_threshold)
+        J = np.array(values[dim:]).reshape(dim, dim_L)
+        Ares = np.hstack([A[:, alpha * dim:(alpha + 1) * dim] @ J for alpha in range(k)])
+        y, rank, _ = least_norm_solution(Ares, b, config.rank_threshold)
         residual = float(np.max(np.abs(Ares @ y - b)))
         scale = max(1.0, float(np.max(np.abs(Ares))), float(np.max(np.abs(b))))
         if residual > config.rank_threshold * scale:
             feasible = False
-        null_dims.add(k * dim_L - numeric_rank(Ares, config.rank_threshold))
+        null_dims.add(k * dim_L - rank)
     return Check("constrained_solution", PASS if feasible else FAIL, detail={
         "H_vanishes_on_L": True,
         "feasible": feasible,

@@ -26,7 +26,7 @@ __all__ = [
     "MinkowskiMetric", "FluidTensors", "hydro_chart", "hydro_kcontact_form",
     "hydro_reeb_frame", "hydro_polarization", "hydro_system",
     "equilibrium_conditions_residual", "entropy_current",
-    "projectors", "equilibrium_legendrian", "spacetime_chart",
+    "projectors", "equilibrium_legendrian",
 ]
 
 # epsilon^{0123} = +1 (so epsilon_{0123} = -1); recorded for completeness,
@@ -124,15 +124,11 @@ def hydro_polarization(k: int = 4) -> list[VectorField]:
     return fields
 
 
-def spacetime_chart(k: int = 4) -> Chart:
-    """The flat spacetime parameter chart t_0..t_{k-1} for hydro sections."""
-    return Chart([f"t_{m}" for m in range(k)])
-
-
 def equilibrium_conditions_residual(
     psi: SectionCandidate | SmoothMap,
     k: int = 4,
     config: RunConfig = DEFAULT_CONFIG,
+    raw: Check | None = None,
 ) -> Check:
     """Evaluate the seven equilibrium condition families on a hydro section.
 
@@ -142,7 +138,8 @@ def equilibrium_conditions_residual(
     system on the same section: it passes when every family and that
     residual vanish, and fails when any of them fails (so in particular when
     the families and the field equations disagree).  Its max_residual is the
-    largest family residual.
+    largest family residual.  raw, when given, is that residual's check,
+    already made on the same section with the same config.
     """
     smooth = psi.psi if isinstance(psi, SectionCandidate) else psi
     chart = hydro_chart(k)
@@ -169,8 +166,9 @@ def equilibrium_conditions_residual(
     domain = smooth.source.domain()
     results = {name: zero_check(name, exprs, domain, config)
                for name, exprs in families.items()}
-    eq1, eq2 = section_residual(hydro_system(k), smooth)
-    raw = zero_check("section_residual", eq1 + [eq2], domain, config)
+    if raw is None:
+        eq1, eq2 = section_residual(hydro_system(k), smooth)
+        raw = zero_check("section_residual", eq1 + [eq2], domain, config)
     all_pass = all(c.verdict == PASS for c in results.values())
     hddw_all_zero = raw.verdict == PASS
     detail = {

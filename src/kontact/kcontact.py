@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem, ZeroTestInconclusive
-from .expr import ONE, ZERO, Rational, ScalarExpr, Var, evaluate
+from .expr import ONE, ZERO, ScalarExpr, Var
 from .forms import (
     Chart,
     DifferentialForm,
@@ -28,6 +28,7 @@ from .forms import (
     lie_bracket,
 )
 from .linalg import numeric_rank, solve_symbolic
+from .runner import entries_at
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points, zero_check
 
 __all__ = [
@@ -40,11 +41,12 @@ __all__ = [
 class KContactStructure:
     """A chart together with the k one-forms eta^1..eta^k and their differentials."""
 
-    __slots__ = ("eta", "d_eta")
+    __slots__ = ("eta", "d_eta", "_matrices_at")
 
     def __init__(self, eta: RkValuedOneForm):
         self.eta = eta
         self.d_eta = tuple(exterior_derivative(f) for f in eta.forms)
+        self._matrices_at = None  # structure_matrices_at's filler, built on first use
 
     @property
     def chart(self) -> Chart:
@@ -97,32 +99,22 @@ def structure_matrices_at(s: KContactStructure, point: dict) -> tuple[np.ndarray
     """(eta coefficient matrix k x dim, stacked d-eta contraction matrix) at a point.
 
     Row alpha*dim + i of the stacked matrix holds d eta^alpha(e_i, .): v is in
-    the common kernel iff every row kills v.  Each nonzero coefficient is
-    evaluated once; its antisymmetric mirror is the negated value.
+    the common kernel iff every row kills v.  Both are views of one matrix that
+    one float runner, built on first use and kept on the structure, fills with
+    the nonzero coefficients; each d-eta block is then its upper triangle
+    minus that triangle's transpose.
     """
     k, dim = s.k, s.dim
-    eta = np.zeros((k, dim))
-    deta = np.zeros((k * dim, dim))
-    for alpha, f in enumerate(s.eta.forms):
-        for (i,), c in f.coeffs.items():
-            eta[alpha, i] = float(evaluate(c, point))
-    for alpha, d in enumerate(s.d_eta):
-        base = alpha * dim
-        for (i, j), c in d.coeffs.items():
-            v = float(evaluate(c, point))
-            deta[base + i, j] = v
-            deta[base + j, i] = -v
-    return eta, deta
-
-
-def _components_at(rows, dim: int, point: dict) -> np.ndarray:
-    """Vector components as matrix rows at a point; zero components are not evaluated."""
-    M = np.zeros((len(rows), dim))
-    for r, comps in enumerate(rows):
-        for i, c in enumerate(comps):
-            if not (isinstance(c, Rational) and c.value == 0):
-                M[r, i] = float(evaluate(c, point))
-    return M
+    if s._matrices_at is None:
+        entries = [((alpha, i), c) for alpha, f in enumerate(s.eta.forms)
+                   for (i,), c in f.coeffs.items()]
+        entries += [((k + alpha * dim + i, j), c) for alpha, d in enumerate(s.d_eta)
+                    for (i, j), c in d.coeffs.items()]
+        s._matrices_at = entries_at((k * (dim + 1), dim), entries)
+    M = s._matrices_at(point)
+    blocks = M[k:].reshape(k, dim, dim)
+    blocks -= blocks.transpose(0, 2, 1)
+    return M[:k], M[k:]
 
 
 def check_structure_at(s: KContactStructure, point: dict,
@@ -322,7 +314,6 @@ def check_polarization(
 
     rng = random.Random(config.seed)
     pts = sample_points(chart.coords, domain, n_points, rng, config.max_sample_retries)
-    span_rows = [f.components for f in fields]
     brackets = [
         lie_bracket(fields[a], fields[b]).components
         for a in range(len(fields))
@@ -330,11 +321,16 @@ def check_polarization(
     ]
     # a structurally zero bracket adds a zero row, which cannot change the rank
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
+    n = len(fields)
+    rows = [f.components for f in fields] + brackets
+    rows_at = entries_at((len(rows), dim), [((r, i), c) for r, comps in enumerate(rows)
+                                            for i, c in enumerate(comps) if c != ZERO])
     for p in pts:
-        M = _components_at(span_rows, dim, p)
+        values = rows_at(p)
+        M = values[:n]
         r = numeric_rank(M, config.rank_threshold)
         if r != expected_rank or any(
-                numeric_rank(np.vstack([M, _components_at([br], dim, p)]),
-                             config.rank_threshold) != r for br in brackets):
+                numeric_rank(np.vstack([M, values[b:b + 1]]), config.rank_threshold) != r
+                for b in range(n, len(rows))):
             return Check("polarization", FAIL, zero.max_residual, detail)
     return zero

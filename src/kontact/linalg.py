@@ -24,8 +24,6 @@ def numeric_rank(M: np.ndarray, rel_threshold: float) -> int:
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return 0
     return int(np.sum(s > rel_threshold * s[0]))
 
 
@@ -34,16 +32,29 @@ def nullspace_basis(M: np.ndarray, rel_threshold: float) -> np.ndarray:
     if M.size == 0:
         return np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M)
-    cutoff = rel_threshold * (s[0] if len(s) else 0.0)
-    rank = int(np.sum(s > cutoff)) if len(s) else 0
-    return vh[rank:]
+    return vh[int(np.sum(s > rel_threshold * s[0])):]
 
 
-def least_norm_solution(M: np.ndarray, b: np.ndarray, rel_threshold: float) -> np.ndarray:
-    """Minimum-norm least-squares solution via the pseudoinverse."""
+def least_norm_solution(M: np.ndarray, b: np.ndarray, rel_threshold: float) -> tuple:
+    """(x, rank, nullspace) from one SVD (Golub & Van Loan, Matrix Computations,
+    4th ed., 5.5): M's minimum-norm least-squares solution, its numeric rank
+    and an orthonormal basis of its right nullspace (rows).
+
+    The rank counts singular values above rel_threshold * s_max, and x is
+    V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so where
+    M is not wide (the SVD is thin) x equals pinv(M, rel_threshold) @ b bit
+    for bit.  A wide M takes the full SVD, for its nullspace.
+    """
+    m, n = M.shape
     if M.size == 0:
-        return np.zeros(M.shape[1])
-    return np.linalg.pinv(M, rcond=rel_threshold) @ b
+        return np.zeros(n), 0, np.eye(n)
+    u, s, vt = np.linalg.svd(M, full_matrices=n > m)
+    large = s > rel_threshold * np.amax(s)
+    rank = int(np.count_nonzero(large))
+    s_inv = np.divide(1, s, where=large, out=s)
+    s_inv[~large] = 0
+    x = np.matmul(vt[:len(s)].T, np.multiply(s_inv[:, np.newaxis], u.T)) @ b
+    return x, rank, vt[rank:]
 
 
 def solve_symbolic(

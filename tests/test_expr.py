@@ -21,6 +21,7 @@ from kontact.expr import (
     Rational,
     Sum,
     compile_expr,
+    compile_exprs,
     differentiate,
     evaluate,
     exp,
@@ -31,6 +32,7 @@ from kontact.expr import (
     substitute,
     var,
 )
+from kontact.runner import float_runner
 from kontact.zerotest import SampleDomain, is_probably_zero, zero_test
 
 from conftest import rand_expr, rand_rational, with_singular_tops
@@ -281,10 +283,10 @@ def _children(e):
     return ()
 
 
-def distinct_subtrees(e) -> int:
-    """Structurally distinct subtrees, counted by dataclass equality."""
+def distinct_subtrees(*roots) -> int:
+    """Structurally distinct subtrees of the roots, counted by dataclass equality."""
     seen = set()
-    stack = [e]
+    stack = list(roots)
     while stack:
         node = stack.pop()
         if node not in seen:
@@ -376,3 +378,97 @@ class TestCompile:
         assert 10 * len(program.code) < tree_nodes(e)
         assert not program.rational
         assert program.free_vars == free_variables(e)
+
+
+def bits(values) -> bytes:
+    """The float64 bit patterns, so that 0.0 and -0.0 differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_runner_matches_evaluate(run, roots, p):
+    """run(p) is (float(evaluate(e, p)) for e in roots), or raises its DomainError."""
+    try:
+        want = tuple(float(evaluate(e, p)) for e in roots)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            run(p)
+        assert str(got.value) == str(err)
+    else:
+        got = run(p)
+        assert got == want
+        assert bits(got) == bits(want)
+
+
+class TestFloatRunner:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_runner_equals_evaluate_at_float_points(self, seed):
+        rng = random.Random(seed)
+        base = rand_expr(rng, NAMES, depth=3, transcendental=True)
+        poly = rand_expr(rng, NAMES, depth=3)
+        roots = (with_singular_tops(base, -1, Fraction(-1, 2), take_log=True)
+                 + with_singular_tops(poly, -2, Fraction(1, 2), Fraction(-3, 2)))
+        # half-integer floats make the singular tops' bases exactly zero often
+        points = ([{n: rng.uniform(-2, 2) for n in NAMES} for _ in range(8)]
+                  + [{n: float(rand_rational(rng, denom=2)) for n in NAMES}
+                     for _ in range(8)])
+        runners = [(float_runner([e]), [e]) for e in roots]
+        runners.append((float_runner(roots), roots))
+        for p in points:
+            for run, exprs in runners:
+                assert_runner_matches_evaluate(run, exprs, p)
+
+    def test_constants_fold_as_evaluate_keeps_them(self):
+        x, y = var("x"), var("y")
+        tenth, fifth = Rational(Fraction(1, 10)), Rational(Fraction(1, 5))
+        # built without make, so constants stay unfolded and out of first place;
+        # 0.1 + 0.2 and 0.1 * 3.0 round differently from 3/10
+        roots = [
+            Sum((tenth, fifth, x)),
+            Sum((x, tenth, fifth)),
+            Product((tenth, Rational(Fraction(3)), x)),
+            Product((x, tenth, Rational(Fraction(3)))),
+            Sum((x, y)),
+            Pow(Sum((tenth, Rational(Fraction(-1, 10)))), Fraction(-1)),
+            Pow(Rational(Fraction(2)), Fraction(1, 2)) * x,
+            Pow(tenth, Fraction(2)) * x,
+            Sum((tenth, fifth)),
+        ]
+        for p in [{"x": 0.1, "y": -2.5}, {"x": -0.0, "y": -0.0}, {"x": -0.0, "y": 3.0}]:
+            for e in roots:
+                assert_runner_matches_evaluate(float_runner([e]), [e], p)
+
+    def test_long_sums_and_products_compile(self):
+        # one chained expression of this many terms overflows the compiler
+        rng = random.Random(5)
+        names = [f"x{i}" for i in range(5000)]
+        y = var("y")
+        roots = [Sum.make([var(n) * y for n in names]), Sum.make([var(n) for n in names]),
+                 Product.make([var(n) for n in names[:300]])]
+        p = {n: rng.uniform(0.5, 1.5) for n in names} | {"y": -1.25}
+        assert_runner_matches_evaluate(float_runner(roots), roots, p)
+
+    def test_missing_variable_is_unbound(self):
+        with pytest.raises(UnboundVariable):
+            float_runner([parse_expr("x + y")])({"x": 1.0})
+
+    def test_roots_share_one_table(self):
+        x, y = var("x"), var("y")
+        shared = exp(x + 1) * y
+        roots = [shared + 1, log(shared * shared + 2), shared * x, shared]
+        program = compile_exprs(roots)
+        assert len(program.code) == distinct_subtrees(*roots)
+        assert len(program.code) < sum(distinct_subtrees(e) for e in roots)
+        assert float_runner(roots)({"x": 0.5, "y": 2.0}) == tuple(
+            float(evaluate(e, {"x": 0.5, "y": 2.0})) for e in roots)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_random_roots_compile_to_their_distinct_subtrees(self, seed):
+        rng = random.Random(seed)
+        a = rand_expr(rng, NAMES, depth=3, transcendental=True)
+        b = rand_expr(rng, NAMES, depth=2)
+        roots = [a, a * b, b + a, b]
+        program = compile_exprs(roots)
+        assert len(program.code) == distinct_subtrees(*roots)
+        assert program.free_vars == free_variables(a) | free_variables(b)

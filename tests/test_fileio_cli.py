@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +217,38 @@ class TestCLI:
         families = fam["detail"]["families"]
         assert families["d_xi"]["pass"] is False
         assert families["div_N"]["pass"] is True
+
+    @pytest.mark.parametrize("H", ["0", "V"])
+    def test_hddw_section_residual_reused_only_for_zero_H(self, tmp_path, monkeypatch, H):
+        import kontact.hydro as hydro
+
+        rebuilt = []
+        real = hydro.section_residual
+        monkeypatch.setattr(hydro, "section_residual",
+                            lambda *args: rebuilt.append(args) or real(*args))
+        sect = tmp_path / "sect.json"
+        sect.write_text(json.dumps({"components": {"xi": "1/3", "V": "1"}}))
+        out = tmp_path / "r.json"
+        main(["hddw", "--builtin", "hydro2", "--section", str(sect), "--H", H,
+              "--samples", "16", "--no-timestamp", "--json", str(out)])
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["checks"]}
+        # the equilibrium cross-check is defined on the H = 0 system
+        assert verdicts["section_residual"] == ("pass" if H == "0" else "fail")
+        assert verdicts["equilibrium_families"] == "pass"
+        assert len(rebuilt) == (0 if H == "0" else 1)
+
+    def test_hddw_section_on_file_named_like_a_builtin(self, tmp_path, monkeypatch):
+        # a structure file is never the hydro builtin, whatever its name
+        monkeypatch.chdir(tmp_path)
+        Path("hydro_like.json").write_text(json.dumps(
+            {"chart": {"coords": ["s", "q", "p"]},
+             "forms": {"eta": {"degree": 1, "coeffs": {"0": "1", "1": "-p"}}}}))
+        Path("sect.json").write_text(json.dumps({"components": {"q": "t_0"}}))
+        code = main(["hddw", "hydro_like.json", "--section", "sect.json",
+                     "--samples", "16", "--no-timestamp", "--json", "r.json"])
+        assert code == 1
+        names = [c["name"] for c in json.loads(Path("r.json").read_text())["checks"]]
+        assert names == ["nullspace_dimension", "section_residual"]
 
     def test_hddw_system_file(self, tmp_path):
         system = tmp_path / "system.json"

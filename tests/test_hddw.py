@@ -36,13 +36,22 @@ from kontact.idealgas import (
     ideal_gas_system,
     run_isentropic,
 )
+from kontact.fileio import resolve_structure
 from kontact.kcontact import canonical_structure
+from kontact.linalg import nullspace_basis
 from kontact.legendrian import (
     ParametrizingKFunction,
     build_parametrization,
     thermo_structure,
 )
-from kontact.zerotest import FAIL, INCONCLUSIVE, PASS, is_probably_zero, zero_check
+from kontact.zerotest import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    is_probably_zero,
+    sample_points,
+    zero_check,
+)
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -153,6 +162,58 @@ class TestSolveAtPoint:
         assert sol.nullspace_dim == 0
         with pytest.raises(LengthMismatch):
             pseudo_gauge_shift(sol, [1.0])
+
+
+class TestOneSVDSolve:
+    """The particular solution, rank and nullspace come from one SVD of A."""
+
+    K1_SYSTEMS = {
+        "ideal gas": lambda: ideal_gas_system(Fraction(5, 2)),
+        "canonical:1,1": lambda: KContactHamiltonianSystem(
+            canonical_structure(1, 1), "p_1_1^2/2 + q_1*s_1"),
+        "canonical:3,1": lambda: KContactHamiltonianSystem(
+            canonical_structure(3, 1), "p_1_1*q_2 - exp(s_1/4)*p_1_3 + q_1^2"),
+    }
+
+    @pytest.mark.parametrize("name", K1_SYSTEMS)
+    def test_k1_particular_is_pinv_bitwise(self, name):
+        sys_ = self.K1_SYSTEMS[name]()
+        rng = random.Random(97)
+        for _ in range(4):
+            sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng), FAST)
+            want = np.linalg.pinv(sol._A, FAST.rank_threshold) @ sol._b
+            assert np.array_equal(sol.particular.ravel(), want)
+
+    @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,3",
+                                      "canonical:4,4"])
+    def test_nullspace_matches_nullspace_basis(self, name):
+        holder = resolve_structure(name)
+        sys_ = KContactHamiltonianSystem(holder.structure, 0, reeb=holder.reeb)
+        chart = sys_.chart
+        for p in sample_points(chart.coords, chart.domain(), 3, random.Random(101)):
+            sol = solve_hddw_at_point(sys_, p, FAST)
+            assert sol.nullspace_dim == len(nullspace_basis(sol._A, FAST.rank_threshold))
+            assert sol.nullspace_dim == expected_nullspace_dim(sys_.k, sys_.dim)
+            N = np.array([v.ravel() for v in sol.nullspace])
+            assert np.allclose(sol._A @ N.T, 0.0, atol=1e-9)
+            assert np.allclose(N @ N.T, np.eye(len(N)), atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_svd_per_solve(self, k, monkeypatch):
+        sys_ = (self.K1_SYSTEMS["ideal gas"]() if k == 1 else
+                KContactHamiltonianSystem(canonical_structure(2, 2), "q_1*p_2_2"))
+        point = random_point(sys_.chart, random.Random(103))
+        real_svd = np.linalg.svd
+        uv = []
+
+        def counting_svd(*args, **kwargs):
+            uv.append(kwargs.get("compute_uv", True))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        solve_hddw_at_point(sys_, point, FAST)
+        # the structure check's three numeric_rank calls, then the solve
+        assert uv == [False, False, False, True]
 
 
 def x0_params(x0):

@@ -9,7 +9,7 @@ import pytest
 
 from kontact.config import RunConfig
 from kontact.errors import DimensionNot4
-from kontact.expr import Rational, Var, ZERO, differentiate, substitute
+from kontact.expr import Rational, Var, ZERO, differentiate, free_variables, substitute
 from kontact.forms import Chart, SmoothMap, parameter_chart
 from kontact.hddw import section_residual, solve_hddw_at_point
 from kontact.hydro import (
@@ -232,7 +232,7 @@ class TestEntropyCurrent:
 
     def test_all_fields_zero(self):
         exprs = entropy_current(2)
-        binds = {name: ZERO for e in exprs for name in e.free_vars}
+        binds = {name: ZERO for e in exprs for name in free_variables(e)}
         for e in exprs:
             assert substitute(e, binds) == ZERO
 
