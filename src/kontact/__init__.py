@@ -29,7 +29,6 @@ from .errors import (
     ZeroTestInconclusive,
 )
 from .expr import (
-    Point,
     ScalarExpr,
     as_expr,
     const,
@@ -72,7 +71,6 @@ from .kcontact import (
     verify_kcontact,
 )
 from .legendrian import (
-    LegendrianParametrization,
     ParametrizingKFunction,
     build_parametrization,
     check_compatibility,
@@ -85,7 +83,6 @@ from .legendrian import (
 from .hddw import (
     HdDWPointSolution,
     KContactHamiltonianSystem,
-    SectionCandidate,
     check_constrained_solution,
     expected_nullspace_dim,
     hddw_rhs,

@@ -39,6 +39,7 @@ from .hddw import (
 from .idealgas import run_isentropic
 from .kcontact import canonical_structure, check_polarization, check_reeb, verify_kcontact
 from .legendrian import _parametrization, check_compatibility, verify_isotropic
+from .linalg import RANK_THRESHOLD
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, combine, sample_points, zero_check
 from .bjorken import DEFAULT_T_PROFILE, full_pgt_demo
 
@@ -71,7 +72,7 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
             "n_sample_points": config.n_sample_points,
             "atol": config.atol,
             "rtol": config.rtol,
-            "rank_threshold": config.rank_threshold,
+            "rank_threshold": RANK_THRESHOLD,
         },
         "checks": [c.to_dict() for c in checks],
         "verdict": combine(c.verdict for c in checks),
@@ -141,8 +142,9 @@ def cmd_legendrian(args) -> int:
         return _emit("legendrian", config, checks, args, started)
     L = _parametrization(kf)
     admissible = sorted({kf.n + (kf.k - 1) * n1 for n1 in range(kf.n + 1)})
-    checks.append(Check("dimension", _verdict(L.dim in admissible),
-                        detail={"dim_L": L.dim, "admissible": admissible}))
+    dim_L = L.source.dim
+    checks.append(Check("dimension", _verdict(dim_L in admissible),
+                        detail={"dim_L": dim_L, "admissible": admissible}))
     s = canonical_structure(kf.n, kf.k)
     checks.append(verify_isotropic(L, s, config))
     return _emit("legendrian", config, checks, args, started)
@@ -177,7 +179,7 @@ def cmd_hddw(args) -> int:
         missing = set(s.chart.coords) - set(x0)
         if missing:
             raise ParseError(f"--x0 misses coordinates {sorted(missing)}")
-        traj = integrate_contact_flow(sys_, x0, args.t_end, args.dt, config)
+        traj = integrate_contact_flow(sys_, x0, args.t_end, args.dt)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 traj.to_csv(fh)
@@ -187,15 +189,14 @@ def cmd_hddw(args) -> int:
 
     rng = random.Random(config.seed)
     if args.point == "random":
-        points = sample_points(s.chart.coords, s.chart.domain(), args.n_points,
-                               rng, config.max_sample_retries)
+        points = sample_points(s.chart.coords, s.chart.domain(), args.n_points, rng)
     else:
         raw = json.loads(args.point)
         points = [{k: float(v) for k, v in raw.items()}]
     dims = set()
     max_res = 0.0
     for p in points:
-        sol = solve_hddw_at_point(sys_, p, config)
+        sol = solve_hddw_at_point(sys_, p)
         dims.add(sol.nullspace_dim)
         max_res = max(max_res, sol.residual_norm)
     checks.append(Check("nullspace_dimension", _verdict(dims == {expected}),
@@ -223,7 +224,7 @@ def cmd_ideal_gas(args) -> int:
     config = _config_from_args(args)
     cv = Fraction(args.cv)
     traj = run_isentropic(cv=cv, S0=args.s0, V0=args.v0, N0=args.n0,
-                          t_end=args.t_end, dt=args.dt, config=config)
+                          t_end=args.t_end, dt=args.dt)
     S = traj.column("S")
     N = traj.column("N")
     V = traj.column("V")

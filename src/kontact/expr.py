@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ ExprLike = Union["ScalarExpr", int, Fraction, str]
 
 __all__ = [
     "ScalarExpr", "Rational", "Var", "Sum", "Product", "Pow", "Exp", "Log",
-    "Point", "as_expr", "const", "var", "exp", "log", "sqrt",
+    "as_expr", "const", "var", "exp", "log", "sqrt",
     "differentiate", "evaluate", "substitute", "free_variables", "parse_expr",
     "Program", "compile_expr", "compile_exprs", "ZERO", "ONE",
 ]
@@ -296,96 +296,62 @@ def _collect_vars(e: ScalarExpr, out: set):
         _collect_vars(e.arg, out)
 
 
-def _mentions(e: ScalarExpr, v: str) -> bool:
-    if isinstance(e, Var):
-        return e.name == v
-    if isinstance(e, Sum):
-        return any(_mentions(t, v) for t in e.terms)
-    if isinstance(e, Product):
-        return any(_mentions(f, v) for f in e.factors)
-    if isinstance(e, Pow):
-        return _mentions(e.base, v)
-    if isinstance(e, (Exp, Log)):
-        return _mentions(e.arg, v)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
 def differentiate(e: ScalarExpr, v: str) -> ScalarExpr:
     """Partial derivative of e with respect to the variable named v.
 
-    The derivative with respect to a variable absent from e is zero.
+    Each distinct subtree (by identity) is differentiated once per call.  A
+    term or factor whose derivative is the constant 0 contributes nothing,
+    so the derivative with respect to a variable absent from e is zero.
     """
-    if isinstance(e, (Rational, Var)) or not _mentions(e, v):
-        return ONE if (isinstance(e, Var) and e.name == v) else ZERO
+    return _derivative(e, v, {})
+
+
+def _derivative(e: ScalarExpr, v: str, memo: dict) -> ScalarExpr:
+    """differentiate with memo mapping id(subtree) to its derivative; passed
+    down rather than closed over, so a call leaves no reference cycle."""
+    if isinstance(e, Var):
+        return ONE if e.name == v else ZERO
+    if isinstance(e, Rational):
+        return ZERO
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, Sum):
-        return Sum.make(tuple(differentiate(t, v) for t in e.terms))
-    if isinstance(e, Product):
-        pieces = []
+        terms = [dt for dt in (_derivative(t, v, memo) for t in e.terms) if not _is_zero(dt)]
+        out = Sum.make(terms) if terms else ZERO
+    elif isinstance(e, Product):
         factors = e.factors
+        pieces = []
         for i, f in enumerate(factors):
-            if not _mentions(f, v):
-                continue
-            df = differentiate(f, v)
-            rest = factors[:i] + factors[i + 1:]
-            pieces.append(Product.make((df,) + rest))
-        return Sum.make(pieces)
-    if isinstance(e, Pow):
-        db = differentiate(e.base, v)
-        return Product.make((
-            Rational(e.exponent),
-            Pow.make(e.base, e.exponent - 1),
-            db,
-        ))
-    if isinstance(e, Exp):
-        return Product.make((e, differentiate(e.arg, v)))
-    if isinstance(e, Log):
-        return Product.make((
-            differentiate(e.arg, v),
-            Pow.make(e.arg, Fraction(-1)),
-        ))
-    raise TypeError(f"unknown node {e!r}")
+            df = _derivative(f, v, memo)
+            if not _is_zero(df):
+                pieces.append(Product.make((df,) + factors[:i] + factors[i + 1:]))
+        out = Sum.make(pieces) if pieces else ZERO
+    elif isinstance(e, Pow):
+        db = _derivative(e.base, v, memo)
+        out = ZERO if _is_zero(db) else Product.make(
+            (Rational(e.exponent), Pow.make(e.base, e.exponent - 1), db))
+    elif isinstance(e, Exp):
+        da = _derivative(e.arg, v, memo)
+        out = ZERO if _is_zero(da) else Product.make((e, da))
+    elif isinstance(e, Log):
+        da = _derivative(e.arg, v, memo)
+        out = ZERO if _is_zero(da) else Product.make((da, Pow.make(e.arg, Fraction(-1))))
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    memo[id(e)] = out
+    return out
+
+
+def _is_zero(e: ScalarExpr) -> bool:
+    return isinstance(e, Rational) and e.value == 0
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-class Point(Mapping):
-    """An assignment of numeric values to variable names.
-
-    Values are kept exact (Fraction) when given as int/Fraction and as binary
-    floats otherwise; evaluation stays exact as long as every node it touches
-    is rational.
-    """
-
-    __slots__ = ("_assignments",)
-
-    def __init__(self, assignments: Mapping[str, Numeric]):
-        vals = {}
-        for name, v in assignments.items():
-            if isinstance(v, float):
-                vals[name] = v
-            elif isinstance(v, _RationalABC):
-                vals[name] = Fraction(v)
-            else:
-                raise TypeError(f"point value for {name!r} must be rational or float")
-        self._assignments = vals
-
-    def __getitem__(self, name: str) -> Numeric:
-        return self._assignments[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._assignments)
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self._assignments.items())
-        return f"Point({inner})"
-
 
 def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
     """Evaluate e at a point; exact Fraction when e and the point are rational.

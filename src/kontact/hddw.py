@@ -9,7 +9,9 @@ with a classic 4th-order one-step method.  At each point the float
 coefficients come from generated runners (runner.float_runner), one kept on
 the structure and one on the system, and one SVD of the assembled matrix
 gives the least-norm particular solution, the rank and the nullspace: the
-pseudo-gauge directions.
+pseudo-gauge directions.  _system_at is the one place where a point is
+checked for the three defining conditions before its system is assembled,
+since the nullspace means something only where they hold.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from .kcontact import (
     compute_reeb,
     structure_matrices_at,
 )
-from .legendrian import LegendrianParametrization, verify_isotropic
-from .linalg import least_norm_solution
+from .legendrian import verify_isotropic
+from .linalg import RANK_THRESHOLD, least_norm_solution
 from .runner import entries_at, float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
-    "KContactHamiltonianSystem", "HdDWPointSolution", "SectionCandidate", "Trajectory",
+    "KContactHamiltonianSystem", "HdDWPointSolution", "Trajectory",
     "hddw_rhs", "solve_hddw_at_point", "pseudo_gauge_shift",
     "section_residual", "integrate_contact_flow", "check_constrained_solution",
     "expected_nullspace_dim",
@@ -72,7 +74,7 @@ class KContactHamiltonianSystem:
         self._reeb = reeb
         self._config = config
         self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
-        self._rhs_at = None  # _assemble_at's runner, built on first use
+        self._rhs_at = None  # _system_at's runner, built on first use
 
     @property
     def chart(self):
@@ -134,15 +136,19 @@ class HdDWPointSolution:
         return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-def _assemble_at(sys: KContactHamiltonianSystem, point: dict, eta: np.ndarray,
-                 deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
+def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The pointwise system (A, b) at a float point where the structure is
+    k-contact; raises StructureDegenerateAtPoint where it is not.
 
-    eta and deta are structure_matrices_at(sys.structure, point).  Column
-    alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are deta
-    transposed and row dim is eta flattened (+ 0.0 turns -0.0 into 0.0).
-    b comes from a float runner over hddw_rhs, kept on the system.
+    Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
+    Column alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are the
+    d-eta matrix transposed and row dim is the eta matrix flattened (+ 0.0
+    turns -0.0 into 0.0).  b comes from a float runner over hddw_rhs, kept
+    on the system.
     """
+    eta, deta = structure_matrices_at(sys.structure, point)
+    if check_structure_at(eta, deta) != (sys.k, sys.k, 0):
+        raise StructureDegenerateAtPoint(f"defining conditions fail at {point}")
     A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
     if sys._rhs_at is None:
         rhs1, rhs2 = hddw_rhs(sys)
@@ -150,22 +156,20 @@ def _assemble_at(sys: KContactHamiltonianSystem, point: dict, eta: np.ndarray,
     return A, sys._rhs_at(point)
 
 
-def solve_hddw_at_point(
-    sys: KContactHamiltonianSystem,
-    point: Mapping,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> HdDWPointSolution:
+def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """max|Ax - b| and the tolerance it must not exceed for x to solve the
+    system: RANK_THRESHOLD * max(1, max|A|, max|b|)."""
+    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(A @ x - b))), RANK_THRESHOLD * scale
+
+
+def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
     """Least-norm particular solution plus orthonormal nullspace basis at a point,
     both from one SVD of the assembled matrix (linalg.least_norm_solution)."""
     p = {name: float(v) for name, v in point.items()}
-    matrices = structure_matrices_at(sys.structure, p)
-    if not check_structure_at(sys.structure, p, config, matrices).all_pass:
-        raise StructureDegenerateAtPoint(f"defining conditions fail at {p}")
-    A, b = _assemble_at(sys, p, *matrices)
-    x, _, null_rows = least_norm_solution(A, b, config.rank_threshold)
-    residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
-    tolerance = config.rank_threshold * scale
+    A, b = _system_at(sys, p)
+    x, _, null_rows = least_norm_solution(A, b)
+    residual, tolerance = _residual(A, x, b)
     if residual > tolerance:
         raise InconsistentSystem(
             f"no solution within tolerance at {p}: residual {residual:.3e}")
@@ -205,16 +209,9 @@ def pseudo_gauge_shift(sol: HdDWPointSolution, coeffs: Sequence[float]) -> HdDWP
     )
 
 
-@dataclass(frozen=True)
-class SectionCandidate:
-    """A candidate integral section: a map from the parameter chart t^1..t^k."""
-
-    psi: SmoothMap
-
-
 def section_residual(
     sys: KContactHamiltonianSystem,
-    candidate: SectionCandidate | SmoothMap,
+    psi: SmoothMap,
 ) -> tuple[list, ScalarExpr]:
     """Substitute a section and its prolongation into both field equations.
 
@@ -222,7 +219,6 @@ def section_residual(
     ambient coordinate, eq2 the pairing equation.  Both live on the section's
     parameter chart; zero_check over that chart's domain gives the verdict.
     """
-    psi = candidate.psi if isinstance(candidate, SectionCandidate) else candidate
     if psi.target != sys.chart:
         raise ChartMismatch(
             f"section targets {psi.target}, system lives on {sys.chart}")
@@ -278,7 +274,6 @@ def integrate_contact_flow(
     x0: Mapping,
     t_end: float,
     dt: float,
-    config: RunConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Integrate the unique k=1 Hamiltonian vector field with fixed-step RK4.
 
@@ -295,7 +290,7 @@ def integrate_contact_flow(
 
     def f(y: np.ndarray) -> np.ndarray:
         p = dict(zip(coords, (float(v) for v in y)))
-        sol = solve_hddw_at_point(sys, p, config)
+        sol = solve_hddw_at_point(sys, p)
         return sol.particular[0]
 
     states = [dict(zip(coords, state.tolist()))]
@@ -311,7 +306,7 @@ def integrate_contact_flow(
 
 def check_constrained_solution(
     sys: KContactHamiltonianSystem,
-    L: LegendrianParametrization | SmoothMap,
+    L: SmoothMap,
     n_points: int = 5,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Check:
@@ -326,12 +321,11 @@ def check_constrained_solution(
     sampled point.  It is inconclusive when the isotropy of L or the vanishing
     of H on L is.
     """
-    smooth = L.map if isinstance(L, LegendrianParametrization) else L
-    isotropy = verify_isotropic(smooth, sys.structure, config).verdict
+    isotropy = verify_isotropic(L, sys.structure, config).verdict
     if isotropy == FAIL:
         raise NotIsotropic("parametrization image is not isotropic for this structure")
-    binds = smooth.bindings()
-    h_on_L = zero_check("H_on_L", [substitute(sys.H, binds)], smooth.source.domain(),
+    binds = L.bindings()
+    h_on_L = zero_check("H_on_L", [substitute(sys.H, binds)], L.source.domain(),
                         config).verdict
     verdict = INCONCLUSIVE if INCONCLUSIVE in (isotropy, h_on_L) else h_on_L
     if verdict != PASS:
@@ -344,30 +338,28 @@ def check_constrained_solution(
         })
 
     k, dim = sys.k, sys.dim
-    dim_L = smooth.source.dim
+    dim_L = L.source.dim
     expected = None
     if (dim - k) % (k + 1) == 0:
         n = (dim - k) // (k + 1)
         expected = k * dim_L - (n * (k + 1) - dim_L)
 
     rng = random.Random(config.seed)
-    params = sample_points(smooth.source.coords, smooth.source.domain(),
-                           n_points, rng, config.max_sample_retries)
-    jac = smooth.jacobian()
+    params = sample_points(L.source.coords, L.source.domain(), n_points, rng)
+    jac = L.jacobian()
     # the image point, then the tangent map J (dim x dim_L) row by row
-    image_at = float_runner(list(smooth.components) + [c for row in jac for c in row])
+    image_at = float_runner(list(L.components) + [c for row in jac for c in row])
     feasible = True
     null_dims = set()
     for u in params:
         values = image_at(u)
         x = dict(zip(sys.chart.coords, values[:dim]))
-        A, b = _assemble_at(sys, x, *structure_matrices_at(sys.structure, x))
+        A, b = _system_at(sys, x)
         J = np.array(values[dim:]).reshape(dim, dim_L)
         Ares = np.hstack([A[:, alpha * dim:(alpha + 1) * dim] @ J for alpha in range(k)])
-        y, rank, _ = least_norm_solution(Ares, b, config.rank_threshold)
-        residual = float(np.max(np.abs(Ares @ y - b)))
-        scale = max(1.0, float(np.max(np.abs(Ares))), float(np.max(np.abs(b))))
-        if residual > config.rank_threshold * scale:
+        y, rank, _ = least_norm_solution(Ares, b)
+        residual, tolerance = _residual(Ares, y, b)
+        if residual > tolerance:
             feasible = False
         null_dims.add(k * dim_L - rank)
     return Check("constrained_solution", PASS if feasible else FAIL, detail={

@@ -18,7 +18,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, DimensionNot4
 from .expr import ExprLike, Rational, ScalarExpr, Var, ZERO, as_expr, differentiate
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
-from .hddw import KContactHamiltonianSystem, SectionCandidate, section_residual
+from .hddw import KContactHamiltonianSystem, section_residual
 from .kcontact import KContactStructure, ReebFrame
 from .zerotest import PASS, Check, combine, zero_check
 
@@ -125,7 +125,7 @@ def hydro_polarization(k: int = 4) -> list[VectorField]:
 
 
 def equilibrium_conditions_residual(
-    psi: SectionCandidate | SmoothMap,
+    psi: SmoothMap,
     k: int = 4,
     config: RunConfig = DEFAULT_CONFIG,
     raw: Check | None = None,
@@ -141,14 +141,13 @@ def equilibrium_conditions_residual(
     largest family residual.  raw, when given, is that residual's check,
     already made on the same section with the same config.
     """
-    smooth = psi.psi if isinstance(psi, SectionCandidate) else psi
     chart = hydro_chart(k)
-    if smooth.target != chart:
+    if psi.target != chart:
         raise ChartMismatch("section must target the hydro chart of matching k")
-    if smooth.source.dim != k:
+    if psi.source.dim != k:
         raise ChartMismatch(f"section parameter chart must have dimension k={k}")
-    comp = smooth.bindings()
-    tvars = smooth.source.coords
+    comp = psi.bindings()
+    tvars = psi.source.coords
 
     def d(name: str, mu: int) -> ScalarExpr:
         return differentiate(comp[name], tvars[mu])
@@ -163,11 +162,11 @@ def equilibrium_conditions_residual(
                   for lam in range(k)],
         "div_S": [sum((d(f"S_{mu}", mu) for mu in range(k)), ZERO)],
     }
-    domain = smooth.source.domain()
+    domain = psi.source.domain()
     results = {name: zero_check(name, exprs, domain, config)
                for name, exprs in families.items()}
     if raw is None:
-        eq1, eq2 = section_residual(hydro_system(k), smooth)
+        eq1, eq2 = section_residual(hydro_system(k), psi)
         raw = zero_check("section_residual", eq1 + [eq2], domain, config)
     all_pass = all(c.verdict == PASS for c in results.values())
     hddw_all_zero = raw.verdict == PASS

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, RunConfig
 from .expr import Pow, ScalarExpr, Var, evaluate, exp
 from .hddw import KContactHamiltonianSystem, Trajectory, integrate_contact_flow
 from .legendrian import thermo_parametrization, thermo_structure
@@ -65,9 +64,8 @@ def run_isentropic(
     N0: float = 1.0,
     t_end: float = 1.0,
     dt: float = 1e-3,
-    config: RunConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Integrate the isentropic flow from the equilibrium state over (S0, V0, N0)."""
     sys = ideal_gas_system(cv)
     x0 = equilibrium_state(cv, S0, V0, N0)
-    return integrate_contact_flow(sys, x0, t_end, dt, config)
+    return integrate_contact_flow(sys, x0, t_end, dt)

@@ -9,7 +9,6 @@ frame is solved symbolically from its duality/annihilation equations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .runner import entries_at
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points, zero_check
 
 __all__ = [
-    "KContactStructure", "ReebFrame", "PointCheck",
+    "KContactStructure", "ReebFrame",
     "structure_matrices_at", "check_structure_at", "verify_kcontact", "compute_reeb",
     "check_reeb", "check_reeb_commutation", "canonical_structure", "check_polarization",
 ]
@@ -80,21 +79,6 @@ class ReebFrame:
         return self.fields[i]
 
 
-@dataclass(frozen=True)
-class PointCheck:
-    point: dict
-    eta_rank: int
-    ker_deta_dim: int
-    intersection_dim: int
-    cond1: bool
-    cond2: bool
-    cond3: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.cond1 and self.cond2 and self.cond3
-
-
 def structure_matrices_at(s: KContactStructure, point: dict) -> tuple[np.ndarray, np.ndarray]:
     """(eta coefficient matrix k x dim, stacked d-eta contraction matrix) at a point.
 
@@ -117,30 +101,17 @@ def structure_matrices_at(s: KContactStructure, point: dict) -> tuple[np.ndarray
     return M[:k], M[k:]
 
 
-def check_structure_at(s: KContactStructure, point: dict,
-                       config: RunConfig = DEFAULT_CONFIG,
-                       matrices: tuple[np.ndarray, np.ndarray] | None = None) -> PointCheck:
-    """The three defining conditions at one point, from numeric SVD ranks.
+def check_structure_at(eta: np.ndarray, deta: np.ndarray) -> tuple[int, int, int]:
+    """(rank of eta, dim of the common kernel of d-eta, dim of the two kernels'
+    intersection) from numeric SVD ranks of structure_matrices_at's pair.
 
-    cond1: the eta coefficient matrix has rank k (ker eta has corank k);
-    cond2: the common kernel of the d-eta contractions has dimension k;
-    cond3: the two kernels intersect trivially.
-    matrices, when given, is structure_matrices_at(s, point), already built.
+    The three defining conditions hold at the point exactly when this is
+    (k, k, 0): ker eta has corank k, the d-eta kernel has dimension k, and
+    the two kernels intersect trivially.
     """
-    eta, deta = matrices if matrices is not None else structure_matrices_at(s, point)
-    k, dim = s.k, s.dim
-    r_eta = numeric_rank(eta, config.rank_threshold)
-    ker_deta = dim - numeric_rank(deta, config.rank_threshold)
-    inter = dim - numeric_rank(np.vstack([eta, deta]), config.rank_threshold)
-    return PointCheck(
-        point=point,
-        eta_rank=r_eta,
-        ker_deta_dim=ker_deta,
-        intersection_dim=inter,
-        cond1=r_eta == k,
-        cond2=ker_deta == k,
-        cond3=inter == 0,
-    )
+    dim = eta.shape[1]
+    return (numeric_rank(eta), dim - numeric_rank(deta),
+            dim - numeric_rank(np.vstack([eta, deta])))
 
 
 def verify_kcontact(
@@ -153,26 +124,27 @@ def verify_kcontact(
     table), reeb_rank_condition and trivial_intersection.  Failing structures
     yield failing checks, not an exception."""
     rng = random.Random(config.seed)
-    pts = sample_points(s.chart.coords, s.chart.domain(), n_points, rng,
-                        config.max_sample_retries)
+    pts = sample_points(s.chart.coords, s.chart.domain(), n_points, rng)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
-    rows = [check_structure_at(s, p, config) for p in pts]
+    ranks = [check_structure_at(*structure_matrices_at(s, p)) for p in pts]
+    want = (s.k, s.k, 0)
     rank_table = [
         {
-            "point": {k: str(v) for k, v in pc.point.items()},
-            "eta_rank": pc.eta_rank,
-            "ker_deta_dim": pc.ker_deta_dim,
-            "intersection_dim": pc.intersection_dim,
-            "pass": pc.all_pass,
+            "point": {k: str(v) for k, v in p.items()},
+            "eta_rank": r[0],
+            "ker_deta_dim": r[1],
+            "intersection_dim": r[2],
+            "pass": r == want,
         }
-        for pc in rows
+        for p, r in zip(pts, ranks)
     ]
+    verdicts = [PASS if all(r[i] == want[i] for r in ranks) else FAIL for i in range(3)]
     return [
-        Check("corank_condition", PASS if all(pc.cond1 for pc in rows) else FAIL,
+        Check("corank_condition", verdicts[0],
               detail={"k": s.k, "dim": s.dim, "rank_table": rank_table}),
-        Check("reeb_rank_condition", PASS if all(pc.cond2 for pc in rows) else FAIL),
-        Check("trivial_intersection", PASS if all(pc.cond3 for pc in rows) else FAIL),
+        Check("reeb_rank_condition", verdicts[1]),
+        Check("trivial_intersection", verdicts[2]),
     ]
 
 
@@ -313,7 +285,7 @@ def check_polarization(
         return zero
 
     rng = random.Random(config.seed)
-    pts = sample_points(chart.coords, domain, n_points, rng, config.max_sample_retries)
+    pts = sample_points(chart.coords, domain, n_points, rng)
     brackets = [
         lie_bracket(fields[a], fields[b]).components
         for a in range(len(fields))
@@ -327,10 +299,8 @@ def check_polarization(
                                             for i, c in enumerate(comps) if c != ZERO])
     for p in pts:
         values = rows_at(p)
-        M = values[:n]
-        r = numeric_rank(M, config.rank_threshold)
-        if r != expected_rank or any(
-                numeric_rank(np.vstack([M, values[b:b + 1]]), config.rank_threshold) != r
-                for b in range(n, len(rows))):
+        # the brackets stay in the span iff stacking them leaves its rank
+        r = numeric_rank(values[:n])
+        if r != expected_rank or (brackets and numeric_rank(values) != r):
             return Check("polarization", FAIL, zero.max_residual, detail)
     return zero

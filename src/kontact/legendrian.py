@@ -19,7 +19,7 @@ from .kcontact import KContactStructure, canonical_structure
 from .zerotest import PASS, Check, is_probably_zero, zero_check, zero_test
 
 __all__ = [
-    "ParametrizingKFunction", "LegendrianParametrization",
+    "ParametrizingKFunction",
     "check_compatibility", "build_parametrization", "verify_isotropic",
     "legendrian_dimension", "thermo_chart", "thermo_structure",
     "thermo_parametrization", "check_gibbs_equality",
@@ -115,30 +115,10 @@ def check_compatibility(
     return Check("compatibility", verdict, detail={"syntactic_linear_form": syntactic})
 
 
-class LegendrianParametrization:
-    """A smooth map from the parameter chart into the ambient Darboux chart."""
-
-    __slots__ = ("map", "n", "k", "I", "J")
-
-    def __init__(self, map: SmoothMap, n: int, k: int, I: Sequence[int], J: Sequence[int]):
-        self.map = map
-        self.n = n
-        self.k = k
-        self.I = tuple(I)
-        self.J = tuple(J)
-
-    @property
-    def dim(self) -> int:
-        return self.map.source.dim
-
-    def __repr__(self):
-        return f"LegendrianParametrization(dim {self.dim} -> {self.map.target})"
-
-
 def build_parametrization(
     f: ParametrizingKFunction,
     config: RunConfig = DEFAULT_CONFIG,
-) -> LegendrianParametrization:
+) -> SmoothMap:
     """The coordinate parametrization generated by f on the canonical chart.
 
     (q^j, p^alpha_i) ->
@@ -154,7 +134,7 @@ def build_parametrization(
     return _parametrization(f)
 
 
-def _parametrization(f: ParametrizingKFunction) -> LegendrianParametrization:
+def _parametrization(f: ParametrizingKFunction) -> SmoothMap:
     """build_parametrization without its compatibility check."""
     ambient = canonical_structure(f.n, f.k).chart
     source = f.parameter_chart()
@@ -175,23 +155,21 @@ def _parametrization(f: ParametrizingKFunction) -> LegendrianParametrization:
                 components[f"p_{alpha}_{l}"] = Var(f"p_{alpha}_{l}")
             else:
                 components[f"p_{alpha}_{l}"] = differentiate(f.F[alpha - 1], f"q_{l}")
-    smooth = SmoothMap(source, ambient, [components[name] for name in ambient.coords])
-    return LegendrianParametrization(smooth, f.n, f.k, f.I, f.J)
+    return SmoothMap(source, ambient, [components[name] for name in ambient.coords])
 
 
 def verify_isotropic(
-    L: LegendrianParametrization | SmoothMap,
+    L: SmoothMap,
     s: KContactStructure,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Check:
     """The isotropy check: every eta^alpha and d eta^alpha pulled back along L
     vanishes."""
-    smooth = L.map if isinstance(L, LegendrianParametrization) else L
-    if smooth.target != s.chart:
+    if L.target != s.chart:
         raise ChartMismatch("parametrization does not land on the structure chart")
     return zero_check("isotropy", [c for w in s.eta.forms + s.d_eta
-                                   for c in pullback(smooth, w).coeffs.values()],
-                      smooth.source.domain(), config)
+                                   for c in pullback(L, w).coeffs.values()],
+                      L.source.domain(), config)
 
 
 def legendrian_dimension(n: int, k: int, n1: int) -> int:

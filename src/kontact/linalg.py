@@ -1,7 +1,8 @@
 """Numeric rank/nullspace decisions and symbolic Gaussian elimination.
 
-Numeric ranks use SVD with a relative threshold; symbolic solves run over the
-expression field with the sampling zero test deciding pivots.
+Numeric ranks use SVD with the relative threshold RANK_THRESHOLD; symbolic
+solves run over the expression field with the sampling zero test deciding
+pivots.
 """
 
 from __future__ import annotations
@@ -16,40 +17,44 @@ from .errors import SingularSystem
 from .expr import Pow, Rational, ScalarExpr
 from .zerotest import SampleDomain, is_probably_zero
 
-__all__ = ["numeric_rank", "nullspace_basis", "least_norm_solution", "solve_symbolic"]
+__all__ = ["RANK_THRESHOLD", "numeric_rank", "nullspace_basis", "least_norm_solution",
+           "solve_symbolic"]
+
+RANK_THRESHOLD = 1e-8
+"""Singular values above RANK_THRESHOLD * s_max count toward a numeric rank."""
 
 
-def numeric_rank(M: np.ndarray, rel_threshold: float) -> int:
-    """Rank by counting singular values above rel_threshold * s_max."""
+def numeric_rank(M: np.ndarray) -> int:
+    """Rank by counting singular values above RANK_THRESHOLD * s_max."""
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > rel_threshold * s[0]))
+    return int(np.sum(s > RANK_THRESHOLD * s[0]))
 
 
-def nullspace_basis(M: np.ndarray, rel_threshold: float) -> np.ndarray:
+def nullspace_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace, rows of the result."""
     if M.size == 0:
         return np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M)
-    return vh[int(np.sum(s > rel_threshold * s[0])):]
+    return vh[int(np.sum(s > RANK_THRESHOLD * s[0])):]
 
 
-def least_norm_solution(M: np.ndarray, b: np.ndarray, rel_threshold: float) -> tuple:
+def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
     """(x, rank, nullspace) from one SVD (Golub & Van Loan, Matrix Computations,
     4th ed., 5.5): M's minimum-norm least-squares solution, its numeric rank
     and an orthonormal basis of its right nullspace (rows).
 
-    The rank counts singular values above rel_threshold * s_max, and x is
+    The rank counts singular values above RANK_THRESHOLD * s_max, and x is
     V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so where
-    M is not wide (the SVD is thin) x equals pinv(M, rel_threshold) @ b bit
+    M is not wide (the SVD is thin) x equals pinv(M, RANK_THRESHOLD) @ b bit
     for bit.  A wide M takes the full SVD, for its nullspace.
     """
     m, n = M.shape
     if M.size == 0:
         return np.zeros(n), 0, np.eye(n)
     u, s, vt = np.linalg.svd(M, full_matrices=n > m)
-    large = s > rel_threshold * np.amax(s)
+    large = s > RANK_THRESHOLD * np.amax(s)
     rank = int(np.count_nonzero(large))
     s_inv = np.divide(1, s, where=large, out=s)
     s_inv[~large] = 0

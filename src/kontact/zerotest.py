@@ -7,9 +7,10 @@ point, and any nonzero value rejects it.  Any other expression is run in
 float64 over all sample points at once, and is accepted as (probably) zero
 when |value| stays within atol + rtol*scale at every evaluated point, where
 scale is the magnitude of the largest top-level summand (a cancellation
-proxy).  Points where the expression is undefined (a singularity the domain
-constraints did not exclude) or its value is not finite are skipped and
-counted; with none left the test raises SampleDomainEmpty.
+proxy); when it does not, but stays below INCONCLUSIVE_MARGIN, the test is
+inconclusive.  Points where the expression is undefined (a singularity the
+domain constraints did not exclude) or its value is not finite are skipped
+and counted; with none left the test raises SampleDomainEmpty.
 
 Every verdict of the engine, from these zero tests up to the CLI report, is
 a Check: pass, fail or inconclusive, with its largest residual and details.
@@ -31,7 +32,15 @@ from .expr import Rational, ScalarExpr, compile_expr, evaluate, free_variables
 __all__ = [
     "PASS", "FAIL", "INCONCLUSIVE", "Check", "combine", "zero_check",
     "SampleDomain", "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points",
+    "INCONCLUSIVE_MARGIN", "MAX_SAMPLE_RETRIES",
 ]
+
+INCONCLUSIVE_MARGIN = 1e-6
+"""A float zero test whose residuals exceed its tolerance somewhere but stay
+below this everywhere is inconclusive: neither verdict is safe."""
+MAX_SAMPLE_RETRIES = 400
+"""sample_points raises SampleDomainEmpty once it has made more than
+n + MAX_SAMPLE_RETRIES draws without finding n points."""
 
 _DEFAULT_RANGE = (Fraction(-2), Fraction(2))
 _DENOM = 64  # sample coordinates are multiples of 1/64
@@ -101,7 +110,6 @@ def sample_points(
     domain: SampleDomain,
     n: int,
     rng: random.Random,
-    max_retries: int = 400,
 ) -> list[dict]:
     """Draw n rational points satisfying every domain constraint (> 0)."""
     names = sorted(set(variables))
@@ -117,7 +125,7 @@ def sample_points(
     points = []
     attempts = 0
     while len(points) < n:
-        if attempts > max_retries + n:
+        if attempts > MAX_SAMPLE_RETRIES + n:
             raise SampleDomainEmpty(
                 f"could not find {n} valid sample points after {attempts} attempts")
         attempts += 1
@@ -148,8 +156,7 @@ def zero_test(
     program = compile_expr(e)
     if program.free_vars:
         rng = random.Random(config.seed)
-        points = sample_points(program.free_vars, domain, config.n_sample_points, rng,
-                               config.max_sample_retries)
+        points = sample_points(program.free_vars, domain, config.n_sample_points, rng)
     else:
         points = [{}]
     if program.rational:
@@ -178,7 +185,7 @@ def zero_test(
             "every sampled point hit a singularity or a non-finite value; "
             "tighten the domain constraints")
     max_abs = max(magnitudes)
-    inconclusive = not program.rational and not within and max_abs < config.inconclusive_margin
+    inconclusive = not program.rational and not within and max_abs < INCONCLUSIVE_MARGIN
     return ZeroTestResult(within, max_abs, len(magnitudes), program.rational,
                           inconclusive=inconclusive, n_skipped=n_skipped)
 

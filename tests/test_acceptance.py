@@ -174,7 +174,7 @@ def test_criterion_04_nullspace_dimensions():
         dims = set()
         for _ in range(20):
             p = {c: rng.uniform(0.4, 1.6) for c in sys_.chart.coords}
-            sol = solve_hddw_at_point(sys_, p, CONFIG)
+            sol = solve_hddw_at_point(sys_, p)
             dims.add(sol.nullspace_dim)
         observed[name] = sorted(dims)
         ok = ok and dims == {frozen}
@@ -200,9 +200,9 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
                                 [f"p_{a}_1 * (q_2^2 + 1)" for a in (1, 2, 3, 4)])
     L = build_parametrization(kf, CONFIG)
     s4 = canonical_structure(2, 4)
-    dom = L.map.source.domain()
+    dom = L.source.domain()
     for w in list(s4.eta.forms) + list(s4.d_eta):
-        good, res = max_residual_of(pullback(L.map, w), dom)
+        good, res = max_residual_of(pullback(L, w), dom)
         ok, worst = ok and good, max(worst, res)
 
     # Gibbs equality for a degree-1 homogeneous generating function
@@ -220,7 +220,7 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
 
 
 def test_criterion_06_ideal_gas_flow():
-    traj = run_isentropic(cv=Fraction(3, 2), t_end=1.0, dt=1e-3, config=CONFIG)
+    traj = run_isentropic(cv=Fraction(3, 2), t_end=1.0, dt=1e-3)
     S, N, V = traj.column("S"), traj.column("N"), traj.column("V")
     s_drift = max(abs(v - S[0]) for v in S) / abs(S[0])
     n_drift = max(abs(v - N[0]) for v in N) / abs(N[0])
@@ -229,7 +229,7 @@ def test_criterion_06_ideal_gas_flow():
     ok = s_drift <= 1e-6 and n_drift <= 1e-6 and v_err <= 1e-6
 
     def closed_form_error(dt):
-        t = run_isentropic(cv=Fraction(3, 2), t_end=1.0, dt=dt, config=CONFIG)
+        t = run_isentropic(cv=Fraction(3, 2), t_end=1.0, dt=dt)
         return max(abs(v - math.exp(tt)) for v, tt in zip(t.column("V"), t.times))
 
     ratio = closed_form_error(0.1) / closed_form_error(0.05)

@@ -130,7 +130,7 @@ class TestDegeneratePoint:
         s = KContactStructure(RkValuedOneForm([dx, dx]))
         sys_ = KContactHamiltonianSystem(s, 0)
         with pytest.raises(StructureDegenerateAtPoint):
-            solve_hddw_at_point(sys_, {"x": 0.5, "y": 0.5, "z": 0.5}, FAST)
+            solve_hddw_at_point(sys_, {"x": 0.5, "y": 0.5, "z": 0.5})
 
 
 class TestKMismatch:

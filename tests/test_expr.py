@@ -15,13 +15,14 @@ from kontact.errors import DomainError, ParseError, UnboundVariable
 from kontact.expr import (
     Exp,
     Log,
-    Point,
     Pow,
     Product,
     Rational,
     Sum,
+    Var,
     compile_expr,
     compile_exprs,
+    const,
     differentiate,
     evaluate,
     exp,
@@ -47,7 +48,56 @@ def finite_difference(e, v: str, point: dict, step: float = 1e-5) -> float:
     return (float(evaluate(e, up)) - float(evaluate(e, dn))) / (2 * step)
 
 
+def _mentions(e, v) -> bool:
+    if isinstance(e, Var):
+        return e.name == v
+    if isinstance(e, Sum):
+        return any(_mentions(t, v) for t in e.terms)
+    if isinstance(e, Product):
+        return any(_mentions(f, v) for f in e.factors)
+    if isinstance(e, Pow):
+        return _mentions(e.base, v)
+    if isinstance(e, (Exp, Log)):
+        return _mentions(e.arg, v)
+    return False
+
+
+def reference_differentiate(e, v):
+    """The plain recursive rules, walking each subtree again to see whether it
+    mentions v: what differentiate must equal, tree for tree."""
+    if isinstance(e, (Rational, Var)) or not _mentions(e, v):
+        return const(1) if (isinstance(e, Var) and e.name == v) else const(0)
+    if isinstance(e, Sum):
+        return Sum.make(tuple(reference_differentiate(t, v) for t in e.terms))
+    if isinstance(e, Product):
+        factors = e.factors
+        return Sum.make([Product.make((reference_differentiate(f, v),)
+                                      + factors[:i] + factors[i + 1:])
+                         for i, f in enumerate(factors) if _mentions(f, v)])
+    if isinstance(e, Pow):
+        return Product.make((Rational(e.exponent), Pow.make(e.base, e.exponent - 1),
+                             reference_differentiate(e.base, v)))
+    if isinstance(e, Exp):
+        return Product.make((e, reference_differentiate(e.arg, v)))
+    return Product.make((reference_differentiate(e.arg, v), Pow.make(e.arg, Fraction(-1))))
+
+
 class TestDifferentiate:
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_recursive_reference(self, seed, transcendental):
+        rng = random.Random(seed)
+        a = rand_expr(rng, ["x", "y", "z"], depth=3, transcendental=transcendental)
+        b = rand_expr(rng, ["x", "y"], depth=2, transcendental=transcendental)
+        x = var("x")
+        # shared subtrees; a factor that mentions x but differentiates to 0;
+        # a constant under a fractional power and inside exp and log
+        for e in (a, a * b + b * b - a, (x - x) * a * b,
+                  sqrt(a * a + 1) * exp(b) * log(b * b + 1) + sqrt(const(0)) * a,
+                  sqrt(const(2)) * exp(const(1)) * log(const(3)) * b):
+            for v in ("x", "y", "w"):
+                assert differentiate(e, v) == reference_differentiate(e, v)
+
     def test_log_rule(self):
         V = var("V")
         d = differentiate(log(V), "V")
@@ -142,13 +192,6 @@ class TestEvaluate:
             p = {n: rand_rational(rng) for n in ("x", "y", "z")}
             v = evaluate(e, p)
             assert isinstance(v, Fraction)
-
-    def test_point_type_normalizes(self):
-        p = Point({"x": 1, "y": Fraction(1, 3), "z": 0.5})
-        assert p["x"] == Fraction(1)
-        assert p["y"] == Fraction(1, 3)
-        assert isinstance(p["z"], float)
-        assert len(p) == 3
 
 
 class TestSubstitute:

@@ -16,12 +16,18 @@ from kontact.errors import (
     LengthMismatch,
     NotIsotropic,
     SourceNotRk,
+    StructureDegenerateAtPoint,
 )
 from kontact.expr import Rational, Var, ZERO, differentiate, evaluate, parse_expr
-from kontact.forms import Chart, SmoothMap, parameter_chart
+from kontact.forms import (
+    Chart,
+    DifferentialForm,
+    RkValuedOneForm,
+    SmoothMap,
+    parameter_chart,
+)
 from kontact.hddw import (
     KContactHamiltonianSystem,
-    SectionCandidate,
     check_constrained_solution,
     expected_nullspace_dim,
     hddw_rhs,
@@ -37,8 +43,8 @@ from kontact.idealgas import (
     run_isentropic,
 )
 from kontact.fileio import resolve_structure
-from kontact.kcontact import canonical_structure
-from kontact.linalg import nullspace_basis
+from kontact.kcontact import KContactStructure, canonical_structure
+from kontact.linalg import RANK_THRESHOLD, nullspace_basis
 from kontact.legendrian import (
     ParametrizingKFunction,
     build_parametrization,
@@ -89,7 +95,7 @@ class TestSolveAtPoint:
     def test_contact_case_unique(self):
         s = canonical_structure(1, 1)
         sys_ = KContactHamiltonianSystem(s, Var("p_1_1"))
-        sol = solve_hddw_at_point(sys_, {"s_1": 0.2, "q_1": 0.7, "p_1_1": 1.3}, FAST)
+        sol = solve_hddw_at_point(sys_, {"s_1": 0.2, "q_1": 0.7, "p_1_1": 1.3})
         assert sol.nullspace_dim == 0
         assert sol.residual_norm < 1e-10
 
@@ -100,7 +106,7 @@ class TestSolveAtPoint:
         rng = random.Random(71)
         expected = expected_nullspace_dim(k, s.dim)
         for _ in range(3):
-            sol = solve_hddw_at_point(sys_, random_point(s.chart, rng), FAST)
+            sol = solve_hddw_at_point(sys_, random_point(s.chart, rng))
             assert sol.nullspace_dim == expected
 
     def test_hydro_nullspace(self):
@@ -108,7 +114,7 @@ class TestSolveAtPoint:
 
         sys_ = hydro_system(4)
         rng = random.Random(73)
-        sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng), FAST)
+        sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng))
         # (k-1)(dim-k) + k^2-1 with dim = 34: 3*30 + 15
         assert sol.nullspace_dim == 105
         assert sol.nullspace_dim == expected_nullspace_dim(4, sys_.dim)
@@ -122,7 +128,7 @@ class TestSolveAtPoint:
         sys_ = ideal_gas_system(cv)
         chart = sys_.chart
         x0 = equilibrium_state(cv, S0=1.2, V0=0.8, N0=1.1)
-        sol = solve_hddw_at_point(sys_, x0, FAST)
+        sol = solve_hddw_at_point(sys_, x0)
         X = dict(zip(chart.coords, sol.particular[0]))
         fV = differentiate(f, "V")
         expect = {
@@ -142,7 +148,7 @@ class TestSolveAtPoint:
         s = canonical_structure(1, 2)
         sys_ = KContactHamiltonianSystem(s, 0)
         rng = random.Random(79)
-        sol = solve_hddw_at_point(sys_, random_point(s.chart, rng), FAST)
+        sol = solve_hddw_at_point(sys_, random_point(s.chart, rng))
         coeffs = [rng.uniform(-2, 2) for _ in range(sol.nullspace_dim)]
         shifted = pseudo_gauge_shift(sol, coeffs)
         assert shifted.residual_norm <= 1e-9
@@ -151,14 +157,14 @@ class TestSolveAtPoint:
     def test_zero_shift_is_identity(self):
         s = canonical_structure(1, 2)
         sys_ = KContactHamiltonianSystem(s, 0)
-        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(83)), FAST)
+        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(83)))
         out = pseudo_gauge_shift(sol, [0.0] * sol.nullspace_dim)
         assert np.allclose(out.particular, sol.particular)
 
     def test_k1_has_no_shift(self):
         s = canonical_structure(1, 1)
         sys_ = KContactHamiltonianSystem(s, 0)
-        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(89)), FAST)
+        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(89)))
         assert sol.nullspace_dim == 0
         with pytest.raises(LengthMismatch):
             pseudo_gauge_shift(sol, [1.0])
@@ -180,8 +186,8 @@ class TestOneSVDSolve:
         sys_ = self.K1_SYSTEMS[name]()
         rng = random.Random(97)
         for _ in range(4):
-            sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng), FAST)
-            want = np.linalg.pinv(sol._A, FAST.rank_threshold) @ sol._b
+            sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng))
+            want = np.linalg.pinv(sol._A, RANK_THRESHOLD) @ sol._b
             assert np.array_equal(sol.particular.ravel(), want)
 
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,3",
@@ -191,8 +197,8 @@ class TestOneSVDSolve:
         sys_ = KContactHamiltonianSystem(holder.structure, 0, reeb=holder.reeb)
         chart = sys_.chart
         for p in sample_points(chart.coords, chart.domain(), 3, random.Random(101)):
-            sol = solve_hddw_at_point(sys_, p, FAST)
-            assert sol.nullspace_dim == len(nullspace_basis(sol._A, FAST.rank_threshold))
+            sol = solve_hddw_at_point(sys_, p)
+            assert sol.nullspace_dim == len(nullspace_basis(sol._A))
             assert sol.nullspace_dim == expected_nullspace_dim(sys_.k, sys_.dim)
             N = np.array([v.ravel() for v in sol.nullspace])
             assert np.allclose(sol._A @ N.T, 0.0, atol=1e-9)
@@ -211,7 +217,7 @@ class TestOneSVDSolve:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solve_hddw_at_point(sys_, point, FAST)
+        solve_hddw_at_point(sys_, point)
         # the structure check's three numeric_rank calls, then the solve
         assert uv == [False, False, False, True]
 
@@ -229,7 +235,7 @@ class TestSectionResidual:
         chart = hydro_chart(k)
         src = parameter_chart(k)
         psi = SmoothMap(src, chart, [Rational(Fraction(i, 7)) for i in range(chart.dim)])
-        eq1, eq2 = section_residual(sys_, SectionCandidate(psi))
+        eq1, eq2 = section_residual(sys_, psi)
         rep = zero_check("section_residual", eq1 + [eq2], src.domain(), FAST)
         assert rep.verdict == PASS
         assert rep.max_residual == 0.0
@@ -294,13 +300,13 @@ class TestIntegrateContactFlow:
         sys_ = ideal_gas_system(Fraction(3, 2))
         traj = run_isentropic(t_end=0.5, dt=1e-2)
         for state in traj.states[:: len(traj.states) // 5]:
-            sol = solve_hddw_at_point(sys_, state, FAST)
+            sol = solve_hddw_at_point(sys_, state)
             assert sol.residual_norm < 1e-6
 
     def test_zero_hamiltonian_is_fixed_point(self):
         sys_ = KContactHamiltonianSystem(thermo_structure(), 0)
         x0 = equilibrium_state(Fraction(3, 2))
-        traj = integrate_contact_flow(sys_, x0, t_end=0.2, dt=0.05, config=FAST)
+        traj = integrate_contact_flow(sys_, x0, t_end=0.2, dt=0.05)
         first, last = traj.states[0], traj.states[-1]
         assert all(abs(first[c] - last[c]) < 1e-12 for c in traj.chart_coords)
 
@@ -308,7 +314,7 @@ class TestIntegrateContactFlow:
         s = canonical_structure(1, 2)
         sys_ = KContactHamiltonianSystem(s, 0)
         with pytest.raises(ValueError):
-            integrate_contact_flow(sys_, {}, 1.0, 0.1, FAST)
+            integrate_contact_flow(sys_, {}, 1.0, 0.1)
 
     def test_csv_output(self):
         traj = run_isentropic(t_end=0.05, dt=0.05)
@@ -357,6 +363,19 @@ class TestConstrainedSolution:
         with pytest.raises(NotIsotropic):
             check_constrained_solution(sys_, graph, n_points=2, config=FAST)
 
+    def test_structure_degenerate_along_L_raises(self):
+        # eta = s(ds - p dq) vanishes on L(u) = (0, u, 0): L is isotropic and
+        # H = 0 vanishes on it, but the defining conditions fail at every
+        # point of L, so its pointwise system has no meaning there
+        ch = Chart(["s", "q", "p"])
+        eta = DifferentialForm(ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})
+        sys_ = KContactHamiltonianSystem(KContactStructure(RkValuedOneForm([eta])), 0)
+        L = SmoothMap(Chart(["u"]), ch, [0, Var("u"), 0])
+        with pytest.raises(StructureDegenerateAtPoint):
+            check_constrained_solution(sys_, L, n_points=3, config=FAST)
+        with pytest.raises(StructureDegenerateAtPoint):
+            solve_hddw_at_point(sys_, {"s": 0.0, "q": 0.5, "p": 0.0})
+
     def test_inconclusive_isotropy_is_passed_through(self):
         s = canonical_structure(1, 1)
         graph = SmoothMap(Chart(["q_1"]), s.chart,
@@ -382,6 +401,6 @@ class TestConstrainedSolution:
         L = build_parametrization(kf, FAST)
         sys_ = KContactHamiltonianSystem(s, 0)
         rep = check_constrained_solution(sys_, L, n_points=3, config=FAST).detail
-        n, k, dim_L = 2, 2, L.dim
+        n, k, dim_L = 2, 2, L.source.dim
         assert rep["expected_pseudo_gauge_dof"] == k * dim_L - (n * (k + 1) - dim_L)
         assert rep["constrained_nullspace_dim"] == rep["expected_pseudo_gauge_dof"]

@@ -378,5 +378,5 @@ class TestHydroSolver:
         expected = (2 - 1) * (sys_.dim - 2) + 2 * 2 - 1
         for _ in range(5):
             p = {c: rng.uniform(0.4, 1.6) for c in sys_.chart.coords}
-            sol = solve_hddw_at_point(sys_, p, FAST)
+            sol = solve_hddw_at_point(sys_, p)
             assert sol.nullspace_dim == expected

@@ -33,7 +33,9 @@ from kontact.kcontact import (
     verify_kcontact,
 )
 from kontact.linalg import numeric_rank
-from kontact.zerotest import FAIL, INCONCLUSIVE, PASS, is_probably_zero, sample_points
+from kontact.zerotest import (
+    FAIL, INCONCLUSIVE, INCONCLUSIVE_MARGIN, PASS, is_probably_zero, sample_points,
+)
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -268,9 +270,9 @@ class TestPolarization:
 
         ranks = []
 
-        def counting_rank(M, rel_threshold):
+        def counting_rank(M):
             ranks.append(M.shape)
-            return numeric_rank(M, rel_threshold)
+            return numeric_rank(M)
 
         monkeypatch.setattr(kcontact, "numeric_rank", counting_rank)
         assert check_polarization(hydro_kcontact_form(4), hydro_polarization(4),
@@ -291,7 +293,7 @@ class TestPolarization:
         check = check_polarization(s, [field], n_points=5, config=FAST)
         assert (check.name, check.verdict) == ("polarization", INCONCLUSIVE)
         assert check.detail == {"n_fields": 1}
-        assert 0 < check.max_residual < FAST.inconclusive_margin
+        assert 0 < check.max_residual < INCONCLUSIVE_MARGIN
 
     def test_wrong_rank_fails(self):
         s = canonical_structure(2, 2)
@@ -312,6 +314,20 @@ class TestPolarization:
         f2 = VectorField.coordinate(ch, "p_1_1")
         # f1 in ker eta, f2 in ker eta; [f2, f1] = d/ds not in span
         assert check_polarization(s, [f1, f2], n_points=5, config=FAST).verdict == FAIL
+
+    # isotropic fields of full rank on canonical:2,1 (chart s_1, q_1, q_2,
+    # p_1_1, p_1_2) with a nonzero bracket, so the closure rank decides
+    @pytest.mark.parametrize("x2,verdict", [
+        # [X1, X2] = X1: in the span
+        (["0", "0", "0", "p_1_1", "1"], PASS),
+        # [X1, X2] = d/dq_2 + p_1_2 d/ds_1: out of the span
+        (["p_1_1*p_1_2", "0", "p_1_1", "0", "1"], FAIL),
+    ])
+    def test_bracket_closure_decides(self, x2, verdict):
+        s = canonical_structure(2, 1)
+        X1 = VectorField.coordinate(s.chart, "p_1_1")
+        X2 = VectorField(s.chart, [parse_expr(c) for c in x2])
+        assert check_polarization(s, [X1, X2], n_points=5, config=FAST).verdict == verdict
 
 
 class TestReebDistributionIntegrability:
@@ -359,7 +375,7 @@ class TestStructureMatrices:
         s = canonical_structure(2, 2)
         rank_table = verify_kcontact(s, n_points=3, config=FAST)[0].detail["rank_table"]
         for row in rank_table:
-            pc = check_structure_at(s, {c: Fraction(v) for c, v in row["point"].items()}, FAST)
-            assert (pc.eta_rank, pc.ker_deta_dim, pc.intersection_dim, pc.all_pass) == (
-                row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"], row["pass"])
-            assert pc.all_pass and pc.eta_rank == 2 and pc.ker_deta_dim == 2
+            p = {c: Fraction(v) for c, v in row["point"].items()}
+            ranks = check_structure_at(*structure_matrices_at(s, p))
+            assert ranks == (row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"])
+            assert ranks == (2, 2, 0) and row["pass"]

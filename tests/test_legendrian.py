@@ -76,24 +76,24 @@ class TestBuildParametrization:
         # I empty: the map is the first-jet-style graph of the k functions
         kf = ParametrizingKFunction(2, 2, [], ["q_1*q_2", "q_1^2"])
         L = build_parametrization(kf, FAST)
-        ambient = L.map.target
+        ambient = L.target
         # s^alpha-component equals F^alpha exactly (jet recovery)
-        assert L.map.components[ambient.index("s_1")] == parse_expr("q_1*q_2")
-        assert L.map.components[ambient.index("s_2")] == parse_expr("q_1^2")
-        assert L.map.components[ambient.index("q_1")] == Var("q_1")
+        assert L.components[ambient.index("s_1")] == parse_expr("q_1*q_2")
+        assert L.components[ambient.index("s_2")] == parse_expr("q_1^2")
+        assert L.components[ambient.index("q_1")] == Var("q_1")
         # momenta are the q-partials
         assert is_probably_zero(
-            L.map.components[ambient.index("p_1_1")] - Var("q_2"), config=FAST)
-        assert L.dim == 2
+            L.components[ambient.index("p_1_1")] - Var("q_2"), config=FAST)
+        assert L.source.dim == 2
 
     def test_linear_form_zeroes_the_s_components(self):
         F = [f"p_{a}_1 * exp(q_2)" for a in (1, 2)]
         kf = ParametrizingKFunction(2, 2, [1], F)
         L = build_parametrization(kf, FAST)
-        ambient = L.map.target
-        dom = L.map.source.domain()
+        ambient = L.target
+        dom = L.source.domain()
         for a in (1, 2):
-            assert is_probably_zero(L.map.components[ambient.index(f"s_{a}")],
+            assert is_probably_zero(L.components[ambient.index(f"s_{a}")],
                                     dom, FAST)
 
     def test_incompatible_raises(self):
@@ -114,9 +114,9 @@ class TestBuildParametrization:
                 continue
             L = build_parametrization(kf, FAST)
             n1 = len(I)
-            assert L.dim == legendrian_dimension(n, k, n1)
+            assert L.source.dim == legendrian_dimension(n, k, n1)
             admissible = {n + (k - 1) * m for m in range(n + 1)}
-            assert L.dim in admissible
+            assert L.source.dim in admissible
 
 
 class TestVerifyIsotropic:
@@ -170,7 +170,7 @@ class TestMaximality:
         kf = ParametrizingKFunction(2, 2, [1], ["p_1_1 * q_2", "p_2_1 * q_2"])
         L = build_parametrization(kf, FAST)
         s = canonical_structure(2, 2)
-        dom = L.map.source.domain()
+        dom = L.source.domain()
         # complement W = <d/dq^i (i in I), d/dp^alpha_j (j in J)>
         w_names = [f"q_{i}" for i in kf.I] + \
                   [f"p_{a}_{j}" for a in (1, 2) for j in kf.J]
@@ -178,7 +178,7 @@ class TestMaximality:
             w = VectorField.coordinate(s.chart, name)
             breaks = False
             for d in s.d_eta:
-                paired = pullback(L.map, interior_product(w, d))
+                paired = pullback(L, interior_product(w, d))
                 for c in paired.coeffs.values():
                     if not is_probably_zero(c, dom, FAST):
                         breaks = True

@@ -18,6 +18,7 @@ from kontact.zerotest import (
     ANYWHERE,
     FAIL,
     INCONCLUSIVE,
+    INCONCLUSIVE_MARGIN,
     PASS,
     SampleDomain,
     ZeroTestResult,
@@ -73,11 +74,11 @@ def reference_zero_test(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestRe
             return ZeroTestResult(v == 0, va, 1, True)
         is_zero = va <= tol
         return ZeroTestResult(is_zero, va, 1, False,
-                              inconclusive=not is_zero and va < config.inconclusive_margin)
+                              inconclusive=not is_zero and va < INCONCLUSIVE_MARGIN)
 
     rng = random.Random(config.seed)
     n = config.n_sample_points
-    points = sample_points(names, domain, n, rng, config.max_sample_retries)
+    points = sample_points(names, domain, n, rng)
     max_abs = 0.0
     all_within = True
     n_evaluated = 0
@@ -100,7 +101,7 @@ def reference_zero_test(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestRe
     if exact:
         return ZeroTestResult(all_within, max_abs, n_evaluated, True)
     return ZeroTestResult(all_within, max_abs, n_evaluated, False,
-                          inconclusive=not all_within and max_abs < config.inconclusive_margin)
+                          inconclusive=not all_within and max_abs < INCONCLUSIVE_MARGIN)
 
 
 # ---------------------------------------------------------------------------
