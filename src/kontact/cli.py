@@ -45,9 +45,20 @@ from .bjorken import DEFAULT_T_PROFILE, full_pgt_demo
 
 
 def _config_from_args(args) -> RunConfig:
-    seed = args.seed if args.seed is not None else default_seed()
-    return RunConfig(seed=seed, n_sample_points=args.samples,
-                     atol=args.atol, rtol=args.rtol)
+    """The run's RunConfig; an invalid setting or KONTACT_SEED is a usage error."""
+    try:
+        seed = args.seed if args.seed is not None else default_seed()
+        return RunConfig(seed=seed, n_sample_points=args.samples,
+                         atol=args.atol, rtol=args.rtol)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
+
+
+def _point_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one point, got {n}")
+    return n
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -155,7 +166,8 @@ def cmd_hddw(args) -> int:
     config = _config_from_args(args)
     H_text = args.H
     if args.system:
-        raw = json.load(open(args.system, "r", encoding="utf-8"))
+        with open(args.system, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
         args.builtin = None
         ref = raw.get("structure", "")
         if isinstance(ref, str) and not ref.endswith(".json"):
@@ -267,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-structure", help="check the defining conditions")
     p.add_argument("path", nargs="?", help="structure definition file")
     p.add_argument("--builtin", help="canonical:n,k | hydroK | thermo")
-    p.add_argument("--points", type=int, default=20,
+    p.add_argument("--points", type=_point_count, default=20,
                    help="number of verification points")
     _add_common(p)
     p.set_defaults(fn=cmd_verify_structure)
@@ -290,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", default="0", help="Hamiltonian expression")
     p.add_argument("--point", default="random",
                    help="'random' or a JSON object of coordinate values")
-    p.add_argument("--n-points", type=int, default=1)
+    p.add_argument("--n-points", type=_point_count, default=1)
     p.add_argument("--section", help="section file to test for the PDE residual")
     p.add_argument("--t-end", type=float, default=None,
                    help="integrate the k=1 flow up to this time")

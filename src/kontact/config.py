@@ -24,7 +24,7 @@ class RunConfig:
     rtol: float = 1e-9
 
     def __post_init__(self):
-        if self.atol <= 0 or self.rtol <= 0:
+        if not (self.atol > 0 and self.rtol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.n_sample_points < 1:
             raise ValueError("need at least one sample point")

@@ -9,9 +9,11 @@ with a classic 4th-order one-step method.  At each point the float
 coefficients come from generated runners (runner.float_runner), one kept on
 the structure and one on the system, and one SVD of the assembled matrix
 gives the least-norm particular solution, the rank and the nullspace: the
-pseudo-gauge directions.  _system_at is the one place where a point is
-checked for the three defining conditions before its system is assembled,
-since the nullspace means something only where they hold.
+pseudo-gauge directions.  The nullspace means something only where the three
+defining conditions hold, so every point is checked for them: for k >= 2 by
+check_structure_at in _system_at, before the solve; for k = 1 by
+k1_conditions_hold on the rank that the solve's SVD returns.  A point whose
+system has a non-finite entry is refused before any SVD.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     ChartMismatch,
+    DomainError,
     InconsistentSystem,
     LengthMismatch,
     NotIsotropic,
@@ -38,10 +41,11 @@ from .kcontact import (
     ReebFrame,
     check_structure_at,
     compute_reeb,
+    k1_conditions_hold,
     structure_matrices_at,
 )
 from .legendrian import verify_isotropic
-from .linalg import RANK_THRESHOLD, least_norm_solution
+from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank
 from .runner import entries_at, float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
@@ -136,24 +140,39 @@ class HdDWPointSolution:
         return float(np.max(np.abs(r))) if r.size else 0.0
 
 
+def _require_structure(holds: bool, point: dict):
+    if not holds:
+        raise StructureDegenerateAtPoint(f"defining conditions fail at {point}")
+
+
+def _require_finite(M: np.ndarray, point: dict):
+    if not np.isfinite(M).all():
+        raise DomainError(f"non-finite pointwise system at {point}")
+
+
 def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The pointwise system (A, b) at a float point where the structure is
-    k-contact; raises StructureDegenerateAtPoint where it is not.
+    """The pointwise system (A, b) at a float point.
 
     Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
     Column alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are the
     d-eta matrix transposed and row dim is the eta matrix flattened (+ 0.0
     turns -0.0 into 0.0).  b comes from a float runner over hddw_rhs, kept
-    on the system.
+    on the system.  Raises DomainError where A or b has a non-finite entry,
+    and for k >= 2 StructureDegenerateAtPoint where the structure is not
+    k-contact; for k = 1 the caller reads that off the rank of A
+    (k1_conditions_hold).
     """
     eta, deta = structure_matrices_at(sys.structure, point)
-    if check_structure_at(eta, deta) != (sys.k, sys.k, 0):
-        raise StructureDegenerateAtPoint(f"defining conditions fail at {point}")
     A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
+    _require_finite(A, point)
+    if sys.k > 1:
+        _require_structure(check_structure_at(eta, deta) == (sys.k, sys.k, 0), point)
     if sys._rhs_at is None:
         rhs1, rhs2 = hddw_rhs(sys)
         sys._rhs_at = entries_at((sys.dim + 1,), [*rhs1.coeffs.items(), ((sys.dim,), rhs2)])
-    return A, sys._rhs_at(point)
+    b = sys._rhs_at(point)
+    _require_finite(b, point)
+    return A, b
 
 
 def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -165,12 +184,15 @@ def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float
 
 def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
     """Least-norm particular solution plus orthonormal nullspace basis at a point,
-    both from one SVD of the assembled matrix (linalg.least_norm_solution)."""
+    both from one SVD of the assembled matrix (linalg.least_norm_solution),
+    whose rank also decides the defining conditions when k = 1."""
     p = {name: float(v) for name, v in point.items()}
     A, b = _system_at(sys, p)
-    x, _, null_rows = least_norm_solution(A, b)
+    x, rank, null_rows = least_norm_solution(A, b)
+    if sys.k == 1:
+        _require_structure(k1_conditions_hold(sys.dim, rank), p)
     residual, tolerance = _residual(A, x, b)
-    if residual > tolerance:
+    if not residual <= tolerance:
         raise InconsistentSystem(
             f"no solution within tolerance at {p}: residual {residual:.3e}")
     k, dim = sys.k, sys.dim
@@ -195,7 +217,7 @@ def pseudo_gauge_shift(sol: HdDWPointSolution, coeffs: Sequence[float]) -> HdDWP
     for c, basis in zip(coeffs, sol.nullspace):
         shifted = shifted + c * basis
     residual = sol.residual_of(shifted)
-    if residual > sol._tolerance:
+    if not residual <= sol._tolerance:
         raise InconsistentSystem(
             f"shifted candidate leaves the solution set: residual {residual:.3e}")
     return HdDWPointSolution(
@@ -355,11 +377,13 @@ def check_constrained_solution(
         values = image_at(u)
         x = dict(zip(sys.chart.coords, values[:dim]))
         A, b = _system_at(sys, x)
+        if k == 1:
+            _require_structure(k1_conditions_hold(dim, numeric_rank(A)), x)
         J = np.array(values[dim:]).reshape(dim, dim_L)
         Ares = np.hstack([A[:, alpha * dim:(alpha + 1) * dim] @ J for alpha in range(k)])
         y, rank, _ = least_norm_solution(Ares, b)
         residual, tolerance = _residual(Ares, y, b)
-        if residual > tolerance:
+        if not residual <= tolerance:
             feasible = False
         null_dims.add(k * dim_L - rank)
     return Check("constrained_solution", PASS if feasible else FAIL, detail={

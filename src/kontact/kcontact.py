@@ -32,8 +32,9 @@ from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_
 
 __all__ = [
     "KContactStructure", "ReebFrame",
-    "structure_matrices_at", "check_structure_at", "verify_kcontact", "compute_reeb",
-    "check_reeb", "check_reeb_commutation", "canonical_structure", "check_polarization",
+    "structure_matrices_at", "check_structure_at", "k1_conditions_hold",
+    "verify_kcontact", "compute_reeb", "check_reeb", "check_reeb_commutation",
+    "canonical_structure", "check_polarization",
 ]
 
 
@@ -112,6 +113,28 @@ def check_structure_at(eta: np.ndarray, deta: np.ndarray) -> tuple[int, int, int
     dim = eta.shape[1]
     return (numeric_rank(eta), dim - numeric_rank(deta),
             dim - numeric_rank(np.vstack([eta, deta])))
+
+
+def k1_conditions_hold(dim: int, rank: int) -> bool:
+    """For k = 1: whether check_structure_at(eta, deta) == (1, 1, 0), read
+    off rank, the numeric rank of the (dim+1) x dim matrix A = [deta^T; eta]
+    (the HdDW matrix of hddw._system_at), so that the solve's own SVD
+    decides the defining conditions.  They hold exactly when dim is odd and
+    rank == dim:
+
+    - rank(A) = dim implies (1, 1, 0).  eta is not zero: else rank(A) =
+      rank(deta), and an antisymmetric matrix of odd size is singular, so
+      that rank is at most dim - 1.  A is deta^T with one row added, so
+      singular-value interlacing (R. C. Thompson, "Principal submatrices
+      IX", Linear Algebra Appl. 5, 1972) gives s_dim(A) <= s_{dim-1}(deta),
+      and s_1(deta) <= s_1(A): A's numeric rank dim forces deta's to be at
+      least dim - 1, and oddness caps it there.  The row space of A is that
+      of [eta; deta], so the intersection dimension is 0.
+    - (1, 1, 0) implies rank(A) = dim: A has the rows of [eta; deta], up to
+      order and sign.
+    - For even dim (1, 1, 0) is impossible, since deta has even rank.
+    """
+    return dim % 2 == 1 and rank == dim
 
 
 def verify_kcontact(

@@ -133,6 +133,21 @@ class TestDegeneratePoint:
             solve_hddw_at_point(sys_, {"x": 0.5, "y": 0.5, "z": 0.5})
 
 
+class TestNonFiniteSystem:
+    # V^3 overflows to inf in b; a NaN temperature puts NaN into A.  Neither
+    # may pass (a NaN residual compares false against any tolerance) nor
+    # reach an SVD
+    @pytest.mark.parametrize("H, point", [
+        ("V*V*V", '{"E":1,"S":1,"V":1e200,"N":1,"T":1,"P":1,"mu":1}'),
+        ("V*V*V", '{"E":1,"S":1,"V":1,"N":1,"T":NaN,"P":1,"mu":1}'),
+    ])
+    def test_cli_reports_domain_error(self, H, point, capsys):
+        argv = ["hddw", "--builtin", "thermo", "--H", H, "--point", point, "--no-timestamp"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: non-finite pointwise system at {")
+
+
 class TestKMismatch:
     def test_interior_product_k(self):
         ch = Chart(["x", "y"])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -303,6 +306,36 @@ class TestCLI:
         report = json.loads(out_path.read_text())
         names = {c["name"] for c in report["checks"]}
         assert "entropy_production_after" in names
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-structure", "--builtin", "hydro2", "--samples", "0"],
+        ["verify-structure", "--builtin", "hydro2", "--atol", "0"],
+        ["verify-structure", "--builtin", "hydro2", "--rtol", "-1"],
+        ["verify-structure", "--builtin", "hydro2", "--atol", "nan"],
+        ["verify-structure", "--builtin", "hydro2", "--points", "0"],
+        ["hddw", "--builtin", "hydro2", "--n-points", "0"],
+    ])
+    def test_invalid_settings_are_usage_errors(self, argv, capsys):
+        assert main(argv + ["--no-timestamp"]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_invalid_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("KONTACT_SEED", "abc")
+        assert main(["verify-structure", "--builtin", "hydro2", "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == "error: KONTACT_SEED must be an integer, got 'abc'\n"
+
+    def test_hddw_system_file_is_closed(self, tmp_path, monkeypatch):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"structure": "thermo", "H": "V"}))
+        # an unclosed file warns when it is freed, inside __del__, where an
+        # error reaches sys.unraisablehook instead of the caller
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert main(["hddw", "--system", str(system), "--no-timestamp"]) == 0
+            gc.collect()
+        assert unraisable == []
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KONTACT_SEED", "7")

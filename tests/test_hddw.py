@@ -13,6 +13,7 @@ import pytest
 from kontact.config import RunConfig
 from kontact.errors import (
     ChartMismatch,
+    InconsistentSystem,
     LengthMismatch,
     NotIsotropic,
     SourceNotRk,
@@ -161,6 +162,13 @@ class TestSolveAtPoint:
         out = pseudo_gauge_shift(sol, [0.0] * sol.nullspace_dim)
         assert np.allclose(out.particular, sol.particular)
 
+    def test_non_finite_shift_is_refused(self):
+        s = canonical_structure(1, 2)
+        sys_ = KContactHamiltonianSystem(s, 0)
+        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(83)))
+        with pytest.raises(InconsistentSystem):
+            pseudo_gauge_shift(sol, [math.nan] + [0.0] * (sol.nullspace_dim - 1))
+
     def test_k1_has_no_shift(self):
         s = canonical_structure(1, 1)
         sys_ = KContactHamiltonianSystem(s, 0)
@@ -218,8 +226,9 @@ class TestOneSVDSolve:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         solve_hddw_at_point(sys_, point)
-        # the structure check's three numeric_rank calls, then the solve
-        assert uv == [False, False, False, True]
+        # k = 2: the structure check's three numeric_rank calls, then the
+        # solve; k = 1: the solve alone, whose rank decides the structure
+        assert uv == ([True] if k == 1 else [False, False, False, True])
 
 
 def x0_params(x0):

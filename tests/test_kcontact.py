@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kontact.config import RunConfig
-from kontact.errors import SingularSystem
+from kontact.errors import SingularSystem, StructureDegenerateAtPoint
 from kontact.expr import ONE, Rational, Var, ZERO, evaluate, parse_expr
 from kontact.forms import (
     Chart,
@@ -29,13 +31,16 @@ from kontact.kcontact import (
     check_reeb_commutation,
     check_structure_at,
     compute_reeb,
+    k1_conditions_hold,
     structure_matrices_at,
     verify_kcontact,
 )
-from kontact.linalg import numeric_rank
+from kontact.linalg import least_norm_solution, numeric_rank
 from kontact.zerotest import (
     FAIL, INCONCLUSIVE, INCONCLUSIVE_MARGIN, PASS, is_probably_zero, sample_points,
 )
+
+from conftest import rand_form
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -379,3 +384,50 @@ class TestStructureMatrices:
             ranks = check_structure_at(*structure_matrices_at(s, p))
             assert ranks == (row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"])
             assert ranks == (2, 2, 0) and row["pass"]
+
+
+def k1_structure(rng: random.Random) -> KContactStructure:
+    """A k = 1 structure: canonical:n,1, thermo, a degenerate form, or a
+    random polynomial eta on a chart of odd or even dimension."""
+    from kontact.legendrian import thermo_structure
+
+    kind = rng.randrange(5)
+    if kind == 0:
+        return canonical_structure(rng.randint(1, 3), 1)
+    if kind == 1:
+        return thermo_structure()
+    if kind == 2:  # s(ds - p dq): degenerate along s = 0
+        ch = Chart(["s", "q", "p"])
+        return KContactStructure(RkValuedOneForm([DifferentialForm(
+            ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})]))
+    if kind == 3:  # x dy on dimension 2 or 3: never contact
+        ch = Chart(["x", "y", "z"][:rng.randint(2, 3)])
+        return KContactStructure(RkValuedOneForm([DifferentialForm(ch, 1, {(1,): Var("x")})]))
+    ch = Chart([f"x_{i}" for i in range(rng.randint(2, 5))])
+    return KContactStructure(RkValuedOneForm([rand_form(rng, ch, 1, n_terms=3)]))
+
+
+class TestK1Rule:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_rule_matches_structure_check(self, seed):
+        from kontact.hddw import KContactHamiltonianSystem, solve_hddw_at_point
+
+        rng = random.Random(seed)
+        s = k1_structure(rng)
+        sys_ = KContactHamiltonianSystem(s, 0)
+        for _ in range(4):
+            # coordinates often 0 or +-1, so that points land on degenerate loci
+            p = {c: rng.choice([0.0, 1.0, -1.0, 0.5, rng.uniform(-2, 2)])
+                 for c in s.chart.coords}
+            eta, deta = structure_matrices_at(s, p)
+            holds = check_structure_at(eta, deta) == (1, 1, 0)
+            A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
+            _, rank, _ = least_norm_solution(A, np.zeros(s.dim + 1))
+            assert k1_conditions_hold(s.dim, rank) == holds
+            assert k1_conditions_hold(s.dim, numeric_rank(A)) == holds
+            if holds:
+                assert solve_hddw_at_point(sys_, p).nullspace_dim == 0
+            else:
+                with pytest.raises(StructureDegenerateAtPoint):
+                    solve_hddw_at_point(sys_, p)
