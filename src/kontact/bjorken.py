@@ -51,9 +51,10 @@ def bjorken_chart() -> Chart:
 
 
 class BjorkenFlow:
-    """u = (t/tau, 0, 0, z/tau) on t^2 > z^2, with a temperature profile T(tau)."""
+    """u = (t/tau, 0, 0, z/tau) on t^2 > z^2, with a temperature profile T(tau),
+    and the flow's expansion scalar theta and shear tensor sigma, built once."""
 
-    __slots__ = ("chart", "tau", "u", "temperature", "metric")
+    __slots__ = ("chart", "tau", "u", "temperature", "metric", "theta", "sigma")
 
     def __init__(self, temperature_profile: ExprLike = DEFAULT_T_PROFILE):
         self.chart = bjorken_chart()
@@ -67,10 +68,8 @@ class BjorkenFlow:
             raise ValueError(f"temperature profile may only use tau; found {sorted(extra)}")
         self.temperature = substitute(profile, {"tau": self.tau})
         self.metric = MinkowskiMetric(4)
-
-    @property
-    def k(self) -> int:
-        return 4
+        self.theta = expansion_scalar(self)
+        self.sigma = shear_tensor(self)
 
     def domain(self) -> SampleDomain:
         return self.chart.domain()
@@ -85,9 +84,6 @@ class BjorkenFlow:
         if mu == 3:
             return differentiate(e, "z")
         return ZERO
-
-    def d_upper(self, e: ScalarExpr, mu: int) -> ScalarExpr:
-        return self.metric.sign(mu) * self.d(e, mu)
 
     def comoving(self, e: ScalarExpr) -> ScalarExpr:
         """D = u^mu d_mu, the derivative along the flow."""
@@ -105,15 +101,10 @@ def expansion_scalar(flow: BjorkenFlow) -> ScalarExpr:
     return total
 
 
-def velocity_gradient(flow: BjorkenFlow) -> list[list[ScalarExpr]]:
-    """A^{alpha beta} = d^alpha u^beta."""
-    return [[flow.d_upper(flow.u[b], a) for b in range(4)] for a in range(4)]
-
-
 def shear_tensor(flow: BjorkenFlow) -> list[list[ScalarExpr]]:
     """sigma^{mu nu}: symmetric-traceless flow-orthogonal part of d^alpha u^beta."""
     _, delta4 = projectors(flow.fluid())
-    A = velocity_gradient(flow)
+    A = [[flow.metric.sign(a) * flow.d(flow.u[b], a) for b in range(4)] for a in range(4)]
     sigma = []
     for m in range(4):
         row = []
@@ -144,10 +135,8 @@ def contract_symmetric(x: Sequence[Sequence[ScalarExpr]],
 
 def check_sigma_identity(flow: BjorkenFlow, config: RunConfig = DEFAULT_CONFIG) -> Check:
     """The sigma_identity check: sigma_{mu nu} sigma^{mu nu} = (2/3) theta^2."""
-    sigma = shear_tensor(flow)
-    theta = expansion_scalar(flow)
-    ss = contract_symmetric(sigma, sigma, flow.metric)
-    defect = ss - Rational(Fraction(2, 3)) * theta * theta
+    ss = contract_symmetric(flow.sigma, flow.sigma, flow.metric)
+    defect = ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta
     return zero_check("sigma_identity", [defect], flow.domain(), config)
 
 
@@ -176,7 +165,7 @@ class PGTSuperpotential:
 
 def superpotential_components(s: PGTSuperpotential, flow: BjorkenFlow) -> list:
     """Phi^{lambda mu nu}, antisymmetric in its last two indices."""
-    delta, _ = projectors(flow.fluid())
+    delta = flow.fluid().delta
     gI = s.gamma * s.I_along(flow)
     return [[[
         gI * (flow.u[m] * delta[l][n] - flow.u[n] * delta[l][m])
@@ -231,26 +220,22 @@ def apply_pgt(
     dissipative bulk pressure the remaining -(2 gamma/3) I theta, and the
     shear part -gamma I sigma^{mu nu}.
     """
-    theta = expansion_scalar(flow)
-    sigma = shear_tensor(flow)
     I = s.I_along(flow)
     gI = s.gamma * I
     DI = flow.comoving(I)
     two_thirds = Rational(Fraction(2, 3))
-    shear = [[d.shear_part[m][n] - gI * sigma[m][n] for n in range(4)] for m in range(4)]
+    shear = [[d.shear_part[m][n] - gI * flow.sigma[m][n] for n in range(4)] for m in range(4)]
     return DissipativeDecomposition(
-        E=d.E + gI * theta,
+        E=d.E + gI * flow.theta,
         PV=d.PV - s.gamma * DI,
-        Pi_tot=d.Pi_tot - two_thirds * gI * theta,
+        Pi_tot=d.Pi_tot - two_thirds * gI * flow.theta,
         shear_part=shear,
     )
 
 
 def entropy_production(d: DissipativeDecomposition, flow: BjorkenFlow) -> ScalarExpr:
     """The production source T dS = shear_{mu nu} sigma^{mu nu} - Pi theta."""
-    sigma = shear_tensor(flow)
-    theta = expansion_scalar(flow)
-    return contract_symmetric(d.shear_part, sigma, flow.metric) - d.Pi_tot * theta
+    return contract_symmetric(d.shear_part, flow.sigma, flow.metric) - d.Pi_tot * flow.theta
 
 
 def full_pgt_demo(
@@ -272,9 +257,7 @@ def full_pgt_demo(
     flow = BjorkenFlow(temperature_profile)
     sp = PGTSuperpotential(gamma, I)
     domain = flow.domain()
-    theta = expansion_scalar(flow)
-    sigma = shear_tensor(flow)
-    metric = flow.metric
+    theta, sigma, metric = flow.theta, flow.sigma, flow.metric
 
     inv_tau = Pow.make(Var("t") * Var("t") - Var("z") * Var("z"), Fraction(-1, 2))
     identities = {"theta_identity": [theta - inv_tau]}

@@ -33,25 +33,33 @@ from .fileio import (
 from .hddw import (
     KContactHamiltonianSystem,
     expected_nullspace_dim,
+    flow_steps,
+    integrate_contact_flow,
     section_residual,
     solve_hddw_at_point,
 )
 from .idealgas import run_isentropic
 from .kcontact import canonical_structure, check_polarization, check_reeb, verify_kcontact
-from .legendrian import _parametrization, check_compatibility, verify_isotropic
+from .legendrian import (_parametrization, check_compatibility, legendrian_dimension,
+                         verify_isotropic)
 from .linalg import RANK_THRESHOLD
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, combine, sample_points, zero_check
 from .bjorken import DEFAULT_T_PROFILE, full_pgt_demo
 
 
-def _config_from_args(args) -> RunConfig:
-    """The run's RunConfig; an invalid setting or KONTACT_SEED is a usage error."""
+def _usage(fn, *args, **kwargs):
+    """fn(*args, **kwargs), whose ValueError, an invalid setting, is a usage error."""
     try:
-        seed = args.seed if args.seed is not None else default_seed()
-        return RunConfig(seed=seed, n_sample_points=args.samples,
-                         atol=args.atol, rtol=args.rtol)
+        return fn(*args, **kwargs)
     except ValueError as err:
         raise ParseError(str(err)) from None
+
+
+def _config_from_args(args) -> RunConfig:
+    """The run's RunConfig; an invalid setting or KONTACT_SEED is a usage error."""
+    seed = args.seed if args.seed is not None else _usage(default_seed)
+    return _usage(RunConfig, seed=seed, n_sample_points=args.samples,
+                  atol=args.atol, rtol=args.rtol)
 
 
 def _point_count(text: str) -> int:
@@ -59,6 +67,16 @@ def _point_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"need at least one point, got {n}")
     return n
+
+
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"need a positive value, got {text}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -152,7 +170,7 @@ def cmd_legendrian(args) -> int:
     if compat.verdict != PASS:
         return _emit("legendrian", config, checks, args, started)
     L = _parametrization(kf)
-    admissible = sorted({kf.n + (kf.k - 1) * n1 for n1 in range(kf.n + 1)})
+    admissible = sorted({legendrian_dimension(kf.n, kf.k, n1) for n1 in range(kf.n + 1)})
     dim_L = L.source.dim
     checks.append(Check("dimension", _verdict(dim_L in admissible),
                         detail={"dim_L": dim_L, "admissible": admissible}))
@@ -183,8 +201,9 @@ def cmd_hddw(args) -> int:
     expected = expected_nullspace_dim(s.k, s.dim)
 
     if args.t_end is not None:
-        from .hddw import integrate_contact_flow
-
+        if s.k != 1:
+            raise ParseError("flow integration applies to k = 1 systems only")
+        _usage(flow_steps, args.t_end, args.dt)
         if args.x0 is None:
             raise ParseError("flow integration needs --x0 with coordinate values")
         x0 = {k: float(v) for k, v in json.loads(args.x0).items()}
@@ -234,8 +253,8 @@ def cmd_hddw(args) -> int:
 def cmd_ideal_gas(args) -> int:
     started = time.perf_counter()
     config = _config_from_args(args)
-    cv = Fraction(args.cv)
-    traj = run_isentropic(cv=cv, S0=args.s0, V0=args.v0, N0=args.n0,
+    _usage(flow_steps, args.t_end, args.dt)
+    traj = run_isentropic(cv=args.cv, S0=args.s0, V0=args.v0, N0=args.n0,
                           t_end=args.t_end, dt=args.dt)
     S = traj.column("S")
     N = traj.column("N")
@@ -313,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hddw)
 
     p = sub.add_parser("ideal-gas", help="integrate an isentropic process")
-    p.add_argument("--cv", default="3/2", help="specific heat (rational)")
+    p.add_argument("--cv", type=_positive_rational, default="3/2",
+                   help="specific heat (positive rational)")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--s0", type=float, default=1.0)

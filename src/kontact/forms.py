@@ -468,7 +468,9 @@ def lie_derivative_form(X: VectorField, a: DifferentialForm) -> DifferentialForm
 
 
 def pullback(phi: SmoothMap, a: DifferentialForm) -> DifferentialForm:
-    """Pull a form on phi's target back to phi's source."""
+    """Pull a form on phi's target back to phi's source.
+
+    Differentiates only the Jacobian rows of the coordinates in a's keys."""
     if a.chart != phi.target:
         raise ChartMismatch("form does not live on the map's target chart")
     src = phi.source
@@ -478,11 +480,12 @@ def pullback(phi: SmoothMap, a: DifferentialForm) -> DifferentialForm:
         return DifferentialForm.scalar(src, substitute(c, binds))
     if a.degree > src.dim:
         return DifferentialForm.zero(src, a.degree)
-    jac = phi.jacobian()
-    pulled_dx = [
-        DifferentialForm(src, 1, {(j,): jac[i][j] for j in range(src.dim)})
-        for i in range(phi.target.dim)
-    ]
+    rows = {i for key in a.coeffs for i in key}
+    pulled_dx = {
+        i: DifferentialForm(src, 1, {(j,): differentiate(phi.components[i], u)
+                                     for j, u in enumerate(src.coords)})
+        for i in rows
+    }
     out = DifferentialForm.zero(src, a.degree)
     for key, c in a.coeffs.items():
         w = pulled_dx[key[0]]

@@ -18,6 +18,7 @@ system has a non-finite entry is refused before any SVD.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -52,7 +53,7 @@ from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 __all__ = [
     "KContactHamiltonianSystem", "HdDWPointSolution", "Trajectory",
     "hddw_rhs", "solve_hddw_at_point", "pseudo_gauge_shift",
-    "section_residual", "integrate_contact_flow", "check_constrained_solution",
+    "section_residual", "flow_steps", "integrate_contact_flow", "check_constrained_solution",
     "expected_nullspace_dim",
 ]
 
@@ -291,6 +292,16 @@ class Trajectory:
             fh.write(",".join(f"{s[c]:.17g}" for c in self.chart_coords) + "\n")
 
 
+def flow_steps(t_end: float, dt: float) -> int:
+    """The RK4 step count round(t_end / dt); ValueError unless dt > 0 and it is finite, >= 1."""
+    if not dt > 0:  # NaN fails too
+        raise ValueError(f"dt must be positive, got {dt}")
+    steps = t_end / dt
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} must round to a finite step count >= 1")
+    return round(steps)
+
+
 def integrate_contact_flow(
     sys: KContactHamiltonianSystem,
     x0: Mapping,
@@ -304,11 +315,9 @@ def integrate_contact_flow(
     """
     if sys.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = flow_steps(t_end, dt)
     coords = sys.chart.coords
     state = np.array([float(x0[c]) for c in coords])
-    n_steps = int(round(t_end / dt))
 
     def f(y: np.ndarray) -> np.ndarray:
         p = dict(zip(coords, (float(v) for v in y)))

@@ -29,11 +29,6 @@ __all__ = [
     "projectors", "equilibrium_legendrian",
 ]
 
-# epsilon^{0123} = +1 (so epsilon_{0123} = -1); recorded for completeness,
-# no computation in this package consumes it.
-LEVI_CIVITA_UPPER_0123 = +1
-
-
 @dataclass(frozen=True)
 class MinkowskiMetric:
     """diag(+1, -1, ..., -1); equal to its inverse componentwise."""
@@ -47,11 +42,6 @@ class MinkowskiMetric:
 
     def g(self, mu: int, nu: int) -> Fraction:
         return self.sign(mu) if mu == nu else Fraction(0)
-
-    def lower(self, components: Sequence[ExprLike]) -> list[ScalarExpr]:
-        return [self.sign(m) * as_expr(c) for m, c in enumerate(components)]
-
-    raise_index = lower  # the diagonal +-1 metric is an involution
 
 
 def hydro_chart(k: int = 4) -> Chart:
@@ -199,7 +189,7 @@ def entropy_current(k: int = 4) -> list[ScalarExpr]:
 
 @dataclass
 class FluidTensors:
-    """A four-velocity and temperature on some chart, with beta = u/T."""
+    """A four-velocity and temperature on some chart."""
 
     chart: Chart
     u: tuple
@@ -220,9 +210,10 @@ class FluidTensors:
         return len(self.u)
 
     @property
-    def beta(self) -> list[ScalarExpr]:
-        T_inv = self.temperature ** -1
-        return [c * T_inv for c in self.u]
+    def delta(self) -> list[list[ScalarExpr]]:
+        """The rank-2 spatial projector Delta^{mu nu} = g^{mu nu} - u^mu u^nu."""
+        k, g = self.k, self.metric.g
+        return [[g(m, n) - self.u[m] * self.u[n] for n in range(k)] for m in range(k)]
 
     def norm_defect(self) -> ScalarExpr:
         """u_mu u^mu - 1; vanishes for a normalized velocity."""
@@ -239,13 +230,13 @@ class FluidTensors:
 def projectors(u: FluidTensors) -> tuple[list, list]:
     """The rank-2 and rank-4 spatial projectors of a normalized velocity.
 
-    Delta^{mu nu} = g^{mu nu} - u^mu u^nu, and the symmetric-traceless
+    Delta^{mu nu} (FluidTensors.delta), and the symmetric-traceless
     Delta^{mu nu}_{alpha beta} with the 2/3 trace factor of three spatial
     dimensions; the rank-4 projector therefore requires k = 4.
     """
     metric = u.metric
     k = u.k
-    delta = [[metric.g(m, n) - u.u[m] * u.u[n] for n in range(k)] for m in range(k)]
+    delta = u.delta
     if k != 4:
         raise DimensionNot4(
             f"the rank-4 projector's trace factor 2/3 is specific to k=4; got k={k}")

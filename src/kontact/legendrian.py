@@ -54,14 +54,6 @@ class ParametrizingKFunction:
                     f"F^{alpha} may only use q^j (j in J) and p^{alpha}_i (i in I); "
                     f"found {sorted(extra)}")
 
-    @property
-    def n1(self) -> int:
-        return len(self.I)
-
-    @property
-    def n2(self) -> int:
-        return len(self.J)
-
     def parameter_chart(self) -> Chart:
         coords = [f"q_{j}" for j in self.J]
         coords += [f"p_{a}_{i}" for a in range(1, self.k + 1) for i in self.I]

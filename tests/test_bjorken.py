@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from kontact import bjorken
 from kontact.config import RunConfig
 from kontact.expr import Pow, Rational, Var, ZERO, differentiate, evaluate, sqrt
 from kontact.forms import Chart
@@ -52,9 +53,6 @@ class SlabFlow:
         if mu == 1:
             return differentiate(e, "x")
         return ZERO
-
-    def d_upper(self, e, mu):
-        return self.metric.sign(mu) * self.d(e, mu)
 
     def domain(self):
         return self.chart.domain()
@@ -273,6 +271,21 @@ class TestEntropyProduction:
                                 flow.domain(), FAST)
         # and it is strictly positive on the domain
         assert evaluate(prod, {"t": 2.0, "z": 0.5}) > 0
+
+
+class TestBuiltOnce:
+    """The flow's theta and sigma, and so the rank-4 projector, are built once."""
+
+    def test_one_build_per_demo(self, monkeypatch):
+        calls = dict.fromkeys(["projectors", "shear_tensor", "expansion_scalar"], 0)
+        for name in calls:
+            def counting(*args, real=getattr(bjorken, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(bjorken, name, counting)
+        full_pgt_demo(config=FAST)
+        assert calls == {"projectors": 1, "shear_tensor": 1, "expansion_scalar": 1}
 
 
 def verdicts(checks) -> dict:

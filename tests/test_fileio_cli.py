@@ -314,6 +314,18 @@ class TestCLI:
         ["verify-structure", "--builtin", "hydro2", "--atol", "nan"],
         ["verify-structure", "--builtin", "hydro2", "--points", "0"],
         ["hddw", "--builtin", "hydro2", "--n-points", "0"],
+        # flow settings: a non-positive, NaN or zero-step run integrates nothing
+        ["ideal-gas", "--dt", "0"],
+        ["ideal-gas", "--dt", "nan"],
+        ["ideal-gas", "--t-end", "nan"],
+        ["ideal-gas", "--t-end", "inf"],
+        ["ideal-gas", "--t-end", "-1"],
+        ["ideal-gas", "--t-end", "0.0004"],
+        ["ideal-gas", "--cv", "0"],
+        ["ideal-gas", "--cv", "1/0"],
+        ["ideal-gas", "--cv", "abc"],
+        ["hddw", "--builtin", "thermo", "--t-end", "1", "--dt", "0"],
+        ["hddw", "--builtin", "canonical:1,2", "--t-end", "1", "--x0", "{}"],
     ])
     def test_invalid_settings_are_usage_errors(self, argv, capsys):
         assert main(argv + ["--no-timestamp"]) == 2

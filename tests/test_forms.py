@@ -7,11 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kontact import forms
 from kontact.config import RunConfig
 from kontact.errors import ChartMismatch, ZeroDegree
-from kontact.expr import ONE, ZERO, Rational, Var, as_expr, differentiate, free_variables
+from kontact.expr import (ONE, ZERO, Rational, Var, as_expr, differentiate, free_variables,
+                          substitute)
 from kontact.forms import (
     Chart,
     DifferentialForm,
@@ -241,6 +244,25 @@ class TestLieDerivative:
             assert form_is_zero(lhs - rhs)
 
 
+def full_jacobian_pullback(phi: SmoothMap, a: DifferentialForm) -> DifferentialForm:
+    """The reference pullback: differentiates every row of phi's Jacobian."""
+    src, binds = phi.source, phi.bindings()
+    if a.degree == 0:
+        return DifferentialForm.scalar(src, substitute(a.coeffs.get((), ZERO), binds))
+    if a.degree > src.dim:
+        return DifferentialForm.zero(src, a.degree)
+    jac = phi.jacobian()
+    pulled_dx = [DifferentialForm(src, 1, {(j,): jac[i][j] for j in range(src.dim)})
+                 for i in range(phi.target.dim)]
+    out = DifferentialForm.zero(src, a.degree)
+    for key, c in a.coeffs.items():
+        w = pulled_dx[key[0]]
+        for i in key[1:]:
+            w = wedge(w, pulled_dx[i])
+        out = out + substitute(c, binds) * w
+    return out
+
+
 class TestPullback:
     def test_identity_map(self, spq):
         rng = random.Random(43)
@@ -272,6 +294,36 @@ class TestPullback:
         mp = SmoothMap(other, other, [Var("a")])
         with pytest.raises(ChartMismatch):
             pullback(mp, DifferentialForm.dx(spq, "q"))
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_jacobian_and_differentiates_used_rows(self, seed):
+        rng = random.Random(seed)
+        src = rand_chart(rng, rng.randint(1, 3))
+        dst = Chart([f"y_{i}" for i in range(rng.randint(3, 5))])
+        phi = SmoothMap(src, dst, [rand_expr(rng, list(src.coords), depth=2)
+                                   for _ in range(dst.dim)])
+        degree = rng.randint(0, 2)
+        # keys drawn from a proper subset of the target coordinates
+        allowed = rng.sample(range(dst.dim), rng.randint(max(degree, 1), dst.dim - 1))
+        coeffs = {tuple(sorted(rng.sample(allowed, degree))): rand_expr(rng, list(dst.coords))
+                  for _ in range(rng.randint(1, 3))}
+        a = DifferentialForm(dst, degree, coeffs)
+        want = full_jacobian_pullback(phi, a)
+
+        seen = []
+
+        def counting(e, name):
+            seen.append(e)
+            return differentiate(e, name)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "differentiate", counting)
+            got = pullback(phi, a)
+        assert got.degree == want.degree and got.coeffs == want.coeffs
+        used = {i for key in a.coeffs for i in key} if 1 <= degree <= src.dim else set()
+        assert len(seen) == len(used) * src.dim
+        assert all(any(e is phi.components[i] for i in used) for e in seen)
 
 
 class TestProlongation:

@@ -325,6 +325,12 @@ class TestIntegrateContactFlow:
         with pytest.raises(ValueError):
             integrate_contact_flow(sys_, {}, 1.0, 0.1)
 
+    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.0), (1.0, math.nan), (math.nan, 0.1),
+                                          (math.inf, 0.1), (-1.0, 0.1), (0.04, 0.1)])
+    def test_settings_without_a_step_rejected(self, t_end, dt):
+        with pytest.raises(ValueError):
+            run_isentropic(t_end=t_end, dt=dt)
+
     def test_csv_output(self):
         traj = run_isentropic(t_end=0.05, dt=0.05)
         buf = io.StringIO()

@@ -13,7 +13,6 @@ from kontact.expr import Rational, Var, ZERO, differentiate, free_variables, sub
 from kontact.forms import Chart, SmoothMap, parameter_chart
 from kontact.hddw import section_residual, solve_hddw_at_point
 from kontact.hydro import (
-    LEVI_CIVITA_UPPER_0123,
     FluidTensors,
     MinkowskiMetric,
     entropy_current,
@@ -46,9 +45,6 @@ class TestMetric:
             for n in range(4):
                 total = sum(g.g(m, l) * g.g(l, n) for l in range(4))
                 assert total == (1 if m == n else 0)
-
-    def test_epsilon_convention_constant(self):
-        assert LEVI_CIVITA_UPPER_0123 == +1
 
 
 class TestHydroStructure:
