@@ -68,6 +68,7 @@ from .kcontact import (
     check_reeb,
     check_reeb_commutation,
     compute_reeb,
+    reeb_frame_check,
     verify_kcontact,
 )
 from .legendrian import (

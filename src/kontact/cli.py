@@ -2,11 +2,11 @@
 demos, and emit deterministic JSON/CSV reports.
 
 Subcommands: verify-structure, reeb, legendrian, hddw, ideal-gas, bjorken.
-Each subcommand reports a list of Check records, most of them as the library
-returns them.
+Each subcommand returns a list of Check records, most of them as the library
+returns them, and main emits them as the run's report.
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage/parse error,
-3 a check is inconclusive (and nothing failed outright); also, with no
-report, when hddw cannot decide a zero test of its Reeb frame solve.
+3 a check is inconclusive (and nothing failed outright).  A run that ends
+in an error instead (exit 2, or exit 1 for a library error) writes no report.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig, default_seed
-from .errors import KontactError, ParseError, SampleDomainEmpty, ZeroTestInconclusive
-from .expr import ZERO, parse_expr
+from .errors import KontactError, ParseError
+from .expr import ZERO, free_variables, parse_expr
 from .fileio import (
     BuiltinStructure,
+    load_json,
     load_kfunction_file,
     load_section_file,
     load_structure_file,
@@ -39,7 +40,8 @@ from .hddw import (
     solve_hddw_at_point,
 )
 from .idealgas import run_isentropic
-from .kcontact import canonical_structure, check_polarization, check_reeb, verify_kcontact
+from .kcontact import (canonical_structure, check_polarization, check_reeb,
+                       reeb_frame_check, verify_kcontact)
 from .legendrian import (_parametrization, check_compatibility, legendrian_dimension,
                          verify_isotropic)
 from .linalg import RANK_THRESHOLD
@@ -93,7 +95,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _emit(command: str, config: RunConfig, checks: list[Check], args,
-          started: float) -> int:
+          started: float) -> str:
+    """Write the report (stdout, and --json if given); returns its verdict."""
     report = {
         "command": command,
         "config": {
@@ -118,20 +121,36 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
             line += f" (max residual {c.max_residual:.3e})"
         print(line)
     print(f"verdict: {report['verdict']}")
-    if report["verdict"] == FAIL:
-        return 1
-    if report["verdict"] == INCONCLUSIVE:
-        return 3
-    return 0
+    return report["verdict"]
 
 
-def _resolve(args):
-    if getattr(args, "builtin", None):
-        return resolve_structure(args.builtin)
-    if getattr(args, "path", None):
-        structure, _meta = load_structure_file(args.path)
-        return BuiltinStructure(str(args.path), structure)
+def _resolve(builtin: str | None, path: str | None) -> BuiltinStructure:
+    if builtin:
+        return resolve_structure(builtin)
+    if path:
+        structure, _meta = load_structure_file(path)
+        return BuiltinStructure(str(path), structure)
     raise ParseError("give a definition file path or --builtin NAME")
+
+
+def _read_system(path: str, H: str) -> tuple[str | None, str | None, str]:
+    """(builtin, structure file, H) from an hddw system file
+    {"structure": builtin name or .json path, "H": expression}; H defaults
+    to the --H text."""
+    raw = load_json(path)
+    ref, H = raw.get("structure", ""), raw.get("H", H)
+    if not isinstance(ref, str) or not isinstance(H, str):
+        raise ParseError(f"{path}: 'structure' and 'H' must be strings")
+    return (None, ref, H) if ref.endswith(".json") else (ref, None, H)
+
+
+def _coordinate_values(option: str, text: str) -> dict[str, float]:
+    """The JSON object of coordinate values given as --x0 or --point."""
+    try:
+        raw = json.loads(text)
+        return {name: float(v) for name, v in raw.items()}
+    except (ValueError, TypeError, AttributeError):
+        raise ParseError(f"{option} needs a JSON object of numbers, got {text!r}") from None
 
 
 def _verdict(ok: bool) -> str:
@@ -141,34 +160,27 @@ def _verdict(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_verify_structure(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
-    holder = _resolve(args)
+def cmd_verify_structure(args, config: RunConfig) -> list[Check]:
+    holder = _resolve(args.builtin, args.path)
     s = holder.structure
     checks = verify_kcontact(s, n_points=args.points, config=config)
     checks += check_reeb(s, config)
     if holder.polarization is not None:
         checks.append(check_polarization(s, holder.polarization,
                                          n_points=min(args.points, 10), config=config))
-    return _emit("verify-structure", config, checks, args, started)
+    return checks
 
 
-def cmd_reeb(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
-    holder = _resolve(args)
-    return _emit("reeb", config, check_reeb(holder.structure, config), args, started)
+def cmd_reeb(args, config: RunConfig) -> list[Check]:
+    return check_reeb(_resolve(args.builtin, args.path).structure, config)
 
 
-def cmd_legendrian(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
+def cmd_legendrian(args, config: RunConfig) -> list[Check]:
     kf = load_kfunction_file(args.path)
     compat = check_compatibility(kf, config)
     checks = [compat]
     if compat.verdict != PASS:
-        return _emit("legendrian", config, checks, args, started)
+        return checks
     L = _parametrization(kf)
     admissible = sorted({legendrian_dimension(kf.n, kf.k, n1) for n1 in range(kf.n + 1)})
     dim_L = L.source.dim
@@ -176,83 +188,77 @@ def cmd_legendrian(args) -> int:
                         detail={"dim_L": dim_L, "admissible": admissible}))
     s = canonical_structure(kf.n, kf.k)
     checks.append(verify_isotropic(L, s, config))
-    return _emit("legendrian", config, checks, args, started)
+    return checks
 
 
-def cmd_hddw(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
-    H_text = args.H
+def cmd_hddw(args, config: RunConfig) -> list[Check]:
+    builtin, path, H_text = args.builtin, args.path, args.H
     if args.system:
-        with open(args.system, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        args.builtin = None
-        ref = raw.get("structure", "")
-        if isinstance(ref, str) and not ref.endswith(".json"):
-            args.builtin = ref
-        else:
-            args.path = ref
-        H_text = raw.get("H", H_text)
-    holder = _resolve(args)
+        builtin, path, H_text = _read_system(args.system, H_text)
+    holder = _resolve(builtin, path)
     s = holder.structure
     H = parse_expr(H_text)
-    sys_ = KContactHamiltonianSystem(s, H, reeb=holder.reeb, config=config)
-    checks: list[Check] = []
-    expected = expected_nullspace_dim(s.k, s.dim)
-
     if args.t_end is not None:
         if s.k != 1:
             raise ParseError("flow integration applies to k = 1 systems only")
         _usage(flow_steps, args.t_end, args.dt)
         if args.x0 is None:
             raise ParseError("flow integration needs --x0 with coordinate values")
-        x0 = {k: float(v) for k, v in json.loads(args.x0).items()}
+        x0 = _coordinate_values("--x0", args.x0)
         missing = set(s.chart.coords) - set(x0)
         if missing:
             raise ParseError(f"--x0 misses coordinates {sorted(missing)}")
+    elif args.point == "random":
+        points = sample_points(s.chart.coords, s.chart.domain(), args.n_points,
+                               random.Random(config.seed))
+    else:
+        points = [_coordinate_values("--point", args.point)]
+
+    reeb = holder.reeb
+    if reeb is None and free_variables(H):
+        # the field equations transport dH along the Reeb frame: without a
+        # frame, its reeb_frame check is the run's report
+        reeb, reeb_check = reeb_frame_check(s, config)
+        if reeb is None:
+            return [reeb_check]
+    sys_ = KContactHamiltonianSystem(s, H, reeb=reeb, config=config)
+
+    if args.t_end is not None:
         traj = integrate_contact_flow(sys_, x0, args.t_end, args.dt)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 traj.to_csv(fh)
-        checks.append(Check("flow_integrated", PASS,
-                            detail={"steps": len(traj.states) - 1, "dt": args.dt}))
-        return _emit("hddw", config, checks, args, started)
+        return [Check("flow_integrated", PASS,
+                      detail={"steps": len(traj.states) - 1, "dt": args.dt})]
 
-    rng = random.Random(config.seed)
-    if args.point == "random":
-        points = sample_points(s.chart.coords, s.chart.domain(), args.n_points, rng)
-    else:
-        raw = json.loads(args.point)
-        points = [{k: float(v) for k, v in raw.items()}]
+    expected = expected_nullspace_dim(s.k, s.dim)
     dims = set()
     max_res = 0.0
     for p in points:
         sol = solve_hddw_at_point(sys_, p)
         dims.add(sol.nullspace_dim)
         max_res = max(max_res, sol.residual_norm)
-    checks.append(Check("nullspace_dimension", _verdict(dims == {expected}),
-                        max_residual=max_res,
-                        detail={"observed": sorted(dims), "expected": expected,
-                                "formula": "(k-1)(dim-k) + k^2 - 1",
-                                "k": s.k, "dim": s.dim,
-                                "n_points": len(points)}))
+    checks = [Check("nullspace_dimension", _verdict(dims == {expected}),
+                    max_residual=max_res,
+                    detail={"observed": sorted(dims), "expected": expected,
+                            "formula": "(k-1)(dim-k) + k^2 - 1",
+                            "k": s.k, "dim": s.dim,
+                            "n_points": len(points)})]
     if args.section:
         sect = load_section_file(args.section, s.chart, s.k)
         eq1, eq2 = section_residual(sys_, sect)
         raw = zero_check("section_residual", eq1 + [eq2], sect.source.domain(), config)
         checks.append(raw)
-        if args.builtin and holder.name.startswith("hydro"):
+        if builtin and builtin.startswith("hydro"):
             from .hydro import equilibrium_conditions_residual
 
             # its cross-check is the H = 0 system's residual: the one above when H is 0
             checks.append(equilibrium_conditions_residual(sect, s.k, config,
                                                           raw if H == ZERO else None))
-    return _emit("hddw", config, checks, args, started)
+    return checks
 
 
-def cmd_ideal_gas(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
+def cmd_ideal_gas(args, config: RunConfig) -> list[Check]:
     _usage(flow_steps, args.t_end, args.dt)
     traj = run_isentropic(cv=args.cv, S0=args.s0, V0=args.v0, N0=args.n0,
                           t_end=args.t_end, dt=args.dt)
@@ -274,15 +280,12 @@ def cmd_ideal_gas(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             traj.to_csv(fh)
-    return _emit("ideal-gas", config, checks, args, started)
+    return checks
 
 
-def cmd_bjorken(args) -> int:
-    started = time.perf_counter()
-    config = _config_from_args(args)
-    checks = full_pgt_demo(gamma=args.gamma, I=args.I,
-                           temperature_profile=args.T_profile, config=config)
-    return _emit("bjorken", config, checks, args, started)
+def cmd_bjorken(args, config: RunConfig) -> list[Check]:
+    return full_pgt_demo(gamma=args.gamma, I=args.I,
+                         temperature_profile=args.T_profile, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_EXIT_CODES = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        config = _config_from_args(args)
+        checks = args.fn(args, config)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ZeroTestInconclusive as err:
-        print(f"inconclusive: {err}", file=sys.stderr)
-        return 3
-    except (SampleDomainEmpty, KontactError) as err:
+    except KontactError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
+    return _EXIT_CODES[_emit(args.command, config, checks, args, started)]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,13 +33,34 @@ __all__ = [
 
 
 def load_json(path: str | Path) -> dict:
+    """The JSON object a definition file holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+@contextmanager
+def _content_of(path: str | Path):
+    """A malformed value met while building from the file's content (bad
+    expression text, a wrong type, a missing key, a value the constructors
+    refuse) is a ParseError naming the file."""
+    try:
+        yield
+    except ParseError as err:
+        raise ParseError(f"{path}: {err}") from None
+    except KeyError as err:
+        raise ParseError(f"{path}: missing key {err.args[0]!r}") from None
+    except (ValueError, TypeError, AttributeError) as err:
+        raise ParseError(f"{path}: {err}") from None
 
 
 def _fraction(value) -> Fraction:
@@ -77,43 +99,43 @@ def _form_from_dict(chart: Chart, spec: dict) -> DifferentialForm:
 def load_structure_file(path: str | Path) -> tuple[KContactStructure, dict]:
     """Read a structure definition; returns the structure and the raw forms/maps."""
     raw = load_json(path)
-    chart = chart_from_dict(raw.get("chart", {}))
-    forms = {name: _form_from_dict(chart, spec)
-             for name, spec in raw.get("forms", {}).items()}
-    eta_names = raw.get("eta")
-    if not eta_names:
-        eta_names = [name for name, f in forms.items() if f.degree == 1]
-    try:
-        eta = RkValuedOneForm([forms[name] for name in eta_names])
-    except KeyError as err:
-        raise ParseError(f"eta refers to undefined form {err.args[0]!r}") from None
-    maps = {}
-    for name, spec in raw.get("maps", {}).items():
-        source = Chart(spec["source_coords"])
-        comps = [parse_expr(c) for c in spec["components"]]
-        maps[name] = SmoothMap(source, chart, comps)
-    return KContactStructure(eta), {"forms": forms, "maps": maps, "chart": chart}
+    with _content_of(path):
+        chart = chart_from_dict(raw.get("chart", {}))
+        forms = {name: _form_from_dict(chart, spec)
+                 for name, spec in raw.get("forms", {}).items()}
+        eta_names = raw.get("eta")
+        if not eta_names:
+            eta_names = [name for name, f in forms.items() if f.degree == 1]
+        try:
+            eta = RkValuedOneForm([forms[name] for name in eta_names])
+        except KeyError as err:
+            raise ParseError(f"eta refers to undefined form {err.args[0]!r}") from None
+        maps = {}
+        for name, spec in raw.get("maps", {}).items():
+            source = Chart(spec["source_coords"])
+            comps = [parse_expr(c) for c in spec["components"]]
+            maps[name] = SmoothMap(source, chart, comps)
+        return KContactStructure(eta), {"forms": forms, "maps": maps, "chart": chart}
 
 
 def load_kfunction_file(path: str | Path) -> ParametrizingKFunction:
     raw = load_json(path)
-    for key in ("n", "k", "I", "F"):
-        if key not in raw:
-            raise ParseError(f"k-function file needs the key {key!r}")
-    return ParametrizingKFunction(int(raw["n"]), int(raw["k"]),
-                                  [int(i) for i in raw["I"]],
-                                  [parse_expr(f) for f in raw["F"]])
+    with _content_of(path):
+        return ParametrizingKFunction(int(raw["n"]), int(raw["k"]),
+                                      [int(i) for i in raw["I"]],
+                                      [parse_expr(f) for f in raw["F"]])
 
 
 def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
     raw = load_json(path)
-    comps = raw.get("components", raw.get("fields", {}))
-    unknown = set(comps) - set(target.coords)
-    if unknown:
-        raise ParseError(f"section names unknown coordinates {sorted(unknown)}")
-    source = parameter_chart(k)
-    exprs = [parse_expr(comps[c]) if c in comps else as_expr(0) for c in target.coords]
-    return SmoothMap(source, target, exprs)
+    with _content_of(path):
+        comps = raw.get("components", raw.get("fields", {}))
+        unknown = set(comps) - set(target.coords)
+        if unknown:
+            raise ParseError(f"section names unknown coordinates {sorted(unknown)}")
+        source = parameter_chart(k)
+        exprs = [parse_expr(comps[c]) if c in comps else as_expr(0) for c in target.coords]
+        return SmoothMap(source, target, exprs)
 
 
 class BuiltinStructure:

@@ -33,8 +33,8 @@ from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_
 __all__ = [
     "KContactStructure", "ReebFrame",
     "structure_matrices_at", "check_structure_at", "k1_conditions_hold",
-    "verify_kcontact", "compute_reeb", "check_reeb", "check_reeb_commutation",
-    "canonical_structure", "check_polarization",
+    "verify_kcontact", "compute_reeb", "reeb_frame_check", "check_reeb",
+    "check_reeb_commutation", "canonical_structure", "check_polarization",
 ]
 
 
@@ -205,20 +205,28 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> Re
     return frame
 
 
-def check_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
-    """The reeb_frame check (the solved components, or why there is no frame)
-    and, when the frame exists, the reeb_commutation check."""
+def reeb_frame_check(
+    s: KContactStructure, config: RunConfig = DEFAULT_CONFIG
+) -> tuple[ReebFrame | None, Check]:
+    """compute_reeb as the reeb_frame check: the frame and a pass carrying its
+    solved components, or None and a fail or inconclusive saying why there
+    is no frame."""
     try:
         frame = compute_reeb(s, config)
     except ZeroTestInconclusive as err:
-        return [Check("reeb_frame", INCONCLUSIVE, detail={"error": str(err)})]
+        return None, Check("reeb_frame", INCONCLUSIVE, detail={"error": str(err)})
     except SingularSystem as err:
-        return [Check("reeb_frame", FAIL, detail={"error": str(err)})]
-    return [
-        Check("reeb_frame", PASS,
-              detail={"components": [[str(c) for c in R.components] for R in frame]}),
-        check_reeb_commutation(frame, config=config),
-    ]
+        return None, Check("reeb_frame", FAIL, detail={"error": str(err)})
+    return frame, Check("reeb_frame", PASS, detail={
+        "components": [[str(c) for c in R.components] for R in frame]})
+
+
+def check_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    """The reeb_frame check and, when the frame exists, the reeb_commutation check."""
+    frame, check = reeb_frame_check(s, config)
+    if frame is None:
+        return [check]
+    return [check, check_reeb_commutation(frame, config=config)]
 
 
 def _check_reeb_invariants(s: KContactStructure, frame: ReebFrame, config: RunConfig):

@@ -77,17 +77,39 @@ class TestInconclusivePivot:
         with pytest.raises(ZeroTestInconclusive):
             compute_reeb(_ambiguous_structure(), FAST)
 
+    AMBIGUOUS = {
+        "chart": {"coords": ["s", "q", "p"]},
+        "forms": {"eta1": {
+            "degree": 1,
+            "coeffs": {"0": "1", "1": "1/100000000 * sqrt(p*p + 1)"}}},
+        "eta": ["eta1"],
+    }
+
     def test_cli_exit_code_three(self, tmp_path):
-        spec = {
-            "chart": {"coords": ["s", "q", "p"]},
-            "forms": {"eta1": {
-                "degree": 1,
-                "coeffs": {"0": "1", "1": "1/100000000 * sqrt(p*p + 1)"}}},
-            "eta": ["eta1"],
-        }
         path = tmp_path / "ambiguous.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(self.AMBIGUOUS))
         assert main(["reeb", str(path), "--samples", "16", "--no-timestamp"]) == 3
+
+    @pytest.mark.parametrize("coeffs, code, verdict", [
+        # the ambiguous pivot: the frame is undecidable
+        (AMBIGUOUS["forms"]["eta1"]["coeffs"], 3, "inconclusive"),
+        # eta = ds, d eta = 0: not contact, so there is no frame
+        ({"0": "1"}, 1, "fail"),
+    ], ids=["ambiguous", "not_contact"])
+    def test_hddw_reeb_frame_reaches_the_report(self, tmp_path, capsys, coeffs, code,
+                                                verdict):
+        spec = {**self.AMBIGUOUS, "forms": {"eta1": {"degree": 1, "coeffs": coeffs}}}
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(spec))
+        report = tmp_path / "r.json"
+        argv = ["hddw", str(path), "--H", "q", "--samples", "16", "--json", str(report),
+                "--no-timestamp"]
+        assert main(argv) == code
+        assert capsys.readouterr().err == ""
+        report = json.loads(report.read_text())
+        assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
+            ("reeb_frame", verdict)]
+        assert report["verdict"] == verdict
 
 
 class TestInconclusiveIdentities:

@@ -74,6 +74,12 @@ class TestStructureFiles:
         with pytest.raises(ParseError):
             load_structure_file(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_structure_file(path)
+
     def test_undefined_eta_name(self, tmp_path):
         bad = dict(CANONICAL_11)
         bad["eta"] = ["nope"]
@@ -122,6 +128,51 @@ class TestSectionFiles:
         path.write_text(json.dumps({"components": {"nope": "1"}}))
         with pytest.raises(ParseError):
             load_section_file(path, hydro_chart(2), 2)
+
+
+MALFORMED_STRUCTURES = {
+    "duplicate_coords": {"chart": {"coords": ["s", "s"]}},
+    "top_level_list": [CANONICAL_11],
+    "range_not_a_pair": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                   "ranges": {"q": "abc"}}},
+    "range_not_rational": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                     "ranges": {"q": ["abc", "1"]}}},
+    "key_length": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
+                                                      "coeffs": {"1,0": "1"}}}},
+    "map_without_source": {**CANONICAL_11, "maps": {"g": {"components": ["0", "u", "3"]}}},
+    "bad_expression": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
+                                                          "coeffs": {"0": "1 +"}}}},
+}
+MALFORMED_KFUNCTIONS = {
+    "n_not_an_integer": {"n": "x", "k": 1, "I": [], "F": ["p_1_1"]},
+    "I_out_of_range": {"n": 2, "k": 1, "I": [3], "F": ["p_1_1"]},
+    "missing_key": {"n": 2, "I": [1], "F": ["p_1_1"]},
+}
+
+
+class TestMalformedFiles:
+    """A definition file whose content the builders refuse is a usage error
+    naming the file: exit 2, one error line, no report."""
+
+    def _run(self, tmp_path, capsys, content, argv):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(content))
+        assert main([a.replace("FILE", str(path)) for a in argv] + ["--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STRUCTURES))
+    def test_structure_file(self, tmp_path, capsys, name):
+        self._run(tmp_path, capsys, MALFORMED_STRUCTURES[name], ["verify-structure", "FILE"])
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_KFUNCTIONS))
+    def test_kfunction_file(self, tmp_path, capsys, name):
+        self._run(tmp_path, capsys, MALFORMED_KFUNCTIONS[name], ["legendrian", "FILE"])
+
+    def test_section_file_that_is_a_list(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, [{"xi": "t_0"}],
+                  ["hddw", "--builtin", "hydro2", "--section", "FILE"])
 
 
 class TestBuiltins:
@@ -326,10 +377,31 @@ class TestCLI:
         ["ideal-gas", "--cv", "abc"],
         ["hddw", "--builtin", "thermo", "--t-end", "1", "--dt", "0"],
         ["hddw", "--builtin", "canonical:1,2", "--t-end", "1", "--x0", "{}"],
+        # coordinate values: a JSON object of numbers
+        ["hddw", "--builtin", "thermo", "--t-end", "1", "--x0", "notjson"],
+        ["hddw", "--builtin", "thermo", "--point", '{"E": "abc"}'],
+        ["hddw", "--builtin", "thermo", "--point", "[1]"],
     ])
     def test_invalid_settings_are_usage_errors(self, argv, capsys):
         assert main(argv + ["--no-timestamp"]) == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None,  # no file
+        "{not json",
+        "[]",
+        '{"structure": 1}',
+        '{"structure": ["thermo"]}',
+        '{"structure": "thermo", "H": 5}',
+    ], ids=["missing", "invalid_json", "list", "structure_int", "structure_list", "H_int"])
+    def test_malformed_system_file_is_usage_error(self, tmp_path, capsys, content):
+        system = tmp_path / "system.json"
+        if content is not None:
+            system.write_text(content)
+        assert main(["hddw", "--system", str(system), "--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {system}: ") and out.err.count("\n") == 1
 
     def test_invalid_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("KONTACT_SEED", "abc")
