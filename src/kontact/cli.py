@@ -6,13 +6,16 @@ Each subcommand returns a list of Check records, most of them as the library
 returns them, and main emits them as the run's report.
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage/parse error,
 3 a check is inconclusive (and nothing failed outright).  A run that ends
-in an error instead (exit 2, or exit 1 for a library error) writes no report.
+in an error instead (exit 2, or exit 1 for a library error) writes no report;
+a --json or --csv path that cannot be written is a usage error found before
+the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig, default_seed
-from .errors import KontactError, ParseError
+from .errors import KontactError, ParseError, StructureDegenerateAtPoint
 from .expr import ZERO, free_variables, parse_expr
 from .fileio import (
     BuiltinStructure,
@@ -62,6 +65,18 @@ def _config_from_args(args) -> RunConfig:
     seed = args.seed if args.seed is not None else _usage(default_seed)
     return _usage(RunConfig, seed=seed, n_sample_points=args.samples,
                   atol=args.atol, rtol=args.rtol)
+
+
+def _check_output_paths(args):
+    """A --json or --csv path that cannot be opened for writing is a usage
+    error, raised before the run rather than after it."""
+    for option, path in (("--json", args.json_path), ("--csv", getattr(args, "csv", None))):
+        if not path:
+            continue
+        parent = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else parent
+        if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+            raise ParseError(f"{option} path cannot be opened for writing: {path!r}")
 
 
 def _point_count(text: str) -> int:
@@ -222,9 +237,21 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         if reeb is None:
             return [reeb_check]
     sys_ = KContactHamiltonianSystem(s, H, reeb=reeb, config=config)
+    try:
+        if args.t_end is not None:
+            traj = integrate_contact_flow(sys_, x0, args.t_end, args.dt)
+        else:
+            dims, max_res = set(), 0.0
+            for p in points:
+                sol = solve_hddw_at_point(sys_, p)
+                dims.add(sol.nullspace_dim)
+                max_res = max(max_res, sol.residual_norm)
+    except StructureDegenerateAtPoint as err:
+        # the field equations need the defining conditions: the first point
+        # where they fail is the run's one check
+        return [Check("defining_conditions", FAIL, detail={"failed_at": err.point})]
 
     if args.t_end is not None:
-        traj = integrate_contact_flow(sys_, x0, args.t_end, args.dt)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 traj.to_csv(fh)
@@ -232,12 +259,6 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
                       detail={"steps": len(traj.states) - 1, "dt": args.dt})]
 
     expected = expected_nullspace_dim(s.k, s.dim)
-    dims = set()
-    max_res = 0.0
-    for p in points:
-        sol = solve_hddw_at_point(sys_, p)
-        dims.add(sol.nullspace_dim)
-        max_res = max(max_res, sol.residual_norm)
     checks = [Check("nullspace_dimension", _verdict(dims == {expected}),
                     max_residual=max_res,
                     detail={"observed": sorted(dims), "expected": expected,
@@ -369,6 +390,7 @@ def main(argv=None) -> int:
         return 2 if err.code not in (0, None) else 0
     started = time.perf_counter()
     try:
+        _check_output_paths(args)
         config = _config_from_args(args)
         checks = args.fn(args, config)
     except ParseError as err:

@@ -55,7 +55,11 @@ class SingularSystem(KontactError):
 
 
 class StructureDegenerateAtPoint(KontactError):
-    """The k-contact conditions fail at the requested point."""
+    """The k-contact conditions fail at a point, kept as the point attribute."""
+
+    def __init__(self, point: dict):
+        self.point = dict(point)
+        super().__init__(f"defining conditions fail at {self.point}")
 
 
 class InconsistentSystem(KontactError):

@@ -415,6 +415,11 @@ def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
 
 _CONST, _VAR, _SUM, _PRODUCT, _POW, _EXP, _LOG = range(7)
 
+_PAIR_BITS = 4096
+"""run_exact reduces a pair past this many denominator bits: that stops runaway
+growth in deep products and high powers, yet typical pairs never pay a gcd
+(the benchmark's polynomial legendrian programs peak at 137 bits)."""
+
 
 class Program(NamedTuple):
     """Expressions as one straight-line program with one instruction per distinct subtree.
@@ -432,35 +437,56 @@ class Program(NamedTuple):
     free_vars: frozenset
     rational: bool
 
-    def run_exact(self, point: Mapping[str, Numeric]) -> Numeric:
-        """The root's value at one point, each shared node computed once.
+    def run_exact(self, point: Mapping[str, Numeric]) -> Fraction:
+        """The root's value at one rational point, each shared node computed once.
 
-        Exact Fraction arithmetic for a rational program at a rational point.
-        Raises DomainError for a zero base under a negative power.
+        Each instruction's value is an integer pair (numerator, denominator),
+        not reduced to lowest terms and not sign-normalised: a product
+        multiplies the parts, a sum adds numerators over an equal denominator
+        and cross-multiplies otherwise, and an integer power raises both parts
+        (swapped first for a negative exponent).  A pair is divided by its gcd
+        only once its denominator passes _PAIR_BITS bits, and the root's pair
+        becomes one Fraction.  Raises DomainError for a zero base under a
+        negative power.
         """
         vals = []
         for op, payload, args in self.code:
             if op == _PRODUCT:
-                v = vals[args[0]]
+                n, d = vals[args[0]]
                 for a in args[1:]:
-                    v = v * vals[a]
+                    an, ad = vals[a]
+                    n *= an
+                    d *= ad
             elif op == _SUM:
-                v = vals[args[0]]
+                n, d = vals[args[0]]
                 for a in args[1:]:
-                    v = v + vals[a]
+                    an, ad = vals[a]
+                    if ad == d:
+                        n += an
+                    else:
+                        n = n * ad + an * d
+                        d *= ad
             elif op == _VAR:
                 v = point[payload]
+                n, d = v.numerator, v.denominator
             elif op == _CONST:
-                v = payload
+                n, d = payload.numerator, payload.denominator
             elif op == _POW and payload.denominator == 1:
-                base = vals[args[0]]
-                if base == 0 and payload < 0:
-                    raise DomainError("division by zero")
-                v = base ** int(payload)
+                n, d = vals[args[0]]
+                k = payload.numerator
+                if k < 0:
+                    if n == 0:
+                        raise DomainError("division by zero")
+                    n, d, k = d, n, -k
+                n, d = n ** k, d ** k
             else:
                 raise TypeError("run_exact needs a rational program")
-            vals.append(v)
-        return vals[self.roots[-1]]
+            if d.bit_length() > _PAIR_BITS:
+                g = math.gcd(n, d)
+                n, d = n // g, d // g
+            vals.append((n, d))
+        n, d = vals[self.roots[-1]]
+        return Fraction(n, d)
 
     def run_float(self, columns: Mapping[str, np.ndarray], n: int):
         """(value, scale, skip) at n points at once, in float64.

@@ -143,7 +143,7 @@ class HdDWPointSolution:
 
 def _require_structure(holds: bool, point: dict):
     if not holds:
-        raise StructureDegenerateAtPoint(f"defining conditions fail at {point}")
+        raise StructureDegenerateAtPoint(point)
 
 
 def _require_finite(M: np.ndarray, point: dict):

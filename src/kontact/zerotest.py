@@ -2,13 +2,14 @@
 
 Each expression is compiled once into a program with one instruction per
 distinct subtree (expr.compile_expr).  Points are exact rationals, so a
-purely rational expression is checked with exact Fraction arithmetic at each
-point, and any nonzero value rejects it.  Any other expression is run in
-float64 over all sample points at once, and is accepted as (probably) zero
-when |value| stays within atol + rtol*scale at every evaluated point, where
-scale is the magnitude of the largest top-level summand (a cancellation
-proxy); when it does not, but stays below INCONCLUSIVE_MARGIN, the test is
-inconclusive.  Points where the expression is undefined (a singularity the
+purely rational expression is checked exactly at each point, and any nonzero
+value rejects it: Program.run_exact carries integer numerator/denominator
+pairs, reduced only past a bit bound, and builds one Fraction per point.
+Any other expression is run in float64 over all sample points at once, and
+is accepted as (probably) zero when |value| stays within atol + rtol*scale
+at every evaluated point, where scale is the magnitude of the largest
+top-level summand (a cancellation proxy); when it does not, but stays below
+INCONCLUSIVE_MARGIN, the test is inconclusive.  Points where the expression is undefined (a singularity the
 domain constraints did not exclude) or its value is not finite are skipped
 and counted; with none left the test raises SampleDomainEmpty.
 

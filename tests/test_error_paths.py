@@ -151,8 +151,39 @@ class TestDegeneratePoint:
         dx = DifferentialForm.dx(ch, "x")
         s = KContactStructure(RkValuedOneForm([dx, dx]))
         sys_ = KContactHamiltonianSystem(s, 0)
-        with pytest.raises(StructureDegenerateAtPoint):
+        with pytest.raises(StructureDegenerateAtPoint) as err:
             solve_hddw_at_point(sys_, {"x": 0.5, "y": 0.5, "z": 0.5})
+        assert err.value.point == {"x": 0.5, "y": 0.5, "z": 0.5}
+
+    # eta = ds: d eta = 0, so the defining conditions fail everywhere
+    FLAT = {"chart": {"coords": ["s", "q", "p"]},
+            "forms": {"eta": {"degree": 1, "coeffs": {"0": "1"}}}}
+
+    @pytest.mark.parametrize("extra, failed_at", [
+        ([], None),  # the first sampled point
+        (["--point", '{"s": 0.5, "q": 1, "p": -2}'], {"s": 0.5, "q": 1.0, "p": -2.0}),
+        (["--t-end", "0.01", "--x0", '{"s": 0, "q": 1, "p": 2}'],
+         {"s": 0.0, "q": 1.0, "p": 2.0}),
+    ], ids=["random", "point", "flow"])
+    def test_cli_reports_the_first_degenerate_point(self, tmp_path, capsys, extra, failed_at):
+        # H = 0 needs no Reeb frame, so the first solve meets the degenerate
+        # point: that point is the run's one check, and the report is written
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(self.FLAT))
+        report = tmp_path / "r.json"
+        argv = ["hddw", str(path), "--json", str(report), "--no-timestamp"] + extra
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == "defining_conditions: fail\nverdict: fail\n"
+        report = json.loads(report.read_text())
+        [check] = report["checks"]
+        assert (check["name"], check["verdict"]) == ("defining_conditions", "fail")
+        point = check["detail"]["failed_at"]
+        assert sorted(point) == ["p", "q", "s"]
+        if failed_at is not None:
+            assert point == failed_at
+        assert report["verdict"] == "fail"
 
 
 class TestNonFiniteSystem:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kontact import expr as expr_module
 from kontact.errors import DomainError, ParseError, UnboundVariable
 from kontact.expr import (
     Exp,
@@ -342,6 +344,21 @@ def tree_nodes(e) -> int:
     return 1 + sum(tree_nodes(c) for c in _children(e))
 
 
+class GcdSpy:
+    """The math module, with gcd recording the bit length of each
+    denominator it reduces."""
+
+    def __init__(self):
+        self.bits = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, n, d):
+        self.bits.append(d.bit_length())
+        return math.gcd(n, d)
+
+
 def reference_values(e, points):
     """evaluate per point; None where it raises DomainError or is not finite."""
     out = []
@@ -371,6 +388,57 @@ class TestCompile:
                         program.run_exact(p)
                 else:
                     assert program.run_exact(p) == ref
+
+    @pytest.mark.parametrize("bits", [expr_module._PAIR_BITS, 1], ids=["bound", "every_pair"])
+    @given(seed=st.integers(0, 10**9), n_factors=st.integers(50, 70),
+           k=st.integers(1, 40), negative=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_pair_runner_equals_evaluate(self, bits, seed, n_factors, k, negative):
+        # deep products, integer powers up to +-40 and sums over unequal
+        # denominators; with a 1-bit bound every pair is reduced
+        rng = random.Random(seed)
+        x, y = var("x"), var("y")
+        exponent = Fraction(-k if negative else k)
+        deep = Product.make(tuple(
+            rand_expr(rng, NAMES, depth=2) + var(rng.choice(NAMES))
+            + Rational(Fraction(1, rng.randint(1, 9))) for _ in range(n_factors)))
+        mixed = Sum.make(tuple(
+            Rational(Fraction(rng.randint(1, 9), d)) * var(rng.choice(NAMES)) ** rng.randint(1, 3)
+            for d in (2, 3, 5, 7, 64)))
+        c = rand_rational(rng, denom=64)
+        roots = [deep, Pow.make(deep, exponent), mixed,
+                 Pow.make(mixed, exponent) + deep,
+                 Pow.make((x - c) * y, exponent) + mixed]
+        points = [{n: Fraction(rng.randint(-128, 128), rng.choice([1, 3, 7, 64])) for n in NAMES}
+                  for _ in range(3)]
+        # x - c is zero here: a negative power of it raises DomainError
+        points.append({"x": c, "y": Fraction(1, 3), "z": Fraction(-5, 64)})
+        with patch.object(expr_module, "_PAIR_BITS", bits):
+            for e in roots:
+                program = compile_expr(e)
+                assert program.rational
+                for p in points:
+                    try:
+                        want = evaluate(e, p)
+                    except DomainError:
+                        with pytest.raises(DomainError, match="division by zero"):
+                            program.run_exact(p)
+                        continue
+                    got = program.run_exact(p)
+                    assert got == want and type(got) is Fraction
+
+    def test_pair_runner_reduces_pairs_past_the_bound(self):
+        # x*y at x = 2/3, y = 3/2 is the pair (6, 6), and its 1600th power
+        # has 1600*log2(6), about 4136, denominator bits: past the bound, so
+        # the guard reduces it to (1, 1) before the product with z
+        x, y, z = var("x"), var("y"), var("z")
+        e = Pow.make(x * y, Fraction(1600)) * z + x
+        p = {"x": Fraction(2, 3), "y": Fraction(3, 2), "z": Fraction(5, 7)}
+        spy = GcdSpy()
+        with patch.object(expr_module, "math", spy):
+            value = compile_expr(e).run_exact(p)
+        assert value == evaluate(e, p) == Fraction(5, 7) + Fraction(2, 3)
+        assert spy.bits and min(spy.bits) > expr_module._PAIR_BITS
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)

@@ -386,6 +386,23 @@ class TestCLI:
         assert main(argv + ["--no-timestamp"]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["reeb", "--builtin", "thermo", "--json", "nodir/r.json"],
+        ["ideal-gas", "--t-end", "0.01", "--csv", "nodir/x.csv"],
+        ["hddw", "--builtin", "thermo", "--csv", "nodir/x.csv"],
+        ["reeb", "--builtin", "thermo", "--json", "."],  # a directory
+        ["reeb", "--builtin", "thermo", "--json", "file.txt/r.json"],  # under a file
+    ])
+    def test_unwritable_output_path_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("file.txt").write_text("")
+        assert main(argv + ["--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        # refused before the run: no check ran, nothing was written
+        assert out.out == ""
+        assert out.err.startswith("error: --") and out.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
     @pytest.mark.parametrize("content", [
         None,  # no file
         "{not json",
