@@ -7,8 +7,8 @@ returns them, and main emits them as the run's report.
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage/parse error,
 3 a check is inconclusive (and nothing failed outright).  A run that ends
 in an error instead (exit 2, or exit 1 for a library error) writes no report;
-a --json or --csv path that cannot be written is a usage error found before
-the run.
+a --json or --csv path that cannot be written is a usage error, found before
+the run or, when the write itself fails (a full disk), at the write.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ def _check_output_paths(args):
             raise ParseError(f"{option} path cannot be opened for writing: {path!r}")
 
 
+def _write_output(option: str, path: str, write) -> None:
+    """write(fh) into the --json or --csv file at path; a write that fails
+    during the run (a full disk, say) is a usage error naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as err:
+        raise ParseError(f"{option} path cannot be written: {path!r} ({err.strerror})") from None
+
+
 def _point_count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -128,8 +138,7 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
         report["wall_time_s"] = round(time.perf_counter() - started, 3)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_output("--json", args.json_path, lambda fh: fh.write(text + "\n"))
     for c in checks:
         line = f"{c.name}: {c.verdict}"
         if c.max_residual is not None:
@@ -223,6 +232,8 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         missing = set(s.chart.coords) - set(x0)
         if missing:
             raise ParseError(f"--x0 misses coordinates {sorted(missing)}")
+    elif args.x0 is not None or args.csv:
+        raise ParseError("--x0 and --csv apply to flow integration: give --t-end")
     elif args.point == "random":
         points = sample_points(s.chart.coords, s.chart.domain(), args.n_points,
                                random.Random(config.seed))
@@ -253,8 +264,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
 
     if args.t_end is not None:
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                traj.to_csv(fh)
+            _write_output("--csv", args.csv, traj.to_csv)
         return [Check("flow_integrated", PASS,
                       detail={"steps": len(traj.states) - 1, "dt": args.dt})]
 
@@ -299,8 +309,7 @@ def cmd_ideal_gas(args, config: RunConfig) -> list[Check]:
               detail={"closed_form": "V(t) = V0 exp(t)"}),
     ]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            traj.to_csv(fh)
+        _write_output("--csv", args.csv, traj.to_csv)
     return checks
 
 
@@ -393,13 +402,14 @@ def main(argv=None) -> int:
         _check_output_paths(args)
         config = _config_from_args(args)
         checks = args.fn(args, config)
+        verdict = _emit(args.command, config, checks, args, started)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except KontactError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    return _EXIT_CODES[_emit(args.command, config, checks, args, started)]
+    return _EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

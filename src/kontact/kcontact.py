@@ -3,7 +3,8 @@ canonical example, and polarization checks.
 
 The defining conditions (kernel coranks/ranks and their trivial intersection)
 are decided pointwise with numeric SVD ranks at sampled chart points; the Reeb
-frame is solved symbolically from its duality/annihilation equations.
+frame is solved symbolically from its duality/annihilation equations, whose
+sparse rows are the forms' own nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem, ZeroTestInconclusive
-from .expr import ONE, ZERO, ScalarExpr, Var
+from .expr import ONE, ZERO, Var
 from .forms import (
     Chart,
     DifferentialForm,
@@ -175,30 +176,27 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> Re
     """Solve the Reeb defining equations symbolically.
 
     For each alpha: eta^beta(R_alpha) = delta and iota_{R_alpha} d eta^beta = 0.
-    One Gauss-Jordan elimination over the expression field with k right-hand
-    sides; pivots decided by the sampling zero test.
+    One sparse Gauss-Jordan elimination over the expression field with k
+    right-hand sides, on the forms' own nonzero coefficients; pivots decided
+    by the sampling zero test.
     """
     dim, k = s.dim, s.k
     # eta rows, then d eta^beta(e_i, .) for every beta and i
-    rows = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta.forms]
+    rows = [{i: c for (i,), c in f.coeffs.items()} for f in s.eta.forms]
     for d in s.d_eta:
-        B = [[ZERO] * dim for _ in range(dim)]
+        B = [{} for _ in range(dim)]
         for (i, j), c in d.coeffs.items():
             B[i][j] = c
             B[j][i] = -c
         rows.extend(B)
-    rhs: list[list[ScalarExpr]] = []
-    for beta in range(k):
-        rhs.append([ONE if alpha == beta else ZERO for alpha in range(k)])
-    for _ in range(k * dim):
-        rhs.append([ZERO] * k)
-    domain = s.chart.domain()
+    rhs = [{beta: ONE} for beta in range(k)] + [{} for _ in range(k * dim)]
     try:
-        sol = solve_symbolic(rows, rhs, domain, config, what="Reeb system")
+        sol = solve_symbolic(rows, rhs, dim, s.chart.domain(), config)
     except SingularSystem as err:
-        raise SingularSystem(f"structure is not k-contact on this chart: {err}") from None
+        raise SingularSystem(
+            f"structure is not k-contact on this chart: Reeb system: {err}") from None
     frame = ReebFrame([
-        VectorField(s.chart, [sol[i][alpha] for i in range(dim)])
+        VectorField(s.chart, [sol[i].get(alpha, ZERO) for i in range(dim)])
         for alpha in range(k)
     ])
     _check_reeb_invariants(s, frame, config)

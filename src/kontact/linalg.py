@@ -1,8 +1,8 @@
-"""Numeric rank/nullspace decisions and symbolic Gaussian elimination.
+"""Numeric rank/nullspace decisions and sparse symbolic Gauss-Jordan elimination.
 
 Numeric ranks use SVD with the relative threshold RANK_THRESHOLD; symbolic
-solves run over the expression field with the sampling zero test deciding
-pivots.
+solves run over the expression field on sparse rows, with the sampling zero
+test deciding pivots.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import SingularSystem
-from .expr import Pow, Rational, ScalarExpr
+from .expr import ZERO, Pow, Rational, ScalarExpr
 from .zerotest import SampleDomain, is_probably_zero
 
 __all__ = ["RANK_THRESHOLD", "numeric_rank", "nullspace_basis", "least_norm_solution",
@@ -63,63 +63,55 @@ def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def solve_symbolic(
-    rows: Sequence[Sequence[ScalarExpr]],
-    rhs: Sequence[Sequence[ScalarExpr]],
+    rows: Sequence[dict[int, ScalarExpr]],
+    rhs: Sequence[dict[int, ScalarExpr]],
+    n: int,
     domain: SampleDomain,
     config: RunConfig = DEFAULT_CONFIG,
-    what: str = "linear system",
-) -> list[list[ScalarExpr]]:
-    """Solve an overdetermined linear system over the expression field.
+) -> list[dict[int, ScalarExpr]]:
+    """Solve an overdetermined linear system in n unknowns over the expression
+    field, by sparse Gauss-Jordan elimination.
 
-    rows[i] holds the coefficients of equation i, rhs[i] the corresponding
-    right-hand sides (one per solve column).  Requires a unique solution:
-    raises SingularSystem when the system is under-determined or inconsistent,
-    ZeroTestInconclusive when a pivot cannot be decided.  Gauss-Jordan with
-    pivots chosen scanning columns in chart order, first not-probably-zero row.
+    rows[i] holds equation i's coefficients as {unknown: coefficient} and
+    rhs[i] its right-hand sides as {solve column: value}; an absent entry is
+    zero, costs no zero test and is never scaled or subtracted.  Returns one
+    such rhs dict per unknown.  Requires a unique solution: raises
+    SingularSystem when the system is under-determined or inconsistent,
+    ZeroTestInconclusive when a pivot cannot be decided.  Pivots are chosen
+    scanning unknowns in order, first row whose entry is present and not
+    probably zero.
     """
-    m = len(rows)
-    if m == 0:
-        raise SingularSystem(f"{what}: no equations")
-    n = len(rows[0])
-    n_rhs = len(rhs[0])
-    A = [list(r) for r in rows]
-    B = [list(r) for r in rhs]
-
+    A = [dict(r) for r in rows]
+    B = [dict(r) for r in rhs]
+    m = len(A)
     pivot_of_col: dict[int, int] = {}
     next_row = 0
     for col in range(n):
-        piv = None
-        for r in range(next_row, m):
-            if not is_probably_zero(A[r][col], domain, config):
-                piv = r
-                break
+        piv = next((r for r in range(next_row, m)
+                    if col in A[r] and not is_probably_zero(A[r][col], domain, config)), None)
         if piv is None:
             continue
         A[next_row], A[piv] = A[piv], A[next_row]
         B[next_row], B[piv] = B[piv], B[next_row]
-        inv = Pow.make(A[next_row][col], Fraction(-1))
-        A[next_row] = [inv * e for e in A[next_row]]
-        B[next_row] = [inv * e for e in B[next_row]]
-        A[next_row][col] = Rational(Fraction(1))
-        for r in range(m):
-            if r == next_row:
+        inv = Pow.make(A[next_row].pop(col), Fraction(-1))
+        row = A[next_row] = {j: inv * e for j, e in A[next_row].items()}
+        row_rhs = B[next_row] = {j: inv * e for j, e in B[next_row].items()}
+        for other, other_rhs in zip(A, B):
+            f = other.pop(col, None)
+            if f is None or (isinstance(f, Rational) and f.value == 0):
                 continue
-            f = A[r][col]
-            if isinstance(f, Rational) and f.value == 0:
-                continue
-            A[r] = [a - f * p for a, p in zip(A[r], A[next_row])]
-            B[r] = [b - f * p for b, p in zip(B[r], B[next_row])]
-            A[r][col] = Rational(Fraction(0))
+            for j, p in row.items():
+                other[j] = other.get(j, ZERO) - f * p
+            for j, p in row_rhs.items():
+                other_rhs[j] = other_rhs.get(j, ZERO) - f * p
         pivot_of_col[col] = next_row
         next_row += 1
 
     if len(pivot_of_col) < n:
         missing = [c for c in range(n) if c not in pivot_of_col]
-        raise SingularSystem(f"{what}: no pivot for unknowns {missing} (under-determined)")
+        raise SingularSystem(f"no pivot for unknowns {missing} (under-determined)")
     for r in range(next_row, m):
-        for j in range(n_rhs):
+        for j in sorted(B[r]):
             if not is_probably_zero(B[r][j], domain, config):
-                raise SingularSystem(f"{what}: inconsistent equation (row {r})")
-
-    return [[B[pivot_of_col[col]][j] for j in range(n_rhs)] for col in range(n)]
-
+                raise SingularSystem(f"inconsistent equation (row {r})")
+    return [B[pivot_of_col[col]] for col in range(n)]

@@ -10,7 +10,8 @@ import pytest
 from kontact.config import RunConfig
 from kontact.errors import DomainError
 from kontact.expr import Rational, ScalarExpr, Var, log
-from kontact.forms import Chart, DifferentialForm
+from kontact.forms import Chart, DifferentialForm, RkValuedOneForm
+from kontact.kcontact import KContactStructure
 
 
 @pytest.fixture
@@ -81,3 +82,10 @@ def rand_form(rng: random.Random, chart: Chart, degree: int,
         key = tuple(sorted(rng.sample(range(chart.dim), degree)))
         coeffs[key] = rand_expr(rng, names, depth)
     return DifferentialForm(chart, degree, coeffs)
+
+
+def expression_pivot_structure() -> KContactStructure:
+    """eta = x ds - dy with x > 0: the Reeb elimination divides by x."""
+    ch = Chart(["s", "x", "y"], constraints=[Var("x")],
+               ranges={"x": (Fraction(1, 2), Fraction(2))})
+    return KContactStructure(RkValuedOneForm([DifferentialForm(ch, 1, {(0,): "x", (2,): -1})]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -402,6 +403,38 @@ class TestCLI:
         assert out.out == ""
         assert out.err.startswith("error: --") and out.err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+    @pytest.mark.parametrize("extra", [["--csv", "x.csv"], ["--x0", '{"E": 0}']])
+    def test_hddw_flow_options_need_t_end(self, tmp_path, monkeypatch, capsys, extra):
+        monkeypatch.chdir(tmp_path)
+        code = main(["hddw", "--builtin", "thermo", "--json", "r.json", "--no-timestamp"]
+                    + extra)
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: --x0 and --csv") and out.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["reeb", "--builtin", "thermo", "--json", "/dev/full"],
+        ["ideal-gas", "--t-end", "0.01", "--csv", "/dev/full"],
+        ["hddw", "--system", "system.json", "--t-end", "0.02", "--dt", "0.01",
+         "--x0", "X0", "--csv", "/dev/full"],
+    ])
+    def test_failed_write_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        from kontact.idealgas import equilibrium_state, isentropic_hamiltonian
+
+        monkeypatch.chdir(tmp_path)
+        Path("system.json").write_text(json.dumps(
+            {"structure": "thermo", "H": str(isentropic_hamiltonian("3/2"))}))
+        argv = [json.dumps(equilibrium_state("3/2")) if a == "X0" else a for a in argv]
+        assert main(argv + ["--samples", "16", "--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        # the write fails after the run: one error line naming the path, no report
+        assert out.out == ""
+        assert out.err.startswith("error: --") and out.err.count("\n") == 1
+        assert "'/dev/full'" in out.err
 
     @pytest.mark.parametrize("content", [
         None,  # no file

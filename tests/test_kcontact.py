@@ -40,7 +40,7 @@ from kontact.zerotest import (
     FAIL, INCONCLUSIVE, INCONCLUSIVE_MARGIN, PASS, is_probably_zero, sample_points,
 )
 
-from conftest import rand_form
+from conftest import expression_pivot_structure, rand_form
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -149,16 +149,10 @@ class TestComputeReeb:
             assert sum(1 for c in comps if c != ZERO) == 1
 
     def test_expression_pivot_division(self):
-        # eta = x ds - dy with x > 0 forces elimination to divide by x;
         # the frame is -d/dy up to unfolded-but-zero coefficient expressions
-        from fractions import Fraction
-
-        ch = Chart(["s", "x", "y"], constraints=[Var("x")],
-                   ranges={"x": (Fraction(1, 2), Fraction(2))})
-        eta = DifferentialForm(ch, 1, {(0,): "x", (2,): -1})
-        s = KContactStructure(RkValuedOneForm([eta]))
+        s = expression_pivot_structure()
         frame = compute_reeb(s, FAST)
-        dom = ch.domain()
+        dom = s.chart.domain()
         comps = frame[0].components
         assert is_probably_zero(comps[0], dom, FAST)
         assert is_probably_zero(comps[1], dom, FAST)
