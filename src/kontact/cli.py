@@ -223,6 +223,13 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     s = holder.structure
     H = parse_expr(H_text)
     if args.t_end is not None:
+        pointwise = [option for option, value in (("--section", args.section),
+                                                  ("--point", args.point),
+                                                  ("--n-points", args.n_points))
+                     if value is not None]
+        if pointwise:
+            raise ParseError(f"{', '.join(pointwise)} cannot be combined with --t-end, "
+                             "which integrates a flow")
         if s.k != 1:
             raise ParseError("flow integration applies to k = 1 systems only")
         _usage(flow_steps, args.t_end, args.dt)
@@ -234,8 +241,9 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
             raise ParseError(f"--x0 misses coordinates {sorted(missing)}")
     elif args.x0 is not None or args.csv:
         raise ParseError("--x0 and --csv apply to flow integration: give --t-end")
-    elif args.point == "random":
-        points = sample_points(s.chart.coords, s.chart.domain(), args.n_points,
+    elif args.point in (None, "random"):
+        n_points = 1 if args.n_points is None else args.n_points
+        points = sample_points(s.chart.coords, s.chart.domain(), n_points,
                                random.Random(config.seed))
     else:
         points = [_coordinate_values("--point", args.point)]
@@ -352,9 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin")
     p.add_argument("--system", help="system file: {structure reference, H}")
     p.add_argument("--H", default="0", help="Hamiltonian expression")
-    p.add_argument("--point", default="random",
-                   help="'random' or a JSON object of coordinate values")
-    p.add_argument("--n-points", type=_point_count, default=1)
+    # None marks an option not given: with --t-end, a given one is an error
+    p.add_argument("--point", help="'random' (the default) or a JSON object of "
+                                   "coordinate values")
+    p.add_argument("--n-points", type=_point_count, help="random points (default 1)")
     p.add_argument("--section", help="section file to test for the PDE residual")
     p.add_argument("--t-end", type=float, default=None,
                    help="integrate the k=1 flow up to this time")

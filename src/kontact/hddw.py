@@ -5,15 +5,18 @@ structure differentials against dH minus its Reeb transport, and the duality
 pairing against -H) are pointwise linear in the k*dim unknown components.
 This module assembles and solves them numerically at chart points, evaluates
 the induced PDE residuals for candidate sections, and integrates k=1 flows
-with a classic 4th-order one-step method.  At each point the float
-coefficients come from generated runners (runner.float_runner), one kept on
-the structure and one on the system, and one SVD of the assembled matrix
-gives the least-norm particular solution, the rank and the nullspace: the
-pseudo-gauge directions.  The nullspace means something only where the three
-defining conditions hold, so every point is checked for them: for k >= 2 by
-check_structure_at in _system_at, before the solve; for k = 1 by
-k1_conditions_hold on the rank that the solve's SVD returns.  A point whose
-system has a non-finite entry is refused before any SVD.
+with a classic 4th-order one-step method.  At each point one generated
+runner (runner.float_runner over the eta, d-eta and right-hand-side
+coefficients), built on first use and kept on the system, fills one buffer
+holding the system [A | b] (_system_at).  One solve core (_solve_at) serves
+both solve_hddw_at_point and every RK4 stage: one SVD of A gives the
+least-norm particular solution, the rank and the nullspace, the
+pseudo-gauge directions, and a residual test accepts the solution.  The
+nullspace means something only where the three defining conditions hold, so
+every point is checked for them: for k >= 2 by check_structure_at on views
+of the same buffer, before the solve; for k = 1 by k1_conditions_hold on the
+rank that the solve's SVD returns.  A point whose system has a non-finite
+entry is refused before any SVD.
 """
 
 from __future__ import annotations
@@ -43,11 +46,10 @@ from .kcontact import (
     check_structure_at,
     compute_reeb,
     k1_conditions_hold,
-    structure_matrices_at,
 )
 from .legendrian import verify_isotropic
 from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank
-from .runner import entries_at, float_runner
+from .runner import float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
@@ -79,7 +81,7 @@ class KContactHamiltonianSystem:
         self._reeb = reeb
         self._config = config
         self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
-        self._rhs_at = None  # _system_at's runner, built on first use
+        self._system_fill = None  # _system_runner's result, built on first use
 
     @property
     def chart(self):
@@ -146,9 +148,43 @@ def _require_structure(holds: bool, point: dict):
         raise StructureDegenerateAtPoint(point)
 
 
-def _require_finite(M: np.ndarray, point: dict):
-    if not np.isfinite(M).all():
-        raise DomainError(f"non-finite pointwise system at {point}")
+def _system_runner(sys: KContactHamiltonianSystem):
+    """A function point -> one buffer holding [A | b]: _system_at's assembly.
+
+    The buffer holds A row-major, then b, so that both are contiguous views
+    of it, laid out as stand-alone arrays are.  One float runner evaluates
+    the eta, d-eta and hddw_rhs coefficients, each d-eta coefficient twice,
+    and each value is scaled by its entry's sign and shifted before it is
+    scattered into the zeroed buffer: 0.0 is added to the A entries, which
+    turns -0.0 into 0.0 (the stacked matrices' A + 0.0), and -0.0 to the b
+    entries, which leaves every value as it is.
+    """
+    k, dim = sys.k, sys.dim
+    n = k * dim
+    rhs1, rhs2 = hddw_rhs(sys)
+    # (flat position, sign, shift, coefficient): A[r, col] at r*n + col, b[r] at (dim+1)*n + r
+    entries = [(dim * n + alpha * dim + i, 1.0, 0.0, c)
+               for alpha, f in enumerate(sys.structure.eta.forms)
+               for (i,), c in f.coeffs.items()]
+    for alpha, d in enumerate(sys.structure.d_eta):
+        for (i, j), c in d.coeffs.items():
+            entries += [(j * n + alpha * dim + i, 1.0, 0.0, c),
+                        (i * n + alpha * dim + j, -1.0, 0.0, c)]
+    entries += [((dim + 1) * n + l, 1.0, -0.0, c)
+                for (l,), c in [*rhs1.coeffs.items(), ((dim,), rhs2)]]
+    at, sign, shift, coeffs = zip(*entries)
+    at, sign, shift = np.array(at, dtype=np.intp), np.array(sign), np.array(shift)
+    run = float_runner(coeffs)
+
+    def fill(point):
+        values = np.array(run(point))
+        values *= sign
+        values += shift
+        buf = np.zeros((dim + 1) * (n + 1))
+        buf[at] = values
+        return buf
+
+    return fill
 
 
 def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -156,46 +192,60 @@ def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray,
 
     Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
     Column alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are the
-    d-eta matrix transposed and row dim is the eta matrix flattened (+ 0.0
-    turns -0.0 into 0.0).  b comes from a float runner over hddw_rhs, kept
-    on the system.  Raises DomainError where A or b has a non-finite entry,
-    and for k >= 2 StructureDegenerateAtPoint where the structure is not
-    k-contact; for k = 1 the caller reads that off the rank of A
-    (k1_conditions_hold).
+    d-eta matrix transposed (a d-eta coefficient c at (i, j) is
+    A[j, alpha*dim + i] = c and A[i, alpha*dim + j] = -c) and row dim is the
+    eta matrix flattened, with -0.0 turned into 0.0.  One runner, built on
+    first use and kept on the system (_system_runner), fills A and b as
+    views of one buffer; one finiteness test covers both.  Raises
+    DomainError where A or b has a non-finite entry, and for k >= 2
+    StructureDegenerateAtPoint where the structure is not k-contact, read
+    off views of A (eta its last row, d-eta its first dim rows transposed);
+    for k = 1 the caller reads that off the rank of A (k1_conditions_hold).
     """
-    eta, deta = structure_matrices_at(sys.structure, point)
-    A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
-    _require_finite(A, point)
-    if sys.k > 1:
-        _require_structure(check_structure_at(eta, deta) == (sys.k, sys.k, 0), point)
-    if sys._rhs_at is None:
-        rhs1, rhs2 = hddw_rhs(sys)
-        sys._rhs_at = entries_at((sys.dim + 1,), [*rhs1.coeffs.items(), ((sys.dim,), rhs2)])
-    b = sys._rhs_at(point)
-    _require_finite(b, point)
+    if sys._system_fill is None:
+        sys._system_fill = _system_runner(sys)
+    buf = sys._system_fill(point)
+    if not np.isfinite(buf).all():
+        raise DomainError(f"non-finite pointwise system at {point}")
+    k, dim = sys.k, sys.dim
+    split = (dim + 1) * k * dim
+    A, b = buf[:split].reshape(dim + 1, k * dim), buf[split:]
+    if k > 1:
+        _require_structure(
+            check_structure_at(A[dim].reshape(k, dim), A[:dim].T) == (k, k, 0), point)
     return A, b
 
 
 def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """max|Ax - b| and the tolerance it must not exceed for x to solve the
     system: RANK_THRESHOLD * max(1, max|A|, max|b|)."""
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(A @ x - b))), RANK_THRESHOLD * scale
+    top = np.maximum.reduce
+    scale = max(1.0, float(top(np.abs(A), axis=None)), float(top(np.abs(b))))
+    return float(top(np.abs(A @ x - b))), RANK_THRESHOLD * scale
 
 
-def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
-    """Least-norm particular solution plus orthonormal nullspace basis at a point,
-    both from one SVD of the assembled matrix (linalg.least_norm_solution),
-    whose rank also decides the defining conditions when k = 1."""
-    p = {name: float(v) for name, v in point.items()}
-    A, b = _system_at(sys, p)
+def _solve_at(sys: KContactHamiltonianSystem, point: dict) -> tuple:
+    """(A, b, x, nullspace rows, residual, tolerance) at a float point: the
+    least-norm solution x, its rank and the nullspace from one SVD of A
+    (linalg.least_norm_solution), whose rank also decides the defining
+    conditions when k = 1; raises InconsistentSystem where x leaves a
+    residual above the tolerance."""
+    A, b = _system_at(sys, point)
     x, rank, null_rows = least_norm_solution(A, b)
     if sys.k == 1:
-        _require_structure(k1_conditions_hold(sys.dim, rank), p)
+        _require_structure(k1_conditions_hold(sys.dim, rank), point)
     residual, tolerance = _residual(A, x, b)
     if not residual <= tolerance:
         raise InconsistentSystem(
-            f"no solution within tolerance at {p}: residual {residual:.3e}")
+            f"no solution within tolerance at {point}: residual {residual:.3e}")
+    return A, b, x, null_rows, residual, tolerance
+
+
+def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
+    """Least-norm particular solution plus orthonormal nullspace basis at a
+    point, from the solve core (_solve_at)."""
+    p = {name: float(v) for name, v in point.items()}
+    A, b, x, null_rows, residual, tolerance = _solve_at(sys, p)
     k, dim = sys.k, sys.dim
     return HdDWPointSolution(
         point=p,
@@ -310,8 +360,9 @@ def integrate_contact_flow(
 ) -> Trajectory:
     """Integrate the unique k=1 Hamiltonian vector field with fixed-step RK4.
 
-    The vector field is re-solved from the pointwise system at every stage,
-    so the trajectory inherits the solver's tolerances.
+    The vector field is re-solved from the pointwise system at every stage
+    by the solve core that solve_hddw_at_point wraps (_solve_at), so the
+    trajectory inherits the solver's tolerances.
     """
     if sys.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")
@@ -320,9 +371,7 @@ def integrate_contact_flow(
     state = np.array([float(x0[c]) for c in coords])
 
     def f(y: np.ndarray) -> np.ndarray:
-        p = dict(zip(coords, (float(v) for v in y)))
-        sol = solve_hddw_at_point(sys, p)
-        return sol.particular[0]
+        return _solve_at(sys, dict(zip(coords, y.tolist())))[2]
 
     states = [dict(zip(coords, state.tolist()))]
     for _ in range(n_steps):

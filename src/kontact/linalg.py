@@ -54,7 +54,7 @@ def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
     if M.size == 0:
         return np.zeros(n), 0, np.eye(n)
     u, s, vt = np.linalg.svd(M, full_matrices=n > m)
-    large = s > RANK_THRESHOLD * np.amax(s)
+    large = s > RANK_THRESHOLD * np.maximum.reduce(s)  # np.amax without its wrapper
     rank = int(np.count_nonzero(large))
     s_inv = np.divide(1, s, where=large, out=s)
     s_inv[~large] = 0

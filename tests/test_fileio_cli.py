@@ -415,6 +415,23 @@ class TestCLI:
         assert out.err.startswith("error: --x0 and --csv") and out.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("extra", [["--section", "sect.json"], ["--point", '{"E": 1}'],
+                                       ["--n-points", "3"]])
+    def test_hddw_pointwise_options_refuse_t_end(self, tmp_path, monkeypatch, capsys, extra):
+        from kontact.idealgas import equilibrium_state
+
+        monkeypatch.chdir(tmp_path)
+        Path("sect.json").write_text("{}")
+        code = main(["hddw", "--builtin", "thermo", "--t-end", "0.01",
+                     "--x0", json.dumps(equilibrium_state("3/2")),
+                     "--json", "r.json", "--no-timestamp"] + extra)
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {extra[0]} cannot be combined with --t-end, " \
+                          "which integrates a flow\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sect.json"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [
         ["reeb", "--builtin", "thermo", "--json", "/dev/full"],

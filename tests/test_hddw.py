@@ -44,7 +44,7 @@ from kontact.idealgas import (
     run_isentropic,
 )
 from kontact.fileio import resolve_structure
-from kontact.kcontact import KContactStructure, canonical_structure
+from kontact.kcontact import KContactStructure, canonical_structure, structure_matrices_at
 from kontact.linalg import RANK_THRESHOLD, nullspace_basis
 from kontact.legendrian import (
     ParametrizingKFunction,
@@ -229,6 +229,79 @@ class TestOneSVDSolve:
         # k = 2: the structure check's three numeric_rank calls, then the
         # solve; k = 1: the solve alone, whose rank decides the structure
         assert uv == ([True] if k == 1 else [False, False, False, True])
+
+    @pytest.mark.parametrize("name", K1_SYSTEMS)
+    def test_flow_equals_rk4_over_solve_hddw_at_point(self, name):
+        sys_ = self.K1_SYSTEMS[name]()
+        coords = sys_.chart.coords
+        x0 = random_point(sys_.chart, random.Random(107))
+        traj = integrate_contact_flow(sys_, x0, t_end=0.05, dt=0.01)
+
+        def f(y):
+            return solve_hddw_at_point(sys_, dict(zip(coords, y))).particular[0]
+
+        y = np.array([x0[c] for c in coords])
+        want = [dict(zip(coords, y.tolist()))]
+        for _ in range(5):
+            k1 = f(y)
+            k2 = f(y + 0.5 * 0.01 * k1)
+            k3 = f(y + 0.5 * 0.01 * k2)
+            k4 = f(y + 0.01 * k3)
+            y = y + (0.01 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            want.append(dict(zip(coords, y.tolist())))
+        assert traj.states == want
+
+    def test_four_svds_per_step_and_no_numeric_rank(self, monkeypatch):
+        import kontact.hddw
+        import kontact.kcontact
+
+        sys_ = self.K1_SYSTEMS["ideal gas"]()
+        real_svd, real_rank = np.linalg.svd, kontact.hddw.numeric_rank
+        svds, ranks = [], []
+
+        def counting_svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        def counting_rank(M):
+            ranks.append(M.shape)
+            return real_rank(M)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for module in (kontact.hddw, kontact.kcontact):
+            monkeypatch.setattr(module, "numeric_rank", counting_rank)
+        integrate_contact_flow(sys_, equilibrium_state(Fraction(5, 2)), t_end=0.03, dt=0.01)
+        # one SVD of the 8 x 7 system per RK4 stage, four stages per step
+        assert svds == [(8, 7)] * (4 * 3)
+        assert ranks == []
+
+    @pytest.mark.parametrize("name", ["thermo", "hydro2", "hydro3", "canonical:2,3"])
+    def test_assembly_equals_stacked_structure_matrices(self, name):
+        from kontact.hddw import _system_at
+        from kontact.runner import float_runner
+
+        holder = resolve_structure(name)
+        chart = holder.structure.chart
+        c0, c1, c2 = chart.coords[:3]
+        sys_ = KContactHamiltonianSystem(holder.structure, f"{c0}*{c1} - {c2}^2/3 + {c1}",
+                                         reeb=holder.reeb)
+        dim = sys_.dim
+        rhs1, rhs2 = hddw_rhs(sys_)
+        rhs_at = float_runner([*rhs1.coeffs.values(), rhs2])
+        rng = random.Random(109)
+        for zero_every in (1, 2, 0, 0):
+            # zero coordinates make -0.0 coefficients: A turns them into
+            # 0.0, b keeps them
+            p = {c: 0.0 if zero_every and i % zero_every == 0 else rng.uniform(-1.5, 1.5)
+                 for i, c in enumerate(chart.coords)}
+            eta, deta = structure_matrices_at(sys_.structure, p)
+            A_old = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
+            b_old = np.zeros(dim + 1)
+            b_old[[l for (l,) in rhs1.coeffs] + [dim]] = rhs_at(p)
+            A, b = _system_at(sys_, p)
+            for new, old in ((A, A_old), (b, b_old)):
+                assert np.array_equal(new, old)
+                assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
 def x0_params(x0):

@@ -11,6 +11,7 @@ import pytest
 
 from kontact.config import RunConfig
 from kontact.fileio import resolve_structure
+from kontact.hddw import KContactHamiltonianSystem, expected_nullspace_dim, solve_hddw_at_point
 from kontact.kcontact import compute_reeb
 
 from conftest import expression_pivot_structure
@@ -45,3 +46,30 @@ def test_reeb_frame_matches_linsolve(name):
         assert not set(R) & set().union(*(w.free_symbols for w in want))
         got = [sym(c) for c in frame[alpha].components]
         assert [sympy.simplify(g - w) for g, w in zip(got, want)] == [0] * s.dim
+
+
+@pytest.mark.parametrize("name", ["thermo", "hydro2", "canonical:2,2"])
+def test_hddw_rank_matches_matrix_rank(name):
+    # the HdDW matrix [d-eta^T; eta] at one rational point, built by sympy
+    # from the coefficients' printed forms and ranked exactly: its nullspace
+    # has the dimension (k-1)(dim-k) + k^2 - 1, as the float solve finds
+    s = resolve_structure(name).structure
+    k, dim = s.k, s.dim
+    point = {c: sympy.Rational(i + 2, 7) for i, c in enumerate(s.chart.coords)}
+    names = {c: sympy.Symbol(c) for c in s.chart.coords}
+
+    def at(c):
+        return sympy.sympify(str(c), locals=names).subs(
+            {names[v]: value for v, value in point.items()})
+
+    A = sympy.zeros(dim + 1, k * dim)
+    for alpha, (eta, d) in enumerate(zip(s.eta.forms, s.d_eta)):
+        for (i,), c in eta.coeffs.items():
+            A[dim, alpha * dim + i] = at(c)
+        for (i, j), c in d.coeffs.items():
+            A[j, alpha * dim + i], A[i, alpha * dim + j] = at(c), -at(c)
+    rank = A.rank()
+    assert rank == k * dim - expected_nullspace_dim(k, dim)
+    sol = solve_hddw_at_point(KContactHamiltonianSystem(s, 0),
+                              {c: float(v) for c, v in point.items()})
+    assert sol.nullspace_dim == k * dim - rank
