@@ -168,13 +168,26 @@ def _read_system(path: str, H: str) -> tuple[str | None, str | None, str]:
     return (None, ref, H) if ref.endswith(".json") else (ref, None, H)
 
 
-def _coordinate_values(option: str, text: str) -> dict[str, float]:
-    """The JSON object of coordinate values given as --x0 or --point."""
+def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
+    """The JSON object of coordinate values given as --x0 or --point, which
+    must give every one of the chart's coords."""
     try:
         raw = json.loads(text)
-        return {name: float(v) for name, v in raw.items()}
+        values = {name: float(v) for name, v in raw.items()}
     except (ValueError, TypeError, AttributeError):
         raise ParseError(f"{option} needs a JSON object of numbers, got {text!r}") from None
+    missing = set(coords) - set(values)
+    if missing:
+        raise ParseError(f"{option} misses coordinates {sorted(missing)}")
+    return values
+
+
+def _refuse_with(option: str, why: str, options: dict) -> None:
+    """A usage error naming every given option (its value not None) of
+    options, which do not mix with option."""
+    given = [name for name, value in options.items() if value is not None]
+    if given:
+        raise ParseError(f"{', '.join(given)} cannot be combined with {option}, {why}")
 
 
 def _verdict(ok: bool) -> str:
@@ -223,22 +236,14 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     s = holder.structure
     H = parse_expr(H_text)
     if args.t_end is not None:
-        pointwise = [option for option, value in (("--section", args.section),
-                                                  ("--point", args.point),
-                                                  ("--n-points", args.n_points))
-                     if value is not None]
-        if pointwise:
-            raise ParseError(f"{', '.join(pointwise)} cannot be combined with --t-end, "
-                             "which integrates a flow")
+        _refuse_with("--t-end", "which integrates a flow", {
+            "--section": args.section, "--point": args.point, "--n-points": args.n_points})
         if s.k != 1:
             raise ParseError("flow integration applies to k = 1 systems only")
         _usage(flow_steps, args.t_end, args.dt)
         if args.x0 is None:
             raise ParseError("flow integration needs --x0 with coordinate values")
-        x0 = _coordinate_values("--x0", args.x0)
-        missing = set(s.chart.coords) - set(x0)
-        if missing:
-            raise ParseError(f"--x0 misses coordinates {sorted(missing)}")
+        x0 = _coordinate_values("--x0", args.x0, s.chart.coords)
     elif args.x0 is not None or args.csv:
         raise ParseError("--x0 and --csv apply to flow integration: give --t-end")
     elif args.point in (None, "random"):
@@ -246,7 +251,8 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         points = sample_points(s.chart.coords, s.chart.domain(), n_points,
                                random.Random(config.seed))
     else:
-        points = [_coordinate_values("--point", args.point)]
+        _refuse_with("--point JSON", "which gives the one point", {"--n-points": args.n_points})
+        points = [_coordinate_values("--point", args.point, s.chart.coords)]
 
     reeb = holder.reeb
     if reeb is None and free_variables(H):

@@ -6,7 +6,7 @@ pairing against -H) are pointwise linear in the k*dim unknown components.
 This module assembles and solves them numerically at chart points, evaluates
 the induced PDE residuals for candidate sections, and integrates k=1 flows
 with a classic 4th-order one-step method.  At each point one generated
-runner (runner.float_runner over the eta, d-eta and right-hand-side
+runner (runner.filler over kcontact.matrix_entries and the right-hand-side
 coefficients), built on first use and kept on the system, fills one buffer
 holding the system [A | b] (_system_at).  One solve core (_solve_at) serves
 both solve_hddw_at_point and every RK4 stage: one SVD of A gives the
@@ -46,10 +46,11 @@ from .kcontact import (
     check_structure_at,
     compute_reeb,
     k1_conditions_hold,
+    matrix_entries,
 )
 from .legendrian import verify_isotropic
 from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank
-from .runner import float_runner
+from .runner import filler, float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
@@ -81,7 +82,7 @@ class KContactHamiltonianSystem:
         self._reeb = reeb
         self._config = config
         self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
-        self._system_fill = None  # _system_runner's result, built on first use
+        self._system_fill = None  # _system_at's filler, built on first use
 
     @property
     def chart(self):
@@ -148,71 +149,34 @@ def _require_structure(holds: bool, point: dict):
         raise StructureDegenerateAtPoint(point)
 
 
-def _system_runner(sys: KContactHamiltonianSystem):
-    """A function point -> one buffer holding [A | b]: _system_at's assembly.
-
-    The buffer holds A row-major, then b, so that both are contiguous views
-    of it, laid out as stand-alone arrays are.  One float runner evaluates
-    the eta, d-eta and hddw_rhs coefficients, each d-eta coefficient twice,
-    and each value is scaled by its entry's sign and shifted before it is
-    scattered into the zeroed buffer: 0.0 is added to the A entries, which
-    turns -0.0 into 0.0 (the stacked matrices' A + 0.0), and -0.0 to the b
-    entries, which leaves every value as it is.
-    """
-    k, dim = sys.k, sys.dim
-    n = k * dim
-    rhs1, rhs2 = hddw_rhs(sys)
-    # (flat position, sign, shift, coefficient): A[r, col] at r*n + col, b[r] at (dim+1)*n + r
-    entries = [(dim * n + alpha * dim + i, 1.0, 0.0, c)
-               for alpha, f in enumerate(sys.structure.eta.forms)
-               for (i,), c in f.coeffs.items()]
-    for alpha, d in enumerate(sys.structure.d_eta):
-        for (i, j), c in d.coeffs.items():
-            entries += [(j * n + alpha * dim + i, 1.0, 0.0, c),
-                        (i * n + alpha * dim + j, -1.0, 0.0, c)]
-    entries += [((dim + 1) * n + l, 1.0, -0.0, c)
-                for (l,), c in [*rhs1.coeffs.items(), ((dim,), rhs2)]]
-    at, sign, shift, coeffs = zip(*entries)
-    at, sign, shift = np.array(at, dtype=np.intp), np.array(sign), np.array(shift)
-    run = float_runner(coeffs)
-
-    def fill(point):
-        values = np.array(run(point))
-        values *= sign
-        values += shift
-        buf = np.zeros((dim + 1) * (n + 1))
-        buf[at] = values
-        return buf
-
-    return fill
-
-
 def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
     """The pointwise system (A, b) at a float point.
 
-    Rows 0..dim-1: the 1-form equation per coordinate; row dim: the pairing.
-    Column alpha*dim + i is component i of X_alpha, so rows 0..dim-1 are the
-    d-eta matrix transposed (a d-eta coefficient c at (i, j) is
-    A[j, alpha*dim + i] = c and A[i, alpha*dim + j] = -c) and row dim is the
-    eta matrix flattened, with -0.0 turned into 0.0.  One runner, built on
-    first use and kept on the system (_system_runner), fills A and b as
-    views of one buffer; one finiteness test covers both.  Raises
-    DomainError where A or b has a non-finite entry, and for k >= 2
-    StructureDegenerateAtPoint where the structure is not k-contact, read
-    off views of A (eta its last row, d-eta its first dim rows transposed);
-    for k = 1 the caller reads that off the rank of A (k1_conditions_hold).
+    A is the HdDW matrix laid out by matrix_entries, with -0.0 turned into
+    0.0: rows 0..dim-1 the 1-form equation per coordinate, row dim the
+    pairing.  b holds the hddw_rhs coefficients as they are.  One runner,
+    built on first use and kept on the system, fills one buffer with A
+    row-major and then b, so that both are contiguous views of it; one
+    finiteness test covers both.  Raises DomainError where A or b has a
+    non-finite entry, and for k >= 2 StructureDegenerateAtPoint where
+    check_structure_at(A) finds the structure not k-contact; for k = 1 the
+    caller reads that off the rank of A (k1_conditions_hold).
     """
+    k, dim = sys.k, sys.dim
+    n = k * dim
     if sys._system_fill is None:
-        sys._system_fill = _system_runner(sys)
+        rhs1, rhs2 = hddw_rhs(sys)
+        entries = [(r * n + col, sign, 0.0, c)
+                   for r, col, sign, c in matrix_entries(sys.structure)]
+        entries += [((dim + 1) * n + l, 1.0, -0.0, c)
+                    for (l,), c in [*rhs1.coeffs.items(), ((dim,), rhs2)]]
+        sys._system_fill = filler((dim + 1) * (n + 1), entries)
     buf = sys._system_fill(point)
     if not np.isfinite(buf).all():
         raise DomainError(f"non-finite pointwise system at {point}")
-    k, dim = sys.k, sys.dim
-    split = (dim + 1) * k * dim
-    A, b = buf[:split].reshape(dim + 1, k * dim), buf[split:]
+    A, b = buf[:(dim + 1) * n].reshape(dim + 1, n), buf[(dim + 1) * n:]
     if k > 1:
-        _require_structure(
-            check_structure_at(A[dim].reshape(k, dim), A[:dim].T) == (k, k, 0), point)
+        _require_structure(check_structure_at(A) == (k, k, 0), point)
     return A, b
 
 
@@ -299,26 +263,19 @@ def section_residual(
         raise SourceNotRk(
             f"section parameter chart has dimension {psi.source.dim}, need k={sys.k}")
     binds = psi.bindings()
-    columns = prolongation(psi)  # columns[alpha][i] = d psi^i / d t^alpha
-    k, dim = sys.k, sys.dim
+    # X[alpha*dim + i] = d psi^i / d t^alpha, the unknowns in A's column order
+    X = [c for column in prolongation(psi) for c in column]
+    dim = sys.dim
     rhs1, rhs2 = hddw_rhs(sys)
-
-    eq1 = [ZERO] * dim
-    for alpha, d in enumerate(sys.structure.d_eta):
-        col = columns[alpha]
-        for (i, l), c in d.coeffs.items():
-            cc = substitute(c, binds)
-            eq1[l] = eq1[l] + cc * col[i]
-            eq1[i] = eq1[i] - cc * col[l]
+    # A X - b; -b leads the pairing row and closes each 1-form row: that term
+    # order fixes the trees, and so the residuals' float values
+    eq = [ZERO] * dim + [-substitute(rhs2, binds)]
+    for r, col, sign, c in matrix_entries(sys.structure):
+        term = substitute(c, binds) * X[col]
+        eq[r] = eq[r] + term if sign > 0 else eq[r] - term
     for (l,), c in rhs1.coeffs.items():
-        eq1[l] = eq1[l] - substitute(c, binds)
-
-    eq2 = -substitute(rhs2, binds)
-    for alpha, f in enumerate(sys.structure.eta.forms):
-        col = columns[alpha]
-        for (i,), c in f.coeffs.items():
-            eq2 = eq2 + substitute(c, binds) * col[i]
-    return eq1, eq2
+        eq[l] = eq[l] - substitute(c, binds)
+    return eq[:dim], eq[dim]
 
 
 @dataclass

@@ -2,9 +2,11 @@
 canonical example, and polarization checks.
 
 The defining conditions (kernel coranks/ranks and their trivial intersection)
-are decided pointwise with numeric SVD ranks at sampled chart points; the Reeb
-frame is solved symbolically from its duality/annihilation equations, whose
-sparse rows are the forms' own nonzero coefficients.
+are decided pointwise with numeric SVD ranks at sampled chart points, read
+off the HdDW matrix [d-eta^T; eta] of hddw's field equations, whose layout
+matrix_entries alone states; the Reeb frame is solved symbolically from its
+duality/annihilation equations, whose sparse rows are the forms' own
+nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem, ZeroTestInconclusive
-from .expr import ONE, ZERO, Var
+from .expr import ONE, ZERO, ScalarExpr, Var
 from .forms import (
     Chart,
     DifferentialForm,
@@ -28,12 +30,12 @@ from .forms import (
     lie_bracket,
 )
 from .linalg import numeric_rank, solve_symbolic
-from .runner import entries_at
+from .runner import filler
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points, zero_check
 
 __all__ = [
     "KContactStructure", "ReebFrame",
-    "structure_matrices_at", "check_structure_at", "k1_conditions_hold",
+    "matrix_entries", "structure_matrices_at", "check_structure_at", "k1_conditions_hold",
     "verify_kcontact", "compute_reeb", "reeb_frame_check", "check_reeb",
     "check_reeb_commutation", "canonical_structure", "check_polarization",
 ]
@@ -81,47 +83,59 @@ class ReebFrame:
         return self.fields[i]
 
 
-def structure_matrices_at(s: KContactStructure, point: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(eta coefficient matrix k x dim, stacked d-eta contraction matrix) at a point.
+def matrix_entries(s: KContactStructure) -> list[tuple[int, int, float, ScalarExpr]]:
+    """(row, column, sign, coefficient) for every nonzero entry of the HdDW
+    matrix A = [deta^T; eta] of s, the (dim+1) x k*dim matrix whose entry is
+    sign times the coefficient: the one statement of its layout.
 
-    Row alpha*dim + i of the stacked matrix holds d eta^alpha(e_i, .): v is in
-    the common kernel iff every row kills v.  Both are views of one matrix that
-    one float runner, built on first use and kept on the structure, fills with
-    the nonzero coefficients; each d-eta block is then its upper triangle
-    minus that triangle's transpose.
+    Column alpha*dim + i stands for component i of X_alpha.  Rows 0..dim-1
+    hold the d-eta matrices transposed: a d-eta^alpha coefficient c at
+    (i, j) is A[j, alpha*dim + i] = c and A[i, alpha*dim + j] = -c.  Row dim
+    holds the eta matrix flattened: eta^alpha's coefficient at i is
+    A[dim, alpha*dim + i].
     """
-    k, dim = s.k, s.dim
+    dim = s.dim
+    entries = []
+    for alpha, d in enumerate(s.d_eta):
+        for (i, j), c in d.coeffs.items():
+            entries += [(j, alpha * dim + i, 1.0, c), (i, alpha * dim + j, -1.0, c)]
+    entries += [(dim, alpha * dim + i, 1.0, c)
+                for alpha, f in enumerate(s.eta.forms) for (i,), c in f.coeffs.items()]
+    return entries
+
+
+def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
+    """The HdDW matrix A of s (matrix_entries) at a point, with -0.0 turned
+    into 0.0, filled by one runner built on first use and kept on the
+    structure."""
+    n = s.k * s.dim
     if s._matrices_at is None:
-        entries = [((alpha, i), c) for alpha, f in enumerate(s.eta.forms)
-                   for (i,), c in f.coeffs.items()]
-        entries += [((k + alpha * dim + i, j), c) for alpha, d in enumerate(s.d_eta)
-                    for (i, j), c in d.coeffs.items()]
-        s._matrices_at = entries_at((k * (dim + 1), dim), entries)
-    M = s._matrices_at(point)
-    blocks = M[k:].reshape(k, dim, dim)
-    blocks -= blocks.transpose(0, 2, 1)
-    return M[:k], M[k:]
+        s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, sign, 0.0, c)
+                                                  for r, col, sign, c in matrix_entries(s)])
+    return s._matrices_at(point).reshape(s.dim + 1, n)
 
 
-def check_structure_at(eta: np.ndarray, deta: np.ndarray) -> tuple[int, int, int]:
+def check_structure_at(A: np.ndarray) -> tuple[int, int, int]:
     """(rank of eta, dim of the common kernel of d-eta, dim of the two kernels'
-    intersection) from numeric SVD ranks of structure_matrices_at's pair.
+    intersection) from numeric SVD ranks, with eta (its last row, as k x dim)
+    and the stacked d-eta (its first dim rows, transposed: row alpha*dim + i
+    holds d eta^alpha(e_i, .)) read as views of the HdDW matrix A.
 
     The three defining conditions hold at the point exactly when this is
     (k, k, 0): ker eta has corank k, the d-eta kernel has dimension k, and
     the two kernels intersect trivially.
     """
-    dim = eta.shape[1]
+    dim = A.shape[0] - 1
+    eta, deta = A[dim].reshape(-1, dim), A[:dim].T
     return (numeric_rank(eta), dim - numeric_rank(deta),
             dim - numeric_rank(np.vstack([eta, deta])))
 
 
 def k1_conditions_hold(dim: int, rank: int) -> bool:
-    """For k = 1: whether check_structure_at(eta, deta) == (1, 1, 0), read
-    off rank, the numeric rank of the (dim+1) x dim matrix A = [deta^T; eta]
-    (the HdDW matrix of hddw._system_at), so that the solve's own SVD
-    decides the defining conditions.  They hold exactly when dim is odd and
-    rank == dim:
+    """For k = 1: whether check_structure_at(A) == (1, 1, 0), read off rank,
+    the numeric rank of the (dim+1) x dim HdDW matrix A = [deta^T; eta]
+    (matrix_entries), so that the solve's own SVD decides the defining
+    conditions.  They hold exactly when dim is odd and rank == dim:
 
     - rank(A) = dim implies (1, 1, 0).  eta is not zero: else rank(A) =
       rank(deta), and an antisymmetric matrix of odd size is singular, so
@@ -151,7 +165,7 @@ def verify_kcontact(
     pts = sample_points(s.chart.coords, s.chart.domain(), n_points, rng)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
-    ranks = [check_structure_at(*structure_matrices_at(s, p)) for p in pts]
+    ranks = [check_structure_at(structure_matrices_at(s, p)) for p in pts]
     want = (s.k, s.k, 0)
     rank_table = [
         {
@@ -324,10 +338,10 @@ def check_polarization(
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
     n = len(fields)
     rows = [f.components for f in fields] + brackets
-    rows_at = entries_at((len(rows), dim), [((r, i), c) for r, comps in enumerate(rows)
-                                            for i, c in enumerate(comps) if c != ZERO])
+    rows_at = filler(len(rows) * dim, [(r * dim + i, 1.0, -0.0, c) for r, comps in enumerate(rows)
+                                       for i, c in enumerate(comps) if c != ZERO])
     for p in pts:
-        values = rows_at(p)
+        values = rows_at(p).reshape(len(rows), dim)
         # the brackets stay in the span iff stacking them leaves its rank
         r = numeric_rank(values[:n])
         if r != expected_rank or (brackets and numeric_rank(values) != r):

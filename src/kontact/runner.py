@@ -1,8 +1,8 @@
 """Generated float evaluators for expressions evaluated at many points.
 
 float_runner writes an expr.Program out as straight-line Python source and
-exec's it once, in the manner of sympy's lambdify; entries_at places a
-runner's values into an array.  The owner of the expressions builds these on
+exec's it once, in the manner of sympy's lambdify; filler scatters a
+runner's values into a flat array.  The owner of the expressions builds these on
 first use and keeps them (a structure, a Hamiltonian system) or uses them
 for one call; nothing is built at import time or cached beyond its owner.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from .expr import (_CONST, _EXP, _POW, _PRODUCT, _SUM, _VAR, Program, ScalarExpr,
                    compile_exprs, evaluate)
 
-__all__ = ["float_runner", "entries_at"]
+__all__ = ["float_runner", "filler"]
 
 _CHAIN = 100  # most terms or factors joined in one generated expression
 
@@ -103,16 +103,22 @@ def _runner_source(program: Program) -> str:
             + "        return _fallback(p)\n")
 
 
-def entries_at(shape: tuple, entries: list):
-    """A function point -> array of the given shape holding each (index,
-    expression) entry's value and zero elsewhere, from one float runner."""
-    index = tuple(np.array([i for i, _ in entries], dtype=np.intp)
-                  .reshape(len(entries), len(shape)).T)
-    run = float_runner([e for _, e in entries])
+def filler(size: int, entries: Sequence[tuple]) -> Callable[[Mapping], np.ndarray]:
+    """A function point -> a new flat array of the given size that holds, at
+    each (position, sign, shift, expression) entry's position, the
+    expression's value times sign plus shift, and zero elsewhere; one float
+    runner evaluates every expression.  A shift of 0.0 turns -0.0 into 0.0,
+    and -0.0 leaves every value as it is."""
+    at, sign, shift, exprs = zip(*entries) if entries else ((),) * 4
+    at, sign, shift = np.array(at, dtype=np.intp), np.array(sign), np.array(shift)
+    run = float_runner(exprs)
 
-    def at(point):
-        out = np.zeros(shape)
-        out[index] = run(point)
+    def fill(point):
+        values = np.array(run(point))
+        values *= sign
+        values += shift
+        out = np.zeros(size)
+        out[at] = values
         return out
 
-    return at
+    return fill

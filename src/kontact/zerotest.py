@@ -11,7 +11,8 @@ at every evaluated point, where scale is the magnitude of the largest
 top-level summand (a cancellation proxy); when it does not, but stays below
 INCONCLUSIVE_MARGIN, the test is inconclusive.  Points where the expression is undefined (a singularity the
 domain constraints did not exclude) or its value is not finite are skipped
-and counted; with none left the test raises SampleDomainEmpty.
+and counted; with none left the test raises SampleDomainEmpty, and a pass
+from fewer than MIN_EVALUATED_FRACTION of the drawn points is inconclusive.
 
 Every verdict of the engine, from these zero tests up to the CLI report, is
 a Check: pass, fail or inconclusive, with its largest residual and details.
@@ -33,12 +34,16 @@ from .expr import Rational, ScalarExpr, compile_expr, evaluate, free_variables
 __all__ = [
     "PASS", "FAIL", "INCONCLUSIVE", "Check", "combine", "zero_check",
     "SampleDomain", "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points",
-    "INCONCLUSIVE_MARGIN", "MAX_SAMPLE_RETRIES",
+    "INCONCLUSIVE_MARGIN", "MIN_EVALUATED_FRACTION", "MAX_SAMPLE_RETRIES",
 ]
 
 INCONCLUSIVE_MARGIN = 1e-6
 """A float zero test whose residuals exceed its tolerance somewhere but stay
 below this everywhere is inconclusive: neither verdict is safe."""
+MIN_EVALUATED_FRACTION = 0.5
+"""A zero test that would pass but evaluated fewer than this fraction of its
+drawn points (the rest were singular or not finite) is inconclusive: too
+few points speak for the pass.  A fail stays a fail."""
 MAX_SAMPLE_RETRIES = 400
 """sample_points raises SampleDomainEmpty once it has made more than
 n + MAX_SAMPLE_RETRIES draws without finding n points."""
@@ -186,7 +191,10 @@ def zero_test(
             "every sampled point hit a singularity or a non-finite value; "
             "tighten the domain constraints")
     max_abs = max(magnitudes)
-    inconclusive = not program.rational and not within and max_abs < INCONCLUSIVE_MARGIN
+    if within and len(magnitudes) < MIN_EVALUATED_FRACTION * len(points):
+        within, inconclusive = False, True  # too few points speak for the pass
+    else:
+        inconclusive = not program.rational and not within and max_abs < INCONCLUSIVE_MARGIN
     return ZeroTestResult(within, max_abs, len(magnitudes), program.rational,
                           inconclusive=inconclusive, n_skipped=n_skipped)
 
@@ -203,7 +211,8 @@ def is_probably_zero(
     res = zero_test(e, domain, config)
     if res.inconclusive:
         raise ZeroTestInconclusive(
-            f"expression neither clearly zero nor nonzero (max |value| {res.max_abs:.2e})")
+            f"expression neither clearly zero nor nonzero (max |value| {res.max_abs:.2e} "
+            f"at {res.n_points} of {res.n_points + res.n_skipped} points)")
     return res.is_zero
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kontact.config import RunConfig
 from kontact.errors import DomainError
-from kontact.expr import Rational, ScalarExpr, Var, log
+from kontact.expr import ZERO, Rational, ScalarExpr, Var, evaluate, log
 from kontact.forms import Chart, DifferentialForm, RkValuedOneForm
 from kontact.kcontact import KContactStructure
 
@@ -89,3 +90,23 @@ def expression_pivot_structure() -> KContactStructure:
     ch = Chart(["s", "x", "y"], constraints=[Var("x")],
                ranges={"x": (Fraction(1, 2), Fraction(2))})
     return KContactStructure(RkValuedOneForm([DifferentialForm(ch, 1, {(0,): "x", (2,): -1})]))
+
+
+def dense_structure_matrices(s: KContactStructure, point) -> np.ndarray:
+    """The HdDW matrix [deta^T; eta] (-0.0 turned into 0.0) from every entry
+    of the eta and stacked d-eta matrices evaluated as a tree: the oracle of
+    kcontact.matrix_entries' layout."""
+    dim = s.dim
+    eta = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta.forms]
+    deta = []
+    for d in s.d_eta:
+        B = [[ZERO] * dim for _ in range(dim)]
+        for (i, j), c in d.coeffs.items():
+            B[i][j] = c
+            B[j][i] = -c
+        deta.extend(B)
+
+    def ev(rows):
+        return np.array([[float(evaluate(e, point)) for e in row] for row in rows])
+
+    return np.vstack([ev(deta).T, ev(eta).reshape(1, -1)]) + 0.0

@@ -340,6 +340,38 @@ class TestCLI:
                      "--t-end", "0.1", "--no-timestamp"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra, error", [
+        (["--point", '{"E": 1, "S": 1, "V": 1, "T": 1, "P": 1}'],
+         "--point misses coordinates ['N', 'mu']"),
+        (["--point", json.dumps(dict.fromkeys(["E", "S", "V", "N", "T", "P", "mu"], 1)),
+          "--n-points", "3"],
+         "--n-points cannot be combined with --point JSON, which gives the one point"),
+    ])
+    def test_hddw_point_usage_errors(self, tmp_path, monkeypatch, capsys, extra, error):
+        monkeypatch.chdir(tmp_path)
+        code = main(["hddw", "--builtin", "thermo", "--json", "r.json", "--no-timestamp"]
+                    + extra)
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("command", ["verify-structure", "hddw"])
+    def test_eta_without_coefficients_fails_with_report(self, tmp_path, capsys, command, k):
+        # every eta^alpha is zero: the HdDW matrix has no entries at all
+        forms = {f"e{a}": {"degree": 1, "coeffs": {}} for a in range(k)}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"chart": {"coords": ["x", "y", "z"]},
+                                    "forms": forms, "eta": list(forms)}))
+        report = tmp_path / "r.json"
+        code = main([command, str(path), "--samples", "16", "--json", str(report),
+                     "--no-timestamp"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        checks = json.loads(report.read_text())["checks"]
+        assert checks and all(c["verdict"] == "fail" for c in checks)
+
     def test_ideal_gas_csv(self, tmp_path):
         csv_path = tmp_path / "traj.csv"
         code = main(["ideal-gas", "--cv", "3/2", "--t-end", "0.1", "--dt", "0.01",

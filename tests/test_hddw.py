@@ -44,7 +44,7 @@ from kontact.idealgas import (
     run_isentropic,
 )
 from kontact.fileio import resolve_structure
-from kontact.kcontact import KContactStructure, canonical_structure, structure_matrices_at
+from kontact.kcontact import KContactStructure, canonical_structure
 from kontact.linalg import RANK_THRESHOLD, nullspace_basis
 from kontact.legendrian import (
     ParametrizingKFunction,
@@ -59,6 +59,8 @@ from kontact.zerotest import (
     sample_points,
     zero_check,
 )
+
+from conftest import dense_structure_matrices
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -294,8 +296,7 @@ class TestOneSVDSolve:
             # 0.0, b keeps them
             p = {c: 0.0 if zero_every and i % zero_every == 0 else rng.uniform(-1.5, 1.5)
                  for i, c in enumerate(chart.coords)}
-            eta, deta = structure_matrices_at(sys_.structure, p)
-            A_old = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
+            A_old = dense_structure_matrices(sys_.structure, p)
             b_old = np.zeros(dim + 1)
             b_old[[l for (l,) in rhs1.coeffs] + [dim]] = rhs_at(p)
             A, b = _system_at(sys_, p)
@@ -309,6 +310,32 @@ def x0_params(x0):
 
 
 class TestSectionResidual:
+    @pytest.mark.parametrize("name", ["hydro2", "thermo"])
+    def test_equals_system_at_on_the_prolongation(self, name):
+        from kontact.forms import prolongation
+        from kontact.hddw import _system_at
+
+        holder = resolve_structure(name)
+        chart = holder.structure.chart
+        c0, c1, c2 = chart.coords[:3]
+        sys_ = KContactHamiltonianSystem(holder.structure, f"{c0}*{c1} - {c2}^2/3 + {c1}",
+                                         reeb=holder.reeb)
+        src = parameter_chart(sys_.k)
+        t = [Var(c) for c in src.coords]
+        # a section with components 1 + (i+1)/8 + t_0 (i mod 3)/5 - t_{k-1}^2/16
+        psi = SmoothMap(src, chart, [
+            1 + Rational(Fraction(i + 1, 8)) + Rational(Fraction(i % 3, 5)) * t[0]
+            - t[-1] * t[-1] / 16 for i in range(chart.dim)])
+        eq1, eq2 = section_residual(sys_, psi)
+        X = prolongation(psi)  # X[alpha][i] = d psi^i / d t^alpha
+        for u in sample_points(src.coords, src.domain(), 4, random.Random(5)):
+            x = {c: float(evaluate(e, u)) for c, e in zip(chart.coords, psi.components)}
+            A, b = _system_at(sys_, x)
+            want = A @ np.array([float(evaluate(e, u)) for col in X for e in col]) - b
+            got = np.array([float(evaluate(e, u)) for e in eq1 + [eq2]])
+            assert np.abs(want).max() > 0.1  # H != 0 keeps both sides away from zero
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_constant_hydro_section_is_solution(self):
         from kontact.hydro import hydro_chart, hydro_system
 

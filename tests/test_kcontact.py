@@ -40,7 +40,7 @@ from kontact.zerotest import (
     FAIL, INCONCLUSIVE, INCONCLUSIVE_MARGIN, PASS, is_probably_zero, sample_points,
 )
 
-from conftest import expression_pivot_structure, rand_form
+from conftest import dense_structure_matrices, expression_pivot_structure, rand_form
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -337,24 +337,6 @@ class TestReebDistributionIntegrability:
             assert check_reeb_commutation(frame, config=FAST).verdict == PASS
 
 
-def dense_structure_matrices(s, point):
-    """Every entry of the eta and stacked d-eta matrices evaluated as a tree."""
-    dim = s.dim
-    eta = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta.forms]
-    deta = []
-    for d in s.d_eta:
-        B = [[ZERO] * dim for _ in range(dim)]
-        for (i, j), c in d.coeffs.items():
-            B[i][j] = c
-            B[j][i] = -c
-        deta.extend(B)
-
-    def ev(rows):
-        return np.array([[float(evaluate(e, point)) for e in row] for row in rows])
-
-    return ev(eta), ev(deta)
-
-
 class TestStructureMatrices:
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "thermo",
                                       "canonical:1,1", "canonical:2,3", "canonical:3,2"])
@@ -365,17 +347,16 @@ class TestStructureMatrices:
         pts = sample_points(s.chart.coords, s.chart.domain(), 3, random.Random(7))
         # exact rational points (verify_kcontact) and float points (hddw)
         for p in pts + [{c: float(v) for c, v in q.items()} for q in pts]:
-            eta, deta = structure_matrices_at(s, p)
-            eta_ref, deta_ref = dense_structure_matrices(s, p)
-            assert np.array_equal(eta, eta_ref)
-            assert np.array_equal(deta, deta_ref)
+            A, A_ref = structure_matrices_at(s, p), dense_structure_matrices(s, p)
+            assert np.array_equal(A, A_ref)
+            assert np.array_equal(np.signbit(A), np.signbit(A_ref))
 
     def test_point_check_matches_report(self):
         s = canonical_structure(2, 2)
         rank_table = verify_kcontact(s, n_points=3, config=FAST)[0].detail["rank_table"]
         for row in rank_table:
             p = {c: Fraction(v) for c, v in row["point"].items()}
-            ranks = check_structure_at(*structure_matrices_at(s, p))
+            ranks = check_structure_at(structure_matrices_at(s, p))
             assert ranks == (row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"])
             assert ranks == (2, 2, 0) and row["pass"]
 
@@ -414,9 +395,8 @@ class TestK1Rule:
             # coordinates often 0 or +-1, so that points land on degenerate loci
             p = {c: rng.choice([0.0, 1.0, -1.0, 0.5, rng.uniform(-2, 2)])
                  for c in s.chart.coords}
-            eta, deta = structure_matrices_at(s, p)
-            holds = check_structure_at(eta, deta) == (1, 1, 0)
-            A = np.vstack([deta.T, eta.reshape(1, -1)]) + 0.0
+            A = structure_matrices_at(s, p)
+            holds = check_structure_at(A) == (1, 1, 0)
             _, rank, _ = least_norm_solution(A, np.zeros(s.dim + 1))
             assert k1_conditions_hold(s.dim, rank) == holds
             assert k1_conditions_hold(s.dim, numeric_rank(A)) == holds

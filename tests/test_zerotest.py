@@ -19,6 +19,7 @@ from kontact.zerotest import (
     FAIL,
     INCONCLUSIVE,
     INCONCLUSIVE_MARGIN,
+    MIN_EVALUATED_FRACTION,
     PASS,
     SampleDomain,
     ZeroTestResult,
@@ -98,6 +99,8 @@ def reference_zero_test(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestRe
                 all_within = False
     if n_evaluated == 0:
         raise SampleDomainEmpty("every sampled point hit a singularity")
+    if all_within and n_evaluated < MIN_EVALUATED_FRACTION * len(points):
+        return ZeroTestResult(False, max_abs, n_evaluated, exact, inconclusive=True)
     if exact:
         return ZeroTestResult(all_within, max_abs, n_evaluated, True)
     return ZeroTestResult(all_within, max_abs, n_evaluated, False,
@@ -173,6 +176,23 @@ class TestAgainstReference:
         res = assert_agrees(parse_expr(text), SampleDomain(ranges), DEFAULT_CONFIG)
         assert res.n_skipped > 0
         assert res.n_points + res.n_skipped == DEFAULT_CONFIG.n_sample_points
+
+    @pytest.mark.parametrize("text, ranges, verdict", [
+        # 2 of 64 points lie right of the branch point: too few for a pass
+        ("sqrt(x - 31/16)*y - y*sqrt(x - 31/16)", {}, INCONCLUSIVE),
+        # a fail from as few points stays a fail
+        ("sqrt(x - 31/16)*y - 2*y*sqrt(x - 31/16)", {}, FAIL),
+        # exact path: x = 0 and x = 1/64 are singular, only x = 1/32 is not
+        ("x*(x*(x - 1/64))^(-1) - (x - 1/64)^(-1)", {"x": (Fraction(0), Fraction(1, 32))},
+         INCONCLUSIVE),
+    ])
+    def test_too_few_evaluated_points_never_pass(self, text, ranges, verdict):
+        res = assert_agrees(parse_expr(text), SampleDomain(ranges), DEFAULT_CONFIG)
+        assert res.n_points < MIN_EVALUATED_FRACTION * DEFAULT_CONFIG.n_sample_points
+        assert res.verdict == verdict
+        if verdict == INCONCLUSIVE:
+            with pytest.raises(ZeroTestInconclusive, match=f"at {res.n_points} of 64 points"):
+                is_probably_zero(parse_expr(text), SampleDomain(ranges))
 
 
 # ---------------------------------------------------------------------------
