@@ -62,7 +62,6 @@ from .forms import (
 )
 from .kcontact import (
     KContactStructure,
-    ReebFrame,
     canonical_structure,
     check_polarization,
     check_reeb,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -42,6 +43,7 @@ from .hddw import (
     section_residual,
     solve_hddw_at_point,
 )
+from .hydro import equilibrium_conditions_residual
 from .idealgas import run_isentropic
 from .kcontact import (canonical_structure, check_polarization, check_reeb,
                        reeb_frame_check, verify_kcontact)
@@ -170,7 +172,7 @@ def _read_system(path: str, H: str) -> tuple[str | None, str | None, str]:
 
 def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
     """The JSON object of coordinate values given as --x0 or --point, which
-    must give every one of the chart's coords."""
+    must give every one of the chart's coords, each a finite number."""
     try:
         raw = json.loads(text)
         values = {name: float(v) for name, v in raw.items()}
@@ -179,6 +181,9 @@ def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
     missing = set(coords) - set(values)
     if missing:
         raise ParseError(f"{option} misses coordinates {sorted(missing)}")
+    non_finite = [name for name, v in values.items() if not math.isfinite(v)]
+    if non_finite:
+        raise ParseError(f"{option} gives non-finite values for coordinates {sorted(non_finite)}")
     return values
 
 
@@ -295,8 +300,6 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         raw = zero_check("section_residual", eq1 + [eq2], sect.source.domain(), config)
         checks.append(raw)
         if builtin and builtin.startswith("hydro"):
-            from .hydro import equilibrium_conditions_residual
-
             # its cross-check is the H = 0 system's residual: the one above when H is 0
             checks.append(equilibrium_conditions_residual(sect, s.k, config,
                                                           raw if H == ZERO else None))

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .errors import ParseError
 from .expr import as_expr, parse_expr
-from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, parameter_chart
+from .forms import (Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField,
+                    parameter_chart)
 from .hydro import hydro_kcontact_form, hydro_polarization, hydro_reeb_frame
 from .kcontact import KContactStructure, canonical_structure
 from .legendrian import ParametrizingKFunction, thermo_structure
@@ -158,8 +159,6 @@ def resolve_structure(name: str) -> BuiltinStructure:
     if m:
         n, k = int(m.group(1)), int(m.group(2))
         s = canonical_structure(n, k)
-        from .forms import VectorField
-
         pol = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
                for a in range(1, k + 1) for i in range(1, n + 1)]
         return BuiltinStructure(name, s, polarization=pol)

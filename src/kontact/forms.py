@@ -126,9 +126,9 @@ class Chart:
         return f"Chart({', '.join(self.coords)})"
 
 
-def parameter_chart(k: int, prefix: str = "t") -> Chart:
+def parameter_chart(k: int) -> Chart:
     """The source chart t_0..t_{k-1} for sections and prolongations."""
-    return Chart([f"{prefix}_{i}" for i in range(k)])
+    return Chart([f"t_{i}" for i in range(k)])
 
 
 def _require_same_chart(a, b):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,10 +39,9 @@ from .errors import (
     StructureDegenerateAtPoint,
 )
 from .expr import ZERO, Rational, ScalarExpr, as_expr, free_variables, substitute
-from .forms import DifferentialForm, SmoothMap, exterior_derivative, prolongation
+from .forms import DifferentialForm, KVectorField, SmoothMap, exterior_derivative, prolongation
 from .kcontact import (
     KContactStructure,
-    ReebFrame,
     check_structure_at,
     compute_reeb,
     k1_conditions_hold,
@@ -74,7 +73,7 @@ class KContactHamiltonianSystem:
         self,
         structure: KContactStructure,
         H: ScalarExpr | int | str,
-        reeb: ReebFrame | None = None,
+        reeb: KVectorField | None = None,
         config: RunConfig = DEFAULT_CONFIG,
     ):
         self.structure = structure
@@ -97,7 +96,7 @@ class KContactHamiltonianSystem:
         return self.structure.dim
 
     @property
-    def reeb(self) -> ReebFrame:
+    def reeb(self) -> KVectorField:
         if self._reeb is None:
             self._reeb = compute_reeb(self.structure, self._config)
         return self._reeb
@@ -140,8 +139,7 @@ class HdDWPointSolution:
 
     def residual_of(self, candidate: np.ndarray) -> float:
         x = np.asarray(candidate, dtype=float).reshape(-1)
-        r = self._A @ x - self._b
-        return float(np.max(np.abs(r))) if r.size else 0.0
+        return _residual(self._A, x, self._b)[0]
 
 
 def _require_structure(holds: bool, point: dict):
@@ -235,15 +233,7 @@ def pseudo_gauge_shift(sol: HdDWPointSolution, coeffs: Sequence[float]) -> HdDWP
     if not residual <= sol._tolerance:
         raise InconsistentSystem(
             f"shifted candidate leaves the solution set: residual {residual:.3e}")
-    return HdDWPointSolution(
-        point=sol.point,
-        particular=shifted,
-        nullspace=sol.nullspace,
-        residual_norm=residual,
-        _A=sol._A,
-        _b=sol._b,
-        _tolerance=sol._tolerance,
-    )
+    return replace(sol, particular=shifted, residual_norm=residual)
 
 
 def section_residual(

@@ -16,10 +16,10 @@ from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, DimensionNot4
-from .expr import ExprLike, Rational, ScalarExpr, Var, ZERO, as_expr, differentiate
-from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
+from .expr import ExprLike, Pow, Rational, ScalarExpr, Var, ZERO, as_expr, differentiate
+from .forms import Chart, DifferentialForm, KVectorField, RkValuedOneForm, SmoothMap, VectorField
 from .hddw import KContactHamiltonianSystem, section_residual
-from .kcontact import KContactStructure, ReebFrame
+from .kcontact import KContactStructure
 from .zerotest import PASS, Check, combine, zero_check
 
 __all__ = [
@@ -75,11 +75,11 @@ def hydro_kcontact_form(k: int = 4) -> KContactStructure:
     return KContactStructure(RkValuedOneForm(forms))
 
 
-def hydro_reeb_frame(structure: KContactStructure) -> ReebFrame:
+def hydro_reeb_frame(structure: KContactStructure) -> KVectorField:
     """The frame (d/dS^0, ..., d/dS^{k-1}); validity is covered by tests."""
     chart = structure.chart
-    return ReebFrame([VectorField.coordinate(chart, f"S_{m}")
-                      for m in range(structure.k)])
+    return KVectorField([VectorField.coordinate(chart, f"S_{m}")
+                         for m in range(structure.k)])
 
 
 def hydro_system(k: int = 4, H: ExprLike = 0) -> KContactHamiltonianSystem:
@@ -277,9 +277,6 @@ def equilibrium_legendrian(k: int = 4) -> SmoothMap:
     for m in range(1, k):
         ranges[f"beta_{m}"] = (Fraction(-1, 4), Fraction(1, 4))
     source = Chart(coords, constraints=[bb, Var("V")], ranges=ranges)
-
-    from .expr import Pow
-
     t_k = Pow.make(bb, Fraction(-k, 2))          # T^k
     t_k2 = Pow.make(bb, Fraction(-(k + 2), 2))   # T^{k+2}
     V = Var("V")

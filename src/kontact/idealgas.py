@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Pow, ScalarExpr, Var, evaluate, exp
+from .expr import Pow, ScalarExpr, Var, differentiate, evaluate, exp
 from .hddw import KContactHamiltonianSystem, Trajectory, integrate_contact_flow
 from .legendrian import thermo_parametrization, thermo_structure
 
@@ -32,8 +32,6 @@ def ideal_gas_energy(cv: Fraction | int | str = Fraction(3, 2)) -> ScalarExpr:
 
 def isentropic_hamiltonian(cv: Fraction | int | str = Fraction(3, 2)) -> ScalarExpr:
     """H = -(P + dU/dV) V; vanishes exactly on the U-generated equilibrium states."""
-    from .expr import differentiate
-
     f = ideal_gas_energy(cv)
     return -(Var("P") + differentiate(f, "V")) * Var("V")
 

@@ -4,9 +4,9 @@ canonical example, and polarization checks.
 The defining conditions (kernel coranks/ranks and their trivial intersection)
 are decided pointwise with numeric SVD ranks at sampled chart points, read
 off the HdDW matrix [d-eta^T; eta] of hddw's field equations, whose layout
-matrix_entries alone states; the Reeb frame is solved symbolically from its
-duality/annihilation equations, whose sparse rows are the forms' own
-nonzero coefficients.
+matrix_entries alone states.  The Reeb frame, a forms.KVectorField, is
+solved symbolically from its duality/annihilation equations, whose sparse
+rows are the same entries read as rows of [eta; d-eta].
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .expr import ONE, ZERO, ScalarExpr, Var
 from .forms import (
     Chart,
     DifferentialForm,
+    KVectorField,
     RkValuedOneForm,
     VectorField,
     exterior_derivative,
@@ -34,7 +35,7 @@ from .runner import filler
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_points, zero_check
 
 __all__ = [
-    "KContactStructure", "ReebFrame",
+    "KContactStructure",
     "matrix_entries", "structure_matrices_at", "check_structure_at", "k1_conditions_hold",
     "verify_kcontact", "compute_reeb", "reeb_frame_check", "check_reeb",
     "check_reeb_commutation", "canonical_structure", "check_polarization",
@@ -62,25 +63,6 @@ class KContactStructure:
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-
-class ReebFrame:
-    """The frame R_1..R_k dual to eta^alpha and annihilating every d eta^beta."""
-
-    __slots__ = ("fields",)
-
-    def __init__(self, fields: Sequence[VectorField]):
-        self.fields = tuple(fields)
-
-    @property
-    def k(self) -> int:
-        return len(self.fields)
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def __getitem__(self, i: int) -> VectorField:
-        return self.fields[i]
 
 
 def matrix_entries(s: KContactStructure) -> list[tuple[int, int, float, ScalarExpr]]:
@@ -186,30 +168,30 @@ def verify_kcontact(
     ]
 
 
-def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> ReebFrame:
-    """Solve the Reeb defining equations symbolically.
+def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> KVectorField:
+    """Solve the Reeb defining equations symbolically for the frame R_1..R_k.
 
     For each alpha: eta^beta(R_alpha) = delta and iota_{R_alpha} d eta^beta = 0.
-    One sparse Gauss-Jordan elimination over the expression field with k
-    right-hand sides, on the forms' own nonzero coefficients; pivots decided
-    by the sampling zero test.
+    The equations are the rows of [eta; d-eta] read off matrix_entries: row
+    beta is eta^beta, row k + beta*dim + i is d eta^beta(e_i, .), which is
+    column beta*dim + i of A.  One sparse Gauss-Jordan elimination over the
+    expression field with k right-hand sides; pivots decided by the
+    sampling zero test.
     """
     dim, k = s.dim, s.k
-    # eta rows, then d eta^beta(e_i, .) for every beta and i
-    rows = [{i: c for (i,), c in f.coeffs.items()} for f in s.eta.forms]
-    for d in s.d_eta:
-        B = [{} for _ in range(dim)]
-        for (i, j), c in d.coeffs.items():
-            B[i][j] = c
-            B[j][i] = -c
-        rows.extend(B)
+    rows = [{} for _ in range(k + k * dim)]
+    for r, col, sign, c in matrix_entries(s):
+        if r == dim:
+            rows[col // dim][col % dim] = c
+        else:
+            rows[k + col][r] = c if sign > 0 else -c
     rhs = [{beta: ONE} for beta in range(k)] + [{} for _ in range(k * dim)]
     try:
         sol = solve_symbolic(rows, rhs, dim, s.chart.domain(), config)
     except SingularSystem as err:
         raise SingularSystem(
             f"structure is not k-contact on this chart: Reeb system: {err}") from None
-    frame = ReebFrame([
+    frame = KVectorField([
         VectorField(s.chart, [sol[i].get(alpha, ZERO) for i in range(dim)])
         for alpha in range(k)
     ])
@@ -219,7 +201,7 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> Re
 
 def reeb_frame_check(
     s: KContactStructure, config: RunConfig = DEFAULT_CONFIG
-) -> tuple[ReebFrame | None, Check]:
+) -> tuple[KVectorField | None, Check]:
     """compute_reeb as the reeb_frame check: the frame and a pass carrying its
     solved components, or None and a fail or inconclusive saying why there
     is no frame."""
@@ -238,10 +220,10 @@ def check_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> list
     frame, check = reeb_frame_check(s, config)
     if frame is None:
         return [check]
-    return [check, check_reeb_commutation(frame, config=config)]
+    return [check, check_reeb_commutation(frame, config)]
 
 
-def _check_reeb_invariants(s: KContactStructure, frame: ReebFrame, config: RunConfig):
+def _check_reeb_invariants(s: KContactStructure, frame: KVectorField, config: RunConfig):
     domain = s.chart.domain()
     for alpha, R in enumerate(frame):
         for beta, eta_b in enumerate(s.eta.forms):
@@ -258,18 +240,12 @@ def _check_reeb_invariants(s: KContactStructure, frame: ReebFrame, config: RunCo
                         f"solved frame violates iota_R_{alpha} d eta^{beta} = 0")
 
 
-def check_reeb_commutation(
-    frame: ReebFrame,
-    domain=None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Check:
+def check_reeb_commutation(frame: KVectorField, config: RunConfig = DEFAULT_CONFIG) -> Check:
     """The reeb_commutation check: every pairwise bracket of the frame vanishes."""
-    fields = tuple(frame)
-    if domain is None and fields:
-        domain = fields[0].chart.domain()
+    fields = frame.fields
     brackets = [c for a in range(len(fields)) for b in range(a + 1, len(fields))
                 for c in lie_bracket(fields[a], fields[b]).components]
-    return zero_check("reeb_commutation", brackets, domain, config)
+    return zero_check("reeb_commutation", brackets, frame.chart.domain(), config)
 
 
 def canonical_structure(n: int, k: int) -> KContactStructure:

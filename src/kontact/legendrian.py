@@ -232,11 +232,7 @@ def thermo_parametrization(f: ExprLike) -> SmoothMap:
     return SmoothMap(src, thermo_chart(), [components[c] for c in _THERMO_COORDS])
 
 
-def check_gibbs_equality(
-    f: ExprLike,
-    L: SmoothMap | None = None,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Check:
+def check_gibbs_equality(f: ExprLike, config: RunConfig = DEFAULT_CONFIG) -> Check:
     """The gibbs_equality check: E + PV = TS + mu N through the state map
     generated by f.
 
@@ -251,7 +247,7 @@ def check_gibbs_equality(
              - f)
     if not is_probably_zero(euler, src.domain(), config):
         raise NotHomogeneous("generating function is not homogeneous of degree 1")
-    phi = L if L is not None else thermo_parametrization(f)
+    phi = thermo_parametrization(f)
     comp = phi.bindings()
     gibbs = (comp["E"] + comp["P"] * comp["V"]
              - comp["T"] * comp["S"] - comp["mu"] * comp["N"])

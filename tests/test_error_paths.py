@@ -10,6 +10,7 @@ import pytest
 from kontact.config import RunConfig
 from kontact.cli import main
 from kontact.errors import (
+    DomainError,
     KMismatch,
     SampleDomainEmpty,
     StructureDegenerateAtPoint,
@@ -26,6 +27,7 @@ from kontact.forms import (
 )
 from kontact.hddw import KContactHamiltonianSystem, solve_hddw_at_point
 from kontact.kcontact import KContactStructure, compute_reeb
+from kontact.legendrian import thermo_structure
 from kontact.zerotest import SampleDomain, is_probably_zero, zero_test
 
 FAST = RunConfig(n_sample_points=16)
@@ -192,13 +194,21 @@ class TestNonFiniteSystem:
     # reach an SVD
     @pytest.mark.parametrize("H, point", [
         ("V*V*V", '{"E":1,"S":1,"V":1e200,"N":1,"T":1,"P":1,"mu":1}'),
-        ("V*V*V", '{"E":1,"S":1,"V":1,"N":1,"T":NaN,"P":1,"mu":1}'),
     ])
     def test_cli_reports_domain_error(self, H, point, capsys):
         argv = ["hddw", "--builtin", "thermo", "--H", H, "--point", point, "--no-timestamp"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: non-finite pointwise system at {")
+
+    def test_solver_refuses_nan_in_A(self):
+        # the CLI refuses a NaN --point as a usage error, so the solver's own
+        # guard is tested here
+        sys_ = KContactHamiltonianSystem(thermo_structure(), "V*V*V")
+        point = dict.fromkeys(["E", "S", "V", "N", "T", "P", "mu"], 1.0)
+        point["T"] = float("nan")
+        with pytest.raises(DomainError, match="non-finite pointwise system at"):
+            solve_hddw_at_point(sys_, point)
 
 
 class TestKMismatch:

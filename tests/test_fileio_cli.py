@@ -346,6 +346,17 @@ class TestCLI:
         (["--point", json.dumps(dict.fromkeys(["E", "S", "V", "N", "T", "P", "mu"], 1)),
           "--n-points", "3"],
          "--n-points cannot be combined with --point JSON, which gives the one point"),
+        # a coordinate the system never reads must not pass as NaN or infinity
+        (["--point", '{"E": NaN, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}'],
+         "--point gives non-finite values for coordinates ['E']"),
+        (["--point", '{"E": 1, "S": 1, "V": Infinity, "N": 1, "T": 1, "P": -Infinity, "mu": 1}'],
+         "--point gives non-finite values for coordinates ['P', 'V']"),
+        (["--x0", '{"E": NaN, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}',
+          "--t-end", "0.01"],
+         "--x0 gives non-finite values for coordinates ['E']"),
+        (["--x0", '{"E": 1, "S": 1, "V": 1, "N": 1, "T": 1, "P": Infinity, "mu": 1}',
+          "--t-end", "0.01"],
+         "--x0 gives non-finite values for coordinates ['P']"),
     ])
     def test_hddw_point_usage_errors(self, tmp_path, monkeypatch, capsys, extra, error):
         monkeypatch.chdir(tmp_path)

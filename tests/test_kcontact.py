@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kontact.config import RunConfig
-from kontact.errors import SingularSystem, StructureDegenerateAtPoint
+from kontact.errors import ChartMismatch, SingularSystem, StructureDegenerateAtPoint
 from kontact.expr import ONE, Rational, Var, ZERO, evaluate, parse_expr
 from kontact.forms import (
     Chart,
     DifferentialForm,
+    KVectorField,
     RkValuedOneForm,
     VectorField,
     interior_product,
@@ -24,7 +25,6 @@ from kontact.forms import (
 )
 from kontact.kcontact import (
     KContactStructure,
-    ReebFrame,
     canonical_structure,
     check_polarization,
     check_reeb,
@@ -224,11 +224,16 @@ class TestReebCommutation:
         ch = Chart(["x", "y"])
         # the second bracket, 1e-8 x/sqrt(x^2+1) d/dy, is neither clearly zero nor not
         for y_component, verdict in [("x", FAIL), ("1/100000000 * sqrt(x^2 + 1)", INCONCLUSIVE)]:
-            frame = ReebFrame([VectorField(ch, [1, 0]),
-                               VectorField(ch, [0, parse_expr(y_component)])])
+            frame = KVectorField([VectorField(ch, [1, 0]),
+                                  VectorField(ch, [0, parse_expr(y_component)])])
             check = check_reeb_commutation(frame, config=FAST)
             assert (check.name, check.verdict) == ("reeb_commutation", verdict)
             assert 0 < check.max_residual
+
+    def test_frame_on_two_charts_is_refused(self):
+        with pytest.raises(ChartMismatch):
+            KVectorField([VectorField(Chart(["x", "y"]), [1, 0]),
+                          VectorField(Chart(["x", "z"]), [0, 1])])
 
 
 class TestContactEquivalence:

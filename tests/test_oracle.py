@@ -7,14 +7,19 @@ the same equations with none of kontact's code.
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from kontact.config import RunConfig
+from kontact.expr import (Pow, Product, Rational, Sum, Var, differentiate, evaluate,
+                          parse_expr, substitute)
 from kontact.fileio import resolve_structure
 from kontact.hddw import KContactHamiltonianSystem, expected_nullspace_dim, solve_hddw_at_point
 from kontact.kcontact import compute_reeb
 
-from conftest import expression_pivot_structure
+from conftest import expression_pivot_structure, rand_expr
 
 sympy = pytest.importorskip("sympy")
 
@@ -73,3 +78,52 @@ def test_hddw_rank_matches_matrix_rank(name):
     sol = solve_hddw_at_point(KContactHamiltonianSystem(s, 0),
                               {c: float(v) for c, v in point.items()})
     assert sol.nullspace_dim == k * dim - rank
+
+
+_NAMES = ["x", "y", "z"]
+_POINTS = [{"x": Fraction(2, 3), "y": Fraction(-5, 4), "z": Fraction(7, 2)},
+           {"x": Fraction(-1, 5), "y": Fraction(3), "z": Fraction(1, 7)},
+           {"x": Fraction(9, 8), "y": Fraction(1, 3), "z": Fraction(-2)}]
+
+
+def _to_sympy(e):
+    """The sympy tree of a polynomial kontact tree, node by node."""
+    if isinstance(e, Rational):
+        return sympy.Rational(e.value)
+    if isinstance(e, Var):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Sum):
+        return sympy.Add(*map(_to_sympy, e.terms))
+    if isinstance(e, Product):
+        return sympy.Mul(*map(_to_sympy, e.factors))
+    if isinstance(e, Pow):
+        return sympy.Pow(_to_sympy(e.base), sympy.Rational(e.exponent))
+    raise TypeError(f"no polynomial node: {type(e).__name__}")
+
+
+def _sympy_value(S, point) -> Fraction:
+    v = S.subs({sympy.Symbol(n): sympy.Rational(q) for n, q in point.items()})
+    assert v.is_Rational
+    return Fraction(int(v.p), int(v.q))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_expression_layer_matches_sympy(seed):
+    # differentiate against sympy.diff, substitute against subs and the
+    # printed form against the tree, by exact values at rational points
+    rng = random.Random(seed)
+    e = rand_expr(rng, _NAMES, depth=3)
+    while isinstance(e, (Rational, Var)):  # a leaf tests no rule
+        e = rand_expr(rng, _NAMES, depth=3)
+    bindings = {"x": rand_expr(rng, _NAMES), "y": Var("x")}
+    S = _to_sympy(e)
+    subbed = S.subs({sympy.Symbol(n): _to_sympy(b) for n, b in bindings.items()},
+                    simultaneous=True)
+    derivatives = [(differentiate(e, v), sympy.diff(S, sympy.Symbol(v))) for v in _NAMES]
+    printed = parse_expr(str(e))
+    for p in _POINTS:
+        want = _sympy_value(S, p)
+        assert evaluate(e, p) == want and evaluate(printed, p) == want
+        assert evaluate(substitute(e, bindings), p) == _sympy_value(subbed, p)
+        for de, dS in derivatives:
+            assert evaluate(de, p) == _sympy_value(dS, p)
