@@ -172,7 +172,8 @@ def _read_system(path: str, H: str) -> tuple[str | None, str | None, str]:
 
 def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
     """The JSON object of coordinate values given as --x0 or --point, which
-    must give every one of the chart's coords, each a finite number."""
+    must give every one of the chart's coords and no other name, each a
+    finite number."""
     try:
         raw = json.loads(text)
         values = {name: float(v) for name, v in raw.items()}
@@ -181,6 +182,9 @@ def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
     missing = set(coords) - set(values)
     if missing:
         raise ParseError(f"{option} misses coordinates {sorted(missing)}")
+    unknown = set(values) - set(coords)
+    if unknown:
+        raise ParseError(f"{option} names unknown coordinates {sorted(unknown)}")
     non_finite = [name for name, v in values.items() if not math.isfinite(v)]
     if non_finite:
         raise ParseError(f"{option} gives non-finite values for coordinates {sorted(non_finite)}")
@@ -309,7 +313,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
 def cmd_ideal_gas(args, config: RunConfig) -> list[Check]:
     _usage(flow_steps, args.t_end, args.dt)
     traj = run_isentropic(cv=args.cv, S0=args.s0, V0=args.v0, N0=args.n0,
-                          t_end=args.t_end, dt=args.dt)
+                          t_end=args.t_end, dt=args.dt, config=config)
     S = traj.column("S")
     N = traj.column("N")
     V = traj.column("V")

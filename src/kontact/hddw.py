@@ -5,18 +5,29 @@ structure differentials against dH minus its Reeb transport, and the duality
 pairing against -H) are pointwise linear in the k*dim unknown components.
 This module assembles and solves them numerically at chart points, evaluates
 the induced PDE residuals for candidate sections, and integrates k=1 flows
-with a classic 4th-order one-step method.  At each point one generated
-runner (runner.filler over kcontact.matrix_entries and the right-hand-side
+with a classic 4th-order one-step method.
+
+The pointwise solve (solve_hddw_at_point): one generated runner
+(runner.filler over kcontact.matrix_entries and the right-hand-side
 coefficients), built on first use and kept on the system, fills one buffer
-holding the system [A | b] (_system_at).  One solve core (_solve_at) serves
-both solve_hddw_at_point and every RK4 stage: one SVD of A gives the
-least-norm particular solution, the rank and the nullspace, the
-pseudo-gauge directions, and a residual test accepts the solution.  The
-nullspace means something only where the three defining conditions hold, so
-every point is checked for them: for k >= 2 by check_structure_at on views
-of the same buffer, before the solve; for k = 1 by k1_conditions_hold on the
-rank that the solve's SVD returns.  A point whose system has a non-finite
-entry is refused before any SVD.
+holding the system [A | b] (_system_at); one SVD of A gives the least-norm
+particular solution, the rank and the nullspace, and a residual test
+accepts the solution.  The nullspace means something only where the three
+defining conditions hold, so every point is checked for them: for k >= 2 by
+check_structure_at on views of the same buffer, before the solve; for k = 1
+by k1_conditions_hold on the rank that the solve's SVD returns.  A point
+whose system has a non-finite entry is refused before any SVD.
+
+A k = 1 flow integrates the contact Hamiltonian vector field, the unique
+solution X of the field equations, solved once per system over the
+expression field (linalg.solve_symbolic on the rows of matrix_entries) and
+proven by a zero test of A X - b (_k1_field).  One runner, kept on the
+system, evaluates X and Omega, the top-form coefficient of eta ^ (d eta)^n,
+which is nonzero exactly where the defining conditions hold: the first
+stage point where Omega == 0 stops the flow as a degenerate point.  A stage
+falls back to the pointwise solve where that runner raises DomainError or X
+is not finite, and every stage does where the field is not proven; the
+fallback raises what the pointwise solve raises there.
 """
 
 from __future__ import annotations
@@ -35,11 +46,15 @@ from .errors import (
     InconsistentSystem,
     LengthMismatch,
     NotIsotropic,
+    SampleDomainEmpty,
+    SingularSystem,
     SourceNotRk,
     StructureDegenerateAtPoint,
+    ZeroTestInconclusive,
 )
-from .expr import ZERO, Rational, ScalarExpr, as_expr, free_variables, substitute
-from .forms import DifferentialForm, KVectorField, SmoothMap, exterior_derivative, prolongation
+from .expr import ZERO, Rational, ScalarExpr, as_expr, evaluate, free_variables, substitute
+from .forms import (DifferentialForm, KVectorField, SmoothMap, exterior_derivative,
+                    prolongation, wedge)
 from .kcontact import (
     KContactStructure,
     check_structure_at,
@@ -48,9 +63,9 @@ from .kcontact import (
     matrix_entries,
 )
 from .legendrian import verify_isotropic
-from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank
+from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank, solve_symbolic
 from .runner import filler, float_runner
-from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check, zero_test
 
 __all__ = [
     "KContactHamiltonianSystem", "HdDWPointSolution", "Trajectory",
@@ -82,6 +97,8 @@ class KContactHamiltonianSystem:
         self._config = config
         self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
         self._system_fill = None  # _system_at's filler, built on first use
+        # _k1_field's (runner, Omega), built on first use; False where not proven
+        self._field = None
 
     @property
     def chart(self):
@@ -186,29 +203,22 @@ def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float
     return float(top(np.abs(A @ x - b))), RANK_THRESHOLD * scale
 
 
-def _solve_at(sys: KContactHamiltonianSystem, point: dict) -> tuple:
-    """(A, b, x, nullspace rows, residual, tolerance) at a float point: the
-    least-norm solution x, its rank and the nullspace from one SVD of A
+def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
+    """Least-norm particular solution plus orthonormal nullspace basis at a
+    point: x, its rank and the nullspace from one SVD of A
     (linalg.least_norm_solution), whose rank also decides the defining
     conditions when k = 1; raises InconsistentSystem where x leaves a
     residual above the tolerance."""
-    A, b = _system_at(sys, point)
+    p = {name: float(v) for name, v in point.items()}
+    A, b = _system_at(sys, p)
     x, rank, null_rows = least_norm_solution(A, b)
-    if sys.k == 1:
-        _require_structure(k1_conditions_hold(sys.dim, rank), point)
+    k, dim = sys.k, sys.dim
+    if k == 1:
+        _require_structure(k1_conditions_hold(dim, rank), p)
     residual, tolerance = _residual(A, x, b)
     if not residual <= tolerance:
         raise InconsistentSystem(
-            f"no solution within tolerance at {point}: residual {residual:.3e}")
-    return A, b, x, null_rows, residual, tolerance
-
-
-def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
-    """Least-norm particular solution plus orthonormal nullspace basis at a
-    point, from the solve core (_solve_at)."""
-    p = {name: float(v) for name, v in point.items()}
-    A, b, x, null_rows, residual, tolerance = _solve_at(sys, p)
-    k, dim = sys.k, sys.dim
+            f"no solution within tolerance at {p}: residual {residual:.3e}")
     return HdDWPointSolution(
         point=p,
         particular=x.reshape(k, dim),
@@ -299,6 +309,71 @@ def flow_steps(t_end: float, dt: float) -> int:
     return round(steps)
 
 
+def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
+    """(runner, Omega) for a k = 1 system, or None where its field is not
+    proven; built on first use and kept on the system.  The runner maps a
+    point to (X_0, .., X_{dim-1}, Omega).
+
+    X is the unique solution of the dim + 1 field equations A X = b in dim
+    unknowns (the rows of matrix_entries, the coefficients of hddw_rhs),
+    solved over the expression field.  The field counts as proven where that
+    elimination succeeds and A X - b passes the zero test; an elimination
+    that raises SingularSystem (a structure degenerate everywhere, such as
+    eta = ds), ZeroTestInconclusive or SampleDomainEmpty proves nothing, and
+    every stage then takes the pointwise solve, which keeps its verdicts.
+    Omega is the top-form coefficient of eta ^ (d eta)^n, dim = 2n + 1: the
+    defining conditions hold at a point exactly where it is nonzero.
+    """
+    if sys._field is not None:
+        return sys._field or None
+    dim, s = sys.dim, sys.structure
+    domain, config = sys.chart.domain(), sys._config
+    rows = [{} for _ in range(dim + 1)]
+    for r, col, sign, c in matrix_entries(s):
+        rows[r][col] = c if sign > 0 else -c
+    rhs1, rhs2 = hddw_rhs(sys)
+    b = [rhs1.coeffs.get((l,), ZERO) for l in range(dim)] + [rhs2]
+    try:
+        sol = solve_symbolic(rows, [{0: c} for c in b], dim, domain, config)
+        X = [x.get(0, ZERO) for x in sol]
+        residuals = [sum((c * X[col] for col, c in row.items()), -c_b)
+                     for row, c_b in zip(rows, b)]
+        proven = all(zero_test(e, domain, config).is_zero for e in residuals)
+    except (SingularSystem, ZeroTestInconclusive, SampleDomainEmpty):
+        proven = False
+    if not proven:
+        sys._field = False
+        return None
+    top = s.eta.forms[0]
+    for _ in range(dim // 2):
+        top = wedge(top, s.d_eta[0])
+    omega = top.coeffs.get(tuple(range(dim)), ZERO)
+    sys._field = (float_runner([*X, omega]), omega)
+    return sys._field
+
+
+def _field_at(field: tuple, point: dict) -> np.ndarray | None:
+    """X at a float point from _k1_field's runner, or None where the stage
+    takes the pointwise solve: the runner raises DomainError there (and
+    Omega is not 0) or a value is not finite.  Raises
+    StructureDegenerateAtPoint where Omega == 0."""
+    run, omega = field
+    try:
+        *x, top = run(point)
+    except DomainError:
+        # X is undefined here, but Omega alone may show a degenerate point
+        x = None
+        try:
+            top = float(evaluate(omega, point))
+        except DomainError:
+            return None
+    if top == 0:
+        raise StructureDegenerateAtPoint(point)
+    if x is None or not (math.isfinite(top) and all(map(math.isfinite, x))):
+        return None
+    return np.array(x)
+
+
 def integrate_contact_flow(
     sys: KContactHamiltonianSystem,
     x0: Mapping,
@@ -307,18 +382,24 @@ def integrate_contact_flow(
 ) -> Trajectory:
     """Integrate the unique k=1 Hamiltonian vector field with fixed-step RK4.
 
-    The vector field is re-solved from the pointwise system at every stage
-    by the solve core that solve_hddw_at_point wraps (_solve_at), so the
-    trajectory inherits the solver's tolerances.
+    Each stage evaluates the symbolic field (_k1_field) in one runner call,
+    and stops with StructureDegenerateAtPoint at the first point where Omega
+    is 0.  A stage where that runner raises DomainError or gives a value
+    that is not finite, and every stage where the field is not proven, is
+    re-solved by solve_hddw_at_point, which raises
+    StructureDegenerateAtPoint, DomainError or InconsistentSystem there.
     """
     if sys.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")
     n_steps = flow_steps(t_end, dt)
     coords = sys.chart.coords
     state = np.array([float(x0[c]) for c in coords])
+    field = _k1_field(sys)
 
     def f(y: np.ndarray) -> np.ndarray:
-        return _solve_at(sys, dict(zip(coords, y.tolist())))[2]
+        point = dict(zip(coords, y.tolist()))
+        x = None if field is None else _field_at(field, point)
+        return solve_hddw_at_point(sys, point).particular[0] if x is None else x
 
     states = [dict(zip(coords, state.tolist()))]
     for _ in range(n_steps):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import DEFAULT_CONFIG, RunConfig
 from .expr import Pow, ScalarExpr, Var, differentiate, evaluate, exp
 from .hddw import KContactHamiltonianSystem, Trajectory, integrate_contact_flow
 from .legendrian import thermo_parametrization, thermo_structure
@@ -36,8 +37,13 @@ def isentropic_hamiltonian(cv: Fraction | int | str = Fraction(3, 2)) -> ScalarE
     return -(Var("P") + differentiate(f, "V")) * Var("V")
 
 
-def ideal_gas_system(cv: Fraction | int | str = Fraction(3, 2)) -> KContactHamiltonianSystem:
-    return KContactHamiltonianSystem(thermo_structure(), isentropic_hamiltonian(cv))
+def ideal_gas_system(
+    cv: Fraction | int | str = Fraction(3, 2),
+    config: RunConfig = DEFAULT_CONFIG,
+) -> KContactHamiltonianSystem:
+    """The isentropic Hamiltonian on thermo; config drives its zero tests."""
+    return KContactHamiltonianSystem(thermo_structure(), isentropic_hamiltonian(cv),
+                                     config=config)
 
 
 def equilibrium_state(
@@ -62,8 +68,9 @@ def run_isentropic(
     N0: float = 1.0,
     t_end: float = 1.0,
     dt: float = 1e-3,
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Integrate the isentropic flow from the equilibrium state over (S0, V0, N0)."""
-    sys = ideal_gas_system(cv)
+    sys = ideal_gas_system(cv, config)
     x0 = equilibrium_state(cv, S0, V0, N0)
     return integrate_contact_flow(sys, x0, t_end, dt)

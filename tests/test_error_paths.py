@@ -187,6 +187,21 @@ class TestDegeneratePoint:
             assert point == failed_at
         assert report["verdict"] == "fail"
 
+    def test_flow_stops_on_a_degenerate_hypersurface(self, tmp_path, capsys):
+        # eta = s (ds - p dq) is contact off s = 0, where eta vanishes; the
+        # flow of H = -s is ds/dt = 1, so the second step meets s = 0
+        path = tmp_path / "hyper.json"
+        path.write_text(json.dumps({"chart": {"coords": ["s", "q", "p"]}, "forms": {
+            "eta": {"degree": 1, "coeffs": {"0": "s", "1": "-s*p"}}}}))
+        report = tmp_path / "r.json"
+        argv = ["hddw", str(path), "--H=-s", "--x0", '{"s": -0.5, "q": 1, "p": 2}',
+                "--dt", "0.25", "--t-end", "0.5", "--json", str(report), "--no-timestamp"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+        [check] = json.loads(report.read_text())["checks"]
+        assert (check["name"], check["verdict"]) == ("defining_conditions", "fail")
+        assert abs(check["detail"]["failed_at"]["s"]) <= 1e-12
+
 
 class TestNonFiniteSystem:
     # V^3 overflows to inf in b; a NaN temperature puts NaN into A.  Neither

@@ -357,6 +357,12 @@ class TestCLI:
         (["--x0", '{"E": 1, "S": 1, "V": 1, "N": 1, "T": 1, "P": Infinity, "mu": 1}',
           "--t-end", "0.01"],
          "--x0 gives non-finite values for coordinates ['P']"),
+        # a misspelt or extra name must not pass unnoticed
+        (["--point", '{"E": 1, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1, "Tx": 5}'],
+         "--point names unknown coordinates ['Tx']"),
+        (["--x0", '{"E": 1, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1, "nu": 0, "a": 2}',
+          "--t-end", "0.01"],
+         "--x0 names unknown coordinates ['a', 'nu']"),
     ])
     def test_hddw_point_usage_errors(self, tmp_path, monkeypatch, capsys, extra, error):
         monkeypatch.chdir(tmp_path)
@@ -392,6 +398,31 @@ class TestCLI:
         header = lines[0].split(",")
         assert header == list(resolve_structure("thermo").structure.chart.coords)
         assert len(lines) == 12  # header + 11 states
+
+    def test_ideal_gas_long_flow_keeps_invariants(self, tmp_path, capsys):
+        # V grows to e^200: the flow must not stop on the scale of its state,
+        # since thermo's eta ^ (d eta)^3 is the constant 6
+        out_path = tmp_path / "r.json"
+        code = main(["ideal-gas", "--t-end", "200", "--dt", "0.5", "--no-timestamp",
+                     "--json", str(out_path)])
+        assert "error:" not in capsys.readouterr().err
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out_path.read_text())["checks"]}
+        assert verdicts["entropy_constant"] == verdicts["particle_number_constant"] == "pass"
+        # RK4 at dt = 0.5 misses e^200 by 7%: the one failed check, exit 1
+        assert verdicts["volume_exponential"] == "fail" and code == 1
+
+    def test_ideal_gas_system_holds_the_run_config(self, monkeypatch):
+        import kontact.idealgas
+
+        systems = []
+        real = kontact.idealgas.integrate_contact_flow
+        monkeypatch.setattr(kontact.idealgas, "integrate_contact_flow",
+                            lambda sys_, *args: systems.append(sys_) or real(sys_, *args))
+        code = main(["ideal-gas", "--t-end", "0.02", "--dt", "0.01", "--seed", "7",
+                     "--samples", "16", "--atol", "1e-11", "--rtol", "1e-8",
+                     "--no-timestamp"])
+        assert code == 0
+        assert [s._config for s in systems] == [RunConfig(7, 16, 1e-11, 1e-8)]
 
     def test_bjorken_command(self, tmp_path):
         out_path = tmp_path / "b.json"

@@ -10,13 +10,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kontact.config import RunConfig
 from kontact.expr import (Pow, Product, Rational, Sum, Var, differentiate, evaluate,
                           parse_expr, substitute)
 from kontact.fileio import resolve_structure
-from kontact.hddw import KContactHamiltonianSystem, expected_nullspace_dim, solve_hddw_at_point
+from kontact.hddw import (KContactHamiltonianSystem, _k1_field, expected_nullspace_dim,
+                          solve_hddw_at_point)
+from kontact.idealgas import isentropic_hamiltonian
 from kontact.kcontact import compute_reeb
 
 from conftest import expression_pivot_structure, rand_expr
@@ -78,6 +81,42 @@ def test_hddw_rank_matches_matrix_rank(name):
     sol = solve_hddw_at_point(KContactHamiltonianSystem(s, 0),
                               {c: float(v) for c, v in point.items()})
     assert sol.nullspace_dim == k * dim - rank
+
+
+@pytest.mark.parametrize("name, H", [
+    ("thermo", str(isentropic_hamiltonian(Fraction(5, 2)))),
+    ("canonical:2,1", "p_1_1^2*q_2 - s_1*q_1 + p_1_2*q_1^2/3"),
+], ids=["thermo", "canonical:2,1"])
+def test_k1_field_matches_lusolve(name, H):
+    # at dyadic points, exact as floats: X from sympy's LUsolve of the
+    # (dim+1) x dim system [d-eta^T; eta] X = [dH - (R H) eta; -H], with R
+    # solved by LUsolve from eta(R) = 1, iota_R d-eta = 0, all built from the
+    # printed coefficients, against the symbolic field's runner
+    s = resolve_structure(name).structure
+    dim = s.dim
+    names = {c: sympy.Symbol(c) for c in s.chart.coords}
+    run, _ = _k1_field(KContactHamiltonianSystem(s, H, config=FAST))
+    Hs = sympy.sympify(H, locals=names)
+    [eta], [d_eta] = s.eta.forms, s.d_eta
+    for shift in range(3):
+        point = {c: sympy.Rational(i + 3 + shift, 8) for i, c in enumerate(s.chart.coords)}
+
+        def at(e):
+            return sympy.N(e.subs({names[c]: v for c, v in point.items()}), 40)
+
+        eta_row = sympy.zeros(1, dim)
+        for (i,), c in eta.coeffs.items():
+            eta_row[i] = at(sympy.sympify(str(c), locals=names))
+        M = sympy.zeros(dim, dim)
+        for (i, j), c in d_eta.coeffs.items():
+            M[i, j] = at(sympy.sympify(str(c), locals=names))
+            M[j, i] = -M[i, j]
+        R = eta_row.col_join(M.T).LUsolve(sympy.Matrix([1] + [0] * dim))
+        grad = sympy.Matrix([at(sympy.diff(Hs, names[c])) for c in s.chart.coords])
+        b = (grad - (R.T * grad)[0] * eta_row.T).col_join(sympy.Matrix([-at(Hs)]))
+        want = np.array(M.T.col_join(eta_row).LUsolve(b), dtype=float).ravel()
+        got = np.array(run({c: float(v) for c, v in point.items()})[:dim])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 _NAMES = ["x", "y", "z"]
