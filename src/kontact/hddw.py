@@ -22,12 +22,15 @@ A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
 expression field (linalg.solve_symbolic on the rows of matrix_entries) and
 proven by a zero test of A X - b (_k1_field).  One runner, kept on the
-system, evaluates X and Omega, the top-form coefficient of eta ^ (d eta)^n,
-which is nonzero exactly where the defining conditions hold: the first
-stage point where Omega == 0 stops the flow as a degenerate point.  A stage
-falls back to the pointwise solve where that runner raises DomainError or X
-is not finite, and every stage does where the field is not proven; the
-fallback raises what the pointwise solve raises there.
+system, evaluates X, Omega (the top-form coefficient of eta ^ (d eta)^n)
+and the squared norms of (d eta)^n, eta and d eta.  A stage point where
+Omega == 0 stops the flow as a degenerate point.  A stage takes X from the
+field only where _full_rank proves, from those values, that the pointwise
+solve's rank test passes, which leaves the points near a degenerate
+hypersurface to that test.  Every other stage is re-solved pointwise, as
+is one where the runner raises DomainError or X is not finite, and every
+stage where the field is not proven; it raises what the pointwise solve
+raises there.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     StructureDegenerateAtPoint,
     ZeroTestInconclusive,
 )
-from .expr import ZERO, Rational, ScalarExpr, as_expr, evaluate, free_variables, substitute
+from .expr import ZERO, Rational, ScalarExpr, as_expr, free_variables, substitute
 from .forms import (DifferentialForm, KVectorField, SmoothMap, exterior_derivative,
                     prolongation, wedge)
 from .kcontact import (
@@ -310,9 +313,13 @@ def flow_steps(t_end: float, dt: float) -> int:
 
 
 def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
-    """(runner, Omega) for a k = 1 system, or None where its field is not
-    proven; built on first use and kept on the system.  The runner maps a
-    point to (X_0, .., X_{dim-1}, Omega).
+    """(run, screen, n) for a k = 1 system of dim = 2n + 1, or None where
+    its field is not proven; built on first use and kept on the system.
+    run maps a point to (X_0, .., X_{dim-1}, *screen(point)); screen maps it
+    to the four values that _full_rank reads: Omega, the top-form
+    coefficient of eta ^ (d eta)^n, which is nonzero exactly where the
+    defining conditions hold, and the sums of the squared coefficients of
+    (d eta)^n, eta and d eta.
 
     X is the unique solution of the dim + 1 field equations A X = b in dim
     unknowns (the rows of matrix_entries, the coefficients of hddw_rhs),
@@ -321,8 +328,6 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
     that raises SingularSystem (a structure degenerate everywhere, such as
     eta = ds), ZeroTestInconclusive or SampleDomainEmpty proves nothing, and
     every stage then takes the pointwise solve, which keeps its verdicts.
-    Omega is the top-form coefficient of eta ^ (d eta)^n, dim = 2n + 1: the
-    defining conditions hold at a point exactly where it is nonzero.
     """
     if sys._field is not None:
         return sys._field or None
@@ -344,32 +349,61 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
     if not proven:
         sys._field = False
         return None
-    top = s.eta.forms[0]
-    for _ in range(dim // 2):
-        top = wedge(top, s.d_eta[0])
-    omega = top.coeffs.get(tuple(range(dim)), ZERO)
-    sys._field = (float_runner([*X, omega]), omega)
+    eta, d_eta, n = s.eta.forms[0], s.d_eta[0], dim // 2
+    power = DifferentialForm.scalar(sys.chart, 1)
+    for _ in range(n):
+        power = wedge(power, d_eta)
+    omega = wedge(eta, power).coeffs.get(tuple(range(dim)), ZERO)
+    screen = [omega] + [sum((c * c for c in f.coeffs.values()), ZERO)
+                        for f in (power, eta, d_eta)]
+    sys._field = (float_runner([*X, *screen]), float_runner(screen), n)
     return sys._field
+
+
+def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: float) -> bool:
+    """Whether the rank test of solve_hddw_at_point must find the k = 1 HdDW
+    matrix A = [D^T; eta] of full rank dim = 2n + 1 (D the d-eta matrix), from
+    _k1_field's screen values: a lower bound on A's smallest singular value
+    exceeds 2 * RANK_THRESHOLD * |A|_F, at least twice that test's threshold.
+    False wherever a value is not finite, and where d eta = 0 (dim = 1).
+
+    The nonzero singular values of the antisymmetric D pair up as
+    d_1 >= .. >= d_n, and its kernel is spanned by v, the vector of
+    (d eta)^n / n!, with |v| = d_1 .. d_n and |Omega| = n! |eta . v|.  A
+    unit x split along v and v's complement gives s_min(A) >= mu c /
+    |(mu, c, |eta|)| with mu = d_n and c = |eta . v| / |v| = |Omega| /
+    |(d eta)^n|.  The bound grows with mu, so it stays a lower bound with
+    mu >= |v| / d_1^(n-1) and d_1 <= |(the coefficients of d eta)|.
+    """
+    power, d_1 = math.sqrt(power_sq), math.sqrt(d_eta_sq)
+    if not (power > 0 and d_1 > 0):
+        return False
+    mu = power / math.factorial(n) / math.prod([d_1] * (n - 1))  # no ** overflow
+    c = abs(omega) / power
+    bound = mu * c / math.hypot(mu, c, math.sqrt(eta_sq))
+    return bound > 2 * RANK_THRESHOLD * math.sqrt(2 * d_eta_sq + eta_sq)
 
 
 def _field_at(field: tuple, point: dict) -> np.ndarray | None:
     """X at a float point from _k1_field's runner, or None where the stage
     takes the pointwise solve: the runner raises DomainError there (and
-    Omega is not 0) or a value is not finite.  Raises
+    Omega is not 0), a value is not finite, or _full_rank cannot show that
+    the pointwise solve's rank test passes.  Raises
     StructureDegenerateAtPoint where Omega == 0."""
-    run, omega = field
+    run, screen, n = field
     try:
-        *x, top = run(point)
+        *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
     except DomainError:
         # X is undefined here, but Omega alone may show a degenerate point
         x = None
         try:
-            top = float(evaluate(omega, point))
+            omega, power_sq, eta_sq, d_eta_sq = screen(point)
         except DomainError:
             return None
-    if top == 0:
+    if omega == 0:
         raise StructureDegenerateAtPoint(point)
-    if x is None or not (math.isfinite(top) and all(map(math.isfinite, x))):
+    if (x is None or not all(map(math.isfinite, x))
+            or not _full_rank(n, omega, power_sq, eta_sq, d_eta_sq)):
         return None
     return np.array(x)
 
@@ -384,10 +418,11 @@ def integrate_contact_flow(
 
     Each stage evaluates the symbolic field (_k1_field) in one runner call,
     and stops with StructureDegenerateAtPoint at the first point where Omega
-    is 0.  A stage where that runner raises DomainError or gives a value
-    that is not finite, and every stage where the field is not proven, is
-    re-solved by solve_hddw_at_point, which raises
-    StructureDegenerateAtPoint, DomainError or InconsistentSystem there.
+    is 0.  A stage where _field_at cannot vouch for X (a DomainError, a value
+    that is not finite, or no proof from _full_rank that A has full rank), and
+    every stage where the field is not proven, is re-solved by
+    solve_hddw_at_point, which raises StructureDegenerateAtPoint,
+    DomainError or InconsistentSystem there.
     """
     if sys.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")

@@ -187,15 +187,18 @@ class TestDegeneratePoint:
             assert point == failed_at
         assert report["verdict"] == "fail"
 
-    def test_flow_stops_on_a_degenerate_hypersurface(self, tmp_path, capsys):
+    @pytest.mark.parametrize("s0, dt", [(-0.5, 0.25), (-0.3, 0.1)])
+    def test_flow_stops_on_a_degenerate_hypersurface(self, tmp_path, capsys, s0, dt):
         # eta = s (ds - p dq) is contact off s = 0, where eta vanishes; the
-        # flow of H = -s is ds/dt = 1, so the second step meets s = 0
+        # flow of H = -s is ds/dt = 1, so a stage meets s = 0: exactly for
+        # dt = 0.25, at s ~ 3e-17 for dt = 0.1, where Omega = s^2 is not 0
+        # but A is singular to the rank test
         path = tmp_path / "hyper.json"
         path.write_text(json.dumps({"chart": {"coords": ["s", "q", "p"]}, "forms": {
             "eta": {"degree": 1, "coeffs": {"0": "s", "1": "-s*p"}}}}))
         report = tmp_path / "r.json"
-        argv = ["hddw", str(path), "--H=-s", "--x0", '{"s": -0.5, "q": 1, "p": 2}',
-                "--dt", "0.25", "--t-end", "0.5", "--json", str(report), "--no-timestamp"]
+        argv = ["hddw", str(path), "--H=-s", "--x0", json.dumps({"s": s0, "q": 1, "p": 2}),
+                "--dt", str(dt), "--t-end", "0.5", "--json", str(report), "--no-timestamp"]
         assert main(argv) == 1
         assert capsys.readouterr().err == ""
         [check] = json.loads(report.read_text())["checks"]

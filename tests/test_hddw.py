@@ -299,6 +299,31 @@ class TestOneSVDSolve:
         assert svds == []
         assert ranks == []
 
+    def test_field_stage_only_where_the_rank_test_passes(self):
+        # eta = s(ds - p dq) degenerates on s = 0, where A's smallest singular
+        # value falls like s^2: the field answers a stage only where the
+        # pointwise solve's rank test must find A of full rank
+        from kontact.hddw import _field_at, _k1_field
+        from kontact.kcontact import structure_matrices_at
+        from kontact.linalg import numeric_rank
+
+        ch = Chart(["s", "q", "p"])
+        eta = DifferentialForm(ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})
+        structure = KContactStructure(RkValuedOneForm([eta]))
+        field = _k1_field(KContactHamiltonianSystem(structure, "-s", config=FAST))
+        answered = 0
+        for e in np.linspace(0.5, 17, 100):
+            for p in (0.1, 2.0, 30.0):
+                point = {"s": -10.0 ** -e, "q": 1.0, "p": p}
+                full = numeric_rank(structure_matrices_at(structure, point)) == 3
+                try:
+                    x = _field_at(field, point)
+                except StructureDegenerateAtPoint:
+                    x = None
+                assert x is None or full
+                answered += x is not None
+        assert answered > 50
+
     @pytest.mark.parametrize("name", ["thermo", "hydro2", "hydro3", "canonical:2,3"])
     def test_assembly_equals_stacked_structure_matrices(self, name):
         from kontact.hddw import _system_at
