@@ -133,11 +133,15 @@ def contract_symmetric(x: Sequence[Sequence[ScalarExpr]],
     return total
 
 
+def _sigma_defect(flow: BjorkenFlow) -> ScalarExpr:
+    """sigma_{mu nu} sigma^{mu nu} - (2/3) theta^2, identically zero."""
+    ss = contract_symmetric(flow.sigma, flow.sigma, flow.metric)
+    return ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta
+
+
 def check_sigma_identity(flow: BjorkenFlow, config: RunConfig = DEFAULT_CONFIG) -> Check:
     """The sigma_identity check: sigma_{mu nu} sigma^{mu nu} = (2/3) theta^2."""
-    ss = contract_symmetric(flow.sigma, flow.sigma, flow.metric)
-    defect = ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta
-    return zero_check("sigma_identity", [defect], flow.domain(), config)
+    return zero_check("sigma_identity", [_sigma_defect(flow)], flow.domain(), config)
 
 
 class PGTSuperpotential:
@@ -275,8 +279,7 @@ def full_pgt_demo(
         trace = trace + metric.sign(m) * sigma[m][m]
     identities["sigma_traceless"] = [trace]
 
-    ss = contract_symmetric(sigma, sigma, metric)
-    identities["sigma_identity"] = [ss - Rational(Fraction(2, 3)) * theta * theta]
+    identities["sigma_identity"] = [_sigma_defect(flow)]
 
     phi = superpotential_components(sp, flow)
     identities["superpotential_antisymmetry"] = [

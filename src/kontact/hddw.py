@@ -15,22 +15,19 @@ particular solution, the rank and the nullspace, and a residual test
 accepts the solution.  The nullspace means something only where the three
 defining conditions hold, so every point is checked for them: for k >= 2 by
 check_structure_at on views of the same buffer, before the solve; for k = 1
-by k1_conditions_hold on the rank that the solve's SVD returns.  A point
-whose system has a non-finite entry is refused before any SVD.
+by k1_conditions_hold on the rank that the solve's SVD returns; where the
+system is undefined or not finite, by check_structure_at on A alone.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
 expression field (linalg.solve_symbolic on the rows of matrix_entries) and
 proven by a zero test of A X - b (_k1_field).  One runner, kept on the
 system, evaluates X, Omega (the top-form coefficient of eta ^ (d eta)^n)
-and the squared norms of (d eta)^n, eta and d eta.  A stage point where
-Omega == 0 stops the flow as a degenerate point.  A stage takes X from the
-field only where _full_rank proves, from those values, that the pointwise
-solve's rank test passes, which leaves the points near a degenerate
-hypersurface to that test.  Every other stage is re-solved pointwise, as
-is one where the runner raises DomainError or X is not finite, and every
-stage where the field is not proven; it raises what the pointwise solve
-raises there.
+and the squared norms of (d eta)^n, eta and d eta.  A stage takes X from
+the field only where _full_rank proves, from those values, that the
+pointwise solve's rank test passes; every other stage, and every stage of a
+field that is not proven, takes the pointwise solve and what it raises, so
+every degenerate point is left to its rank test.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ from .kcontact import (
     compute_reeb,
     k1_conditions_hold,
     matrix_entries,
+    structure_matrices_at,
 )
 from .legendrian import verify_isotropic
 from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank, solve_symbolic
@@ -100,7 +98,7 @@ class KContactHamiltonianSystem:
         self._config = config
         self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
         self._system_fill = None  # _system_at's filler, built on first use
-        # _k1_field's (runner, Omega), built on first use; False where not proven
+        # _k1_field's (runner, n), built on first use; False where not proven
         self._field = None
 
     @property
@@ -175,10 +173,12 @@ def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray,
     pairing.  b holds the hddw_rhs coefficients as they are.  One runner,
     built on first use and kept on the system, fills one buffer with A
     row-major and then b, so that both are contiguous views of it; one
-    finiteness test covers both.  Raises DomainError where A or b has a
-    non-finite entry, and for k >= 2 StructureDegenerateAtPoint where
-    check_structure_at(A) finds the structure not k-contact; for k = 1 the
-    caller reads that off the rank of A (k1_conditions_hold).
+    finiteness test covers both.  For k >= 2 raises StructureDegenerateAtPoint
+    where check_structure_at(A) finds the structure not k-contact; for k = 1
+    the caller reads that off the rank of A (k1_conditions_hold).  Where the
+    runner raises DomainError or an entry is not finite (b may have a pole
+    where the structure degenerates), raises StructureDegenerateAtPoint if A
+    alone is finite and fails check_structure_at, and that DomainError else.
     """
     k, dim = sys.k, sys.dim
     n = k * dim
@@ -189,9 +189,18 @@ def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray,
         entries += [((dim + 1) * n + l, 1.0, -0.0, c)
                     for (l,), c in [*rhs1.coeffs.items(), ((dim,), rhs2)]]
         sys._system_fill = filler((dim + 1) * (n + 1), entries)
-    buf = sys._system_fill(point)
-    if not np.isfinite(buf).all():
-        raise DomainError(f"non-finite pointwise system at {point}")
+    try:
+        buf = sys._system_fill(point)
+        if not np.isfinite(buf).all():
+            raise DomainError(f"non-finite pointwise system at {point}")
+    except DomainError as err:
+        try:
+            A = structure_matrices_at(sys.structure, point)
+        except DomainError:  # A is undefined too
+            raise err from None
+        if np.isfinite(A).all():
+            _require_structure(check_structure_at(A) == (k, k, 0), point)
+        raise err
     A, b = buf[:(dim + 1) * n].reshape(dim + 1, n), buf[(dim + 1) * n:]
     if k > 1:
         _require_structure(check_structure_at(A) == (k, k, 0), point)
@@ -313,13 +322,12 @@ def flow_steps(t_end: float, dt: float) -> int:
 
 
 def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
-    """(run, screen, n) for a k = 1 system of dim = 2n + 1, or None where
-    its field is not proven; built on first use and kept on the system.
-    run maps a point to (X_0, .., X_{dim-1}, *screen(point)); screen maps it
-    to the four values that _full_rank reads: Omega, the top-form
-    coefficient of eta ^ (d eta)^n, which is nonzero exactly where the
-    defining conditions hold, and the sums of the squared coefficients of
-    (d eta)^n, eta and d eta.
+    """(run, n) for a k = 1 system of dim = 2n + 1, or None where its field
+    is not proven; built on first use and kept on the system.  run maps a
+    point to X_0, .., X_{dim-1} and the four values that _full_rank reads:
+    Omega, the top-form coefficient of eta ^ (d eta)^n, which is nonzero
+    exactly where the defining conditions hold, and the sums of the squared
+    coefficients of (d eta)^n, eta and d eta.
 
     X is the unique solution of the dim + 1 field equations A X = b in dim
     unknowns (the rows of matrix_entries, the coefficients of hddw_rhs),
@@ -354,18 +362,17 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
     for _ in range(n):
         power = wedge(power, d_eta)
     omega = wedge(eta, power).coeffs.get(tuple(range(dim)), ZERO)
-    screen = [omega] + [sum((c * c for c in f.coeffs.values()), ZERO)
-                        for f in (power, eta, d_eta)]
-    sys._field = (float_runner([*X, *screen]), float_runner(screen), n)
+    squares = [sum((c * c for c in f.coeffs.values()), ZERO) for f in (power, eta, d_eta)]
+    sys._field = (float_runner([*X, omega, *squares]), n)
     return sys._field
 
 
 def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: float) -> bool:
     """Whether the rank test of solve_hddw_at_point must find the k = 1 HdDW
     matrix A = [D^T; eta] of full rank dim = 2n + 1 (D the d-eta matrix), from
-    _k1_field's screen values: a lower bound on A's smallest singular value
-    exceeds 2 * RANK_THRESHOLD * |A|_F, at least twice that test's threshold.
-    False wherever a value is not finite, and where d eta = 0 (dim = 1).
+    _k1_field's values: a lower bound on A's smallest singular value exceeds
+    2 * RANK_THRESHOLD * |A|_F, at least twice that test's threshold.  False,
+    never an error, where a value is not finite, d eta = 0 (dim = 1) or mu c = 0.
 
     The nonzero singular values of the antisymmetric D pair up as
     d_1 >= .. >= d_n, and its kernel is spanned by v, the vector of
@@ -376,36 +383,29 @@ def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: f
     mu >= |v| / d_1^(n-1) and d_1 <= |(the coefficients of d eta)|.
     """
     power, d_1 = math.sqrt(power_sq), math.sqrt(d_eta_sq)
-    if not (power > 0 and d_1 > 0):
+    d_rest = math.prod([d_1] * (n - 1))  # d_1^(n-1) with no ** overflow
+    if not (power > 0 and d_1 > 0 and d_rest > 0):
         return False
-    mu = power / math.factorial(n) / math.prod([d_1] * (n - 1))  # no ** overflow
-    c = abs(omega) / power
+    mu, c = power / math.factorial(n) / d_rest, abs(omega) / power
+    if not mu * c > 0:  # else the bound below is 0 or 0/0
+        return False
     bound = mu * c / math.hypot(mu, c, math.sqrt(eta_sq))
     return bound > 2 * RANK_THRESHOLD * math.sqrt(2 * d_eta_sq + eta_sq)
 
 
 def _field_at(field: tuple, point: dict) -> np.ndarray | None:
     """X at a float point from _k1_field's runner, or None where the stage
-    takes the pointwise solve: the runner raises DomainError there (and
-    Omega is not 0), a value is not finite, or _full_rank cannot show that
-    the pointwise solve's rank test passes.  Raises
-    StructureDegenerateAtPoint where Omega == 0."""
-    run, screen, n = field
+    takes the pointwise solve: the runner raises DomainError there, a value
+    is not finite, or _full_rank cannot show that the pointwise solve's rank
+    test passes."""
+    run, n = field
     try:
         *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
     except DomainError:
-        # X is undefined here, but Omega alone may show a degenerate point
-        x = None
-        try:
-            omega, power_sq, eta_sq, d_eta_sq = screen(point)
-        except DomainError:
-            return None
-    if omega == 0:
-        raise StructureDegenerateAtPoint(point)
-    if (x is None or not all(map(math.isfinite, x))
-            or not _full_rank(n, omega, power_sq, eta_sq, d_eta_sq)):
         return None
-    return np.array(x)
+    if all(map(math.isfinite, x)) and _full_rank(n, omega, power_sq, eta_sq, d_eta_sq):
+        return np.array(x)
+    return None
 
 
 def integrate_contact_flow(
@@ -416,13 +416,10 @@ def integrate_contact_flow(
 ) -> Trajectory:
     """Integrate the unique k=1 Hamiltonian vector field with fixed-step RK4.
 
-    Each stage evaluates the symbolic field (_k1_field) in one runner call,
-    and stops with StructureDegenerateAtPoint at the first point where Omega
-    is 0.  A stage where _field_at cannot vouch for X (a DomainError, a value
-    that is not finite, or no proof from _full_rank that A has full rank), and
-    every stage where the field is not proven, is re-solved by
-    solve_hddw_at_point, which raises StructureDegenerateAtPoint,
-    DomainError or InconsistentSystem there.
+    Each stage evaluates the symbolic field (_k1_field) in one runner call.
+    A stage where _field_at cannot vouch for X, and every stage where the
+    field is not proven, is re-solved by solve_hddw_at_point, which raises
+    StructureDegenerateAtPoint, DomainError or InconsistentSystem there.
     """
     if sys.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")

@@ -187,6 +187,49 @@ class TestDegeneratePoint:
             assert point == failed_at
         assert report["verdict"] == "fail"
 
+    # eta^alpha = f (ds_alpha - p_alpha dq) with f = s (k = 1) or q_1 (k = 2)
+    # is k-contact off f = 0, where eta vanishes and the Reeb frame has a pole:
+    # b is undefined there, A is finite and fails the structure check
+    POLES = {
+        "k1": ({"chart": {"coords": ["s", "q", "p"]}, "forms": {
+            "eta": {"degree": 1, "coeffs": {"0": "s", "1": "-s*p"}}}},
+            "-s", {"s": 0.0, "q": 1.0, "p": 2.0}),
+        "k2": ({"chart": {"coords": ["s_1", "s_2", "q_1", "p_1_1", "p_2_1"]}, "forms": {
+            "eta1": {"degree": 1, "coeffs": {"0": "q_1", "2": "-q_1*p_1_1"}},
+            "eta2": {"degree": 1, "coeffs": {"1": "q_1", "2": "-q_1*p_2_1"}}},
+            "eta": ["eta1", "eta2"]},
+            "s_1", {"s_1": 1.0, "s_2": 1.0, "q_1": 0.0, "p_1_1": 2.0, "p_2_1": 3.0}),
+    }
+
+    @pytest.mark.parametrize("name", POLES)
+    def test_cli_reports_a_degenerate_pole(self, tmp_path, capsys, name):
+        structure, H, point = self.POLES[name]
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(structure))
+        report = tmp_path / "r.json"
+        argv = ["hddw", str(path), f"--H={H}", "--point", json.dumps(point),
+                "--json", str(report), "--no-timestamp"]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == "defining_conditions: fail\nverdict: fail\n"
+        [check] = json.loads(report.read_text())["checks"]
+        assert (check["name"], check["verdict"]) == ("defining_conditions", "fail")
+        assert check["detail"]["failed_at"] == point
+
+    def test_undefined_system_on_a_k_contact_point_is_a_domain_error(self):
+        # A finite and k-contact, b undefined; then A itself undefined
+        ch = Chart(["s", "q", "p"])
+        s, q, p = Var("s"), Var("q"), Var("p")
+        eta = DifferentialForm(ch, 1, {(0,): s, (1,): -s * p})
+        sys_ = KContactHamiltonianSystem(KContactStructure(RkValuedOneForm([eta])), "1/q")
+        with pytest.raises(DomainError, match="division by zero"):
+            solve_hddw_at_point(sys_, {"s": 1.0, "q": 0.0, "p": 2.0})
+        eta = DifferentialForm(ch, 1, {(0,): Rational(1), (1,): -p / q})
+        sys_ = KContactHamiltonianSystem(KContactStructure(RkValuedOneForm([eta])), 0)
+        with pytest.raises(DomainError, match="division by zero"):
+            solve_hddw_at_point(sys_, {"s": 0.0, "q": 0.0, "p": 2.0})
+
     @pytest.mark.parametrize("s0, dt", [(-0.5, 0.25), (-0.3, 0.1)])
     def test_flow_stops_on_a_degenerate_hypersurface(self, tmp_path, capsys, s0, dt):
         # eta = s (ds - p dq) is contact off s = 0, where eta vanishes; the

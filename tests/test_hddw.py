@@ -316,13 +316,39 @@ class TestOneSVDSolve:
             for p in (0.1, 2.0, 30.0):
                 point = {"s": -10.0 ** -e, "q": 1.0, "p": p}
                 full = numeric_rank(structure_matrices_at(structure, point)) == 3
-                try:
-                    x = _field_at(field, point)
-                except StructureDegenerateAtPoint:
-                    x = None
+                x = _field_at(field, point)
                 assert x is None or full
                 answered += x is not None
         assert answered > 50
+
+    @pytest.mark.parametrize("name", K1_SYSTEMS)
+    def test_one_field_runner_per_system(self, name, monkeypatch):
+        # X and the four _full_rank values come from one runner, built once
+        import kontact.hddw
+
+        sys_ = self.K1_SYSTEMS[name]()
+        real = kontact.hddw.float_runner
+        built = []
+
+        def counting(exprs):
+            built.append(len(exprs))
+            return real(exprs)
+
+        monkeypatch.setattr(kontact.hddw, "float_runner", counting)
+        x0 = random_point(sys_.chart, random.Random(113))
+        integrate_contact_flow(sys_, x0, t_end=0.02, dt=0.01)
+        integrate_contact_flow(sys_, x0, t_end=0.02, dt=0.01)
+        assert built == [sys_.dim + 4]
+
+    def test_full_rank_is_total(self):
+        # mu underflows to 0 with Omega = 0: the bound would be 0/0; then
+        # d_1^(n-1) underflows to 0, the divisor of mu
+        from kontact.hddw import _full_rank
+
+        assert _full_rank(3, 0.0, 1e-320, 0.0, 1e308) is False
+        assert _full_rank(4, 1.0, 1.0, 1.0, 1e-320) is False
+        assert _full_rank(1, 0.0, 1.0, 1.0, 1.0) is False  # Omega == 0
+        assert _full_rank(1, 1.0, 1.0, 1.0, 1.0) is True
 
     @pytest.mark.parametrize("name", ["thermo", "hydro2", "hydro3", "canonical:2,3"])
     def test_assembly_equals_stacked_structure_matrices(self, name):

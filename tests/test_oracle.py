@@ -95,7 +95,7 @@ def test_k1_field_matches_lusolve(name, H):
     s = resolve_structure(name).structure
     dim = s.dim
     names = {c: sympy.Symbol(c) for c in s.chart.coords}
-    run, _, _ = _k1_field(KContactHamiltonianSystem(s, H, config=FAST))
+    run, _ = _k1_field(KContactHamiltonianSystem(s, H, config=FAST))
     Hs = sympy.sympify(H, locals=names)
     [eta], [d_eta] = s.eta.forms, s.d_eta
     for shift in range(3):
