@@ -256,10 +256,11 @@ def full_pgt_demo(
     Builds the flow, checks theta = 1/tau, the shear orthogonality/trace/
     magnitude identities, superpotential antisymmetry, the conservation of
     the shifted tensor, and the entropy production before and after the
-    transformation (gamma may be symbolic).
+    transformation (gamma may be symbolic).  Raises ValueError, before any
+    symbolic work, where PGTSuperpotential or BjorkenFlow refuses its input.
     """
-    flow = BjorkenFlow(temperature_profile)
     sp = PGTSuperpotential(gamma, I)
+    flow = BjorkenFlow(temperature_profile)
     domain = flow.domain()
     theta, sigma, metric = flow.theta, flow.sigma, flow.metric
 

@@ -244,6 +244,9 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     holder = _resolve(builtin, path)
     s = holder.structure
     H = parse_expr(H_text)
+    unknown = free_variables(H) - set(s.chart.coords)
+    if unknown:
+        raise ParseError(f"H names unknown coordinates {sorted(unknown)}")
     if args.t_end is not None:
         _refuse_with("--t-end", "which integrates a flow", {
             "--section": args.section, "--point": args.point, "--n-points": args.n_points})
@@ -335,8 +338,8 @@ def cmd_ideal_gas(args, config: RunConfig) -> list[Check]:
 
 
 def cmd_bjorken(args, config: RunConfig) -> list[Check]:
-    return full_pgt_demo(gamma=args.gamma, I=args.I,
-                         temperature_profile=args.T_profile, config=config)
+    return _usage(full_pgt_demo, gamma=args.gamma, I=args.I,
+                  temperature_profile=args.T_profile, config=config)
 
 
 # ---------------------------------------------------------------------------

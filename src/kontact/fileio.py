@@ -154,20 +154,23 @@ _HYDRO_RE = re.compile(r"^hydro(\d+)$")
 
 
 def resolve_structure(name: str) -> BuiltinStructure:
-    """Builtins: canonical:n,k; hydroK (k >= 2); thermo."""
-    m = _CANONICAL_RE.match(name)
-    if m:
-        n, k = int(m.group(1)), int(m.group(2))
-        s = canonical_structure(n, k)
-        pol = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
-               for a in range(1, k + 1) for i in range(1, n + 1)]
-        return BuiltinStructure(name, s, polarization=pol)
-    m = _HYDRO_RE.match(name)
-    if m:
-        k = int(m.group(1))
-        s = hydro_kcontact_form(k)
-        return BuiltinStructure(name, s, polarization=hydro_polarization(k),
-                                reeb=hydro_reeb_frame(s))
+    """Builtins: canonical:n,k (n, k >= 1); hydroK (k >= 2); thermo.  An
+    unknown name, or sizes the constructors refuse, is a ParseError."""
+    canonical, hydro = _CANONICAL_RE.match(name), _HYDRO_RE.match(name)
+    try:
+        if canonical:
+            n, k = int(canonical.group(1)), int(canonical.group(2))
+            s = canonical_structure(n, k)
+            pol = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
+                   for a in range(1, k + 1) for i in range(1, n + 1)]
+            return BuiltinStructure(name, s, polarization=pol)
+        if hydro:
+            k = int(hydro.group(1))
+            s = hydro_kcontact_form(k)
+            return BuiltinStructure(name, s, polarization=hydro_polarization(k),
+                                    reeb=hydro_reeb_frame(s))
+    except ValueError as err:
+        raise ParseError(f"builtin {name!r}: {err}") from None
     if name == "thermo":
         return BuiltinStructure(name, thermo_structure())
     raise ParseError(

@@ -7,16 +7,13 @@ This module assembles and solves them numerically at chart points, evaluates
 the induced PDE residuals for candidate sections, and integrates k=1 flows
 with a classic 4th-order one-step method.
 
-The pointwise solve (solve_hddw_at_point): one generated runner
-(runner.filler over kcontact.matrix_entries and the right-hand-side
-coefficients), built on first use and kept on the system, fills one buffer
-holding the system [A | b] (_system_at); one SVD of A gives the least-norm
-particular solution, the rank and the nullspace, and a residual test
-accepts the solution.  The nullspace means something only where the three
-defining conditions hold, so every point is checked for them: for k >= 2 by
-check_structure_at on views of the same buffer, before the solve; for k = 1
-by k1_conditions_hold on the rank that the solve's SVD returns; where the
-system is undefined or not finite, by check_structure_at on A alone.
+The pointwise solve (solve_hddw_at_point) reads A from the structure's one
+runner (kcontact.structure_matrices_at) and b from one runner over
+hddw_rhs, kept on the system (_system_at).  The nullspace means something
+only where the three defining conditions hold, so every point is checked
+for them by check_structure_at(A), for every k, before b is evaluated.
+One SVD of A then gives the least-norm particular solution, the rank and
+the nullspace, and a residual test accepts the solution.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
@@ -24,10 +21,11 @@ expression field (linalg.solve_symbolic on the rows of matrix_entries) and
 proven by a zero test of A X - b (_k1_field).  One runner, kept on the
 system, evaluates X, Omega (the top-form coefficient of eta ^ (d eta)^n)
 and the squared norms of (d eta)^n, eta and d eta.  A stage takes X from
-the field only where _full_rank proves, from those values, that the
-pointwise solve's rank test passes; every other stage, and every stage of a
-field that is not proven, takes the pointwise solve and what it raises, so
-every degenerate point is left to its rank test.
+the field only where _full_rank proves, from those values, that A has
+full rank, so that the pointwise solve would find the structure contact
+and X unique; every other stage, and every stage of a field that is not
+proven, takes the pointwise solve and what it raises, so every degenerate
+point is left to its structure check.
 """
 
 from __future__ import annotations
@@ -59,13 +57,12 @@ from .kcontact import (
     KContactStructure,
     check_structure_at,
     compute_reeb,
-    k1_conditions_hold,
     matrix_entries,
     structure_matrices_at,
 )
 from .legendrian import verify_isotropic
-from .linalg import RANK_THRESHOLD, least_norm_solution, numeric_rank, solve_symbolic
-from .runner import filler, float_runner
+from .linalg import RANK_THRESHOLD, least_norm_solution, solve_symbolic
+from .runner import float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check, zero_test
 
 __all__ = [
@@ -96,8 +93,8 @@ class KContactHamiltonianSystem:
         self.H = as_expr(H)
         self._reeb = reeb
         self._config = config
-        self._rhs: tuple[DifferentialForm, ScalarExpr] | None = None
-        self._system_fill = None  # _system_at's filler, built on first use
+        self._rhs: tuple[ScalarExpr, ...] | None = None
+        self._rhs_at = None  # _system_at's runner over hddw_rhs, built on first use
         # _k1_field's (runner, n), built on first use; False where not proven
         self._field = None
 
@@ -120,19 +117,17 @@ class KContactHamiltonianSystem:
         return self._reeb
 
 
-def hddw_rhs(sys: KContactHamiltonianSystem) -> tuple[DifferentialForm, ScalarExpr]:
-    """The pair (dH - sum_a (R_a H) eta^a, -H) as symbolic objects."""
-    if sys._rhs is not None:
-        return sys._rhs
-    chart = sys.chart
-    dH = exterior_derivative(DifferentialForm.scalar(chart, sys.H))
-    rhs1 = dH
-    if free_variables(sys.H):
-        for R, eta_a in zip(sys.reeb, sys.structure.eta.forms):
-            rh = R.apply(sys.H)
-            if not (isinstance(rh, Rational) and rh.value == 0):
-                rhs1 = rhs1 - rh * eta_a
-    sys._rhs = (rhs1, -sys.H)
+def hddw_rhs(sys: KContactHamiltonianSystem) -> tuple[ScalarExpr, ...]:
+    """b of the field equations A X = b, as dim + 1 expressions: the
+    coefficients of dH - sum_a (R_a H) eta^a, then -H."""
+    if sys._rhs is None:
+        rhs1 = exterior_derivative(DifferentialForm.scalar(sys.chart, sys.H))
+        if free_variables(sys.H):
+            for R, eta_a in zip(sys.reeb, sys.structure.eta.forms):
+                rh = R.apply(sys.H)
+                if not (isinstance(rh, Rational) and rh.value == 0):
+                    rhs1 = rhs1 - rh * eta_a
+        sys._rhs = (*(rhs1.coeffs.get((l,), ZERO) for l in range(sys.dim)), -sys.H)
     return sys._rhs
 
 
@@ -160,51 +155,28 @@ class HdDWPointSolution:
         return _residual(self._A, x, self._b)[0]
 
 
-def _require_structure(holds: bool, point: dict):
-    if not holds:
-        raise StructureDegenerateAtPoint(point)
-
-
 def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
     """The pointwise system (A, b) at a float point.
 
-    A is the HdDW matrix laid out by matrix_entries, with -0.0 turned into
-    0.0: rows 0..dim-1 the 1-form equation per coordinate, row dim the
-    pairing.  b holds the hddw_rhs coefficients as they are.  One runner,
-    built on first use and kept on the system, fills one buffer with A
-    row-major and then b, so that both are contiguous views of it; one
-    finiteness test covers both.  For k >= 2 raises StructureDegenerateAtPoint
-    where check_structure_at(A) finds the structure not k-contact; for k = 1
-    the caller reads that off the rank of A (k1_conditions_hold).  Where the
-    runner raises DomainError or an entry is not finite (b may have a pole
-    where the structure degenerates), raises StructureDegenerateAtPoint if A
-    alone is finite and fails check_structure_at, and that DomainError else.
+    A is the HdDW matrix from the structure's runner (structure_matrices_at):
+    rows 0..dim-1 the 1-form equation per coordinate, row dim the pairing.
+    Raises StructureDegenerateAtPoint where check_structure_at(A) finds the
+    structure not k-contact, before b is evaluated, so that a b with a pole
+    on a degenerate hypersurface still reports the failed conditions.  b
+    holds the hddw_rhs values, from one runner built on first use and kept
+    on the system.  A non-finite A or b raises DomainError, as does a runner
+    where its expressions are undefined.
     """
-    k, dim = sys.k, sys.dim
-    n = k * dim
-    if sys._system_fill is None:
-        rhs1, rhs2 = hddw_rhs(sys)
-        entries = [(r * n + col, sign, 0.0, c)
-                   for r, col, sign, c in matrix_entries(sys.structure)]
-        entries += [((dim + 1) * n + l, 1.0, -0.0, c)
-                    for (l,), c in [*rhs1.coeffs.items(), ((dim,), rhs2)]]
-        sys._system_fill = filler((dim + 1) * (n + 1), entries)
-    try:
-        buf = sys._system_fill(point)
-        if not np.isfinite(buf).all():
-            raise DomainError(f"non-finite pointwise system at {point}")
-    except DomainError as err:
-        try:
-            A = structure_matrices_at(sys.structure, point)
-        except DomainError:  # A is undefined too
-            raise err from None
-        if np.isfinite(A).all():
-            _require_structure(check_structure_at(A) == (k, k, 0), point)
-        raise err
-    A, b = buf[:(dim + 1) * n].reshape(dim + 1, n), buf[(dim + 1) * n:]
-    if k > 1:
-        _require_structure(check_structure_at(A) == (k, k, 0), point)
-    return A, b
+    A = structure_matrices_at(sys.structure, point)
+    if np.isfinite(A).all():
+        if check_structure_at(A) != (sys.k, sys.k, 0):
+            raise StructureDegenerateAtPoint(point)
+        if sys._rhs_at is None:
+            sys._rhs_at = float_runner(hddw_rhs(sys))
+        b = np.array(sys._rhs_at(point))
+        if np.isfinite(b).all():
+            return A, b
+    raise DomainError(f"non-finite pointwise system at {point}")
 
 
 def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -217,16 +189,13 @@ def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float
 
 def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
     """Least-norm particular solution plus orthonormal nullspace basis at a
-    point: x, its rank and the nullspace from one SVD of A
-    (linalg.least_norm_solution), whose rank also decides the defining
-    conditions when k = 1; raises InconsistentSystem where x leaves a
-    residual above the tolerance."""
+    point where _system_at finds the structure k-contact: x and the
+    nullspace from one SVD of A (linalg.least_norm_solution); raises
+    InconsistentSystem where x leaves a residual above the tolerance."""
     p = {name: float(v) for name, v in point.items()}
     A, b = _system_at(sys, p)
-    x, rank, null_rows = least_norm_solution(A, b)
+    x, _, null_rows = least_norm_solution(A, b)
     k, dim = sys.k, sys.dim
-    if k == 1:
-        _require_structure(k1_conditions_hold(dim, rank), p)
     residual, tolerance = _residual(A, x, b)
     if not residual <= tolerance:
         raise InconsistentSystem(
@@ -274,20 +243,24 @@ def section_residual(
     if psi.source.dim != sys.k:
         raise SourceNotRk(
             f"section parameter chart has dimension {psi.source.dim}, need k={sys.k}")
-    binds = psi.bindings()
     # X[alpha*dim + i] = d psi^i / d t^alpha, the unknowns in A's column order
     X = [c for column in prolongation(psi) for c in column]
-    dim = sys.dim
-    rhs1, rhs2 = hddw_rhs(sys)
-    # A X - b; -b leads the pairing row and closes each 1-form row: that term
-    # order fixes the trees, and so the residuals' float values
-    eq = [ZERO] * dim + [-substitute(rhs2, binds)]
+    eq = _field_equations(sys, X, psi.bindings())
+    return eq[:sys.dim], eq[sys.dim]
+
+
+def _field_equations(sys: KContactHamiltonianSystem, X: Sequence, binds: Mapping) -> list:
+    """A X - b as dim + 1 expressions (the rows of matrix_entries, b from
+    hddw_rhs), with binds substituted into the coefficients of A and b.
+    -b leads the pairing row and closes each 1-form row: that term order
+    fixes the trees, and so section_residual's float values.  A zero entry
+    of b subtracts nothing and costs no substitution."""
+    dim, b = sys.dim, hddw_rhs(sys)
+    eq = [ZERO] * dim + [-substitute(b[dim], binds)]
     for r, col, sign, c in matrix_entries(sys.structure):
         term = substitute(c, binds) * X[col]
         eq[r] = eq[r] + term if sign > 0 else eq[r] - term
-    for (l,), c in rhs1.coeffs.items():
-        eq[l] = eq[l] - substitute(c, binds)
-    return eq[:dim], eq[dim]
+    return [e if c == ZERO else e - substitute(c, binds) for e, c in zip(eq[:dim], b)] + eq[dim:]
 
 
 @dataclass
@@ -330,9 +303,9 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
     coefficients of (d eta)^n, eta and d eta.
 
     X is the unique solution of the dim + 1 field equations A X = b in dim
-    unknowns (the rows of matrix_entries, the coefficients of hddw_rhs),
-    solved over the expression field.  The field counts as proven where that
-    elimination succeeds and A X - b passes the zero test; an elimination
+    unknowns (the rows of matrix_entries, b from hddw_rhs), solved over the
+    expression field.  The field counts as proven where that elimination
+    succeeds and A X - b (_field_equations) passes the zero test; an elimination
     that raises SingularSystem (a structure degenerate everywhere, such as
     eta = ds), ZeroTestInconclusive or SampleDomainEmpty proves nothing, and
     every stage then takes the pointwise solve, which keeps its verdicts.
@@ -344,14 +317,11 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
     rows = [{} for _ in range(dim + 1)]
     for r, col, sign, c in matrix_entries(s):
         rows[r][col] = c if sign > 0 else -c
-    rhs1, rhs2 = hddw_rhs(sys)
-    b = [rhs1.coeffs.get((l,), ZERO) for l in range(dim)] + [rhs2]
     try:
-        sol = solve_symbolic(rows, [{0: c} for c in b], dim, domain, config)
+        sol = solve_symbolic(rows, [{0: c} for c in hddw_rhs(sys)], dim, domain, config)
         X = [x.get(0, ZERO) for x in sol]
-        residuals = [sum((c * X[col] for col, c in row.items()), -c_b)
-                     for row, c_b in zip(rows, b)]
-        proven = all(zero_test(e, domain, config).is_zero for e in residuals)
+        proven = all(zero_test(e, domain, config).is_zero
+                     for e in _field_equations(sys, X, {}))
     except (SingularSystem, ZeroTestInconclusive, SampleDomainEmpty):
         proven = False
     if not proven:
@@ -368,11 +338,20 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
 
 
 def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: float) -> bool:
-    """Whether the rank test of solve_hddw_at_point must find the k = 1 HdDW
-    matrix A = [D^T; eta] of full rank dim = 2n + 1 (D the d-eta matrix), from
-    _k1_field's values: a lower bound on A's smallest singular value exceeds
-    2 * RANK_THRESHOLD * |A|_F, at least twice that test's threshold.  False,
-    never an error, where a value is not finite, d eta = 0 (dim = 1) or mu c = 0.
+    """Whether the k = 1 HdDW matrix A = [D^T; eta] (D the d-eta matrix) must
+    have numeric rank dim = 2n + 1, from _k1_field's values: a lower bound on
+    A's smallest singular value exceeds 2 * RANK_THRESHOLD * |A|_F, at least
+    twice the rank threshold.  False, never an error, where a value is not
+    finite, d eta = 0 (dim = 1) or mu c = 0.
+
+    Numeric rank dim makes check_structure_at(A) (1, 1, 0), so the pointwise
+    solve finds the structure contact and X unique.  [eta; D] is A up to row
+    order and sign, so it has rank dim: the intersection dimension is 0.  A
+    is D^T with one row added, so singular-value interlacing (R. C. Thompson,
+    "Principal submatrices IX", Linear Algebra Appl. 5, 1972) gives
+    s_{dim-1}(D) >= s_dim(A) and s_1(D) <= s_1(A): D's numeric rank is at
+    least dim - 1, and an antisymmetric matrix of odd size is singular, so it
+    is dim - 1.  eta is not zero, else A's rank would be D's.
 
     The nonzero singular values of the antisymmetric D pair up as
     d_1 >= .. >= d_n, and its kernel is spanned by v, the vector of
@@ -396,8 +375,7 @@ def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: f
 def _field_at(field: tuple, point: dict) -> np.ndarray | None:
     """X at a float point from _k1_field's runner, or None where the stage
     takes the pointwise solve: the runner raises DomainError there, a value
-    is not finite, or _full_rank cannot show that the pointwise solve's rank
-    test passes."""
+    is not finite, or _full_rank cannot show that A has full rank."""
     run, n = field
     try:
         *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
@@ -495,8 +473,6 @@ def check_constrained_solution(
         values = image_at(u)
         x = dict(zip(sys.chart.coords, values[:dim]))
         A, b = _system_at(sys, x)
-        if k == 1:
-            _require_structure(k1_conditions_hold(dim, numeric_rank(A)), x)
         J = np.array(values[dim:]).reshape(dim, dim_L)
         Ares = np.hstack([A[:, alpha * dim:(alpha + 1) * dim] @ J for alpha in range(k)])
         y, rank, _ = least_norm_solution(Ares, b)

@@ -36,7 +36,7 @@ from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, is_probably_zero, sample_
 
 __all__ = [
     "KContactStructure",
-    "matrix_entries", "structure_matrices_at", "check_structure_at", "k1_conditions_hold",
+    "matrix_entries", "structure_matrices_at", "check_structure_at",
     "verify_kcontact", "compute_reeb", "reeb_frame_check", "check_reeb",
     "check_reeb_commutation", "canonical_structure", "check_polarization",
 ]
@@ -92,7 +92,7 @@ def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
     structure."""
     n = s.k * s.dim
     if s._matrices_at is None:
-        s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, sign, 0.0, c)
+        s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, sign, c)
                                                   for r, col, sign, c in matrix_entries(s)])
     return s._matrices_at(point).reshape(s.dim + 1, n)
 
@@ -111,27 +111,6 @@ def check_structure_at(A: np.ndarray) -> tuple[int, int, int]:
     eta, deta = A[dim].reshape(-1, dim), A[:dim].T
     return (numeric_rank(eta), dim - numeric_rank(deta),
             dim - numeric_rank(np.vstack([eta, deta])))
-
-
-def k1_conditions_hold(dim: int, rank: int) -> bool:
-    """For k = 1: whether check_structure_at(A) == (1, 1, 0), read off rank,
-    the numeric rank of the (dim+1) x dim HdDW matrix A = [deta^T; eta]
-    (matrix_entries), so that the solve's own SVD decides the defining
-    conditions.  They hold exactly when dim is odd and rank == dim:
-
-    - rank(A) = dim implies (1, 1, 0).  eta is not zero: else rank(A) =
-      rank(deta), and an antisymmetric matrix of odd size is singular, so
-      that rank is at most dim - 1.  A is deta^T with one row added, so
-      singular-value interlacing (R. C. Thompson, "Principal submatrices
-      IX", Linear Algebra Appl. 5, 1972) gives s_dim(A) <= s_{dim-1}(deta),
-      and s_1(deta) <= s_1(A): A's numeric rank dim forces deta's to be at
-      least dim - 1, and oddness caps it there.  The row space of A is that
-      of [eta; deta], so the intersection dimension is 0.
-    - (1, 1, 0) implies rank(A) = dim: A has the rows of [eta; deta], up to
-      order and sign.
-    - For even dim (1, 1, 0) is impossible, since deta has even rank.
-    """
-    return dim % 2 == 1 and rank == dim
 
 
 def verify_kcontact(
@@ -314,7 +293,7 @@ def check_polarization(
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
     n = len(fields)
     rows = [f.components for f in fields] + brackets
-    rows_at = filler(len(rows) * dim, [(r * dim + i, 1.0, -0.0, c) for r, comps in enumerate(rows)
+    rows_at = filler(len(rows) * dim, [(r * dim + i, 1.0, c) for r, comps in enumerate(rows)
                                        for i, c in enumerate(comps) if c != ZERO])
     for p in pts:
         values = rows_at(p).reshape(len(rows), dim)

@@ -105,18 +105,17 @@ def _runner_source(program: Program) -> str:
 
 def filler(size: int, entries: Sequence[tuple]) -> Callable[[Mapping], np.ndarray]:
     """A function point -> a new flat array of the given size that holds, at
-    each (position, sign, shift, expression) entry's position, the
-    expression's value times sign plus shift, and zero elsewhere; one float
-    runner evaluates every expression.  A shift of 0.0 turns -0.0 into 0.0,
-    and -0.0 leaves every value as it is."""
-    at, sign, shift, exprs = zip(*entries) if entries else ((),) * 4
-    at, sign, shift = np.array(at, dtype=np.intp), np.array(sign), np.array(shift)
+    each (position, sign, expression) entry's position, the expression's
+    value times sign plus 0.0 (which turns -0.0 into 0.0), and zero
+    elsewhere; one float runner evaluates every expression."""
+    at, sign, exprs = zip(*entries) if entries else ((),) * 3
+    at, sign = np.array(at, dtype=np.intp), np.array(sign)
     run = float_runner(exprs)
 
     def fill(point):
         values = np.array(run(point))
         values *= sign
-        values += shift
+        values += 0.0
         out = np.zeros(size)
         out[at] = values
         return out

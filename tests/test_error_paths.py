@@ -235,7 +235,7 @@ class TestDegeneratePoint:
         # eta = s (ds - p dq) is contact off s = 0, where eta vanishes; the
         # flow of H = -s is ds/dt = 1, so a stage meets s = 0: exactly for
         # dt = 0.25, at s ~ 3e-17 for dt = 0.1, where Omega = s^2 is not 0
-        # but A is singular to the rank test
+        # but A is numerically singular, so the structure check fails
         path = tmp_path / "hyper.json"
         path.write_text(json.dumps({"chart": {"coords": ["s", "q", "p"]}, "forms": {
             "eta": {"degree": 1, "coeffs": {"0": "s", "1": "-s*p"}}}}))

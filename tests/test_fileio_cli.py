@@ -456,10 +456,34 @@ class TestCLI:
         ["hddw", "--builtin", "thermo", "--t-end", "1", "--x0", "notjson"],
         ["hddw", "--builtin", "thermo", "--point", '{"E": "abc"}'],
         ["hddw", "--builtin", "thermo", "--point", "[1]"],
+        # builtin sizes and bjorken inputs that the constructors refuse
+        ["verify-structure", "--builtin", "canonical:0,2"],
+        ["reeb", "--builtin", "hydro1"],
+        ["hddw", "--builtin", "hydro1"],
+        ["bjorken", "--gamma", "t"],
+        ["bjorken", "--I", "T*z"],
+        ["bjorken", "--T-profile", "t"],
     ])
     def test_invalid_settings_are_usage_errors(self, argv, capsys):
         assert main(argv + ["--no-timestamp"]) == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_hddw_H_naming_no_coordinate_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                         from_file):
+        # refused before any solve, as --point refuses unknown coordinates
+        import kontact.cli
+
+        monkeypatch.setattr(kontact.cli, "KContactHamiltonianSystem", None)
+        argv = ["hddw", "--builtin", "thermo", "--H", "E*zz + y"]
+        if from_file:
+            system = tmp_path / "system.json"
+            system.write_text('{"structure": "thermo", "H": "E*zz + y"}')
+            argv = ["hddw", "--system", str(system)]
+        assert main(argv + ["--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: H names unknown coordinates ['y', 'zz']\n"
 
     @pytest.mark.parametrize("argv", [
         ["reeb", "--builtin", "thermo", "--json", "nodir/r.json"],

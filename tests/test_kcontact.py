@@ -31,7 +31,6 @@ from kontact.kcontact import (
     check_reeb_commutation,
     check_structure_at,
     compute_reeb,
-    k1_conditions_hold,
     structure_matrices_at,
     verify_kcontact,
 )
@@ -402,9 +401,13 @@ class TestK1Rule:
                  for c in s.chart.coords}
             A = structure_matrices_at(s, p)
             holds = check_structure_at(A) == (1, 1, 0)
+            # for k = 1 the conditions hold exactly where dim is odd and A has
+            # full column rank: A has the rows of [eta; d eta] up to order and
+            # sign, and hddw._full_rank's docstring shows that full rank gives
+            # (1, 1, 0)
             _, rank, _ = least_norm_solution(A, np.zeros(s.dim + 1))
-            assert k1_conditions_hold(s.dim, rank) == holds
-            assert k1_conditions_hold(s.dim, numeric_rank(A)) == holds
+            assert (s.dim % 2 == 1 and rank == s.dim) == holds
+            assert (s.dim % 2 == 1 and numeric_rank(A) == s.dim) == holds
             if holds:
                 assert solve_hddw_at_point(sys_, p).nullspace_dim == 0
             else:
