@@ -241,8 +241,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     builtin, path, H_text = args.builtin, args.path, args.H
     if args.system:
         builtin, path, H_text = _read_system(args.system, H_text)
-    holder = _resolve(builtin, path)
-    s = holder.structure
+    s = _resolve(builtin, path).structure
     H = parse_expr(H_text)
     unknown = free_variables(H) - set(s.chart.coords)
     if unknown:
@@ -266,8 +265,8 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         _refuse_with("--point JSON", "which gives the one point", {"--n-points": args.n_points})
         points = [_coordinate_values("--point", args.point, s.chart.coords)]
 
-    reeb = holder.reeb
-    if reeb is None and free_variables(H):
+    reeb = None
+    if free_variables(H):
         # the field equations transport dH along the Reeb frame: without a
         # frame, its reeb_frame check is the run's report
         reeb, reeb_check = reeb_frame_check(s, config)

@@ -20,10 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError
-from .expr import as_expr, parse_expr
+from .expr import as_expr, free_variables, parse_expr
 from .forms import (Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField,
                     parameter_chart)
-from .hydro import hydro_kcontact_form, hydro_polarization, hydro_reeb_frame
+from .hydro import hydro_kcontact_form, hydro_polarization
 from .kcontact import KContactStructure, canonical_structure
 from .legendrian import ParametrizingKFunction, thermo_structure
 
@@ -98,12 +98,18 @@ def _form_from_dict(chart: Chart, spec: dict) -> DifferentialForm:
 
 
 def load_structure_file(path: str | Path) -> tuple[KContactStructure, dict]:
-    """Read a structure definition; returns the structure and the raw forms/maps."""
+    """Read a structure definition; returns the structure and the raw forms/maps.
+    A form whose coefficients name a variable that is not a chart coordinate
+    is a ParseError."""
     raw = load_json(path)
     with _content_of(path):
         chart = chart_from_dict(raw.get("chart", {}))
         forms = {name: _form_from_dict(chart, spec)
                  for name, spec in raw.get("forms", {}).items()}
+        for name, f in forms.items():
+            unknown = set().union(*map(free_variables, f.coeffs.values())) - set(chart.coords)
+            if unknown:
+                raise ParseError(f"form {name!r} names unknown variables {sorted(unknown)}")
         eta_names = raw.get("eta")
         if not eta_names:
             eta_names = [name for name, f in forms.items() if f.degree == 1]
@@ -142,11 +148,10 @@ def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
 class BuiltinStructure:
     """A named structure plus whatever extra data its family carries."""
 
-    def __init__(self, name, structure, polarization=None, reeb=None):
+    def __init__(self, name, structure, polarization=None):
         self.name = name
         self.structure = structure
         self.polarization = polarization
-        self.reeb = reeb
 
 
 _CANONICAL_RE = re.compile(r"^canonical:(\d+),(\d+)$")
@@ -166,9 +171,8 @@ def resolve_structure(name: str) -> BuiltinStructure:
             return BuiltinStructure(name, s, polarization=pol)
         if hydro:
             k = int(hydro.group(1))
-            s = hydro_kcontact_form(k)
-            return BuiltinStructure(name, s, polarization=hydro_polarization(k),
-                                    reeb=hydro_reeb_frame(s))
+            return BuiltinStructure(name, hydro_kcontact_form(k),
+                                    polarization=hydro_polarization(k))
     except ValueError as err:
         raise ParseError(f"builtin {name!r}: {err}") from None
     if name == "thermo":

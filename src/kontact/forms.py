@@ -104,11 +104,6 @@ class Chart:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def var(self, name: str) -> Var:
-        if name not in self._index:
-            raise KeyError(f"{name!r} is not a coordinate of this chart")
-        return Var(name)
-
     def domain(self) -> SampleDomain:
         return SampleDomain(self.ranges, self.constraints)
 

@@ -17,15 +17,15 @@ the nullspace, and a residual test accepts the solution.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
-expression field (linalg.solve_symbolic on the rows of matrix_entries) and
-proven by a zero test of A X - b (_k1_field).  One runner, kept on the
-system, evaluates X, Omega (the top-form coefficient of eta ^ (d eta)^n)
-and the squared norms of (d eta)^n, eta and d eta.  A stage takes X from
-the field only where _full_rank proves, from those values, that A has
-full rank, so that the pointwise solve would find the structure contact
-and X unique; every other stage, and every stage of a field that is not
-proven, takes the pointwise solve and what it raises, so every degenerate
-point is left to its structure check.
+expression field (_k1_field: linalg.solve_symbolic on the rows of
+matrix_entries, which returns X only once A X - b passes the zero test).
+One runner, kept on the system, evaluates X, Omega (the top-form
+coefficient of eta ^ (d eta)^n) and the squared norms of (d eta)^n, eta
+and d eta.  A stage takes X from the field only where _full_rank proves,
+from those values, that A has full rank, so that the pointwise solve would
+find the structure contact and X unique; every other stage, and every
+stage of a field that is not proven, takes the pointwise solve and what it
+raises, so every degenerate point is left to its structure check.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .kcontact import (
 from .legendrian import verify_isotropic
 from .linalg import RANK_THRESHOLD, least_norm_solution, solve_symbolic
 from .runner import float_runner
-from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check, zero_test
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
     "KContactHamiltonianSystem", "HdDWPointSolution", "Trajectory",
@@ -245,22 +245,16 @@ def section_residual(
             f"section parameter chart has dimension {psi.source.dim}, need k={sys.k}")
     # X[alpha*dim + i] = d psi^i / d t^alpha, the unknowns in A's column order
     X = [c for column in prolongation(psi) for c in column]
-    eq = _field_equations(sys, X, psi.bindings())
-    return eq[:sys.dim], eq[sys.dim]
-
-
-def _field_equations(sys: KContactHamiltonianSystem, X: Sequence, binds: Mapping) -> list:
-    """A X - b as dim + 1 expressions (the rows of matrix_entries, b from
-    hddw_rhs), with binds substituted into the coefficients of A and b.
-    -b leads the pairing row and closes each 1-form row: that term order
-    fixes the trees, and so section_residual's float values.  A zero entry
-    of b subtracts nothing and costs no substitution."""
-    dim, b = sys.dim, hddw_rhs(sys)
+    # A X - b with the section substituted into A and b (matrix_entries,
+    # hddw_rhs): -b leads the pairing row and closes each 1-form row, the
+    # term order that fixes the trees and so their float values; a zero
+    # entry of b subtracts nothing and costs no substitution
+    binds, dim, b = psi.bindings(), sys.dim, hddw_rhs(sys)
     eq = [ZERO] * dim + [-substitute(b[dim], binds)]
     for r, col, sign, c in matrix_entries(sys.structure):
         term = substitute(c, binds) * X[col]
         eq[r] = eq[r] + term if sign > 0 else eq[r] - term
-    return [e if c == ZERO else e - substitute(c, binds) for e, c in zip(eq[:dim], b)] + eq[dim:]
+    return [e if c == ZERO else e - substitute(c, binds) for e, c in zip(eq[:dim], b)], eq[dim]
 
 
 @dataclass
@@ -304,11 +298,12 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
 
     X is the unique solution of the dim + 1 field equations A X = b in dim
     unknowns (the rows of matrix_entries, b from hddw_rhs), solved over the
-    expression field.  The field counts as proven where that elimination
-    succeeds and A X - b (_field_equations) passes the zero test; an elimination
-    that raises SingularSystem (a structure degenerate everywhere, such as
-    eta = ds), ZeroTestInconclusive or SampleDomainEmpty proves nothing, and
-    every stage then takes the pointwise solve, which keeps its verdicts.
+    expression field.  The field counts as proven where solve_symbolic
+    returns it, which it does only once A X - b has passed the zero test
+    row by row; a solve that raises SingularSystem (a structure degenerate
+    everywhere, such as eta = ds), ZeroTestInconclusive or SampleDomainEmpty
+    proves nothing, and every stage then takes the pointwise solve, which
+    keeps its verdicts.
     """
     if sys._field is not None:
         return sys._field or None
@@ -319,14 +314,10 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
         rows[r][col] = c if sign > 0 else -c
     try:
         sol = solve_symbolic(rows, [{0: c} for c in hddw_rhs(sys)], dim, domain, config)
-        X = [x.get(0, ZERO) for x in sol]
-        proven = all(zero_test(e, domain, config).is_zero
-                     for e in _field_equations(sys, X, {}))
     except (SingularSystem, ZeroTestInconclusive, SampleDomainEmpty):
-        proven = False
-    if not proven:
         sys._field = False
         return None
+    X = [x.get(0, ZERO) for x in sol]
     eta, d_eta, n = s.eta.forms[0], s.d_eta[0], dim // 2
     power = DifferentialForm.scalar(sys.chart, 1)
     for _ in range(n):

@@ -17,14 +17,14 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, DimensionNot4
 from .expr import ExprLike, Pow, Rational, ScalarExpr, Var, ZERO, as_expr, differentiate
-from .forms import Chart, DifferentialForm, KVectorField, RkValuedOneForm, SmoothMap, VectorField
+from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
 from .hddw import KContactHamiltonianSystem, section_residual
 from .kcontact import KContactStructure
 from .zerotest import PASS, Check, combine, zero_check
 
 __all__ = [
     "MinkowskiMetric", "FluidTensors", "hydro_chart", "hydro_kcontact_form",
-    "hydro_reeb_frame", "hydro_polarization", "hydro_system",
+    "hydro_polarization", "hydro_system",
     "equilibrium_conditions_residual", "entropy_current",
     "projectors", "equilibrium_legendrian",
 ]
@@ -75,16 +75,9 @@ def hydro_kcontact_form(k: int = 4) -> KContactStructure:
     return KContactStructure(RkValuedOneForm(forms))
 
 
-def hydro_reeb_frame(structure: KContactStructure) -> KVectorField:
-    """The frame (d/dS^0, ..., d/dS^{k-1}); validity is covered by tests."""
-    chart = structure.chart
-    return KVectorField([VectorField.coordinate(chart, f"S_{m}")
-                         for m in range(structure.k)])
-
-
 def hydro_system(k: int = 4, H: ExprLike = 0) -> KContactHamiltonianSystem:
-    s = hydro_kcontact_form(k)
-    return KContactHamiltonianSystem(s, H, reeb=hydro_reeb_frame(s))
+    """The hydro structure with H; its Reeb frame is solved on first use."""
+    return KContactHamiltonianSystem(hydro_kcontact_form(k), H)
 
 
 def hydro_polarization(k: int = 4) -> list[VectorField]:

@@ -2,7 +2,8 @@
 
 Numeric ranks use SVD with the relative threshold RANK_THRESHOLD; symbolic
 solves run over the expression field on sparse rows, with the sampling zero
-test deciding pivots.
+test deciding pivots, and return a solution only after the zero test has
+found it to satisfy every input row.
 """
 
 from __future__ import annotations
@@ -75,11 +76,14 @@ def solve_symbolic(
     rows[i] holds equation i's coefficients as {unknown: coefficient} and
     rhs[i] its right-hand sides as {solve column: value}; an absent entry is
     zero, costs no zero test and is never scaled or subtracted.  Returns one
-    such rhs dict per unknown.  Requires a unique solution: raises
-    SingularSystem when the system is under-determined or inconsistent,
-    ZeroTestInconclusive when a pivot cannot be decided.  Pivots are chosen
-    scanning unknowns in order, first row whose entry is present and not
-    probably zero.
+    such rhs dict per unknown, and only once it is checked: substituted back
+    into every input row, it leaves residuals sum_col rows[i][col] *
+    sol[col][j] - rhs[i][j] that pass the zero test (a structurally zero one
+    costs none).  Requires a unique solution: raises SingularSystem when the
+    system is under-determined, or inconsistent (naming the input row i of
+    the first nonzero residual), ZeroTestInconclusive when a pivot or a
+    residual cannot be decided.  Pivots are chosen scanning unknowns in
+    order, first row whose entry is present and not probably zero.
     """
     A = [dict(r) for r in rows]
     B = [dict(r) for r in rhs]
@@ -110,8 +114,13 @@ def solve_symbolic(
     if len(pivot_of_col) < n:
         missing = [c for c in range(n) if c not in pivot_of_col]
         raise SingularSystem(f"no pivot for unknowns {missing} (under-determined)")
-    for r in range(next_row, m):
-        for j in sorted(B[r]):
-            if not is_probably_zero(B[r][j], domain, config):
-                raise SingularSystem(f"inconsistent equation (row {r})")
-    return [B[pivot_of_col[col]] for col in range(n)]
+    sol = [B[pivot_of_col[col]] for col in range(n)]
+    for i, (row, row_rhs) in enumerate(zip(rows, rhs)):
+        residual = {j: -e for j, e in row_rhs.items()}
+        for col, a in row.items():
+            for j, x in sol[col].items():
+                residual[j] = residual.get(j, ZERO) + a * x
+        for j in sorted(residual):
+            if residual[j] != ZERO and not is_probably_zero(residual[j], domain, config):
+                raise SingularSystem(f"inconsistent equation (row {i})")
+    return sol

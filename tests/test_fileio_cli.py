@@ -175,6 +175,17 @@ class TestMalformedFiles:
         self._run(tmp_path, capsys, [{"xi": "t_0"}],
                   ["hddw", "--builtin", "hydro2", "--section", "FILE"])
 
+    @pytest.mark.parametrize("argv", [["verify-structure", "FILE"], ["reeb", "FILE"],
+                                      ["hddw", "FILE", "--H", "s"]],
+                             ids=["verify-structure", "reeb", "hddw"])
+    def test_form_naming_no_coordinate(self, tmp_path, capsys, argv):
+        # eta = ds - zz dq on (s, q, p): zz is no coordinate, for every subcommand
+        self._run(tmp_path, capsys, {**CANONICAL_11, "forms": {
+            "eta1": {"degree": 1, "coeffs": {"0": "1", "1": "-zz"}}}}, argv)
+        path = tmp_path / "file.json"
+        with pytest.raises(ParseError, match=r"form 'eta1' names unknown variables \['zz'\]"):
+            load_structure_file(path)
+
 
 class TestBuiltins:
     def test_canonical(self):
@@ -185,7 +196,7 @@ class TestBuiltins:
     def test_hydro(self):
         b = resolve_structure("hydro2")
         assert b.structure.dim == 2 * 2 + 4 * 2 + 2
-        assert b.reeb is not None
+        assert b.polarization is not None
 
     def test_thermo(self):
         assert resolve_structure("thermo").structure.k == 1

@@ -197,8 +197,7 @@ class TestOneSVDSolve:
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,3",
                                       "canonical:4,4"])
     def test_nullspace_matches_nullspace_basis(self, name):
-        holder = resolve_structure(name)
-        sys_ = KContactHamiltonianSystem(holder.structure, 0, reeb=holder.reeb)
+        sys_ = KContactHamiltonianSystem(resolve_structure(name).structure, 0)
         chart = sys_.chart
         for p in sample_points(chart.coords, chart.domain(), 3, random.Random(101)):
             sol = solve_hddw_at_point(sys_, p)
@@ -345,11 +344,10 @@ class TestOneSVDSolve:
     def test_assembly_equals_stacked_structure_matrices(self, name):
         from kontact.hddw import _system_at
 
-        holder = resolve_structure(name)
-        chart = holder.structure.chart
-        c0, c1, c2 = chart.coords[:3]
-        sys_ = KContactHamiltonianSystem(holder.structure, f"{c0}*{c1} - {c2}^2/3 + {c1}",
-                                         reeb=holder.reeb)
+        s = resolve_structure(name).structure
+        c0, c1, c2 = s.chart.coords[:3]
+        sys_ = KContactHamiltonianSystem(s, f"{c0}*{c1} - {c2}^2/3 + {c1}")
+        chart = s.chart
         rng = random.Random(109)
         for zero_every in (1, 2, 0, 0):
             # zero coordinates make -0.0 coefficients: A turns them into
@@ -374,11 +372,10 @@ class TestSectionResidual:
         from kontact.forms import prolongation
         from kontact.hddw import _system_at
 
-        holder = resolve_structure(name)
-        chart = holder.structure.chart
-        c0, c1, c2 = chart.coords[:3]
-        sys_ = KContactHamiltonianSystem(holder.structure, f"{c0}*{c1} - {c2}^2/3 + {c1}",
-                                         reeb=holder.reeb)
+        s = resolve_structure(name).structure
+        c0, c1, c2 = s.chart.coords[:3]
+        sys_ = KContactHamiltonianSystem(s, f"{c0}*{c1} - {c2}^2/3 + {c1}")
+        chart = s.chart
         src = parameter_chart(sys_.k)
         t = [Var(c) for c in src.coords]
         # a section with components 1 + (i+1)/8 + t_0 (i mod 3)/5 - t_{k-1}^2/16

@@ -10,7 +10,7 @@ import pytest
 from kontact.config import RunConfig
 from kontact.errors import DimensionNot4
 from kontact.expr import Rational, Var, ZERO, differentiate, free_variables, substitute
-from kontact.forms import Chart, SmoothMap, parameter_chart
+from kontact.forms import Chart, SmoothMap, VectorField, parameter_chart
 from kontact.hddw import section_residual, solve_hddw_at_point
 from kontact.hydro import (
     FluidTensors,
@@ -21,11 +21,11 @@ from kontact.hydro import (
     hydro_chart,
     hydro_kcontact_form,
     hydro_polarization,
-    hydro_reeb_frame,
     hydro_system,
     projectors,
 )
-from kontact.kcontact import check_polarization, check_reeb_commutation, verify_kcontact
+from kontact.kcontact import (check_polarization, check_reeb_commutation, compute_reeb,
+                              verify_kcontact)
 from kontact.legendrian import verify_isotropic
 from kontact.zerotest import FAIL, PASS, SampleDomain, is_probably_zero
 
@@ -96,8 +96,11 @@ class TestHydroStructure:
                    for p in checks[0].detail["rank_table"])
 
     def test_reeb_frame_and_commutation(self):
+        # the solved frame is the closed form R_mu = d/dS^mu
         s = hydro_kcontact_form(3)
-        frame = hydro_reeb_frame(s)
+        frame = compute_reeb(s, FAST)
+        assert [R.components for R in frame] == [
+            VectorField.coordinate(s.chart, f"S_{m}").components for m in range(3)]
         assert check_reeb_commutation(frame, config=FAST).verdict == PASS
 
     @pytest.mark.parametrize("k", [2, 3, 4])

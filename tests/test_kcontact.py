@@ -214,10 +214,14 @@ class TestReebCommutation:
         assert check_reeb_commutation(compute_reeb(s, FAST), config=FAST).verdict == PASS
 
     def test_hydro_commutes(self):
-        from kontact.hydro import hydro_kcontact_form, hydro_reeb_frame
+        from kontact.hydro import hydro_kcontact_form
 
+        # the solved frame is the closed form R_mu = d/dS^mu
         s = hydro_kcontact_form(3)
-        assert check_reeb_commutation(hydro_reeb_frame(s), config=FAST).verdict == PASS
+        frame = compute_reeb(s, FAST)
+        assert [R.components for R in frame] == [
+            VectorField.coordinate(s.chart, f"S_{m}").components for m in range(3)]
+        assert check_reeb_commutation(frame, config=FAST).verdict == PASS
 
     def test_noncommuting_frame_detected(self):
         ch = Chart(["x", "y"])

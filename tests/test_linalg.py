@@ -42,9 +42,12 @@ def test_extra_row_without_rhs_entry_costs_no_zero_test(monkeypatch):
 
     monkeypatch.setattr(linalg, "is_probably_zero", spy)
     # x u0 = x and y u1 = 0, and the extra row x u1 = 0, whose right-hand
-    # side stays empty through the elimination: only the pivots are zero-tested
+    # side stays empty through the elimination: the elimination zero-tests
+    # only the pivots, and the back-substitution check only row 0's residual
+    # -x + x * (x^-1 * x), since the other two rows leave no residual at all
     sol = solve_symbolic([{0: x}, {1: y}, {1: x}], [{0: x}, {}, {}], 2, CHART.domain(), FAST)
-    assert asked == [x, y]
+    assert asked[:2] == [x, y] and len(asked) == 3
+    assert asked[2] == -x + x * sol[0][0]
     assert set(sol[0]) == {0} and sol[1] == {}
 
 
@@ -52,3 +55,18 @@ def test_inconsistent_row_raises():
     # u0 = 1 and u0 = 2
     with pytest.raises(SingularSystem, match=r"inconsistent equation \(row 1\)"):
         solve_symbolic([{0: x}, {0: x}], [{0: x}, {0: 2 * x}], 1, CHART.domain(), FAST)
+
+
+def test_inconsistency_names_the_input_row():
+    # x u0 = x, x u0 = 2x, y u1 = y: elimination swaps y u1 = y up into
+    # row 1 as u1's pivot, but the inconsistent input row is row 1
+    with pytest.raises(SingularSystem, match=r"inconsistent equation \(row 1\)"):
+        solve_symbolic([{0: x}, {0: x}, {1: y}], [{0: x}, {0: 2 * x}, {0: y}], 2,
+                       CHART.domain(), FAST)
+
+
+def test_checked_solution_of_a_consistent_overdetermined_system():
+    # u0 = 1 three ways, with a residual the zero test must decide each time
+    sol = solve_symbolic([{0: x}, {0: y}, {0: x * y}], [{0: x}, {0: y}, {0: x * y}], 1,
+                         CHART.domain(), FAST)
+    assert is_probably_zero(sol[0][0] - 1, CHART.domain(), FAST)

@@ -7,6 +7,7 @@ the same equations with none of kontact's code.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,17 +15,20 @@ import numpy as np
 import pytest
 
 from kontact.config import RunConfig
-from kontact.expr import (Pow, Product, Rational, Sum, Var, differentiate, evaluate,
-                          parse_expr, substitute)
-from kontact.fileio import resolve_structure
+from kontact.expr import (Exp, Log, Pow, Product, Rational, Sum, Var, compile_expr,
+                          differentiate, evaluate, free_variables, parse_expr, sqrt,
+                          substitute)
+from kontact.fileio import load_structure_file, resolve_structure
 from kontact.hddw import (KContactHamiltonianSystem, _k1_field, expected_nullspace_dim,
                           solve_hddw_at_point)
 from kontact.idealgas import isentropic_hamiltonian
-from kontact.kcontact import compute_reeb
+from kontact.kcontact import compute_reeb, verify_kcontact
+from kontact.runner import float_runner
 
 from conftest import expression_pivot_structure, rand_expr
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")  # a dependency of sympy
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -126,7 +130,7 @@ _POINTS = [{"x": Fraction(2, 3), "y": Fraction(-5, 4), "z": Fraction(7, 2)},
 
 
 def _to_sympy(e):
-    """The sympy tree of a polynomial kontact tree, node by node."""
+    """The sympy tree of a kontact tree, node by node."""
     if isinstance(e, Rational):
         return sympy.Rational(e.value)
     if isinstance(e, Var):
@@ -137,7 +141,11 @@ def _to_sympy(e):
         return sympy.Mul(*map(_to_sympy, e.factors))
     if isinstance(e, Pow):
         return sympy.Pow(_to_sympy(e.base), sympy.Rational(e.exponent))
-    raise TypeError(f"no polynomial node: {type(e).__name__}")
+    if isinstance(e, Exp):
+        return sympy.exp(_to_sympy(e.arg))
+    if isinstance(e, Log):
+        return sympy.log(_to_sympy(e.arg))
+    raise TypeError(f"no expression node: {type(e).__name__}")
 
 
 def _sympy_value(S, point) -> Fraction:
@@ -166,3 +174,94 @@ def test_expression_layer_matches_sympy(seed):
         assert evaluate(substitute(e, bindings), p) == _sympy_value(subbed, p)
         for de, dS in derivatives:
             assert evaluate(de, p) == _sympy_value(dS, p)
+
+
+def _transcendental_tree(rng):
+    """A rand_expr tree with exp or log, times sqrt(u^2 + 1) for a u that is
+    not constant: defined everywhere."""
+    e = rand_expr(rng, _NAMES, depth=3, transcendental=True)
+    while "exp(" not in str(e) and "log(" not in str(e):
+        e = rand_expr(rng, _NAMES, depth=3, transcendental=True)
+    u = rand_expr(rng, _NAMES)
+    while not free_variables(u):
+        u = rand_expr(rng, _NAMES)
+    return e * sqrt(u * u + 1)
+
+
+def _close(got, want):
+    assert abs(float(got) - float(want)) <= 1e-9 * (1 + abs(float(want)))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_transcendental_trees_match_sympy(seed):
+    # differentiate against sympy.diff and substitute against subs by value
+    # at rational points; float_runner and Program.run_float against
+    # sympy.lambdify (mpmath, 30 digits) at the same points as floats
+    rng = random.Random(1000 + seed)
+    e = _transcendental_tree(rng)
+    bindings = {"x": rand_expr(rng, _NAMES), "y": Var("x")}
+    symbols = [sympy.Symbol(n) for n in _NAMES]
+    S = _to_sympy(e)
+    subbed = S.subs({sympy.Symbol(n): _to_sympy(b) for n, b in bindings.items()},
+                    simultaneous=True)
+    derivatives = [differentiate(e, v) for v in _NAMES]
+    want_derivatives = [sympy.diff(S, v) for v in symbols]
+    exprs = [e, *derivatives]
+    lambdas = [sympy.lambdify(symbols, w, "mpmath") for w in [S, *want_derivatives]]
+    run = float_runner(exprs)
+    columns = {n: np.array([float(p[n]) for p in _POINTS]) for n in _NAMES}
+    for p in _POINTS:
+        exact = {sympy.Symbol(n): sympy.Rational(q) for n, q in p.items()}
+        _close(evaluate(e, p), S.subs(exact).evalf(30))
+        _close(evaluate(substitute(e, bindings), p), subbed.subs(exact).evalf(30))
+        for de, dS in zip(derivatives, want_derivatives):
+            _close(evaluate(de, p), dS.subs(exact).evalf(30))
+        floats = [float(p[n]) for n in _NAMES]
+        with mpmath.workdps(30):
+            for got, f in zip(run({n: float(q) for n, q in p.items()}), lambdas):
+                _close(got, f(*floats))
+    for ex, f in zip(exprs, lambdas):
+        program = compile_expr(ex)
+        value, _, skip = program.run_float(
+            {n: columns[n] for n in program.free_vars}, len(_POINTS))
+        assert not skip.any()
+        with mpmath.workdps(30):
+            for i, got in enumerate(value):
+                _close(got, f(*(columns[n][i] for n in _NAMES)))
+
+
+@pytest.mark.parametrize("name", ["hydro2", "canonical:2,2", "thermo", "repeated_row"])
+def test_rank_table_matches_matrix_rank(name, tmp_path):
+    # verify_kcontact's per-point (eta_rank, ker_deta_dim, intersection_dim)
+    # against sympy's exact ranks of eta, the stacked d-eta and both, built
+    # from the forms' coefficients at the table's rational points
+    if name == "repeated_row":
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({
+            "chart": {"coords": ["s_1", "s_2", "q", "p_1", "p_2"]},
+            "forms": {"e1": {"coeffs": {"0": "1", "2": "-p_1"}},
+                      "e2": {"coeffs": {"1": "1", "2": "-p_2*q"}},
+                      "e3": {"coeffs": {"0": "1", "2": "-p_1"}}},
+            "eta": ["e1", "e2", "e3"]}))
+        s, _ = load_structure_file(path)
+    else:
+        s = resolve_structure(name).structure
+    dim = s.dim
+    corank = verify_kcontact(s, n_points=3, config=FAST)[0]
+    assert corank.name == "corank_condition"
+    for row in corank.detail["rank_table"]:
+        point = {sympy.Symbol(c): sympy.Rational(v) for c, v in row["point"].items()}
+
+        def at(c):
+            return _to_sympy(c).subs(point)
+
+        eta = sympy.zeros(s.k, dim)
+        for alpha, f in enumerate(s.eta.forms):
+            for (i,), c in f.coeffs.items():
+                eta[alpha, i] = at(c)
+        deta = sympy.zeros(s.k * dim, dim)
+        for alpha, d in enumerate(s.d_eta):
+            for (i, j), c in d.coeffs.items():
+                deta[alpha * dim + i, j], deta[alpha * dim + j, i] = at(c), -at(c)
+        want = (eta.rank(), dim - deta.rank(), dim - eta.col_join(deta).rank())
+        assert (row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"]) == want
