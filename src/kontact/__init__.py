@@ -10,7 +10,6 @@ expansion worked example.
 from .config import DEFAULT_CONFIG, RunConfig, default_seed
 from .errors import (
     ChartMismatch,
-    DimensionNot4,
     DomainError,
     IncompatibleKFunction,
     InconsistentSystem,
@@ -92,15 +91,12 @@ from .hddw import (
     solve_hddw_at_point,
 )
 from .hydro import (
-    FluidTensors,
-    MinkowskiMetric,
     entropy_current,
     equilibrium_conditions_residual,
     equilibrium_legendrian,
     hydro_kcontact_form,
     hydro_polarization,
     hydro_system,
-    projectors,
 )
 from .bjorken import (
     BjorkenFlow,

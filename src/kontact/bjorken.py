@@ -1,10 +1,11 @@
 """Boost-invariant longitudinal expansion and pseudo-gauge bookkeeping.
 
 Works on the (t, z) chart with proper time tau = sqrt(t^2 - z^2) and flow
-velocity u = (t/tau, 0, 0, z/tau).  Provides the expansion scalar and shear
-tensor, the superpotential-generated transformation of the dissipative
-decomposition, and the entropy-production verdicts before and after the
-transformation; the transformation parameter gamma may stay symbolic.
+velocity u = (t/tau, 0, 0, z/tau).  Provides the spatial projector Delta, the
+expansion scalar theta and the shear tensor sigma, built from Delta and theta
+alone; the superpotential-generated transformation of the dissipative
+decomposition; and the entropy-production verdicts before and after the
+transformation.  The transformation parameter gamma may stay symbolic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .expr import (
     substitute,
 )
 from .forms import Chart
-from .hydro import FluidTensors, MinkowskiMetric, projectors
+from .hydro import metric_sign, spatial_projector
 from .zerotest import Check, SampleDomain, combine, zero_check
 
 __all__ = [
@@ -52,9 +53,10 @@ def bjorken_chart() -> Chart:
 
 class BjorkenFlow:
     """u = (t/tau, 0, 0, z/tau) on t^2 > z^2, with a temperature profile T(tau),
-    and the flow's expansion scalar theta and shear tensor sigma, built once."""
+    and the flow's spatial projector delta, expansion scalar theta and shear
+    tensor sigma, built once."""
 
-    __slots__ = ("chart", "tau", "u", "temperature", "metric", "theta", "sigma")
+    __slots__ = ("chart", "tau", "u", "temperature", "delta", "theta", "sigma")
 
     def __init__(self, temperature_profile: ExprLike = DEFAULT_T_PROFILE):
         self.chart = bjorken_chart()
@@ -67,15 +69,12 @@ class BjorkenFlow:
         if extra:
             raise ValueError(f"temperature profile may only use tau; found {sorted(extra)}")
         self.temperature = substitute(profile, {"tau": self.tau})
-        self.metric = MinkowskiMetric(4)
+        self.delta = spatial_projector(self.u)
         self.theta = expansion_scalar(self)
         self.sigma = shear_tensor(self)
 
     def domain(self) -> SampleDomain:
         return self.chart.domain()
-
-    def fluid(self) -> FluidTensors:
-        return FluidTensors(self.chart, self.u, self.temperature, self.metric)
 
     def d(self, e: ScalarExpr, mu: int) -> ScalarExpr:
         """The spacetime partial d/dx^mu; transverse directions are constant."""
@@ -102,32 +101,30 @@ def expansion_scalar(flow: BjorkenFlow) -> ScalarExpr:
 
 
 def shear_tensor(flow: BjorkenFlow) -> list[list[ScalarExpr]]:
-    """sigma^{mu nu}: symmetric-traceless flow-orthogonal part of d^alpha u^beta."""
-    _, delta4 = projectors(flow.fluid())
-    A = [[flow.metric.sign(a) * flow.d(flow.u[b], a) for b in range(4)] for a in range(4)]
-    sigma = []
-    for m in range(4):
-        row = []
-        for n in range(4):
-            e = ZERO
-            for a in range(4):
-                for b in range(4):
-                    term = delta4[m][n][a][b] * A[a][b]
-                    if not (isinstance(term, Rational) and term.value == 0):
-                        e = e + term
-            row.append(e)
-        sigma.append(row)
-    return sigma
+    """sigma^{mu nu} = (1/2)(nabla^mu u^nu + nabla^nu u^mu) - (1/3) Delta^{mu nu} theta.
+
+    nabla^mu = Delta^{mu alpha} d_alpha.  For a normalized u this is the
+    symmetric-traceless flow-orthogonal part of d^alpha u^beta: since
+    u_beta d^alpha u^beta = 0, the rank-4 projector reduces to these terms.
+    Reads flow.u, flow.delta, flow.theta and flow.d.
+    """
+    delta = flow.delta
+    du = [[flow.d(u, a) for u in flow.u] for a in range(4)]  # du[a][n] = d_a u^n
+    nabla = [[sum((delta[m][a] * du[a][n] for a in range(4)), ZERO) for n in range(4)]
+             for m in range(4)]
+    half = Rational(Fraction(1, 2))
+    third_theta = Rational(Fraction(1, 3)) * flow.theta
+    return [[half * (nabla[m][n] + nabla[n][m]) - delta[m][n] * third_theta
+             for n in range(4)] for m in range(4)]
 
 
 def contract_symmetric(x: Sequence[Sequence[ScalarExpr]],
-                       y: Sequence[Sequence[ScalarExpr]],
-                       metric: MinkowskiMetric) -> ScalarExpr:
+                       y: Sequence[Sequence[ScalarExpr]]) -> ScalarExpr:
     """x_{mu nu} y^{mu nu} for upper-upper component arrays."""
     total = ZERO
-    for m in range(metric.dim):
-        for n in range(metric.dim):
-            term = metric.sign(m) * metric.sign(n) * x[m][n] * y[m][n]
+    for m in range(len(x)):
+        for n in range(len(x)):
+            term = metric_sign(m) * metric_sign(n) * x[m][n] * y[m][n]
             if not (isinstance(term, Rational) and term.value == 0):
                 total = total + term
     return total
@@ -135,7 +132,7 @@ def contract_symmetric(x: Sequence[Sequence[ScalarExpr]],
 
 def _sigma_defect(flow: BjorkenFlow) -> ScalarExpr:
     """sigma_{mu nu} sigma^{mu nu} - (2/3) theta^2, identically zero."""
-    ss = contract_symmetric(flow.sigma, flow.sigma, flow.metric)
+    ss = contract_symmetric(flow.sigma, flow.sigma)
     return ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta
 
 
@@ -169,7 +166,7 @@ class PGTSuperpotential:
 
 def superpotential_components(s: PGTSuperpotential, flow: BjorkenFlow) -> list:
     """Phi^{lambda mu nu}, antisymmetric in its last two indices."""
-    delta = flow.fluid().delta
+    delta = flow.delta
     gI = s.gamma * s.I_along(flow)
     return [[[
         gI * (flow.u[m] * delta[l][n] - flow.u[n] * delta[l][m])
@@ -239,7 +236,7 @@ def apply_pgt(
 
 def entropy_production(d: DissipativeDecomposition, flow: BjorkenFlow) -> ScalarExpr:
     """The production source T dS = shear_{mu nu} sigma^{mu nu} - Pi theta."""
-    return contract_symmetric(d.shear_part, flow.sigma, flow.metric) - d.Pi_tot * flow.theta
+    return contract_symmetric(d.shear_part, flow.sigma) - d.Pi_tot * flow.theta
 
 
 def full_pgt_demo(
@@ -262,7 +259,7 @@ def full_pgt_demo(
     sp = PGTSuperpotential(gamma, I)
     flow = BjorkenFlow(temperature_profile)
     domain = flow.domain()
-    theta, sigma, metric = flow.theta, flow.sigma, flow.metric
+    theta, sigma = flow.theta, flow.sigma
 
     inv_tau = Pow.make(Var("t") * Var("t") - Var("z") * Var("z"), Fraction(-1, 2))
     identities = {"theta_identity": [theta - inv_tau]}
@@ -271,13 +268,13 @@ def full_pgt_demo(
     for n in range(4):
         e = ZERO
         for m in range(4):
-            e = e + metric.sign(m) * flow.u[m] * sigma[m][n]
+            e = e + metric_sign(m) * flow.u[m] * sigma[m][n]
         ortho.append(e)
     identities["sigma_orthogonal"] = ortho
 
     trace = ZERO
     for m in range(4):
-        trace = trace + metric.sign(m) * sigma[m][m]
+        trace = trace + metric_sign(m) * sigma[m][m]
     identities["sigma_traceless"] = [trace]
 
     identities["sigma_identity"] = [_sigma_defect(flow)]

@@ -173,11 +173,13 @@ def _read_system(path: str, H: str) -> tuple[str | None, str | None, str]:
 def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
     """The JSON object of coordinate values given as --x0 or --point, which
     must give every one of the chart's coords and no other name, each a
-    finite number."""
+    finite JSON number (not a string or a boolean)."""
     try:
         raw = json.loads(text)
+        if not all(type(v) in (int, float) for v in raw.values()):
+            raise TypeError
         values = {name: float(v) for name, v in raw.items()}
-    except (ValueError, TypeError, AttributeError):
+    except (ValueError, TypeError, AttributeError, OverflowError):
         raise ParseError(f"{option} needs a JSON object of numbers, got {text!r}") from None
     missing = set(coords) - set(values)
     if missing:
@@ -314,6 +316,13 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
 
 def cmd_ideal_gas(args, config: RunConfig) -> list[Check]:
     _usage(flow_steps, args.t_end, args.dt)
+    for option, value in (("--v0", args.v0), ("--n0", args.n0)):
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ParseError(f"{option} must be positive and finite, got {value}")
+    if not math.isfinite(args.s0):
+        raise ParseError(f"--s0 must be finite, got {args.s0}")
+    if not args.tol > 0:
+        raise ParseError(f"--tol must be positive, got {args.tol}")
     traj = run_isentropic(cv=args.cv, S0=args.s0, V0=args.v0, N0=args.n0,
                           t_end=args.t_end, dt=args.dt, config=config)
     S = traj.column("S")

@@ -80,7 +80,3 @@ class NotIsotropic(KontactError):
 
 class NotHomogeneous(KontactError):
     """The generating function is not homogeneous of degree one."""
-
-
-class DimensionNot4(KontactError):
-    """The rank-4 projector is only defined for four spacetime dimensions."""

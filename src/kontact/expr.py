@@ -358,8 +358,16 @@ def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
 
     Raises UnboundVariable for missing assignments and DomainError where the
     expression leaves its domain (log of non-positive, division by zero,
-    negative base under a fractional power).
+    negative base under a fractional power) or a value leaves float range
+    (an exact rational beyond it meeting a float, an overflowing power or exp).
     """
+    try:
+        return _evaluate(e, point)
+    except OverflowError as err:
+        raise DomainError(f"value beyond float range ({err})") from None
+
+
+def _evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
     if isinstance(e, Rational):
         return e.value
     if isinstance(e, Var):
@@ -370,15 +378,15 @@ def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
     if isinstance(e, Sum):
         total: Numeric = Fraction(0)
         for t in e.terms:
-            total = total + evaluate(t, point)
+            total = total + _evaluate(t, point)
         return total
     if isinstance(e, Product):
         prod: Numeric = Fraction(1)
         for f in e.factors:
-            prod = prod * evaluate(f, point)
+            prod = prod * _evaluate(f, point)
         return prod
     if isinstance(e, Pow):
-        base = evaluate(e.base, point)
+        base = _evaluate(e.base, point)
         ex = e.exponent
         if ex.denominator == 1:
             n = int(ex)
@@ -386,10 +394,7 @@ def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
                 raise DomainError("division by zero")
             if isinstance(base, Fraction):
                 return base ** n
-            try:
-                return float(base) ** n
-            except (OverflowError, ZeroDivisionError) as err:
-                raise DomainError(str(err)) from None
+            return float(base) ** n
         b = float(base)
         if b < 0:
             raise DomainError(f"negative base {b} under fractional power {ex}")
@@ -397,13 +402,9 @@ def evaluate(e: ScalarExpr, point: Mapping[str, Numeric]) -> Numeric:
             raise DomainError("division by zero")
         return b ** float(ex)
     if isinstance(e, Exp):
-        v = float(evaluate(e.arg, point))
-        try:
-            return math.exp(v)
-        except OverflowError:
-            raise DomainError(f"exp overflow at {v}") from None
+        return math.exp(float(_evaluate(e.arg, point)))
     if isinstance(e, Log):
-        v = float(evaluate(e.arg, point))
+        v = float(_evaluate(e.arg, point))
         if v <= 0:
             raise DomainError(f"log of non-positive value {v}")
         return math.log(v)
@@ -495,7 +496,8 @@ class Program(NamedTuple):
         magnitude of the largest top-level summand.  skip marks the points
         where evaluate raises DomainError (a negative base under a fractional
         power, a zero base under a negative power, log of a non-positive
-        value, overflow of a power or exp) or the value is not finite.
+        value, overflow of a power or exp) or the value is not finite; a
+        constant beyond float range is not finite, so it marks every point.
         """
         skip = np.zeros(n, dtype=bool)
         vals = []
@@ -512,7 +514,11 @@ class Program(NamedTuple):
                 elif op == _VAR:
                     v = columns[payload]
                 elif op == _CONST:
-                    v = np.full(n, float(payload))
+                    try:
+                        v = np.full(n, float(payload))
+                    except OverflowError:
+                        v = np.full(n, np.nan)
+                        skip[:] = True
                 elif op == _POW:
                     base = vals[args[0]]
                     if payload.denominator != 1:

@@ -5,43 +5,41 @@ current P^mu, volume V, ratio xi = mu/T, baryon current N^mu, inverse-
 temperature velocity beta^mu, and the k^2 energy-momentum components T^{lm}
 (no symmetry imposed; that is a property of sections, not of the chart).
 Greek indices run 0..k-1; index lowering uses the fixed mostly-minus diagonal
-metric.  Chart dimension is k^2 + 4k + 2.
+metric (metric_sign), and spatial_projector gives a velocity's rank-2 spatial
+projector.  Chart dimension is k^2 + 4k + 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ChartMismatch, DimensionNot4
-from .expr import ExprLike, Pow, Rational, ScalarExpr, Var, ZERO, as_expr, differentiate
+from .errors import ChartMismatch
+from .expr import ExprLike, Pow, Rational, ScalarExpr, Var, ZERO, differentiate
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
 from .hddw import KContactHamiltonianSystem, section_residual
 from .kcontact import KContactStructure
 from .zerotest import PASS, Check, combine, zero_check
 
 __all__ = [
-    "MinkowskiMetric", "FluidTensors", "hydro_chart", "hydro_kcontact_form",
+    "metric_sign", "spatial_projector", "hydro_chart", "hydro_kcontact_form",
     "hydro_polarization", "hydro_system",
     "equilibrium_conditions_residual", "entropy_current",
-    "projectors", "equilibrium_legendrian",
+    "equilibrium_legendrian",
 ]
 
-@dataclass(frozen=True)
-class MinkowskiMetric:
-    """diag(+1, -1, ..., -1); equal to its inverse componentwise."""
 
-    dim: int = 4
+def metric_sign(mu: int) -> Fraction:
+    """g_{mu mu} = g^{mu mu} of diag(+1, -1, ..., -1), the metric's only entries."""
+    return Fraction(1) if mu == 0 else Fraction(-1)
 
-    def sign(self, mu: int) -> Fraction:
-        if not 0 <= mu < self.dim:
-            raise IndexError(f"index {mu} out of range for dimension {self.dim}")
-        return Fraction(1) if mu == 0 else Fraction(-1)
 
-    def g(self, mu: int, nu: int) -> Fraction:
-        return self.sign(mu) if mu == nu else Fraction(0)
+def spatial_projector(u: Sequence[ScalarExpr]) -> list[list[ScalarExpr]]:
+    """Delta^{mu nu} = g^{mu nu} - u^mu u^nu of a velocity u."""
+    k = len(u)
+    return [[(metric_sign(m) if m == n else Fraction(0)) - u[m] * u[n] for n in range(k)]
+            for m in range(k)]
 
 
 def hydro_chart(k: int = 4) -> Chart:
@@ -61,7 +59,6 @@ def hydro_chart(k: int = 4) -> Chart:
 def hydro_kcontact_form(k: int = 4) -> KContactStructure:
     """eta^mu = dS^mu + xi dN^mu - beta_lambda dT^{lambda mu} - P^mu dV."""
     chart = hydro_chart(k)
-    metric = MinkowskiMetric(k)
     forms = []
     for m in range(k):
         coeffs = {
@@ -70,7 +67,7 @@ def hydro_kcontact_form(k: int = 4) -> KContactStructure:
             (chart.index("V"),): -Var(f"P_{m}"),
         }
         for l in range(k):
-            coeffs[(chart.index(f"T_{l}_{m}"),)] = -(metric.sign(l) * Var(f"beta_{l}"))
+            coeffs[(chart.index(f"T_{l}_{m}"),)] = -(metric_sign(l) * Var(f"beta_{l}"))
         forms.append(DifferentialForm(chart, 1, coeffs))
     return KContactStructure(RkValuedOneForm(forms))
 
@@ -88,10 +85,9 @@ def hydro_polarization(k: int = 4) -> list[VectorField]:
     -xi d/dS^mu + d/dN^mu, and d/dP^mu.
     """
     chart = hydro_chart(k)
-    metric = MinkowskiMetric(k)
     fields = []
     for l in range(k):
-        beta_low = metric.sign(l) * Var(f"beta_{l}")
+        beta_low = metric_sign(l) * Var(f"beta_{l}")
         for m in range(k):
             comps = [ZERO] * chart.dim
             comps[chart.index(f"S_{m}")] = beta_low
@@ -170,84 +166,13 @@ def equilibrium_conditions_residual(
 
 def entropy_current(k: int = 4) -> list[ScalarExpr]:
     """S^mu = P^mu V - xi N^mu + beta_lambda T^{lambda mu}, componentwise."""
-    metric = MinkowskiMetric(k)
     out = []
     for m in range(k):
         e = Var(f"P_{m}") * Var("V") - Var("xi") * Var(f"N_{m}")
         for l in range(k):
-            e = e + metric.sign(l) * Var(f"beta_{l}") * Var(f"T_{l}_{m}")
+            e = e + metric_sign(l) * Var(f"beta_{l}") * Var(f"T_{l}_{m}")
         out.append(e)
     return out
-
-
-@dataclass
-class FluidTensors:
-    """A four-velocity and temperature on some chart."""
-
-    chart: Chart
-    u: tuple
-    temperature: ScalarExpr
-    metric: MinkowskiMetric
-
-    def __init__(self, chart: Chart, u: Sequence[ExprLike], temperature: ExprLike,
-                 metric: MinkowskiMetric | None = None):
-        self.chart = chart
-        self.u = tuple(as_expr(c) for c in u)
-        self.temperature = as_expr(temperature)
-        self.metric = metric or MinkowskiMetric(len(self.u))
-        if self.metric.dim != len(self.u):
-            raise ValueError("metric dimension must match the velocity components")
-
-    @property
-    def k(self) -> int:
-        return len(self.u)
-
-    @property
-    def delta(self) -> list[list[ScalarExpr]]:
-        """The rank-2 spatial projector Delta^{mu nu} = g^{mu nu} - u^mu u^nu."""
-        k, g = self.k, self.metric.g
-        return [[g(m, n) - self.u[m] * self.u[n] for n in range(k)] for m in range(k)]
-
-    def norm_defect(self) -> ScalarExpr:
-        """u_mu u^mu - 1; vanishes for a normalized velocity."""
-        total = ZERO
-        for m, c in enumerate(self.u):
-            total = total + self.metric.sign(m) * c * c
-        return total - 1
-
-    def check_normalized(self, config: RunConfig = DEFAULT_CONFIG) -> Check:
-        """The normalized check: u_mu u^mu = 1."""
-        return zero_check("normalized", [self.norm_defect()], self.chart.domain(), config)
-
-
-def projectors(u: FluidTensors) -> tuple[list, list]:
-    """The rank-2 and rank-4 spatial projectors of a normalized velocity.
-
-    Delta^{mu nu} (FluidTensors.delta), and the symmetric-traceless
-    Delta^{mu nu}_{alpha beta} with the 2/3 trace factor of three spatial
-    dimensions; the rank-4 projector therefore requires k = 4.
-    """
-    metric = u.metric
-    k = u.k
-    delta = u.delta
-    if k != 4:
-        raise DimensionNot4(
-            f"the rank-4 projector's trace factor 2/3 is specific to k=4; got k={k}")
-
-    def mixed(m: int, a: int) -> ScalarExpr:
-        # Delta^mu_alpha = Delta^{mu alpha} g_{alpha alpha} (diagonal metric)
-        return delta[m][a] * metric.sign(a)
-
-    def lowered(a: int, b: int) -> ScalarExpr:
-        return metric.sign(a) * metric.sign(b) * delta[a][b]
-
-    half = Rational(Fraction(1, 2))
-    two_thirds = Rational(Fraction(2, 3))
-    delta4 = [[[[
-        half * (mixed(m, a) * mixed(n, b) + mixed(m, b) * mixed(n, a)
-                - two_thirds * delta[m][n] * lowered(a, b))
-        for b in range(k)] for a in range(k)] for n in range(k)] for m in range(k)]
-    return delta, delta4
 
 
 def equilibrium_legendrian(k: int = 4) -> SmoothMap:
@@ -260,11 +185,10 @@ def equilibrium_legendrian(k: int = 4) -> SmoothMap:
     n = k + 2.
     """
     chart = hydro_chart(k)
-    metric = MinkowskiMetric(k)
     coords = [f"beta_{m}" for m in range(k)] + ["xi", "V"]
     bb = ZERO
     for m in range(k):
-        bb = bb + metric.sign(m) * Var(f"beta_{m}") * Var(f"beta_{m}")
+        bb = bb + metric_sign(m) * Var(f"beta_{m}") * Var(f"beta_{m}")
     ranges = {"beta_0": (Fraction(1), Fraction(2)), "xi": (Fraction(-1), Fraction(1)),
               "V": (Fraction(1, 2), Fraction(2))}
     for m in range(1, k):
@@ -285,6 +209,6 @@ def equilibrium_legendrian(k: int = 4) -> SmoothMap:
         for m in range(k):
             e = k * V * Var(f"beta_{l}") * Var(f"beta_{m}") * t_k2
             if l == m:
-                e = e - metric.sign(l) * V * t_k
+                e = e - metric_sign(l) * V * t_k
             comp[f"T_{l}_{m}"] = e
     return SmoothMap(source, chart, [comp[name] for name in chart.coords])

@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .expr import (_CONST, _EXP, _POW, _PRODUCT, _SUM, _VAR, Program, ScalarExpr,
                    compile_exprs, evaluate)
 
@@ -33,12 +34,17 @@ def float_runner(exprs: Sequence[ScalarExpr]) -> Callable[[Mapping], tuple]:
     it), so at float points the values equal evaluate's bit for bit.  Where
     the source raises ValueError, ZeroDivisionError, OverflowError or
     KeyError, the point is re-run through evaluate, which returns its values
-    or raises its own DomainError.
+    or raises its own DomainError; an exact value beyond float range raises
+    DomainError too.
     """
     exprs = tuple(exprs)
 
     def fallback(point):
-        return tuple(float(evaluate(e, point)) for e in exprs)
+        values = [evaluate(e, point) for e in exprs]
+        try:
+            return tuple(float(v) for v in values)
+        except OverflowError:
+            raise DomainError("value beyond float range") from None
 
     try:
         source = _runner_source(compile_exprs(exprs))

@@ -8,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kontact.bjorken import expansion_scalar
 from kontact.config import RunConfig
 from kontact.errors import DomainError
-from kontact.expr import ZERO, Rational, ScalarExpr, Var, evaluate, log
+from kontact.expr import ZERO, Rational, ScalarExpr, Var, differentiate, evaluate, log, sqrt
 from kontact.forms import Chart, DifferentialForm, RkValuedOneForm
+from kontact.hydro import spatial_projector
 from kontact.kcontact import KContactStructure
 
 
@@ -110,3 +112,42 @@ def dense_structure_matrices(s: KContactStructure, point) -> np.ndarray:
         return np.array([[float(evaluate(e, point)) for e in row] for row in rows])
 
     return np.vstack([ev(deta).T, ev(eta).reshape(1, -1)]) + 0.0
+
+
+class SlabFlow:
+    """A non-boost-invariant shear flow u = (sqrt(1+x^2), x, 0, 0) on (t, x).
+
+    Only the duck-typed surface the shear machinery needs: u, delta, theta,
+    d(), domain().  axes maps each spacetime index mu the flow depends on to
+    its chart coordinate.
+    """
+
+    axes = {0: "t", 1: "x"}
+
+    def __init__(self):
+        self.chart = Chart(["t", "x"], ranges={"x": (Fraction(1, 4), Fraction(1))})
+        x = Var("x")
+        self.set_velocity((sqrt(1 + x * x), x, ZERO, ZERO))
+
+    def set_velocity(self, u):
+        self.u = u
+        self.delta = spatial_projector(u)
+        self.theta = expansion_scalar(self)
+
+    def d(self, e, mu):
+        return differentiate(e, self.axes[mu]) if mu in self.axes else ZERO
+
+    def domain(self):
+        return self.chart.domain()
+
+
+class PlaneFlow(SlabFlow):
+    """u = (sqrt(1+x^2+y^2), x, y, 0): two independent expansion directions."""
+
+    axes = {1: "x", 2: "y"}
+
+    def __init__(self):
+        q = (Fraction(1, 4), Fraction(1))
+        self.chart = Chart(["x", "y"], ranges={"x": q, "y": q})
+        x, y = Var("x"), Var("y")
+        self.set_velocity((sqrt(1 + x * x + y * y), x, y, ZERO))

@@ -272,6 +272,21 @@ class TestNonFiniteSystem:
             solve_hddw_at_point(sys_, point)
 
 
+class TestBeyondFloatRange:
+    @pytest.mark.parametrize("argv, error", [
+        (["bjorken", "--gamma", "10^400"], "SampleDomainEmpty"),
+        (["bjorken", "--I", "10^400*T"], "SampleDomainEmpty"),
+        (["ideal-gas", "--cv", "1e400", "--t-end", "0.01"], "DomainError"),
+    ])
+    def test_cli_ends_with_one_error_line(self, argv, error, capsys):
+        # a constant beyond float range: every float sample of the identities
+        # is skipped, and the ideal-gas state cannot be evaluated at all
+        assert main(argv + ["--samples", "16", "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {error}: ") and out.err.count("\n") == 1
+
+
 class TestKMismatch:
     def test_interior_product_k(self):
         ch = Chart(["x", "y"])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kontact import expr as expr_module
-from kontact.errors import DomainError, ParseError, UnboundVariable
+from kontact.errors import DomainError, ParseError, SampleDomainEmpty, UnboundVariable
 from kontact.expr import (
     Exp,
     Log,
@@ -185,6 +185,14 @@ class TestEvaluate:
         e = 1 / var("x")
         with pytest.raises(DomainError):
             evaluate(e, {"x": 0})
+
+    @pytest.mark.parametrize("text", ["10^400 * x", "(10^400 * y)^(1/2)", "exp(10^400 * y)",
+                                      "log(10^400 * y)", "10^400 + x"])
+    def test_beyond_float_range_is_a_domain_error(self, text):
+        # an exact rational beyond float range meets a float (x is one) or
+        # becomes one under a fractional power, exp or log
+        with pytest.raises(DomainError, match="beyond float range"):
+            evaluate(parse_expr(text), {"x": 1.5, "y": Fraction(3, 2)})
 
     def test_exactness_of_rational_trees(self):
         # rationals, +, *, integer powers: no rounding at rational points
@@ -510,6 +518,19 @@ def assert_runner_matches_evaluate(run, roots, p):
         assert bits(got) == bits(want)
 
 
+class TestRunFloat:
+    def test_constant_beyond_float_range_skips_every_point(self):
+        # evaluate raises DomainError at every point, so no point is evaluated
+        program = compile_expr(parse_expr("(10^400 * x)^(1/2) - 1"))
+        _, _, skip = program.run_float({"x": np.array([0.5, 1.0, 2.0])}, 3)
+        assert skip.tolist() == [True, True, True]
+
+    def test_zero_test_refuses_to_pass_it(self):
+        e = parse_expr("(10^400 * x)^(1/2) - (10^400 * x)^(1/2)")
+        with pytest.raises(SampleDomainEmpty):
+            zero_test(e)
+
+
 class TestFloatRunner:
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -558,6 +579,11 @@ class TestFloatRunner:
                  Product.make([var(n) for n in names[:300]])]
         p = {n: rng.uniform(0.5, 1.5) for n in names} | {"y": -1.25}
         assert_runner_matches_evaluate(float_runner(roots), roots, p)
+
+    @pytest.mark.parametrize("text", ["10^400", "10^400 * x"])
+    def test_value_beyond_float_range_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="beyond float range"):
+            float_runner([parse_expr(text), var("x")])({"x": 1.0})
 
     def test_missing_variable_is_unbound(self):
         with pytest.raises(UnboundVariable):

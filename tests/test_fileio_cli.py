@@ -374,6 +374,14 @@ class TestCLI:
         (["--x0", '{"E": 1, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1, "nu": 0, "a": 2}',
           "--t-end", "0.01"],
          "--x0 names unknown coordinates ['a', 'nu']"),
+        # a JSON boolean or string is not a number, whatever float() makes of it
+        (["--point", '{"E": true, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}'],
+         "--point needs a JSON object of numbers, got "
+         """'{"E": true, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}'"""),
+        (["--x0", '{"E": "2", "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}',
+          "--t-end", "0.01"],
+         "--x0 needs a JSON object of numbers, got "
+         """'{"E": "2", "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}'"""),
     ])
     def test_hddw_point_usage_errors(self, tmp_path, monkeypatch, capsys, extra, error):
         monkeypatch.chdir(tmp_path)
@@ -474,6 +482,16 @@ class TestCLI:
         ["bjorken", "--gamma", "t"],
         ["bjorken", "--I", "T*z"],
         ["bjorken", "--T-profile", "t"],
+        # initial state and tolerance: V0 and N0 positive and finite, S0 finite
+        ["ideal-gas", "--v0", "-1"],
+        ["ideal-gas", "--v0", "inf"],
+        ["ideal-gas", "--n0", "0"],
+        ["ideal-gas", "--n0", "nan"],
+        ["ideal-gas", "--s0", "inf"],
+        ["ideal-gas", "--s0", "nan"],
+        ["ideal-gas", "--tol", "nan"],
+        ["ideal-gas", "--tol", "-1"],
+        ["ideal-gas", "--tol", "0"],
     ])
     def test_invalid_settings_are_usage_errors(self, argv, capsys):
         assert main(argv + ["--no-timestamp"]) == 2

@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kontact.bjorken import BjorkenFlow, contract_symmetric, shear_tensor
 from kontact.config import RunConfig
-from kontact.expr import (Exp, Log, Pow, Product, Rational, Sum, Var, compile_expr,
+from kontact.expr import (ZERO, Exp, Log, Pow, Product, Rational, Sum, Var, compile_expr,
                           differentiate, evaluate, free_variables, parse_expr, sqrt,
                           substitute)
 from kontact.fileio import load_structure_file, resolve_structure
@@ -25,7 +26,7 @@ from kontact.idealgas import isentropic_hamiltonian
 from kontact.kcontact import compute_reeb, verify_kcontact
 from kontact.runner import float_runner
 
-from conftest import expression_pivot_structure, rand_expr
+from conftest import PlaneFlow, SlabFlow, expression_pivot_structure, rand_expr
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")  # a dependency of sympy
@@ -265,3 +266,54 @@ def test_rank_table_matches_matrix_rank(name, tmp_path):
                 deta[alpha * dim + i, j], deta[alpha * dim + j, i] = at(c), -at(c)
         want = (eta.rank(), dim - deta.rank(), dim - eta.col_join(deta).rank())
         assert (row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"]) == want
+
+
+def _rank4_shear(u, axes):
+    """sigma^{mu nu} = Delta^{mu nu}_{alpha beta} d^alpha u^beta in sympy, from the
+    rank-4 projector (1/2)(Delta^mu_alpha Delta^nu_beta + Delta^mu_beta
+    Delta^nu_alpha) - (1/3) Delta^{mu nu} Delta_{alpha beta}, g = diag(1, -1, -1, -1);
+    axes maps the indices u depends on to their sympy coordinates."""
+    g = sympy.diag(1, -1, -1, -1)
+    u = sympy.Matrix(u)
+    delta = g - u * u.T     # Delta^{mu nu}
+    mixed = delta * g       # Delta^mu_alpha
+    lowered = g * delta * g  # Delta_{alpha beta}
+    grad = g * sympy.Matrix(4, 4, lambda a, b: sympy.diff(u[b], axes[a]) if a in axes else 0)
+
+    def projector(m, n, a, b):
+        return ((mixed[m, a] * mixed[n, b] + mixed[m, b] * mixed[n, a]) / 2
+                - delta[m, n] * lowered[a, b] / 3)
+
+    return sympy.Matrix(4, 4, lambda m, n: sum(projector(m, n, a, b) * grad[a, b]
+                                                for a in range(4) for b in range(4)))
+
+
+class VortexFlow(PlaneFlow):
+    """u = (sqrt(1+x^2+y^2), -y, x, 0): a rotating flow, so nabla^mu u^nu is not
+    symmetric."""
+
+    def __init__(self):
+        super().__init__()
+        x, y = Var("x"), Var("y")
+        self.set_velocity((sqrt(1 + x * x + y * y), -y, x, ZERO))
+
+
+@pytest.mark.parametrize("name", ["bjorken", "slab", "plane", "vortex"])
+def test_shear_matches_rank4_projection(name):
+    # shear_tensor's (1/2)(nabla^mu u^nu + nabla^nu u^mu) - (1/3) Delta theta
+    # against the rank-4 definition, entry by entry, by sympy.simplify
+    flows = {"bjorken": BjorkenFlow, "slab": SlabFlow, "plane": PlaneFlow, "vortex": VortexFlow}
+    flow = flows[name]()
+    axes = {0: "t", 3: "z"} if name == "bjorken" else flow.axes
+    want = _rank4_shear([_to_sympy(c) for c in flow.u],
+                        {mu: sympy.Symbol(c) for mu, c in axes.items()})
+    got = shear_tensor(flow)
+    for m in range(4):
+        for n in range(4):
+            assert sympy.simplify(_to_sympy(got[m][n]) - want[m, n]) == 0, (m, n)
+
+
+def test_bjorken_sigma_squared_is_two_thirds_theta_squared():
+    flow = BjorkenFlow()
+    defect = contract_symmetric(flow.sigma, flow.sigma) - Fraction(2, 3) * flow.theta * flow.theta
+    assert sympy.simplify(_to_sympy(defect)) == 0
