@@ -489,6 +489,16 @@ class Program(NamedTuple):
         n, d = vals[self.roots[-1]]
         return Fraction(n, d)
 
+    def beyond_float(self) -> bool:
+        """Whether a constant lies beyond float range, so run_float skips every point."""
+        try:
+            for op, payload, _ in self.code:
+                if op == _CONST:
+                    float(payload)
+        except OverflowError:
+            return True
+        return False
+
     def run_float(self, columns: Mapping[str, np.ndarray], n: int):
         """(value, scale, skip) at n points at once, in float64.
 

@@ -12,8 +12,8 @@ runner (kcontact.structure_matrices_at) and b from one runner over
 hddw_rhs, kept on the system (_system_at).  The nullspace means something
 only where the three defining conditions hold, so every point is checked
 for them by check_structure_at(A), for every k, before b is evaluated.
-One SVD of A then gives the least-norm particular solution, the rank and
-the nullspace, and a residual test accepts the solution.
+One thin SVD of A gives the least-norm particular solution and the rank, a
+residual test accepts the solution, and the nullspace basis is built when read.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
@@ -61,7 +61,7 @@ from .kcontact import (
     structure_matrices_at,
 )
 from .legendrian import verify_isotropic
-from .linalg import RANK_THRESHOLD, least_norm_solution, solve_symbolic
+from .linalg import RANK_THRESHOLD, least_norm_solution, nullspace_basis, solve_symbolic
 from .runner import float_runner
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
@@ -133,22 +133,24 @@ def hddw_rhs(sys: KContactHamiltonianSystem) -> tuple[ScalarExpr, ...]:
 
 @dataclass
 class HdDWPointSolution:
-    """A particular solution and nullspace basis of the pointwise linear system.
+    """A particular solution and the nullspace dimension of the pointwise system.
 
     Component matrices are k x dim: row alpha holds the components of X_alpha.
     """
 
     point: dict
     particular: np.ndarray
-    nullspace: list
+    nullspace_dim: int
     residual_norm: float
     _A: np.ndarray
     _b: np.ndarray
     _tolerance: float
 
     @property
-    def nullspace_dim(self) -> int:
-        return len(self.nullspace)
+    def nullspace(self) -> list:
+        """Orthonormal basis of ker A: the last nullspace_dim rows of the full V^T."""
+        rows = nullspace_basis(self._A, self._A.shape[1] - self.nullspace_dim)
+        return [row.reshape(self.particular.shape) for row in rows]
 
     def residual_of(self, candidate: np.ndarray) -> float:
         x = np.asarray(candidate, dtype=float).reshape(-1)
@@ -188,13 +190,13 @@ def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float
 
 
 def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWPointSolution:
-    """Least-norm particular solution plus orthonormal nullspace basis at a
-    point where _system_at finds the structure k-contact: x and the
-    nullspace from one SVD of A (linalg.least_norm_solution); raises
-    InconsistentSystem where x leaves a residual above the tolerance."""
+    """Least-norm particular solution and nullspace dimension at a point
+    where _system_at finds the structure k-contact: x and the rank from one
+    thin SVD of A (linalg.least_norm_solution); raises InconsistentSystem
+    where x leaves a residual above the tolerance."""
     p = {name: float(v) for name, v in point.items()}
     A, b = _system_at(sys, p)
-    x, _, null_rows = least_norm_solution(A, b)
+    x, rank = least_norm_solution(A, b)
     k, dim = sys.k, sys.dim
     residual, tolerance = _residual(A, x, b)
     if not residual <= tolerance:
@@ -203,7 +205,7 @@ def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWP
     return HdDWPointSolution(
         point=p,
         particular=x.reshape(k, dim),
-        nullspace=[row.reshape(k, dim) for row in null_rows],
+        nullspace_dim=k * dim - rank,
         residual_norm=residual,
         _A=A,
         _b=b,
@@ -466,7 +468,7 @@ def check_constrained_solution(
         A, b = _system_at(sys, x)
         J = np.array(values[dim:]).reshape(dim, dim_L)
         Ares = np.hstack([A[:, alpha * dim:(alpha + 1) * dim] @ J for alpha in range(k)])
-        y, rank, _ = least_norm_solution(Ares, b)
+        y, rank = least_norm_solution(Ares, b)
         residual, tolerance = _residual(Ares, y, b)
         if not residual <= tolerance:
             feasible = False

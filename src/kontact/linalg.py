@@ -33,34 +33,32 @@ def numeric_rank(M: np.ndarray) -> int:
     return int(np.sum(s > RANK_THRESHOLD * s[0]))
 
 
-def nullspace_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the (right) nullspace, rows of the result."""
+def nullspace_basis(M: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """Orthonormal basis of the (right) nullspace, rows of the result: the
+    rows rank: of the full V^T, rank defaulting to M's numeric rank."""
     if M.size == 0:
         return np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M)
-    return vh[int(np.sum(s > RANK_THRESHOLD * s[0])):]
+    return vh[int(np.sum(s > RANK_THRESHOLD * s[0])) if rank is None else rank:]
 
 
 def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
-    """(x, rank, nullspace) from one SVD (Golub & Van Loan, Matrix Computations,
-    4th ed., 5.5): M's minimum-norm least-squares solution, its numeric rank
-    and an orthonormal basis of its right nullspace (rows).
+    """(x, rank) from one thin SVD (Golub & Van Loan, Matrix Computations,
+    4th ed., 5.5): M's minimum-norm least-squares solution and its numeric
+    rank.
 
     The rank counts singular values above RANK_THRESHOLD * s_max, and x is
-    V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so where
-    M is not wide (the SVD is thin) x equals pinv(M, RANK_THRESHOLD) @ b bit
-    for bit.  A wide M takes the full SVD, for its nullspace.
+    V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so x
+    equals pinv(M, RANK_THRESHOLD) @ b bit for bit.
     """
-    m, n = M.shape
     if M.size == 0:
-        return np.zeros(n), 0, np.eye(n)
-    u, s, vt = np.linalg.svd(M, full_matrices=n > m)
+        return np.zeros(M.shape[1]), 0
+    u, s, vt = np.linalg.svd(M, full_matrices=False)
     large = s > RANK_THRESHOLD * np.maximum.reduce(s)  # np.amax without its wrapper
-    rank = int(np.count_nonzero(large))
     s_inv = np.divide(1, s, where=large, out=s)
     s_inv[~large] = 0
-    x = np.matmul(vt[:len(s)].T, np.multiply(s_inv[:, np.newaxis], u.T)) @ b
-    return x, rank, vt[rank:]
+    x = np.matmul(vt.T, np.multiply(s_inv[:, np.newaxis], u.T)) @ b
+    return x, int(np.count_nonzero(large))
 
 
 def solve_symbolic(

@@ -21,6 +21,7 @@ a Check: pass, fail or inconclusive, with its largest residual and details.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -49,6 +50,7 @@ MAX_SAMPLE_RETRIES = 400
 n + MAX_SAMPLE_RETRIES draws without finding n points."""
 
 _DEFAULT_RANGE = (Fraction(-2), Fraction(2))
+_FLOAT_MAX = Fraction(sys.float_info.max)
 _DENOM = 64  # sample coordinates are multiples of 1/64
 
 
@@ -158,7 +160,7 @@ def zero_test(
 ) -> ZeroTestResult:
     """Sample e over the domain and decide whether it is identically zero."""
     if isinstance(e, Rational):  # folded at construction: nothing to compile
-        return ZeroTestResult(e.value == 0, abs(float(e.value)), 1, True)
+        return ZeroTestResult(e.value == 0, _magnitudes([e.value])[0], 1, True)
     program = compile_expr(e)
     if program.free_vars:
         rng = random.Random(config.seed)
@@ -174,7 +176,7 @@ def zero_test(
                 # constraint predicates did not exclude this singular point; skip it
                 continue
         within = all(v == 0 for v in values)
-        magnitudes = [abs(float(v)) for v in values]
+        magnitudes = _magnitudes(values)
     else:
         columns = {name: np.array([float(p[name]) for p in points])
                    for name in program.free_vars}
@@ -187,6 +189,9 @@ def zero_test(
     if not magnitudes:
         if not program.free_vars:
             raise DomainError(f"constant expression {e} is undefined or not finite")
+        if not program.rational and program.beyond_float():
+            raise SampleDomainEmpty("a constant lies beyond float range, so no sampled "
+                                    "point has a finite value")
         raise SampleDomainEmpty(
             "every sampled point hit a singularity or a non-finite value; "
             "tighten the domain constraints")
@@ -197,6 +202,15 @@ def zero_test(
         inconclusive = not program.rational and not within and max_abs < INCONCLUSIVE_MARGIN
     return ZeroTestResult(within, max_abs, len(magnitudes), program.rational,
                           inconclusive=inconclusive, n_skipped=n_skipped)
+
+
+def _magnitudes(values: list[Fraction]) -> list[float]:
+    """|v| of exact values as floats, one beyond float range as the largest
+    float (a lower bound of it); one try for the whole list."""
+    try:
+        return [abs(float(v)) for v in values]
+    except OverflowError:
+        return [float(min(abs(v), _FLOAT_MAX)) for v in values]
 
 
 def is_probably_zero(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,35 @@ class TestBeyondFloatRange:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: {error}: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["bjorken", "--gamma", "10^400"],
+                                      ["bjorken", "--I", "10^400*T"]])
+    def test_skipped_points_name_the_constant(self, argv, capsys):
+        # every point was skipped for the constant, which no domain constraint
+        # can help with
+        assert main(argv + ["--samples", "16", "--no-timestamp"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: SampleDomainEmpty: a constant lies beyond float range, "
+                       "so no sampled point has a finite value\n")
+
+    def test_exact_section_residual_beyond_float_range_fails(self, tmp_path, capsys):
+        # the xi residual 10^400 is exact and nonzero: a failed check, reported
+        # in strict JSON with the largest float as its residual
+        sect = tmp_path / "sect.json"
+        sect.write_text(json.dumps({"components": {"xi": "10^400*t_0", "V": "1"}}))
+        out = tmp_path / "r.json"
+        code = main(["hddw", "--builtin", "hydro2", "--section", str(sect),
+                     "--samples", "16", "--no-timestamp", "--json", str(out)])
+        assert code == 1 and capsys.readouterr().err == ""
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["section_residual"]["verdict"] == "fail"
+        assert checks["section_residual"]["max_residual"] == sys.float_info.max
+        assert checks["equilibrium_families"]["verdict"] == "fail"
 
 
 class TestKMismatch:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import io
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kontact.cli import main
 from kontact.config import RunConfig
 from kontact.errors import (
     ChartMismatch,
@@ -174,8 +176,22 @@ class TestSolveAtPoint:
             pseudo_gauge_shift(sol, [1.0])
 
 
+def _record_svd_calls(monkeypatch) -> list:
+    """Record (compute_uv, full_matrices) of every np.linalg.svd call."""
+    real_svd = np.linalg.svd
+    calls = []
+
+    def recording_svd(*args, **kwargs):
+        calls.append((kwargs.get("compute_uv", True), kwargs.get("full_matrices", True)))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
+
+
 class TestOneSVDSolve:
-    """The particular solution, rank and nullspace come from one SVD of A."""
+    """The particular solution and rank come from one thin SVD of A; the
+    nullspace basis is built only where it is read."""
 
     K1_SYSTEMS = {
         "ideal gas": lambda: ideal_gas_system(Fraction(5, 2)),
@@ -203,26 +219,36 @@ class TestOneSVDSolve:
             sol = solve_hddw_at_point(sys_, p)
             assert sol.nullspace_dim == len(nullspace_basis(sol._A))
             assert sol.nullspace_dim == expected_nullspace_dim(sys_.k, sys_.dim)
-            N = np.array([v.ravel() for v in sol.nullspace])
+            # the basis is read off the solve's rank: nullspace_dim rows,
+            # orthonormal, in ker A, and so spanning it
+            basis = sol.nullspace
+            assert len(basis) == sol.nullspace_dim
+            assert all(v.shape == (sys_.k, sys_.dim) for v in basis)
+            N = np.array([v.ravel() for v in basis])
             assert np.allclose(sol._A @ N.T, 0.0, atol=1e-9)
             assert np.allclose(N @ N.T, np.eye(len(N)), atol=1e-9)
+            assert np.array_equal(N, nullspace_basis(sol._A))
+            # by construction, not by a second threshold
+            assert len(replace(sol, nullspace_dim=1).nullspace) == 1
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_svd_per_solve(self, k, monkeypatch):
         sys_ = (self.K1_SYSTEMS["ideal gas"]() if k == 1 else
                 KContactHamiltonianSystem(canonical_structure(2, 2), "q_1*p_2_2"))
         point = random_point(sys_.chart, random.Random(103))
-        real_svd = np.linalg.svd
-        uv = []
-
-        def counting_svd(*args, **kwargs):
-            uv.append(kwargs.get("compute_uv", True))
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        calls = _record_svd_calls(monkeypatch)
         solve_hddw_at_point(sys_, point)
-        # the structure check's three numeric_rank calls, then the solve
-        assert uv == [False, False, False, True]
+        # the structure check's three numeric_rank calls, then the solve's thin SVD
+        assert calls == [(False, True), (False, True), (False, True), (True, False)]
+
+    def test_hddw_command_takes_no_full_svd(self, monkeypatch, capsys):
+        calls = _record_svd_calls(monkeypatch)
+        assert main(["hddw", "--builtin", "hydro3", "--n-points", "3", "--samples", "16",
+                     "--no-timestamp"]) == 0
+        assert "nullspace_dimension: pass" in capsys.readouterr().out
+        # per point: the structure check's three ranks and the solve's thin SVD;
+        # no V is computed for a nullspace basis that nothing reads
+        assert calls == ([(False, True)] * 3 + [(True, False)]) * 3
 
     @pytest.mark.parametrize("name", K1_SYSTEMS)
     def test_every_stage_field_matches_solve_hddw_at_point(self, name, monkeypatch):

@@ -409,7 +409,7 @@ class TestK1Rule:
             # full column rank: A has the rows of [eta; d eta] up to order and
             # sign, and hddw._full_rank's docstring shows that full rank gives
             # (1, 1, 0)
-            _, rank, _ = least_norm_solution(A, np.zeros(s.dim + 1))
+            _, rank = least_norm_solution(A, np.zeros(s.dim + 1))
             assert (s.dim % 2 == 1 and rank == s.dim) == holds
             assert (s.dim % 2 == 1 and numeric_rank(A) == s.dim) == holds
             if holds:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -274,3 +275,13 @@ class TestVerdicts:
     def test_is_probably_zero_answers_rationals_exactly(self):
         assert is_probably_zero(Rational(Fraction(0)))
         assert not is_probably_zero(Rational(Fraction(1, 10**12)))
+
+    @pytest.mark.parametrize("e", [Rational(Fraction(-10**400)), Var("x") * 10**400 + 1],
+                                   ids=["constant", "polynomial"])
+    def test_exact_value_beyond_float_range_fails(self, e):
+        # nonzero at any magnitude: the largest float stands for its residual
+        res = zero_test(e, config=CONFIG)
+        assert res.exact and res.verdict == FAIL
+        assert res.max_abs == sys.float_info.max
+        check = zero_check("huge", [Var("x") - Var("x"), e], config=CONFIG)
+        assert check.verdict == FAIL and check.max_residual == sys.float_info.max
