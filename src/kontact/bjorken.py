@@ -33,7 +33,7 @@ from .zerotest import Check, SampleDomain, combine, zero_check
 
 __all__ = [
     "BjorkenFlow", "PGTSuperpotential", "DissipativeDecomposition",
-    "expansion_scalar", "shear_tensor", "check_sigma_identity",
+    "expansion_scalar", "shear_tensor",
     "apply_pgt", "entropy_production", "full_pgt_demo",
     "superpotential_components", "pgt_shift_tensor", "DEFAULT_T_PROFILE",
 ]
@@ -128,17 +128,6 @@ def contract_symmetric(x: Sequence[Sequence[ScalarExpr]],
             if not (isinstance(term, Rational) and term.value == 0):
                 total = total + term
     return total
-
-
-def _sigma_defect(flow: BjorkenFlow) -> ScalarExpr:
-    """sigma_{mu nu} sigma^{mu nu} - (2/3) theta^2, identically zero."""
-    ss = contract_symmetric(flow.sigma, flow.sigma)
-    return ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta
-
-
-def check_sigma_identity(flow: BjorkenFlow, config: RunConfig = DEFAULT_CONFIG) -> Check:
-    """The sigma_identity check: sigma_{mu nu} sigma^{mu nu} = (2/3) theta^2."""
-    return zero_check("sigma_identity", [_sigma_defect(flow)], flow.domain(), config)
 
 
 class PGTSuperpotential:
@@ -277,7 +266,8 @@ def full_pgt_demo(
         trace = trace + metric_sign(m) * sigma[m][m]
     identities["sigma_traceless"] = [trace]
 
-    identities["sigma_identity"] = [_sigma_defect(flow)]
+    ss = contract_symmetric(sigma, sigma)
+    identities["sigma_identity"] = [ss - Rational(Fraction(2, 3)) * theta * theta]
 
     phi = superpotential_components(sp, flow)
     identities["superpotential_antisymmetry"] = [

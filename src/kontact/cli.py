@@ -154,8 +154,7 @@ def _resolve(builtin: str | None, path: str | None) -> BuiltinStructure:
     if builtin:
         return resolve_structure(builtin)
     if path:
-        structure, _meta = load_structure_file(path)
-        return BuiltinStructure(str(path), structure)
+        return BuiltinStructure(str(path), load_structure_file(path))
     raise ParseError("give a definition file path or --builtin NAME")
 
 
@@ -321,8 +320,8 @@ def cmd_ideal_gas(args, config: RunConfig) -> list[Check]:
             raise ParseError(f"{option} must be positive and finite, got {value}")
     if not math.isfinite(args.s0):
         raise ParseError(f"--s0 must be finite, got {args.s0}")
-    if not args.tol > 0:
-        raise ParseError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise ParseError(f"--tol must be positive and finite, got {args.tol}")
     traj = run_isentropic(cv=args.cv, S0=args.s0, V0=args.v0, N0=args.n0,
                           t_end=args.t_end, dt=args.dt, config=config)
     S = traj.column("S")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -24,8 +25,8 @@ class RunConfig:
     rtol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.atol > 0 and self.rtol > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):  # NaN fails too
+            raise ValueError("tolerances must be positive and finite")
         if self.n_sample_points < 1:
             raise ValueError("need at least one sample point")
 

@@ -38,10 +38,6 @@ class ChartMismatch(KontactError):
     """Operands live on different charts."""
 
 
-class KMismatch(KontactError):
-    """Operands carry different numbers of components."""
-
-
 class ZeroDegree(KontactError):
     """Interior product of a 0-form is undefined."""
 
@@ -66,17 +62,9 @@ class InconsistentSystem(KontactError):
     """The pointwise linear system admits no solution within tolerance."""
 
 
-class LengthMismatch(KontactError):
-    """A coefficient vector has the wrong length."""
-
-
 class IncompatibleKFunction(KontactError):
     """The parametrizing k-function fails the cross-component compatibility condition."""
 
 
 class NotIsotropic(KontactError):
     """The submanifold is not isotropic for the given structure."""
-
-
-class NotHomogeneous(KontactError):
-    """The generating function is not homogeneous of degree one."""

@@ -3,11 +3,11 @@
 One schema per surface:
   structure file: {"chart": {"coords": [...], "constraints": [...], "ranges": {...}},
                    "forms": {name: {"degree": p, "coeffs": {"0,2": "expr"}}},
-                   "eta": [form names in order],
-                   "maps": {name: {"source_coords": [...], "components": [...]}}}
+                   "eta": [form names in order]}
   k-function file: {"n": int, "k": int, "I": [indices], "F": ["expr", ...]}
   section file:    {"components": {coord name: "expr in t variables"}}
-                   (unlisted coordinates are constant zero)
+                   ("components" is required; unlisted coordinates are
+                   constant zero)
 Index tuples are comma-joined zero-based indices.
 """
 
@@ -97,10 +97,9 @@ def _form_from_dict(chart: Chart, spec: dict) -> DifferentialForm:
     return DifferentialForm(chart, degree, coeffs)
 
 
-def load_structure_file(path: str | Path) -> tuple[KContactStructure, dict]:
-    """Read a structure definition; returns the structure and the raw forms/maps.
-    A form whose coefficients name a variable that is not a chart coordinate
-    is a ParseError."""
+def load_structure_file(path: str | Path) -> KContactStructure:
+    """Read a structure definition.  A form whose coefficients name a
+    variable that is not a chart coordinate is a ParseError."""
     raw = load_json(path)
     with _content_of(path):
         chart = chart_from_dict(raw.get("chart", {}))
@@ -117,12 +116,7 @@ def load_structure_file(path: str | Path) -> tuple[KContactStructure, dict]:
             eta = RkValuedOneForm([forms[name] for name in eta_names])
         except KeyError as err:
             raise ParseError(f"eta refers to undefined form {err.args[0]!r}") from None
-        maps = {}
-        for name, spec in raw.get("maps", {}).items():
-            source = Chart(spec["source_coords"])
-            comps = [parse_expr(c) for c in spec["components"]]
-            maps[name] = SmoothMap(source, chart, comps)
-        return KContactStructure(eta), {"forms": forms, "maps": maps, "chart": chart}
+        return KContactStructure(eta)
 
 
 def load_kfunction_file(path: str | Path) -> ParametrizingKFunction:
@@ -136,7 +130,9 @@ def load_kfunction_file(path: str | Path) -> ParametrizingKFunction:
 def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
     raw = load_json(path)
     with _content_of(path):
-        comps = raw.get("components", raw.get("fields", {}))
+        comps = raw.get("components")
+        if not isinstance(comps, dict):
+            raise ParseError("section file needs a 'components' object")
         unknown = set(comps) - set(target.coords)
         if unknown:
             raise ParseError(f"section names unknown coordinates {sorted(unknown)}")

@@ -5,7 +5,7 @@ increasing p-tuples of coordinate indices to scalar expressions, with all
 antisymmetry sign bookkeeping funnelled through one permutation-parity
 routine.  Vector fields, R^k-valued one-forms, k-vector fields, and smooth
 maps between charts live here too, together with wedge, d, interior product,
-Lie bracket/derivative, pullback, and first prolongations.
+Lie bracket, pullback, and first prolongations.
 
 Vector fields are dense component tuples but usually sparse in content, so
 directional derivatives, Lie brackets and form evaluation skip zero
@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ChartMismatch, KMismatch, ZeroDegree
+from .errors import ChartMismatch, ZeroDegree
 from .expr import (
     ONE,
     ZERO,
@@ -39,8 +39,7 @@ from .zerotest import SampleDomain
 __all__ = [
     "Chart", "DifferentialForm", "VectorField", "RkValuedOneForm",
     "KVectorField", "SmoothMap", "sort_with_sign", "wedge",
-    "exterior_derivative", "interior_product", "interior_product_k",
-    "lie_bracket", "lie_derivative_form", "pullback", "prolongation",
+    "exterior_derivative", "interior_product", "lie_bracket", "pullback", "prolongation",
     "form_on_vectors", "parameter_chart",
 ]
 
@@ -185,9 +184,6 @@ class DifferentialForm:
         i = coord if isinstance(coord, int) else chart.index(coord)
         return cls(chart, 1, {(i,): ONE})
 
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
-
     def map_coeffs(self, fn) -> "DifferentialForm":
         return DifferentialForm(self.chart, self.degree,
                                 {k: fn(c) for k, c in self.coeffs.items()})
@@ -240,10 +236,6 @@ class VectorField:
     def coordinate(cls, chart: Chart, coord: str | int):
         i = coord if isinstance(coord, int) else chart.index(coord)
         return cls(chart, [ONE if j == i else ZERO for j in range(chart.dim)])
-
-    @classmethod
-    def zero(cls, chart: Chart):
-        return cls(chart, [ZERO] * chart.dim)
 
     def apply(self, f: ExprLike) -> ScalarExpr:
         """Directional derivative X(f) of a scalar.
@@ -426,23 +418,6 @@ def interior_product(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(a.chart, a.degree - 1, acc)
 
 
-def interior_product_k(
-    X: KVectorField,
-    w: RkValuedOneForm | Sequence[DifferentialForm],
-) -> DifferentialForm:
-    """iota_X w = sum_alpha iota_{X_alpha} w^alpha for R^k-valued forms."""
-    forms = list(w.forms) if isinstance(w, RkValuedOneForm) else list(w)
-    if len(forms) != X.k:
-        raise KMismatch(f"k-vector has k={X.k} but form has {len(forms)} components")
-    for f in forms:
-        if f.chart != X.chart:
-            raise ChartMismatch("k-vector field and form live on different charts")
-    out = DifferentialForm.zero(X.chart, forms[0].degree - 1)
-    for Xa, wa in zip(X.fields, forms):
-        out = out + interior_product(Xa, wa)
-    return out
-
-
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^i = X(Y^i) - Y(X^i)."""
     _require_same_chart(X, Y)
@@ -451,15 +426,6 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         xy, yx = X.apply(yc), Y.apply(xc)
         comps.append(ZERO if _is_zero(xy) and _is_zero(yx) else xy - yx)
     return VectorField(X.chart, comps)
-
-
-def lie_derivative_form(X: VectorField, a: DifferentialForm) -> DifferentialForm:
-    """Cartan formula iota_X da + d(iota_X a); reduces to X(f) on 0-forms."""
-    _require_same_chart(X, a)
-    da_part = interior_product(X, exterior_derivative(a))
-    if a.degree == 0:
-        return da_part
-    return da_part + exterior_derivative(interior_product(X, a))
 
 
 def pullback(phi: SmoothMap, a: DifferentialForm) -> DifferentialForm:

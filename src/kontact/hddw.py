@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import (
     ChartMismatch,
     DomainError,
     InconsistentSystem,
-    LengthMismatch,
     NotIsotropic,
     SampleDomainEmpty,
     SingularSystem,
@@ -67,9 +66,8 @@ from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
 
 __all__ = [
     "KContactHamiltonianSystem", "HdDWPointSolution", "Trajectory",
-    "hddw_rhs", "solve_hddw_at_point", "pseudo_gauge_shift",
-    "section_residual", "flow_steps", "integrate_contact_flow", "check_constrained_solution",
-    "expected_nullspace_dim",
+    "hddw_rhs", "solve_hddw_at_point", "section_residual", "flow_steps",
+    "integrate_contact_flow", "check_constrained_solution", "expected_nullspace_dim",
 ]
 
 
@@ -138,23 +136,16 @@ class HdDWPointSolution:
     Component matrices are k x dim: row alpha holds the components of X_alpha.
     """
 
-    point: dict
     particular: np.ndarray
     nullspace_dim: int
     residual_norm: float
     _A: np.ndarray
-    _b: np.ndarray
-    _tolerance: float
 
     @property
     def nullspace(self) -> list:
         """Orthonormal basis of ker A: the last nullspace_dim rows of the full V^T."""
         rows = nullspace_basis(self._A, self._A.shape[1] - self.nullspace_dim)
         return [row.reshape(self.particular.shape) for row in rows]
-
-    def residual_of(self, candidate: np.ndarray) -> float:
-        x = np.asarray(candidate, dtype=float).reshape(-1)
-        return _residual(self._A, x, self._b)[0]
 
 
 def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -202,31 +193,8 @@ def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWP
     if not residual <= tolerance:
         raise InconsistentSystem(
             f"no solution within tolerance at {p}: residual {residual:.3e}")
-    return HdDWPointSolution(
-        point=p,
-        particular=x.reshape(k, dim),
-        nullspace_dim=k * dim - rank,
-        residual_norm=residual,
-        _A=A,
-        _b=b,
-        _tolerance=tolerance,
-    )
-
-
-def pseudo_gauge_shift(sol: HdDWPointSolution, coeffs: Sequence[float]) -> HdDWPointSolution:
-    """Shift the particular solution along the nullspace; the residual is preserved."""
-    coeffs = list(coeffs)
-    if len(coeffs) != sol.nullspace_dim:
-        raise LengthMismatch(
-            f"need {sol.nullspace_dim} coefficients, got {len(coeffs)}")
-    shifted = sol.particular.copy()
-    for c, basis in zip(coeffs, sol.nullspace):
-        shifted = shifted + c * basis
-    residual = sol.residual_of(shifted)
-    if not residual <= sol._tolerance:
-        raise InconsistentSystem(
-            f"shifted candidate leaves the solution set: residual {residual:.3e}")
-    return replace(sol, particular=shifted, residual_norm=residual)
+    return HdDWPointSolution(particular=x.reshape(k, dim), nullspace_dim=k * dim - rank,
+                             residual_norm=residual, _A=A)
 
 
 def section_residual(

@@ -3,7 +3,7 @@
 Builds the coordinate parametrization generated by a family F^1..F^k on a
 Darboux chart, checks the cross-component compatibility condition, verifies
 isotropy by pullback, and provides the k=1 thermodynamic generating-function
-construction (contact form, first law, Gibbs equality).
+construction (first-law contact form, equilibrium-state map).
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ChartMismatch, IncompatibleKFunction, NotHomogeneous
+from .errors import ChartMismatch, IncompatibleKFunction
 from .expr import ExprLike, ScalarExpr, Var, as_expr, differentiate, free_variables
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, pullback
 from .kcontact import KContactStructure, canonical_structure
-from .zerotest import PASS, Check, is_probably_zero, zero_check, zero_test
+from .zerotest import PASS, Check, zero_check, zero_test
 
 __all__ = [
     "ParametrizingKFunction",
     "check_compatibility", "build_parametrization", "verify_isotropic",
     "legendrian_dimension", "thermo_chart", "thermo_structure",
-    "thermo_parametrization", "check_gibbs_equality",
+    "thermo_parametrization",
 ]
 
 
@@ -174,7 +174,7 @@ def legendrian_dimension(n: int, k: int, n1: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# k=1 thermodynamics: contact form, generating functions, Gibbs equality
+# k=1 thermodynamics: contact form and generating functions
 
 _THERMO_COORDS = ("E", "S", "V", "N", "T", "P", "mu")
 _POSITIVE = (Fraction(1, 2), Fraction(2))
@@ -230,25 +230,3 @@ def thermo_parametrization(f: ExprLike) -> SmoothMap:
         "mu": differentiate(f, "N"),
     }
     return SmoothMap(src, thermo_chart(), [components[c] for c in _THERMO_COORDS])
-
-
-def check_gibbs_equality(f: ExprLike, config: RunConfig = DEFAULT_CONFIG) -> Check:
-    """The gibbs_equality check: E + PV = TS + mu N through the state map
-    generated by f.
-
-    Requires f homogeneous of degree one (Euler identity, checked by
-    sampling); raises NotHomogeneous otherwise.
-    """
-    f = as_expr(f)
-    src = state_chart()
-    euler = (Var("S") * differentiate(f, "S")
-             + Var("V") * differentiate(f, "V")
-             + Var("N") * differentiate(f, "N")
-             - f)
-    if not is_probably_zero(euler, src.domain(), config):
-        raise NotHomogeneous("generating function is not homogeneous of degree 1")
-    phi = thermo_parametrization(f)
-    comp = phi.bindings()
-    gibbs = (comp["E"] + comp["P"] * comp["V"]
-             - comp["T"] * comp["S"] - comp["mu"] * comp["N"])
-    return zero_check("gibbs_equality", [gibbs], phi.source.domain(), config)

@@ -12,7 +12,8 @@ from kontact.bjorken import expansion_scalar
 from kontact.config import RunConfig
 from kontact.errors import DomainError
 from kontact.expr import ZERO, Rational, ScalarExpr, Var, differentiate, evaluate, log, sqrt
-from kontact.forms import Chart, DifferentialForm, RkValuedOneForm
+from kontact.forms import (Chart, DifferentialForm, RkValuedOneForm, VectorField,
+                           exterior_derivative, interior_product)
 from kontact.hydro import spatial_projector
 from kontact.kcontact import KContactStructure
 
@@ -85,6 +86,14 @@ def rand_form(rng: random.Random, chart: Chart, degree: int,
         key = tuple(sorted(rng.sample(range(chart.dim), degree)))
         coeffs[key] = rand_expr(rng, names, depth)
     return DifferentialForm(chart, degree, coeffs)
+
+
+def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
+    """L_X a by Cartan's formula, iota_X da + d(iota_X a); X(f) on a 0-form f."""
+    da_part = interior_product(X, exterior_derivative(a))
+    if a.degree == 0:
+        return da_part
+    return da_part + exterior_derivative(interior_product(X, a))
 
 
 def expression_pivot_structure() -> KContactStructure:

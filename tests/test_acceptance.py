@@ -48,7 +48,6 @@ from kontact.kcontact import (
 from kontact.legendrian import (
     ParametrizingKFunction,
     build_parametrization,
-    check_gibbs_equality,
     thermo_parametrization,
     thermo_structure,
 )
@@ -212,7 +211,7 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
     gibbs = (comp["E"] + comp["P"] * comp["V"]
              - comp["T"] * comp["S"] - comp["mu"] * comp["N"])
     res = zero_test(gibbs, gibbs_phi.source.domain(), CONFIG)
-    ok = ok and check_gibbs_equality(f, config=CONFIG).verdict == PASS and res.is_zero
+    ok = ok and res.is_zero
     worst = max(worst, res.max_abs)
 
     report(5, "isotropy pullbacks and Gibbs equality within 1e-9",

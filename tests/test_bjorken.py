@@ -15,7 +15,6 @@ from kontact.bjorken import (
     DissipativeDecomposition,
     PGTSuperpotential,
     apply_pgt,
-    check_sigma_identity,
     contract_symmetric,
     entropy_production,
     expansion_scalar,
@@ -95,7 +94,11 @@ class TestShearTensor:
 
 class TestSigmaIdentity:
     def test_bjorken_flow(self):
-        assert check_sigma_identity(BjorkenFlow(), FAST).verdict == PASS
+        # full_pgt_demo's sigma_identity: sigma_{mu nu} sigma^{mu nu} = (2/3) theta^2
+        flow = BjorkenFlow()
+        ss = contract_symmetric(flow.sigma, flow.sigma)
+        assert is_probably_zero(ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta,
+                                flow.domain(), FAST)
 
     def test_static_flow_degenerate(self):
         # u = (1,0,0,0): sigma and theta both vanish, identity holds trivially

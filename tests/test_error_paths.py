@@ -12,7 +12,6 @@ from kontact.config import RunConfig
 from kontact.cli import main
 from kontact.errors import (
     DomainError,
-    KMismatch,
     SampleDomainEmpty,
     StructureDegenerateAtPoint,
     ZeroTestInconclusive,
@@ -21,10 +20,7 @@ from kontact.expr import Rational, Var, parse_expr, sqrt, var
 from kontact.forms import (
     Chart,
     DifferentialForm,
-    KVectorField,
     RkValuedOneForm,
-    VectorField,
-    interior_product_k,
 )
 from kontact.hddw import KContactHamiltonianSystem, solve_hddw_at_point
 from kontact.kcontact import KContactStructure, compute_reeb
@@ -315,13 +311,3 @@ class TestBeyondFloatRange:
         assert checks["section_residual"]["verdict"] == "fail"
         assert checks["section_residual"]["max_residual"] == sys.float_info.max
         assert checks["equilibrium_families"]["verdict"] == "fail"
-
-
-class TestKMismatch:
-    def test_interior_product_k(self):
-        ch = Chart(["x", "y"])
-        X = KVectorField([VectorField.coordinate(ch, "x")])
-        eta = RkValuedOneForm([DifferentialForm.dx(ch, "x"),
-                               DifferentialForm.dx(ch, "y")])
-        with pytest.raises(KMismatch):
-            interior_product_k(X, eta)

@@ -44,7 +44,7 @@ def structure_file(tmp_path):
 
 class TestStructureFiles:
     def test_round_trip(self, structure_file):
-        s, meta = load_structure_file(structure_file)
+        s = load_structure_file(structure_file)
         assert s.k == 1 and s.dim == 3
         assert all(c.verdict == "pass" for c in verify_kcontact(s, n_points=4, config=FAST))
 
@@ -57,7 +57,7 @@ class TestStructureFiles:
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(spec))
-        s, _ = load_structure_file(path)
+        s = load_structure_file(path)
         lo, hi = s.chart.ranges["V"]
         assert (lo, hi) == (0.5, 2)
 
@@ -88,16 +88,6 @@ class TestStructureFiles:
         path.write_text(json.dumps(bad))
         with pytest.raises(ParseError):
             load_structure_file(path)
-
-    def test_maps_section(self, tmp_path):
-        spec = dict(CANONICAL_11)
-        spec["maps"] = {"graph": {"source_coords": ["u"],
-                                  "components": ["0", "u", "3"]}}
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(spec))
-        _, meta = load_structure_file(path)
-        assert "graph" in meta["maps"]
-        assert meta["maps"]["graph"].source.dim == 1
 
 
 class TestKFunctionFiles:
@@ -140,7 +130,6 @@ MALFORMED_STRUCTURES = {
                                                      "ranges": {"q": ["abc", "1"]}}},
     "key_length": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
                                                       "coeffs": {"1,0": "1"}}}},
-    "map_without_source": {**CANONICAL_11, "maps": {"g": {"components": ["0", "u", "3"]}}},
     "bad_expression": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
                                                           "coeffs": {"0": "1 +"}}}},
 }
@@ -173,6 +162,12 @@ class TestMalformedFiles:
 
     def test_section_file_that_is_a_list(self, tmp_path, capsys):
         self._run(tmp_path, capsys, [{"xi": "t_0"}],
+                  ["hddw", "--builtin", "hydro2", "--section", "FILE"])
+
+    @pytest.mark.parametrize("key", ["component", "fields"])
+    def test_section_file_without_components(self, tmp_path, capsys, key):
+        # a mistyped key, or the old "fields" alias, is not the zero section
+        self._run(tmp_path, capsys, {key: {"xi": "t_0"}},
                   ["hddw", "--builtin", "hydro2", "--section", "FILE"])
 
     @pytest.mark.parametrize("argv", [["verify-structure", "FILE"], ["reeb", "FILE"],
@@ -492,6 +487,10 @@ class TestCLI:
         ["ideal-gas", "--tol", "nan"],
         ["ideal-gas", "--tol", "-1"],
         ["ideal-gas", "--tol", "0"],
+        # a non-finite tolerance would pass every residual
+        ["hddw", "--builtin", "hydro2", "--atol", "inf"],
+        ["hddw", "--builtin", "hydro2", "--rtol", "inf"],
+        ["ideal-gas", "--tol", "inf"],
     ])
     def test_invalid_settings_are_usage_errors(self, argv, capsys):
         assert main(argv + ["--no-timestamp"]) == 2

@@ -15,8 +15,6 @@ from kontact.cli import main
 from kontact.config import RunConfig
 from kontact.errors import (
     ChartMismatch,
-    InconsistentSystem,
-    LengthMismatch,
     NotIsotropic,
     SourceNotRk,
     StructureDegenerateAtPoint,
@@ -34,8 +32,8 @@ from kontact.hddw import (
     check_constrained_solution,
     expected_nullspace_dim,
     hddw_rhs,
+    _system_at,
     integrate_contact_flow,
-    pseudo_gauge_shift,
     section_residual,
     solve_hddw_at_point,
 )
@@ -144,36 +142,23 @@ class TestSolveAtPoint:
             assert X[name] == pytest.approx(float(want), abs=1e-9), name
 
     def test_shift_preserves_residual(self):
+        # a shift along the nullspace basis still solves A x = b
         s = canonical_structure(1, 2)
         sys_ = KContactHamiltonianSystem(s, 0)
         rng = random.Random(79)
-        sol = solve_hddw_at_point(sys_, random_point(s.chart, rng))
-        coeffs = [rng.uniform(-2, 2) for _ in range(sol.nullspace_dim)]
-        shifted = pseudo_gauge_shift(sol, coeffs)
-        assert shifted.residual_norm <= 1e-9
-        assert not np.allclose(shifted.particular, sol.particular)
-
-    def test_zero_shift_is_identity(self):
-        s = canonical_structure(1, 2)
-        sys_ = KContactHamiltonianSystem(s, 0)
-        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(83)))
-        out = pseudo_gauge_shift(sol, [0.0] * sol.nullspace_dim)
-        assert np.allclose(out.particular, sol.particular)
-
-    def test_non_finite_shift_is_refused(self):
-        s = canonical_structure(1, 2)
-        sys_ = KContactHamiltonianSystem(s, 0)
-        sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(83)))
-        with pytest.raises(InconsistentSystem):
-            pseudo_gauge_shift(sol, [math.nan] + [0.0] * (sol.nullspace_dim - 1))
+        point = random_point(s.chart, rng)
+        sol = solve_hddw_at_point(sys_, point)
+        shifted = sol.particular + sum(rng.uniform(-2, 2) * v for v in sol.nullspace)
+        A, b = _system_at(sys_, point)
+        assert np.abs(A @ shifted.ravel() - b).max() <= 1e-9
+        assert not np.allclose(shifted, sol.particular)
 
     def test_k1_has_no_shift(self):
         s = canonical_structure(1, 1)
         sys_ = KContactHamiltonianSystem(s, 0)
         sol = solve_hddw_at_point(sys_, random_point(s.chart, random.Random(89)))
         assert sol.nullspace_dim == 0
-        with pytest.raises(LengthMismatch):
-            pseudo_gauge_shift(sol, [1.0])
+        assert sol.nullspace == []
 
 
 def _record_svd_calls(monkeypatch) -> list:
@@ -206,8 +191,10 @@ class TestOneSVDSolve:
         sys_ = self.K1_SYSTEMS[name]()
         rng = random.Random(97)
         for _ in range(4):
-            sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng))
-            want = np.linalg.pinv(sol._A, RANK_THRESHOLD) @ sol._b
+            point = random_point(sys_.chart, rng)
+            sol = solve_hddw_at_point(sys_, point)
+            A, b = _system_at(sys_, point)
+            want = np.linalg.pinv(A, RANK_THRESHOLD) @ b
             assert np.array_equal(sol.particular.ravel(), want)
 
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,3",

@@ -244,7 +244,7 @@ def test_rank_table_matches_matrix_rank(name, tmp_path):
                       "e2": {"coeffs": {"1": "1", "2": "-p_2*q"}},
                       "e3": {"coeffs": {"0": "1", "2": "-p_1"}}},
             "eta": ["e1", "e2", "e3"]}))
-        s, _ = load_structure_file(path)
+        s = load_structure_file(path)
     else:
         s = resolve_structure(name).structure
     dim = s.dim
