@@ -47,7 +47,7 @@ from .hydro import equilibrium_conditions_residual
 from .idealgas import run_isentropic
 from .kcontact import (canonical_structure, check_polarization, check_reeb,
                        reeb_frame_check, verify_kcontact)
-from .legendrian import (_parametrization, check_compatibility, legendrian_dimension,
+from .legendrian import (build_parametrization, check_compatibility, legendrian_dimension,
                          verify_isotropic)
 from .linalg import RANK_THRESHOLD
 from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, combine, sample_points, zero_check
@@ -224,16 +224,15 @@ def cmd_reeb(args, config: RunConfig) -> list[Check]:
 
 def cmd_legendrian(args, config: RunConfig) -> list[Check]:
     kf = load_kfunction_file(args.path)
-    compat = check_compatibility(kf, config)
-    checks = [compat]
-    if compat.verdict != PASS:
+    checks = [check_compatibility(kf, config)]
+    if checks[0].verdict != PASS:
         return checks
-    L = _parametrization(kf)
+    s = canonical_structure(kf.n, kf.k)
+    L = build_parametrization(kf, s)
     admissible = sorted({legendrian_dimension(kf.n, kf.k, n1) for n1 in range(kf.n + 1)})
     dim_L = L.source.dim
     checks.append(Check("dimension", _verdict(dim_L in admissible),
                         detail={"dim_L": dim_L, "admissible": admissible}))
-    s = canonical_structure(kf.n, kf.k)
     checks.append(verify_isotropic(L, s, config))
     return checks
 

@@ -62,9 +62,5 @@ class InconsistentSystem(KontactError):
     """The pointwise linear system admits no solution within tolerance."""
 
 
-class IncompatibleKFunction(KontactError):
-    """The parametrizing k-function fails the cross-component compatibility condition."""
-
-
 class NotIsotropic(KontactError):
     """The submanifold is not isotropic for the given structure."""

@@ -1,14 +1,18 @@
 """JSON definition files: charts, forms, structures, k-functions, sections.
 
-One schema per surface:
-  structure file: {"chart": {"coords": [...], "constraints": [...], "ranges": {...}},
-                   "forms": {name: {"degree": p, "coeffs": {"0,2": "expr"}}},
+One schema per surface, each "expr" a JSON string and each int a JSON
+integer (a float, a bool or a string is refused, not truncated); a value of
+the wrong JSON type is a ParseError naming the file and the field:
+  structure file: {"chart": {"coords": [names], "constraints": ["expr", ...],
+                             "ranges": {name: [bound, bound]}},
+                   "forms": {name: {"degree": int (default 1), "coeffs": {"0,2": "expr"}}},
                    "eta": [form names in order]}
-  k-function file: {"n": int, "k": int, "I": [indices], "F": ["expr", ...]}
+  k-function file: {"n": int, "k": int, "I": [int, ...], "F": ["expr", ...]}
   section file:    {"components": {coord name: "expr in t variables"}}
                    ("components" is required; unlisted coordinates are
                    constant zero)
-Index tuples are comma-joined zero-based indices.
+Index tuples are comma-joined zero-based indices; a range bound is a JSON
+number or a rational string such as "1/2".
 """
 
 from __future__ import annotations
@@ -64,12 +68,24 @@ def _content_of(path: str | Path):
         raise ParseError(f"{path}: {err}") from None
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer field: a float, a bool or a string is refused, not truncated."""
+    if type(value) is not int:
+        raise ParseError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _expression(text, field: str):
+    """An expression field, which must hold a JSON string."""
+    if not isinstance(text, str):
+        raise ParseError(f"{field} needs an expression string, got {json.dumps(text)}")
+    return parse_expr(text)
+
+
 def _fraction(value) -> Fraction:
-    if isinstance(value, str):
+    if type(value) in (str, int, float):
         return Fraction(value)
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    raise ParseError(f"cannot read {value!r} as a rational bound")
+    raise ParseError(f"cannot read {json.dumps(value)} as a rational bound")
 
 
 def chart_from_dict(spec: dict) -> Chart:
@@ -77,7 +93,8 @@ def chart_from_dict(spec: dict) -> Chart:
         coords = list(spec["coords"])
     except KeyError:
         raise ParseError("chart definition needs a 'coords' list") from None
-    constraints = [parse_expr(c) for c in spec.get("constraints", [])]
+    constraints = [_expression(c, f"constraints[{j}]")
+                   for j, c in enumerate(spec.get("constraints", []))]
     ranges = {
         name: (_fraction(lo), _fraction(hi))
         for name, (lo, hi) in spec.get("ranges", {}).items()
@@ -85,15 +102,15 @@ def chart_from_dict(spec: dict) -> Chart:
     return Chart(coords, constraints, ranges)
 
 
-def _form_from_dict(chart: Chart, spec: dict) -> DifferentialForm:
-    degree = int(spec.get("degree", 1))
+def _form_from_dict(chart: Chart, name: str, spec: dict) -> DifferentialForm:
+    degree = _integer(spec.get("degree", 1), f"form {name!r} degree")
     coeffs = {}
     for key, text in spec.get("coeffs", {}).items():
         try:
             idx = tuple(int(p) for p in key.split(",")) if key else ()
         except ValueError:
             raise ParseError(f"bad index tuple {key!r}; use comma-joined integers") from None
-        coeffs[idx] = parse_expr(text)
+        coeffs[idx] = _expression(text, f'form {name!r} coeffs "{key}"')
     return DifferentialForm(chart, degree, coeffs)
 
 
@@ -103,7 +120,7 @@ def load_structure_file(path: str | Path) -> KContactStructure:
     raw = load_json(path)
     with _content_of(path):
         chart = chart_from_dict(raw.get("chart", {}))
-        forms = {name: _form_from_dict(chart, spec)
+        forms = {name: _form_from_dict(chart, name, spec)
                  for name, spec in raw.get("forms", {}).items()}
         for name, f in forms.items():
             unknown = set().union(*map(free_variables, f.coeffs.values())) - set(chart.coords)
@@ -122,9 +139,10 @@ def load_structure_file(path: str | Path) -> KContactStructure:
 def load_kfunction_file(path: str | Path) -> ParametrizingKFunction:
     raw = load_json(path)
     with _content_of(path):
-        return ParametrizingKFunction(int(raw["n"]), int(raw["k"]),
-                                      [int(i) for i in raw["I"]],
-                                      [parse_expr(f) for f in raw["F"]])
+        n, k = _integer(raw["n"], "n"), _integer(raw["k"], "k")
+        I = [_integer(i, f"I[{j}]") for j, i in enumerate(raw["I"])]
+        F = [_expression(f, f"F[{j}]") for j, f in enumerate(raw["F"])]
+        return ParametrizingKFunction(n, k, I, F)
 
 
 def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
@@ -137,7 +155,8 @@ def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
         if unknown:
             raise ParseError(f"section names unknown coordinates {sorted(unknown)}")
         source = parameter_chart(k)
-        exprs = [parse_expr(comps[c]) if c in comps else as_expr(0) for c in target.coords]
+        exprs = [_expression(comps[c], f'components "{c}"') if c in comps else as_expr(0)
+                 for c in target.coords]
         return SmoothMap(source, target, exprs)
 
 

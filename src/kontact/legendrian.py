@@ -12,11 +12,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ChartMismatch, IncompatibleKFunction
+from .errors import ChartMismatch
 from .expr import ExprLike, ScalarExpr, Var, as_expr, differentiate, free_variables
 from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, pullback
-from .kcontact import KContactStructure, canonical_structure
-from .zerotest import PASS, Check, zero_check, zero_test
+from .kcontact import KContactStructure
+from .zerotest import Check, zero_check
 
 __all__ = [
     "ParametrizingKFunction",
@@ -64,90 +64,46 @@ class ParametrizingKFunction:
         return differentiate(self.F[alpha - 1], f"p_{alpha}_{i}")
 
 
-def _detect_linear_form(f: ParametrizingKFunction, config: RunConfig) -> bool:
-    """Detect F^alpha = sum_{i in I} p^alpha_i f^i(q^j) with shared f^i.
-
-    An inconclusive residue gives no certificate; the sampled check decides."""
-    q_names = {f"q_{j}" for j in f.J}
-    shared: dict[int, ScalarExpr] = {}
-    for i in f.I:
-        fi = f.momentum_partial(1, i)
-        if not free_variables(fi) <= q_names:
-            return False
-        shared[i] = fi
-    for alpha in range(2, f.k + 1):
-        for i in f.I:
-            fi = f.momentum_partial(alpha, i)
-            if fi != shared[i]:
-                return False
-    for alpha in range(1, f.k + 1):
-        residue = f.F[alpha - 1]
-        for i in f.I:
-            residue = residue - Var(f"p_{alpha}_{i}") * shared[i]
-        if not zero_test(residue, config=config).is_zero:
-            return False
-    return True
-
-
 def check_compatibility(
     f: ParametrizingKFunction,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Check:
-    """The condition dF^alpha/dp^alpha_i == dF^beta/dp^beta_i for all i, alpha, beta.
-
-    Always true for k=1.  Decided by sampling, with the structural linear form
-    of the k-function detected separately as an exact certificate (the
-    detail's syntactic_linear_form).
-    """
-    syntactic = f.k > 1 and bool(f.I) and _detect_linear_form(f, config)
-    verdict = PASS if syntactic else zero_check(
-        "compatibility",
-        [f.momentum_partial(1, i) - f.momentum_partial(alpha, i)
-         for i in f.I for alpha in range(2, f.k + 1)], config=config).verdict
-    return Check("compatibility", verdict, detail={"syntactic_linear_form": syntactic})
+    """The condition dF^alpha/dp^alpha_i == dF^beta/dp^beta_i for all i, alpha, beta,
+    decided by one zero test.  For k=1 or an empty I there is nothing to
+    test: it passes with residual 0.0."""
+    return zero_check("compatibility",
+                      [f.momentum_partial(1, i) - f.momentum_partial(alpha, i)
+                       for i in f.I for alpha in range(2, f.k + 1)], config=config)
 
 
-def build_parametrization(
-    f: ParametrizingKFunction,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> SmoothMap:
-    """The coordinate parametrization generated by f on the canonical chart.
+def build_parametrization(f: ParametrizingKFunction, s: KContactStructure) -> SmoothMap:
+    """The coordinate parametrization generated by f onto s.chart, where s is
+    canonical_structure(f.n, f.k):
 
     (q^j, p^alpha_i) ->
         s^alpha   = F^alpha - sum_{i in I} p^alpha_i dF^alpha/dp^alpha_i
-        q^i (i in I)  = -dF^alpha/dp^alpha_i      (alpha-independent by compatibility)
+        q^i (i in I)  = -dF^1/dp^1_i
         q^j (j in J)  = q^j
         p^alpha_i (i in I) = p^alpha_i
         p^alpha_j (j in J) = dF^alpha/dq^j
+
+    q^i reads alpha = 1's partials, so f must have passed check_compatibility.
     """
-    if check_compatibility(f, config).verdict != PASS:
-        raise IncompatibleKFunction(
-            "momentum partials differ between components; no parametrization")
-    return _parametrization(f)
-
-
-def _parametrization(f: ParametrizingKFunction) -> SmoothMap:
-    """build_parametrization without its compatibility check."""
-    ambient = canonical_structure(f.n, f.k).chart
-    source = f.parameter_chart()
-    components: dict[str, ScalarExpr] = {}
+    components: dict[str, ScalarExpr] = {
+        f"q_{l}": -f.momentum_partial(1, l) if l in f.I else Var(f"q_{l}")
+        for l in range(1, f.n + 1)}
     for alpha in range(1, f.k + 1):
-        s = f.F[alpha - 1]
+        s_alpha = f.F[alpha - 1]
         for i in f.I:
-            s = s - Var(f"p_{alpha}_{i}") * f.momentum_partial(alpha, i)
-        components[f"s_{alpha}"] = s
-    for l in range(1, f.n + 1):
-        if l in f.I:
-            components[f"q_{l}"] = -f.momentum_partial(1, l)
-        else:
-            components[f"q_{l}"] = Var(f"q_{l}")
-    for alpha in range(1, f.k + 1):
+            s_alpha = s_alpha - Var(f"p_{alpha}_{i}") * f.momentum_partial(alpha, i)
+        components[f"s_{alpha}"] = s_alpha
         for l in range(1, f.n + 1):
-            if l in f.I:
-                components[f"p_{alpha}_{l}"] = Var(f"p_{alpha}_{l}")
-            else:
-                components[f"p_{alpha}_{l}"] = differentiate(f.F[alpha - 1], f"q_{l}")
-    return SmoothMap(source, ambient, [components[name] for name in ambient.coords])
+            components[f"p_{alpha}_{l}"] = (Var(f"p_{alpha}_{l}") if l in f.I
+                                            else differentiate(f.F[alpha - 1], f"q_{l}"))
+    if set(components) != set(s.chart.coords):
+        raise ChartMismatch(f"the structure is not canonical_structure({f.n}, {f.k})")
+    return SmoothMap(f.parameter_chart(), s.chart,
+                     [components[name] for name in s.chart.coords])
 
 
 def verify_isotropic(

@@ -197,8 +197,8 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
     # a compatible k=4 family F^alpha = p^alpha_1 f(q_2)
     kf = ParametrizingKFunction(2, 4, [1],
                                 [f"p_{a}_1 * (q_2^2 + 1)" for a in (1, 2, 3, 4)])
-    L = build_parametrization(kf, CONFIG)
     s4 = canonical_structure(2, 4)
+    L = build_parametrization(kf, s4)
     dom = L.source.domain()
     for w in list(s4.eta.forms) + list(s4.d_eta):
         good, res = max_residual_of(pullback(L, w), dom)

@@ -132,11 +132,37 @@ MALFORMED_STRUCTURES = {
                                                       "coeffs": {"1,0": "1"}}}},
     "bad_expression": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
                                                           "coeffs": {"0": "1 +"}}}},
+    "coeff_a_number": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
+                                                          "coeffs": {"0": 1}}}},
+    "constraint_a_number": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                      "constraints": [1]}},
+    "degree_a_float": {**CANONICAL_11, "forms": {"eta1": {"degree": 1.7,
+                                                          "coeffs": {"0": "1"}}}},
+    "range_bound_a_bool": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                     "ranges": {"q": [True, 2]}}},
 }
 MALFORMED_KFUNCTIONS = {
     "n_not_an_integer": {"n": "x", "k": 1, "I": [], "F": ["p_1_1"]},
     "I_out_of_range": {"n": 2, "k": 1, "I": [3], "F": ["p_1_1"]},
     "missing_key": {"n": 2, "I": [1], "F": ["p_1_1"]},
+    "F_entry_a_number": {"n": 2, "k": 2, "I": [1], "F": ["p_1_1", 3]},
+    "F_entry_null": {"n": 2, "k": 2, "I": [1], "F": ["p_1_1", None]},
+    # each of these ran, truncated, as n = 2 or I = [1]
+    "n_a_float": {"n": 2.9, "k": 2, "I": [1], "F": ["p_1_1*q_2", "p_2_1*q_2"]},
+    "n_a_bool": {"n": True, "k": 1, "I": [], "F": ["q_1"]},
+    "I_entry_a_float": {"n": 2, "k": 2, "I": [1.5], "F": ["p_1_1*q_2", "p_2_1*q_2"]},
+}
+# the error line of a value of the wrong JSON type names its field
+MALFORMED_MESSAGES = {
+    "coeff_a_number": "form 'eta1' coeffs \"0\" needs an expression string, got 1",
+    "constraint_a_number": "constraints[0] needs an expression string, got 1",
+    "degree_a_float": "form 'eta1' degree must be a JSON integer, got 1.7",
+    "range_bound_a_bool": "cannot read true as a rational bound",
+    "F_entry_a_number": "F[1] needs an expression string, got 3",
+    "F_entry_null": "F[1] needs an expression string, got null",
+    "n_a_float": "n must be a JSON integer, got 2.9",
+    "n_a_bool": "n must be a JSON integer, got true",
+    "I_entry_a_float": "I[0] must be a JSON integer, got 1.5",
 }
 
 
@@ -144,25 +170,34 @@ class TestMalformedFiles:
     """A definition file whose content the builders refuse is a usage error
     naming the file: exit 2, one error line, no report."""
 
-    def _run(self, tmp_path, capsys, content, argv):
+    def _run(self, tmp_path, capsys, content, argv, message=None):
         path = tmp_path / "file.json"
         path.write_text(json.dumps(content))
         assert main([a.replace("FILE", str(path)) for a in argv] + ["--no-timestamp"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+        if message is not None:
+            assert out.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_STRUCTURES))
     def test_structure_file(self, tmp_path, capsys, name):
-        self._run(tmp_path, capsys, MALFORMED_STRUCTURES[name], ["verify-structure", "FILE"])
+        self._run(tmp_path, capsys, MALFORMED_STRUCTURES[name], ["verify-structure", "FILE"],
+                  MALFORMED_MESSAGES.get(name))
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_KFUNCTIONS))
     def test_kfunction_file(self, tmp_path, capsys, name):
-        self._run(tmp_path, capsys, MALFORMED_KFUNCTIONS[name], ["legendrian", "FILE"])
+        self._run(tmp_path, capsys, MALFORMED_KFUNCTIONS[name], ["legendrian", "FILE"],
+                  MALFORMED_MESSAGES.get(name))
 
     def test_section_file_that_is_a_list(self, tmp_path, capsys):
         self._run(tmp_path, capsys, [{"xi": "t_0"}],
                   ["hddw", "--builtin", "hydro2", "--section", "FILE"])
+
+    def test_section_component_that_is_a_number(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, {"components": {"xi": 5}},
+                  ["hddw", "--builtin", "hydro2", "--section", "FILE"],
+                  'components "xi" needs an expression string, got 5')
 
     @pytest.mark.parametrize("key", ["component", "fields"])
     def test_section_file_without_components(self, tmp_path, capsys, key):
@@ -247,6 +282,21 @@ class TestCLI:
             {"n": 2, "k": 2, "I": [1], "F": ["p_1_1 * q_2", "p_2_1 * q_2"]}))
         code = main(["legendrian", str(path), "--samples", "16", "--no-timestamp"])
         assert code == 0
+
+    def test_legendrian_with_a_momentum_free_term(self, tmp_path):
+        # F^a = sum_i p^a_i f^i(q_J) + g^a(q_J): compatibility is one zero
+        # test on the momentum partials, exact here
+        kf = tmp_path / "kf.json"
+        kf.write_text(json.dumps({"n": 3, "k": 2, "I": [1, 3], "F": [
+            "p_1_1*(q_2^2 + 1) + p_1_3*q_2 + 3/2*q_2^3 - 2",
+            "p_2_1*(q_2^2 + 1) + p_2_3*q_2 - q_2"]}))
+        path = tmp_path / "r.json"
+        assert main(["legendrian", str(kf), "--samples", "16", "--no-timestamp",
+                     "--json", str(path)]) == 0
+        checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+        assert checks["compatibility"] == {"name": "compatibility", "verdict": "pass",
+                                           "max_residual": 0.0}
+        assert checks["isotropy"]["verdict"] == "pass"
 
     def test_hddw_command_reports_expected_dim(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"

@@ -517,7 +517,7 @@ class TestConstrainedSolution:
         # H = s^1 restricted to the zero-section family {s=0, p=0} vanishes
         s = canonical_structure(2, 2)
         kf = ParametrizingKFunction(2, 2, [], ["0", "0"])
-        L = build_parametrization(kf, FAST)
+        L = build_parametrization(kf, s)
         sys_ = KContactHamiltonianSystem(s, Var("s_1"))
         rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
         assert rep.verdict == PASS
@@ -527,7 +527,7 @@ class TestConstrainedSolution:
     def test_nonvanishing_H_stops_early(self):
         s = canonical_structure(2, 2)
         kf = ParametrizingKFunction(2, 2, [], ["0", "0"])
-        L = build_parametrization(kf, FAST)
+        L = build_parametrization(kf, s)
         for H, verdict, vanishes in [
             ("1", FAIL, False),
             # H on L is 1e-8 sqrt(q_1^2+1): neither clearly zero nor not
@@ -582,7 +582,7 @@ class TestConstrainedSolution:
         # k dim L - (n(k+1) - dim L) for the built parametrizations
         s = canonical_structure(2, 2)
         kf = ParametrizingKFunction(2, 2, [1], ["p_1_1 * q_2", "p_2_1 * q_2"])
-        L = build_parametrization(kf, FAST)
+        L = build_parametrization(kf, s)
         sys_ = KContactHamiltonianSystem(s, 0)
         rep = check_constrained_solution(sys_, L, n_points=3, config=FAST).detail
         n, k, dim_L = 2, 2, L.source.dim

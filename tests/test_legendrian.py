@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kontact.config import RunConfig
-from kontact.errors import IncompatibleKFunction
+from kontact.errors import ChartMismatch
 from kontact.expr import Rational, Var, parse_expr
 from kontact.forms import (
     Chart,
@@ -37,14 +37,13 @@ class TestCompatibility:
         F = [f"p_{a}_1 * (q_3^2 + 1) + p_{a}_2 * q_3" for a in (1, 2, 3)]
         kf = ParametrizingKFunction(3, 3, [1, 2], F)
         rep = check_compatibility(kf, FAST)
-        assert rep.verdict == PASS
-        assert rep.detail["syntactic_linear_form"]
+        assert (rep.verdict, rep.max_residual, rep.detail) == (PASS, 0.0, None)
 
     def test_k1_always_compatible(self):
         kf = ParametrizingKFunction(2, 1, [1], ["p_1_1^2 + q_2"])
+        # nothing to test: the check passes with residual 0.0
         rep = check_compatibility(kf, FAST)
-        assert rep.verdict == PASS
-        assert not rep.detail["syntactic_linear_form"]
+        assert (rep.verdict, rep.max_residual) == (PASS, 0.0)
 
     def test_mismatched_partials_fail(self):
         kf = ParametrizingKFunction(1, 2, [1], ["p_1_1 * 1", "2 * p_2_1"])
@@ -55,11 +54,10 @@ class TestCompatibility:
         assert check_compatibility(kf, FAST).verdict == INCONCLUSIVE
 
     def test_inconclusive_residue_is_no_certificate(self):
-        # shared partials, but F - p q_2 is tiny: the sampled check decides
+        # shared partials, but F - p q_2 is tiny: the partials alone decide
         F = [f"p_{a}_1 * q_2 + 1/100000000 * sqrt(q_2^2 + 1)" for a in (1, 2)]
         rep = check_compatibility(ParametrizingKFunction(2, 2, [1], F), FAST)
-        assert rep.verdict == PASS
-        assert not rep.detail["syntactic_linear_form"]
+        assert (rep.verdict, rep.max_residual) == (PASS, 0.0)
 
     def test_own_momenta_only(self):
         with pytest.raises(ValueError):
@@ -67,14 +65,15 @@ class TestCompatibility:
 
     def test_empty_I_trivially_compatible(self):
         kf = ParametrizingKFunction(2, 2, [], ["q_1 * q_2", "q_1 + q_2"])
-        assert check_compatibility(kf, FAST).verdict == PASS
+        rep = check_compatibility(kf, FAST)
+        assert (rep.verdict, rep.max_residual) == (PASS, 0.0)
 
 
 class TestBuildParametrization:
     def test_jet_style_graph_for_empty_I(self):
         # I empty: the map is the first-jet-style graph of the k functions
         kf = ParametrizingKFunction(2, 2, [], ["q_1*q_2", "q_1^2"])
-        L = build_parametrization(kf, FAST)
+        L = build_parametrization(kf, canonical_structure(kf.n, kf.k))
         ambient = L.target
         # s^alpha-component equals F^alpha exactly (jet recovery)
         assert L.components[ambient.index("s_1")] == parse_expr("q_1*q_2")
@@ -88,17 +87,17 @@ class TestBuildParametrization:
     def test_linear_form_zeroes_the_s_components(self):
         F = [f"p_{a}_1 * exp(q_2)" for a in (1, 2)]
         kf = ParametrizingKFunction(2, 2, [1], F)
-        L = build_parametrization(kf, FAST)
+        L = build_parametrization(kf, canonical_structure(kf.n, kf.k))
         ambient = L.target
         dom = L.source.domain()
         for a in (1, 2):
             assert is_probably_zero(L.components[ambient.index(f"s_{a}")],
                                     dom, FAST)
 
-    def test_incompatible_raises(self):
-        kf = ParametrizingKFunction(1, 2, [1], ["p_1_1", "2*p_2_1"])
-        with pytest.raises(IncompatibleKFunction):
-            build_parametrization(kf, FAST)
+    def test_structure_of_other_sizes_refused(self):
+        kf = ParametrizingKFunction(2, 2, [1], ["p_1_1 * q_2", "p_2_1 * q_2"])
+        with pytest.raises(ChartMismatch):
+            build_parametrization(kf, canonical_structure(2, 3))
 
     def test_parameter_dimension_formula(self):
         for (n, k, I) in [(2, 2, [1]), (3, 2, [1, 2]), (2, 4, [1]), (3, 1, [2])]:
@@ -111,7 +110,7 @@ class TestBuildParametrization:
             kf = ParametrizingKFunction(n, k, I, F_template)
             if check_compatibility(kf, FAST).verdict != PASS:
                 continue
-            L = build_parametrization(kf, FAST)
+            L = build_parametrization(kf, canonical_structure(kf.n, kf.k))
             n1 = len(I)
             assert L.source.dim == legendrian_dimension(n, k, n1)
             admissible = {n + (k - 1) * m for m in range(n + 1)}
@@ -122,8 +121,8 @@ class TestVerifyIsotropic:
     def test_built_parametrizations_are_isotropic(self):
         F = [f"p_{a}_1 * (q_2^2 + 1)" for a in (1, 2, 3, 4)]
         kf = ParametrizingKFunction(2, 4, [1], F)
-        L = build_parametrization(kf, FAST)
         s = canonical_structure(2, 4)
+        L = build_parametrization(kf, s)
         assert verify_isotropic(L, s, FAST).verdict == PASS
 
     def test_ideal_gas_state_family_is_isotropic(self):
@@ -167,8 +166,8 @@ class TestMaximality:
         # appending any complement direction from the construction to TL
         # makes some d eta pairing nonzero
         kf = ParametrizingKFunction(2, 2, [1], ["p_1_1 * q_2", "p_2_1 * q_2"])
-        L = build_parametrization(kf, FAST)
         s = canonical_structure(2, 2)
+        L = build_parametrization(kf, s)
         dom = L.source.domain()
         # complement W = <d/dq^i (i in I), d/dp^alpha_j (j in J)>
         w_names = [f"q_{i}" for i in kf.I] + \
