@@ -28,7 +28,6 @@ from .config import RunConfig, default_seed
 from .errors import KontactError, ParseError, StructureDegenerateAtPoint
 from .expr import ZERO, free_variables, parse_expr
 from .fileio import (
-    BuiltinStructure,
     load_json,
     load_kfunction_file,
     load_section_file,
@@ -45,8 +44,8 @@ from .hddw import (
 )
 from .hydro import equilibrium_conditions_residual
 from .idealgas import run_isentropic
-from .kcontact import (canonical_structure, check_polarization, check_reeb,
-                       reeb_frame_check, verify_kcontact)
+from .kcontact import (KContactStructure, canonical_structure, check_polarization,
+                       check_reeb, reeb_frame_check, verify_kcontact)
 from .legendrian import (build_parametrization, check_compatibility, legendrian_dimension,
                          verify_isotropic)
 from .linalg import RANK_THRESHOLD
@@ -150,11 +149,13 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
     return report["verdict"]
 
 
-def _resolve(builtin: str | None, path: str | None) -> BuiltinStructure:
+def _resolve(builtin: str | None, path: str | None) -> tuple[KContactStructure, list | None]:
+    """(structure, polarization or None) of a builtin or a structure file,
+    which carries no polarization."""
     if builtin:
         return resolve_structure(builtin)
     if path:
-        return BuiltinStructure(str(path), load_structure_file(path))
+        return load_structure_file(path), None
     raise ParseError("give a definition file path or --builtin NAME")
 
 
@@ -208,18 +209,17 @@ def _verdict(ok: bool) -> str:
 # subcommands
 
 def cmd_verify_structure(args, config: RunConfig) -> list[Check]:
-    holder = _resolve(args.builtin, args.path)
-    s = holder.structure
+    s, polarization = _resolve(args.builtin, args.path)
     checks = verify_kcontact(s, n_points=args.points, config=config)
     checks += check_reeb(s, config)
-    if holder.polarization is not None:
-        checks.append(check_polarization(s, holder.polarization,
+    if polarization is not None:
+        checks.append(check_polarization(s, polarization,
                                          n_points=min(args.points, 10), config=config))
     return checks
 
 
 def cmd_reeb(args, config: RunConfig) -> list[Check]:
-    return check_reeb(_resolve(args.builtin, args.path).structure, config)
+    return check_reeb(_resolve(args.builtin, args.path)[0], config)
 
 
 def cmd_legendrian(args, config: RunConfig) -> list[Check]:
@@ -241,7 +241,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     builtin, path, H_text = args.builtin, args.path, args.H
     if args.system:
         builtin, path, H_text = _read_system(args.system, H_text)
-    s = _resolve(builtin, path).structure
+    s, _ = _resolve(builtin, path)
     H = parse_expr(H_text)
     unknown = free_variables(H) - set(s.chart.coords)
     if unknown:
@@ -259,8 +259,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         raise ParseError("--x0 and --csv apply to flow integration: give --t-end")
     elif args.point in (None, "random"):
         n_points = 1 if args.n_points is None else args.n_points
-        points = sample_points(s.chart.coords, s.chart.domain(), n_points,
-                               random.Random(config.seed))
+        points = sample_points(s.chart.coords, s.chart, n_points, random.Random(config.seed))
     else:
         _refuse_with("--point JSON", "which gives the one point", {"--n-points": args.n_points})
         points = [_coordinate_values("--point", args.point, s.chart.coords)]
@@ -303,7 +302,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     if args.section:
         sect = load_section_file(args.section, s.chart, s.k)
         eq1, eq2 = section_residual(sys_, sect)
-        raw = zero_check("section_residual", eq1 + [eq2], sect.source.domain(), config)
+        raw = zero_check("section_residual", eq1 + [eq2], sect.source, config)
         checks.append(raw)
         if builtin and builtin.startswith("hydro"):
             # its cross-check is the H = 0 system's residual: the one above when H is 0

@@ -1,8 +1,10 @@
 """JSON definition files: charts, forms, structures, k-functions, sections.
 
-One schema per surface, each "expr" a JSON string and each int a JSON
-integer (a float, a bool or a string is refused, not truncated); a value of
-the wrong JSON type is a ParseError naming the file and the field:
+One schema per surface, each "expr" a JSON string, each int a JSON integer
+(a float, a bool or a string is refused, not truncated), each name a JSON
+string, each list a JSON list and each object a JSON object (a string is
+not read character by character); a value of the wrong JSON type is a
+ParseError naming the file and the field:
   structure file: {"chart": {"coords": [names], "constraints": ["expr", ...],
                              "ranges": {name: [bound, bound]}},
                    "forms": {name: {"degree": int (default 1), "coeffs": {"0,2": "expr"}}},
@@ -25,15 +27,14 @@ from pathlib import Path
 
 from .errors import ParseError
 from .expr import as_expr, free_variables, parse_expr
-from .forms import (Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField,
-                    parameter_chart)
+from .forms import Chart, DifferentialForm, SmoothMap, VectorField, parameter_chart
 from .hydro import hydro_kcontact_form, hydro_polarization
 from .kcontact import KContactStructure, canonical_structure
 from .legendrian import ParametrizingKFunction, thermo_structure
 
 __all__ = [
     "load_json", "chart_from_dict", "load_structure_file", "load_kfunction_file",
-    "load_section_file", "resolve_structure", "BuiltinStructure",
+    "load_section_file", "resolve_structure",
 ]
 
 
@@ -75,6 +76,16 @@ def _integer(value, key: str) -> int:
     return value
 
 
+_JSON_TYPES = {list: "list", dict: "object", str: "string"}
+
+
+def _of_type(value, kind: type, field: str):
+    """A list, object or name field, which must hold that JSON type."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{field} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _expression(text, field: str):
     """An expression field, which must hold a JSON string."""
     if not isinstance(text, str):
@@ -90,14 +101,15 @@ def _fraction(value) -> Fraction:
 
 def chart_from_dict(spec: dict) -> Chart:
     try:
-        coords = list(spec["coords"])
+        coords = [_of_type(c, str, f"coords[{j}]")
+                  for j, c in enumerate(_of_type(spec["coords"], list, "coords"))]
     except KeyError:
         raise ParseError("chart definition needs a 'coords' list") from None
-    constraints = [_expression(c, f"constraints[{j}]")
-                   for j, c in enumerate(spec.get("constraints", []))]
+    constraints = [_expression(c, f"constraints[{j}]") for j, c
+                   in enumerate(_of_type(spec.get("constraints", []), list, "constraints"))]
     ranges = {
         name: (_fraction(lo), _fraction(hi))
-        for name, (lo, hi) in spec.get("ranges", {}).items()
+        for name, (lo, hi) in _of_type(spec.get("ranges", {}), dict, "ranges").items()
     }
     return Chart(coords, constraints, ranges)
 
@@ -105,7 +117,7 @@ def chart_from_dict(spec: dict) -> Chart:
 def _form_from_dict(chart: Chart, name: str, spec: dict) -> DifferentialForm:
     degree = _integer(spec.get("degree", 1), f"form {name!r} degree")
     coeffs = {}
-    for key, text in spec.get("coeffs", {}).items():
+    for key, text in _of_type(spec.get("coeffs", {}), dict, f"form {name!r} coeffs").items():
         try:
             idx = tuple(int(p) for p in key.split(",")) if key else ()
         except ValueError:
@@ -119,18 +131,18 @@ def load_structure_file(path: str | Path) -> KContactStructure:
     variable that is not a chart coordinate is a ParseError."""
     raw = load_json(path)
     with _content_of(path):
-        chart = chart_from_dict(raw.get("chart", {}))
-        forms = {name: _form_from_dict(chart, name, spec)
-                 for name, spec in raw.get("forms", {}).items()}
+        chart = chart_from_dict(_of_type(raw.get("chart", {}), dict, "chart"))
+        forms = {name: _form_from_dict(chart, name, _of_type(spec, dict, f"form {name!r}"))
+                 for name, spec in _of_type(raw.get("forms", {}), dict, "forms").items()}
         for name, f in forms.items():
             unknown = set().union(*map(free_variables, f.coeffs.values())) - set(chart.coords)
             if unknown:
                 raise ParseError(f"form {name!r} names unknown variables {sorted(unknown)}")
-        eta_names = raw.get("eta")
+        eta_names = _of_type(raw.get("eta", []), list, "eta")
         if not eta_names:
             eta_names = [name for name, f in forms.items() if f.degree == 1]
         try:
-            eta = RkValuedOneForm([forms[name] for name in eta_names])
+            eta = [forms[_of_type(name, str, f"eta[{j}]")] for j, name in enumerate(eta_names)]
         except KeyError as err:
             raise ParseError(f"eta refers to undefined form {err.args[0]!r}") from None
         return KContactStructure(eta)
@@ -140,8 +152,8 @@ def load_kfunction_file(path: str | Path) -> ParametrizingKFunction:
     raw = load_json(path)
     with _content_of(path):
         n, k = _integer(raw["n"], "n"), _integer(raw["k"], "k")
-        I = [_integer(i, f"I[{j}]") for j, i in enumerate(raw["I"])]
-        F = [_expression(f, f"F[{j}]") for j, f in enumerate(raw["F"])]
+        I = [_integer(i, f"I[{j}]") for j, i in enumerate(_of_type(raw["I"], list, "I"))]
+        F = [_expression(f, f"F[{j}]") for j, f in enumerate(_of_type(raw["F"], list, "F"))]
         return ParametrizingKFunction(n, k, I, F)
 
 
@@ -160,22 +172,14 @@ def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
         return SmoothMap(source, target, exprs)
 
 
-class BuiltinStructure:
-    """A named structure plus whatever extra data its family carries."""
-
-    def __init__(self, name, structure, polarization=None):
-        self.name = name
-        self.structure = structure
-        self.polarization = polarization
-
-
 _CANONICAL_RE = re.compile(r"^canonical:(\d+),(\d+)$")
 _HYDRO_RE = re.compile(r"^hydro(\d+)$")
 
 
-def resolve_structure(name: str) -> BuiltinStructure:
-    """Builtins: canonical:n,k (n, k >= 1); hydroK (k >= 2); thermo.  An
-    unknown name, or sizes the constructors refuse, is a ParseError."""
+def resolve_structure(name: str) -> tuple[KContactStructure, list[VectorField] | None]:
+    """(structure, polarization or None) of a builtin: canonical:n,k (n, k
+    >= 1) and hydroK (k >= 2) with their polarizations; thermo with none.
+    An unknown name, or sizes the constructors refuse, is a ParseError."""
     canonical, hydro = _CANONICAL_RE.match(name), _HYDRO_RE.match(name)
     try:
         if canonical:
@@ -183,14 +187,13 @@ def resolve_structure(name: str) -> BuiltinStructure:
             s = canonical_structure(n, k)
             pol = [VectorField.coordinate(s.chart, f"p_{a}_{i}")
                    for a in range(1, k + 1) for i in range(1, n + 1)]
-            return BuiltinStructure(name, s, polarization=pol)
+            return s, pol
         if hydro:
             k = int(hydro.group(1))
-            return BuiltinStructure(name, hydro_kcontact_form(k),
-                                    polarization=hydro_polarization(k))
+            return hydro_kcontact_form(k), hydro_polarization(k)
     except ValueError as err:
         raise ParseError(f"builtin {name!r}: {err}") from None
     if name == "thermo":
-        return BuiltinStructure(name, thermo_structure())
+        return thermo_structure(), None
     raise ParseError(
         f"unknown builtin {name!r}; use canonical:n,k | hydroK | thermo")

@@ -3,9 +3,9 @@
 Differential forms are stored sparsely: a degree-p form maps strictly
 increasing p-tuples of coordinate indices to scalar expressions, with all
 antisymmetry sign bookkeeping funnelled through one permutation-parity
-routine.  Vector fields, R^k-valued one-forms, k-vector fields, and smooth
-maps between charts live here too, together with wedge, d, interior product,
-Lie bracket, pullback, and first prolongations.
+routine.  Vector fields, k-vector fields, and smooth maps between charts
+live here too, together with wedge, d, interior product, Lie bracket,
+pullback, and first prolongations.
 
 Vector fields are dense component tuples but usually sparse in content, so
 directional derivatives, Lie brackets and form evaluation skip zero
@@ -34,11 +34,10 @@ from .expr import (
     free_variables,
     substitute,
 )
-from .zerotest import SampleDomain
 
 __all__ = [
-    "Chart", "DifferentialForm", "VectorField", "RkValuedOneForm",
-    "KVectorField", "SmoothMap", "sort_with_sign", "wedge",
+    "Chart", "DifferentialForm", "VectorField", "KVectorField", "SmoothMap",
+    "sort_with_sign", "wedge",
     "exterior_derivative", "interior_product", "lie_bracket", "pullback", "prolongation",
     "form_on_vectors", "parameter_chart",
 ]
@@ -73,7 +72,8 @@ class Chart:
 
     Constraints are expressions required to be > 0 on the chart's domain;
     ranges are per-coordinate sampling intervals (defaulting elsewhere to
-    [-2, 2]).  Charts compare by coordinates and constraints only.
+    [-2, 2]); zerotest samples a chart through these two.  Charts compare
+    by coordinates and constraints only.
     """
 
     __slots__ = ("coords", "constraints", "ranges", "_index")
@@ -102,9 +102,6 @@ class Chart:
 
     def index(self, name: str) -> int:
         return self._index[name]
-
-    def domain(self) -> SampleDomain:
-        return SampleDomain(self.ranges, self.constraints)
 
     def __eq__(self, other) -> bool:
         return (
@@ -276,32 +273,6 @@ class VectorField:
             if not _is_zero(c)
         ]
         return " + ".join(bits) or "<zero vector field>"
-
-
-class RkValuedOneForm:
-    """An R^k-valued one-form: an ordered list of k one-forms on one chart."""
-
-    __slots__ = ("chart", "k", "forms")
-
-    def __init__(self, forms: Sequence[DifferentialForm]):
-        forms = tuple(forms)
-        if not forms:
-            raise ValueError("need at least one component form")
-        chart = forms[0].chart
-        for f in forms:
-            if f.chart != chart:
-                raise ChartMismatch("component forms live on different charts")
-            if f.degree != 1:
-                raise ValueError("components must be one-forms")
-        self.chart = chart
-        self.k = len(forms)
-        self.forms = forms
-
-    def __iter__(self):
-        return iter(self.forms)
-
-    def __getitem__(self, i: int) -> DifferentialForm:
-        return self.forms[i]
 
 
 class KVectorField:

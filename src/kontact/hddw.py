@@ -121,7 +121,7 @@ def hddw_rhs(sys: KContactHamiltonianSystem) -> tuple[ScalarExpr, ...]:
     if sys._rhs is None:
         rhs1 = exterior_derivative(DifferentialForm.scalar(sys.chart, sys.H))
         if free_variables(sys.H):
-            for R, eta_a in zip(sys.reeb, sys.structure.eta.forms):
+            for R, eta_a in zip(sys.reeb, sys.structure.eta):
                 rh = R.apply(sys.H)
                 if not (isinstance(rh, Rational) and rh.value == 0):
                     rhs1 = rhs1 - rh * eta_a
@@ -205,7 +205,7 @@ def section_residual(
 
     Returns the symbolic residuals (eq1, eq2): eq1 holds one expression per
     ambient coordinate, eq2 the pairing equation.  Both live on the section's
-    parameter chart; zero_check over that chart's domain gives the verdict.
+    parameter chart; zero_check over that chart gives the verdict.
     """
     if psi.target != sys.chart:
         raise ChartMismatch(
@@ -221,9 +221,8 @@ def section_residual(
     # entry of b subtracts nothing and costs no substitution
     binds, dim, b = psi.bindings(), sys.dim, hddw_rhs(sys)
     eq = [ZERO] * dim + [-substitute(b[dim], binds)]
-    for r, col, sign, c in matrix_entries(sys.structure):
-        term = substitute(c, binds) * X[col]
-        eq[r] = eq[r] + term if sign > 0 else eq[r] - term
+    for r, col, e in matrix_entries(sys.structure):
+        eq[r] = eq[r] + substitute(e, binds) * X[col]
     return [e if c == ZERO else e - substitute(c, binds) for e, c in zip(eq[:dim], b)], eq[dim]
 
 
@@ -278,17 +277,16 @@ def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
     if sys._field is not None:
         return sys._field or None
     dim, s = sys.dim, sys.structure
-    domain, config = sys.chart.domain(), sys._config
     rows = [{} for _ in range(dim + 1)]
-    for r, col, sign, c in matrix_entries(s):
-        rows[r][col] = c if sign > 0 else -c
+    for r, col, e in matrix_entries(s):
+        rows[r][col] = e
     try:
-        sol = solve_symbolic(rows, [{0: c} for c in hddw_rhs(sys)], dim, domain, config)
+        sol = solve_symbolic(rows, [{0: c} for c in hddw_rhs(sys)], dim, sys.chart, sys._config)
     except (SingularSystem, ZeroTestInconclusive, SampleDomainEmpty):
         sys._field = False
         return None
     X = [x.get(0, ZERO) for x in sol]
-    eta, d_eta, n = s.eta.forms[0], s.d_eta[0], dim // 2
+    eta, d_eta, n = s.eta[0], s.d_eta[0], dim // 2
     power = DifferentialForm.scalar(sys.chart, 1)
     for _ in range(n):
         power = wedge(power, d_eta)
@@ -404,8 +402,7 @@ def check_constrained_solution(
     if isotropy == FAIL:
         raise NotIsotropic("parametrization image is not isotropic for this structure")
     binds = L.bindings()
-    h_on_L = zero_check("H_on_L", [substitute(sys.H, binds)], L.source.domain(),
-                        config).verdict
+    h_on_L = zero_check("H_on_L", [substitute(sys.H, binds)], L.source, config).verdict
     verdict = INCONCLUSIVE if INCONCLUSIVE in (isotropy, h_on_L) else h_on_L
     if verdict != PASS:
         return Check("constrained_solution", verdict, detail={
@@ -424,7 +421,7 @@ def check_constrained_solution(
         expected = k * dim_L - (n * (k + 1) - dim_L)
 
     rng = random.Random(config.seed)
-    params = sample_points(L.source.coords, L.source.domain(), n_points, rng)
+    params = sample_points(L.source.coords, L.source, n_points, rng)
     jac = L.jacobian()
     # the image point, then the tangent map J (dim x dim_L) row by row
     image_at = float_runner(list(L.components) + [c for row in jac for c in row])

@@ -17,7 +17,7 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch
 from .expr import ExprLike, Pow, Rational, ScalarExpr, Var, ZERO, differentiate
-from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, VectorField
+from .forms import Chart, DifferentialForm, SmoothMap, VectorField
 from .hddw import KContactHamiltonianSystem, section_residual
 from .kcontact import KContactStructure
 from .zerotest import PASS, Check, combine, zero_check
@@ -69,7 +69,7 @@ def hydro_kcontact_form(k: int = 4) -> KContactStructure:
         for l in range(k):
             coeffs[(chart.index(f"T_{l}_{m}"),)] = -(metric_sign(l) * Var(f"beta_{l}"))
         forms.append(DifferentialForm(chart, 1, coeffs))
-    return KContactStructure(RkValuedOneForm(forms))
+    return KContactStructure(forms)
 
 
 def hydro_system(k: int = 4, H: ExprLike = 0) -> KContactHamiltonianSystem:
@@ -141,12 +141,11 @@ def equilibrium_conditions_residual(
                   for lam in range(k)],
         "div_S": [sum((d(f"S_{mu}", mu) for mu in range(k)), ZERO)],
     }
-    domain = psi.source.domain()
-    results = {name: zero_check(name, exprs, domain, config)
+    results = {name: zero_check(name, exprs, psi.source, config)
                for name, exprs in families.items()}
     if raw is None:
         eq1, eq2 = section_residual(hydro_system(k), psi)
-        raw = zero_check("section_residual", eq1 + [eq2], domain, config)
+        raw = zero_check("section_residual", eq1 + [eq2], psi.source, config)
     all_pass = all(c.verdict == PASS for c in results.values())
     hddw_all_zero = raw.verdict == PASS
     detail = {

@@ -24,7 +24,6 @@ from .forms import (
     Chart,
     DifferentialForm,
     KVectorField,
-    RkValuedOneForm,
     VectorField,
     exterior_derivative,
     form_on_vectors,
@@ -44,32 +43,40 @@ __all__ = [
 
 
 class KContactStructure:
-    """A chart together with the k one-forms eta^1..eta^k and their differentials."""
+    """The k one-forms eta^1..eta^k on one chart, and their differentials."""
 
     __slots__ = ("eta", "d_eta", "_matrices_at")
 
-    def __init__(self, eta: RkValuedOneForm):
+    def __init__(self, eta: Sequence[DifferentialForm]):
+        eta = tuple(eta)
+        if not eta:
+            raise ValueError("need at least one component form")
+        for f in eta:
+            if f.chart != eta[0].chart:
+                raise ChartMismatch("component forms live on different charts")
+            if f.degree != 1:
+                raise ValueError("components must be one-forms")
         self.eta = eta
-        self.d_eta = tuple(exterior_derivative(f) for f in eta.forms)
+        self.d_eta = tuple(exterior_derivative(f) for f in eta)
         self._matrices_at = None  # structure_matrices_at's filler, built on first use
 
     @property
     def chart(self) -> Chart:
-        return self.eta.chart
+        return self.eta[0].chart
 
     @property
     def k(self) -> int:
-        return self.eta.k
+        return len(self.eta)
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
 
-def matrix_entries(s: KContactStructure) -> list[tuple[int, int, float, ScalarExpr]]:
-    """(row, column, sign, coefficient) for every nonzero entry of the HdDW
-    matrix A = [deta^T; eta] of s, the (dim+1) x k*dim matrix whose entry is
-    sign times the coefficient: the one statement of its layout.
+def matrix_entries(s: KContactStructure) -> list[tuple[int, int, ScalarExpr]]:
+    """(row, column, entry) for every nonzero entry of the HdDW matrix
+    A = [deta^T; eta] of s, the (dim+1) x k*dim matrix: the one statement of
+    its layout.
 
     Column alpha*dim + i stands for component i of X_alpha.  Rows 0..dim-1
     hold the d-eta matrices transposed: a d-eta^alpha coefficient c at
@@ -81,9 +88,9 @@ def matrix_entries(s: KContactStructure) -> list[tuple[int, int, float, ScalarEx
     entries = []
     for alpha, d in enumerate(s.d_eta):
         for (i, j), c in d.coeffs.items():
-            entries += [(j, alpha * dim + i, 1.0, c), (i, alpha * dim + j, -1.0, c)]
-    entries += [(dim, alpha * dim + i, 1.0, c)
-                for alpha, f in enumerate(s.eta.forms) for (i,), c in f.coeffs.items()]
+            entries += [(j, alpha * dim + i, c), (i, alpha * dim + j, -c)]
+    entries += [(dim, alpha * dim + i, c)
+                for alpha, f in enumerate(s.eta) for (i,), c in f.coeffs.items()]
     return entries
 
 
@@ -93,8 +100,8 @@ def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
     structure."""
     n = s.k * s.dim
     if s._matrices_at is None:
-        s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, sign, c)
-                                                  for r, col, sign, c in matrix_entries(s)])
+        s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, e)
+                                                  for r, col, e in matrix_entries(s)])
     return s._matrices_at(point).reshape(s.dim + 1, n)
 
 
@@ -124,7 +131,7 @@ def verify_kcontact(
     table), reeb_rank_condition and trivial_intersection.  Failing structures
     yield failing checks, not an exception."""
     rng = random.Random(config.seed)
-    pts = sample_points(s.chart.coords, s.chart.domain(), n_points, rng)
+    pts = sample_points(s.chart.coords, s.chart, n_points, rng)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
     ranks = [check_structure_at(structure_matrices_at(s, p)) for p in pts]
@@ -160,14 +167,14 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> KV
     """
     dim, k = s.dim, s.k
     rows = [{} for _ in range(k + k * dim)]
-    for r, col, sign, c in matrix_entries(s):
+    for r, col, e in matrix_entries(s):
         if r == dim:
-            rows[col // dim][col % dim] = c
+            rows[col // dim][col % dim] = e
         else:
-            rows[k + col][r] = c if sign > 0 else -c
+            rows[k + col][r] = e
     rhs = [{beta: ONE} for beta in range(k)] + [{} for _ in range(k * dim)]
     try:
-        sol = solve_symbolic(rows, rhs, dim, s.chart.domain(), config)
+        sol = solve_symbolic(rows, rhs, dim, s.chart, config)
     except SingularSystem as err:
         raise SingularSystem(
             f"structure is not k-contact on this chart: Reeb system: {err}") from None
@@ -206,7 +213,7 @@ def check_reeb_commutation(frame: KVectorField, config: RunConfig = DEFAULT_CONF
     fields = frame.fields
     brackets = [c for a in range(len(fields)) for b in range(a + 1, len(fields))
                 for c in lie_bracket(fields[a], fields[b]).components]
-    return zero_check("reeb_commutation", brackets, frame.chart.domain(), config)
+    return zero_check("reeb_commutation", brackets, frame.chart, config)
 
 
 def canonical_structure(n: int, k: int) -> KContactStructure:
@@ -227,7 +234,7 @@ def canonical_structure(n: int, k: int) -> KContactStructure:
         for i in range(1, n + 1):
             coeffs[(chart.index(f"q_{i}"),)] = -Var(f"p_{a}_{i}")
         forms.append(DifferentialForm(chart, 1, coeffs))
-    return KContactStructure(RkValuedOneForm(forms))
+    return KContactStructure(forms)
 
 
 def check_polarization(
@@ -253,19 +260,18 @@ def check_polarization(
     if not fields or (dim - k) % (k + 1) != 0:
         return Check("polarization", FAIL, detail=detail)
     expected_rank = (dim - k) // (k + 1) * k
-    domain = chart.domain()
 
     exprs = [interior_product(f, eta_a).coeffs.get((), ZERO)
-             for f in fields for eta_a in s.eta.forms]
+             for f in fields for eta_a in s.eta]
     exprs += [form_on_vectors(d, [fields[a].components, fields[b].components])
               for a in range(len(fields)) for b in range(a + 1, len(fields))
               for d in s.d_eta]
-    zero = zero_check("polarization", exprs, domain, config, detail)
+    zero = zero_check("polarization", exprs, chart, config, detail)
     if zero.verdict == FAIL:
         return zero
 
     rng = random.Random(config.seed)
-    pts = sample_points(chart.coords, domain, n_points, rng)
+    pts = sample_points(chart.coords, chart, n_points, rng)
     brackets = [
         lie_bracket(fields[a], fields[b]).components
         for a in range(len(fields))
@@ -275,7 +281,7 @@ def check_polarization(
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
     n = len(fields)
     rows = [f.components for f in fields] + brackets
-    rows_at = filler(len(rows) * dim, [(r * dim + i, 1.0, c) for r, comps in enumerate(rows)
+    rows_at = filler(len(rows) * dim, [(r * dim + i, c) for r, comps in enumerate(rows)
                                        for i, c in enumerate(comps) if c != ZERO])
     for p in pts:
         values = rows_at(p).reshape(len(rows), dim)

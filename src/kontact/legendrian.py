@@ -14,7 +14,7 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch
 from .expr import ExprLike, ScalarExpr, Var, as_expr, differentiate, free_variables
-from .forms import Chart, DifferentialForm, RkValuedOneForm, SmoothMap, pullback
+from .forms import Chart, DifferentialForm, SmoothMap, pullback
 from .kcontact import KContactStructure
 from .zerotest import Check, zero_check
 
@@ -115,9 +115,9 @@ def verify_isotropic(
     vanishes."""
     if L.target != s.chart:
         raise ChartMismatch("parametrization does not land on the structure chart")
-    return zero_check("isotropy", [c for w in s.eta.forms + s.d_eta
+    return zero_check("isotropy", [c for w in s.eta + s.d_eta
                                    for c in pullback(L, w).coeffs.values()],
-                      L.source.domain(), config)
+                      L.source, config)
 
 
 def legendrian_dimension(n: int, k: int, n1: int) -> int:
@@ -154,7 +154,7 @@ def thermo_structure() -> KContactStructure:
         (ch.index("N"),): -Var("mu"),
         (ch.index("V"),): Var("P"),
     })
-    return KContactStructure(RkValuedOneForm([eta]))
+    return KContactStructure([eta])
 
 
 def state_chart() -> Chart:

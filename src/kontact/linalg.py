@@ -16,7 +16,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import SingularSystem
 from .expr import ZERO, Pow, Rational, ScalarExpr
-from .zerotest import SampleDomain, is_probably_zero
+from .forms import Chart
+from .zerotest import is_probably_zero
 
 __all__ = ["RANK_THRESHOLD", "numeric_rank", "nullspace_basis", "least_norm_solution",
            "solve_symbolic"]
@@ -65,7 +66,7 @@ def solve_symbolic(
     rows: Sequence[dict[int, ScalarExpr]],
     rhs: Sequence[dict[int, ScalarExpr]],
     n: int,
-    domain: SampleDomain,
+    chart: Chart | None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> list[dict[int, ScalarExpr]]:
     """Solve an overdetermined linear system in n unknowns over the expression
@@ -90,7 +91,7 @@ def solve_symbolic(
     next_row = 0
     for col in range(n):
         piv = next((r for r in range(next_row, m)
-                    if col in A[r] and not is_probably_zero(A[r][col], domain, config)), None)
+                    if col in A[r] and not is_probably_zero(A[r][col], chart, config)), None)
         if piv is None:
             continue
         A[next_row], A[piv] = A[piv], A[next_row]
@@ -119,6 +120,6 @@ def solve_symbolic(
             for j, x in sol[col].items():
                 residual[j] = residual.get(j, ZERO) + a * x
         for j in sorted(residual):
-            if residual[j] != ZERO and not is_probably_zero(residual[j], domain, config):
+            if residual[j] != ZERO and not is_probably_zero(residual[j], chart, config):
                 raise SingularSystem(f"inconsistent equation (row {i})")
     return sol

@@ -111,16 +111,15 @@ def _runner_source(program: Program) -> str:
 
 def filler(size: int, entries: Sequence[tuple]) -> Callable[[Mapping], np.ndarray]:
     """A function point -> a new flat array of the given size that holds, at
-    each (position, sign, expression) entry's position, the expression's
-    value times sign plus 0.0 (which turns -0.0 into 0.0), and zero
-    elsewhere; one float runner evaluates every expression."""
-    at, sign, exprs = zip(*entries) if entries else ((),) * 3
-    at, sign = np.array(at, dtype=np.intp), np.array(sign)
+    each (position, expression) entry's position, the expression's value
+    plus 0.0 (which turns -0.0 into 0.0), and zero elsewhere; one float
+    runner evaluates every expression."""
+    at, exprs = zip(*entries) if entries else ((), ())
+    at = np.array(at, dtype=np.intp)
     run = float_runner(exprs)
 
     def fill(point):
         values = np.array(run(point))
-        values *= sign
         values += 0.0
         out = np.zeros(size)
         out[at] = values

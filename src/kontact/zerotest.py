@@ -1,16 +1,19 @@
 """Probabilistic zero-testing of expressions by seeded sampling.
 
-Each expression is compiled once into a program with one instruction per
-distinct subtree (expr.compile_expr).  Points are exact rationals, so a
-purely rational expression is checked exactly at each point, and any nonzero
-value rejects it: Program.run_exact carries integer numerator/denominator
-pairs, reduced only past a bit bound, and builds one Fraction per point.
-Any other expression is run in float64 over all sample points at once, and
-is accepted as (probably) zero when |value| stays within atol + rtol*scale
-at every evaluated point, where scale is the magnitude of the largest
-top-level summand (a cancellation proxy); when it does not, but stays below
-INCONCLUSIVE_MARGIN, the test is inconclusive.  Points where the expression is undefined (a singularity the
-domain constraints did not exclude) or its value is not finite are skipped
+Points are drawn from a forms.Chart: each variable within its chart range
+([-2, 2] by default), every chart constraint > 0; no chart means the box
+[-2, 2] with no constraints.  Each expression is compiled once into a
+program with one instruction per distinct subtree (expr.compile_expr).
+Points are exact rationals, so a purely rational expression is checked
+exactly at each point, and any nonzero value rejects it: Program.run_exact
+carries integer numerator/denominator pairs, reduced only past a bit bound,
+and builds one Fraction per point.  Any other expression is run in float64
+over all sample points at once, and is accepted as (probably) zero when
+|value| stays within atol + rtol*scale at every evaluated point, where scale
+is the magnitude of the largest top-level summand (a cancellation proxy);
+when it does not, but stays below INCONCLUSIVE_MARGIN, the test is
+inconclusive.  Points where the expression is undefined (a singularity the
+chart constraints did not exclude) or its value is not finite are skipped
 and counted; with none left the test raises SampleDomainEmpty, and a pass
 from fewer than MIN_EVALUATED_FRACTION of the drawn points is inconclusive.
 
@@ -24,17 +27,18 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, SampleDomainEmpty, ZeroTestInconclusive
 from .expr import Rational, ScalarExpr, compile_expr, evaluate, free_variables
+from .forms import Chart
 
 __all__ = [
     "PASS", "FAIL", "INCONCLUSIVE", "Check", "combine", "zero_check",
-    "SampleDomain", "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points",
+    "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points",
     "INCONCLUSIVE_MARGIN", "MIN_EVALUATED_FRACTION", "MAX_SAMPLE_RETRIES",
 ]
 
@@ -53,23 +57,6 @@ _DEFAULT_RANGE = (Fraction(-2), Fraction(2))
 _FLOAT_MAX = Fraction(sys.float_info.max)
 _DENOM = 64  # sample coordinates are multiples of 1/64
 
-
-@dataclass(frozen=True)
-class SampleDomain:
-    """Per-variable sampling ranges plus constraint expressions required > 0."""
-
-    ranges: Mapping[str, tuple[Fraction, Fraction]] = None
-    constraints: tuple[ScalarExpr, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranges", dict(self.ranges or {}))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-
-    def range_of(self, name: str) -> tuple[Fraction, Fraction]:
-        return self.ranges.get(name, _DEFAULT_RANGE)
-
-
-ANYWHERE = SampleDomain()
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -115,19 +102,20 @@ class ZeroTestResult:
 
 def sample_points(
     variables: Iterable[str],
-    domain: SampleDomain,
+    chart: Chart | None,
     n: int,
     rng: random.Random,
 ) -> list[dict]:
-    """Draw n rational points satisfying every domain constraint (> 0)."""
+    """Draw n rational points of the chart (None: the box [-2, 2])."""
+    ranges, constraints = (chart.ranges, chart.constraints) if chart else ({}, ())
     names = sorted(set(variables))
-    for c in domain.constraints:
+    for c in constraints:
         names = sorted(set(names) | free_variables(c))
     # coordinate = lo + r/_DENOM with r drawn from 0..steps (lo itself when
     # steps <= 0), written as one fraction over lo.denominator * _DENOM
     grid = []
     for name in names:
-        lo, hi = domain.range_of(name)
+        lo, hi = ranges.get(name, _DEFAULT_RANGE)
         grid.append((name, lo, int((hi - lo) * _DENOM), lo.numerator * _DENOM,
                      lo.denominator, lo.denominator * _DENOM))
     points = []
@@ -140,7 +128,7 @@ def sample_points(
         p = {name: Fraction(num + rng.randint(0, steps) * den, scale) if steps > 0 else lo
              for name, lo, steps, num, den, scale in grid}
         ok = True
-        for c in domain.constraints:
+        for c in constraints:
             try:
                 if evaluate(c, p) <= 0:
                     ok = False
@@ -155,16 +143,16 @@ def sample_points(
 
 def zero_test(
     e: ScalarExpr,
-    domain: SampleDomain = ANYWHERE,
+    chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> ZeroTestResult:
-    """Sample e over the domain and decide whether it is identically zero."""
+    """Sample e over the chart and decide whether it is identically zero."""
     if isinstance(e, Rational):  # folded at construction: nothing to compile
         return ZeroTestResult(e.value == 0, _magnitudes([e.value])[0], 1, True)
     program = compile_expr(e)
     if program.free_vars:
         rng = random.Random(config.seed)
-        points = sample_points(program.free_vars, domain, config.n_sample_points, rng)
+        points = sample_points(program.free_vars, chart, config.n_sample_points, rng)
     else:
         points = [{}]
     if program.rational:
@@ -215,14 +203,14 @@ def _magnitudes(values: list[Fraction]) -> list[float]:
 
 def is_probably_zero(
     e: ScalarExpr,
-    domain: SampleDomain = ANYWHERE,
+    chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> bool:
     """The zero test as a bool; raises ZeroTestInconclusive when it cannot decide.
     Only for decisions that cannot be a check (pivots, preconditions)."""
     if isinstance(e, Rational):
         return e.value == 0
-    res = zero_test(e, domain, config)
+    res = zero_test(e, chart, config)
     if res.inconclusive:
         raise ZeroTestInconclusive(
             f"expression neither clearly zero nor nonzero (max |value| {res.max_abs:.2e} "
@@ -233,12 +221,12 @@ def is_probably_zero(
 def zero_check(
     name: str,
     exprs: Sequence[ScalarExpr],
-    domain: SampleDomain = ANYWHERE,
+    chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
     detail: dict | None = None,
 ) -> Check:
     """Zero-test every expression into one check: the verdicts combined, and
     the largest residual over all of them (0.0 for no expressions)."""
-    results = [zero_test(e, domain, config) for e in exprs]
+    results = [zero_test(e, chart, config) for e in exprs]
     return Check(name, combine(r.verdict for r in results),
                  max((r.max_abs for r in results), default=0.0), detail)

@@ -12,8 +12,8 @@ from kontact.bjorken import expansion_scalar
 from kontact.config import RunConfig
 from kontact.errors import DomainError
 from kontact.expr import ZERO, Rational, ScalarExpr, Var, differentiate, evaluate, log, sqrt
-from kontact.forms import (Chart, DifferentialForm, RkValuedOneForm, VectorField,
-                           exterior_derivative, interior_product)
+from kontact.forms import (Chart, DifferentialForm, VectorField, exterior_derivative,
+                           interior_product)
 from kontact.hydro import spatial_projector
 from kontact.kcontact import KContactStructure
 
@@ -100,7 +100,7 @@ def expression_pivot_structure() -> KContactStructure:
     """eta = x ds - dy with x > 0: the Reeb elimination divides by x."""
     ch = Chart(["s", "x", "y"], constraints=[Var("x")],
                ranges={"x": (Fraction(1, 2), Fraction(2))})
-    return KContactStructure(RkValuedOneForm([DifferentialForm(ch, 1, {(0,): "x", (2,): -1})]))
+    return KContactStructure([DifferentialForm(ch, 1, {(0,): "x", (2,): -1})])
 
 
 def dense_structure_matrices(s: KContactStructure, point) -> np.ndarray:
@@ -108,7 +108,7 @@ def dense_structure_matrices(s: KContactStructure, point) -> np.ndarray:
     of the eta and stacked d-eta matrices evaluated as a tree: the oracle of
     kcontact.matrix_entries' layout."""
     dim = s.dim
-    eta = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta.forms]
+    eta = [[f.coeffs.get((i,), ZERO) for i in range(dim)] for f in s.eta]
     deta = []
     for d in s.d_eta:
         B = [[ZERO] * dim for _ in range(dim)]
@@ -127,7 +127,7 @@ class SlabFlow:
     """A non-boost-invariant shear flow u = (sqrt(1+x^2), x, 0, 0) on (t, x).
 
     Only the duck-typed surface the shear machinery needs: u, delta, theta,
-    d(), domain().  axes maps each spacetime index mu the flow depends on to
+    d(), chart.  axes maps each spacetime index mu the flow depends on to
     its chart coordinate.
     """
 
@@ -145,9 +145,6 @@ class SlabFlow:
 
     def d(self, e, mu):
         return differentiate(e, self.axes[mu]) if mu in self.axes else ZERO
-
-    def domain(self):
-        return self.chart.domain()
 
 
 class PlaneFlow(SlabFlow):

@@ -83,7 +83,7 @@ def test_criterion_01_exterior_calculus_laws():
         a = rand_form(rng, ch, rng.randint(0, 2), depth=2)
         n_forms += 1
         good, res = max_residual_of(exterior_derivative(exterior_derivative(a)),
-                                    ch.domain())
+                                    ch)
         ok, worst = ok and good, max(worst, res)
 
     for i in range(70):  # graded Leibniz
@@ -96,7 +96,7 @@ def test_criterion_01_exterior_calculus_laws():
         rhs = wedge(exterior_derivative(a), b)
         rhs = rhs + wedge(a, exterior_derivative(b)) if p % 2 == 0 \
             else rhs - wedge(a, exterior_derivative(b))
-        good, res = max_residual_of(lhs - rhs, ch.domain())
+        good, res = max_residual_of(lhs - rhs, ch)
         ok, worst = ok and good, max(worst, res)
 
     for i in range(55):  # pullback naturality
@@ -110,7 +110,7 @@ def test_criterion_01_exterior_calculus_laws():
         n_forms += 1
         diff = pullback(phi, exterior_derivative(a)) \
             - exterior_derivative(pullback(phi, a))
-        good, res = max_residual_of(diff, src.domain())
+        good, res = max_residual_of(diff, src)
         ok, worst = ok and good, max(worst, res)
 
     elapsed = time.perf_counter() - started
@@ -190,8 +190,8 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
     # ideal-gas generating function: pullback of the first-law form vanishes
     phi = thermo_parametrization(ideal_gas_energy(Fraction(3, 2)))
     ts = thermo_structure()
-    for w in list(ts.eta.forms) + list(ts.d_eta):
-        good, res = max_residual_of(pullback(phi, w), phi.source.domain())
+    for w in list(ts.eta) + list(ts.d_eta):
+        good, res = max_residual_of(pullback(phi, w), phi.source)
         ok, worst = ok and good, max(worst, res)
 
     # a compatible k=4 family F^alpha = p^alpha_1 f(q_2)
@@ -199,8 +199,8 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
                                 [f"p_{a}_1 * (q_2^2 + 1)" for a in (1, 2, 3, 4)])
     s4 = canonical_structure(2, 4)
     L = build_parametrization(kf, s4)
-    dom = L.source.domain()
-    for w in list(s4.eta.forms) + list(s4.d_eta):
+    dom = L.source
+    for w in list(s4.eta) + list(s4.d_eta):
         good, res = max_residual_of(pullback(L, w), dom)
         ok, worst = ok and good, max(worst, res)
 
@@ -210,7 +210,7 @@ def test_criterion_05_legendrian_isotropy_and_gibbs():
     comp = gibbs_phi.bindings()
     gibbs = (comp["E"] + comp["P"] * comp["V"]
              - comp["T"] * comp["S"] - comp["mu"] * comp["N"])
-    res = zero_test(gibbs, gibbs_phi.source.domain(), CONFIG)
+    res = zero_test(gibbs, gibbs_phi.source, CONFIG)
     ok = ok and res.is_zero
     worst = max(worst, res.max_abs)
 

@@ -34,7 +34,7 @@ class TestFlowBasics:
     def test_normalization(self):
         flow = BjorkenFlow()
         norm = sum((metric_sign(m) * c * c for m, c in enumerate(flow.u)), ZERO)
-        assert is_probably_zero(norm - 1, flow.domain(), FAST)
+        assert is_probably_zero(norm - 1, flow.chart, FAST)
 
     def test_boost_invariant_structure(self):
         # u depends on (t, z) only through t/tau and z/tau
@@ -54,7 +54,7 @@ class TestExpansionScalar:
         flow = BjorkenFlow()
         theta = expansion_scalar(flow)
         inv_tau = Pow.make(Var("t") * Var("t") - Var("z") * Var("z"), Fraction(-1, 2))
-        assert is_probably_zero(theta - inv_tau, flow.domain(), FAST)
+        assert is_probably_zero(theta - inv_tau, flow.chart, FAST)
 
     def test_on_axis_value(self):
         theta = expansion_scalar(BjorkenFlow())
@@ -73,7 +73,7 @@ class TestShearTensor:
             e = ZERO
             for m in range(4):
                 e = e + metric_sign(m) * flow.u[m] * sigma[m][n]
-            assert is_probably_zero(e, flow.domain(), FAST)
+            assert is_probably_zero(e, flow.chart, FAST)
 
     def test_tracelessness(self):
         flow = BjorkenFlow()
@@ -81,7 +81,7 @@ class TestShearTensor:
         trace = ZERO
         for m in range(4):
             trace = trace + metric_sign(m) * sigma[m][m]
-        assert is_probably_zero(trace, flow.domain(), FAST)
+        assert is_probably_zero(trace, flow.chart, FAST)
 
     def test_magnitude_matches_expansion(self):
         flow = BjorkenFlow()
@@ -89,7 +89,7 @@ class TestShearTensor:
         ss = contract_symmetric(sigma, sigma)
         tau_sq_inv = Pow.make(Var("t") * Var("t") - Var("z") * Var("z"), Fraction(-1))
         want = Rational(Fraction(2, 3)) * tau_sq_inv
-        assert is_probably_zero(ss - want, flow.domain(), FAST)
+        assert is_probably_zero(ss - want, flow.chart, FAST)
 
 
 class TestSigmaIdentity:
@@ -98,7 +98,7 @@ class TestSigmaIdentity:
         flow = BjorkenFlow()
         ss = contract_symmetric(flow.sigma, flow.sigma)
         assert is_probably_zero(ss - Rational(Fraction(2, 3)) * flow.theta * flow.theta,
-                                flow.domain(), FAST)
+                                flow.chart, FAST)
 
     def test_static_flow_degenerate(self):
         # u = (1,0,0,0): sigma and theta both vanish, identity holds trivially
@@ -112,7 +112,7 @@ class TestSigmaIdentity:
         theta = sum((flow.d(flow.u[m], m) for m in range(4)), ZERO)
         ss = contract_symmetric(sigma, sigma)
         assert is_probably_zero(ss - Rational(Fraction(2, 3)) * theta * theta,
-                                flow.domain(), FAST)
+                                flow.chart, FAST)
 
     def test_slab_flow_still_satisfies_identity(self):
         # any flow confined to one boost plane forces sigma = -theta(ww + D/3),
@@ -122,7 +122,7 @@ class TestSigmaIdentity:
         theta = sum((flow.d(flow.u[m], m) for m in range(4)), ZERO)
         ss = contract_symmetric(sigma, sigma)
         defect = ss - Rational(Fraction(2, 3)) * theta * theta
-        assert is_probably_zero(defect, flow.domain(), FAST)
+        assert is_probably_zero(defect, flow.chart, FAST)
 
     def test_plane_expansion_violates_identity(self):
         # two independent expansion directions: the identity fails, so it is
@@ -132,7 +132,7 @@ class TestSigmaIdentity:
         theta = sum((flow.d(flow.u[m], m) for m in range(4)), ZERO)
         ss = contract_symmetric(sigma, sigma)
         defect = ss - Rational(Fraction(2, 3)) * theta * theta
-        assert not is_probably_zero(defect, flow.domain(), FAST)
+        assert not is_probably_zero(defect, flow.chart, FAST)
 
 
 class TestSuperpotential:
@@ -144,7 +144,7 @@ class TestSuperpotential:
             for m in range(4):
                 for n in range(4):
                     e = phi[l][m][n] + phi[l][n][m]
-                    assert is_probably_zero(e, flow.domain(), FAST)
+                    assert is_probably_zero(e, flow.chart, FAST)
 
     def test_gamma_must_be_constant(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestSuperpotential:
             e = ZERO
             for m in range(4):
                 e = e + flow.d(shift[m][n], m)
-            assert is_probably_zero(e, flow.domain(), FAST)
+            assert is_probably_zero(e, flow.chart, FAST)
 
 
 class TestApplyPGT:
@@ -170,12 +170,12 @@ class TestApplyPGT:
         flow = BjorkenFlow()
         before = DissipativeDecomposition.perfect_fluid(flow)
         after = apply_pgt(before, PGTSuperpotential(0, "T^3"), flow)
-        assert is_probably_zero(after.E - before.E, flow.domain(), FAST)
-        assert is_probably_zero(after.PV - before.PV, flow.domain(), FAST)
-        assert is_probably_zero(after.Pi_tot, flow.domain(), FAST)
+        assert is_probably_zero(after.E - before.E, flow.chart, FAST)
+        assert is_probably_zero(after.PV - before.PV, flow.chart, FAST)
+        assert is_probably_zero(after.Pi_tot, flow.chart, FAST)
         for m in range(4):
             for n in range(4):
-                assert is_probably_zero(after.shear_part[m][n], flow.domain(), FAST)
+                assert is_probably_zero(after.shear_part[m][n], flow.chart, FAST)
 
     def test_constant_I_drops_comoving_term(self):
         flow = BjorkenFlow()
@@ -184,11 +184,11 @@ class TestApplyPGT:
         after = apply_pgt(before, sp, flow)
         theta = expansion_scalar(flow)
         gI = Var("gamma") * Rational(Fraction(1, 2))
-        assert is_probably_zero(after.E - before.E - gI * theta, flow.domain(), FAST)
+        assert is_probably_zero(after.E - before.E - gI * theta, flow.chart, FAST)
         # no DI contribution: PV changes only through the bulk split
-        assert is_probably_zero(after.PV - before.PV, flow.domain(), FAST)
+        assert is_probably_zero(after.PV - before.PV, flow.chart, FAST)
         want_pi = -Rational(Fraction(2, 3)) * gI * theta
-        assert is_probably_zero(after.Pi_tot - want_pi, flow.domain(), FAST)
+        assert is_probably_zero(after.Pi_tot - want_pi, flow.chart, FAST)
 
     def test_transformed_shear_stays_traceless_and_orthogonal(self):
         flow = BjorkenFlow()
@@ -197,25 +197,25 @@ class TestApplyPGT:
         trace = ZERO
         for m in range(4):
             trace = trace + metric_sign(m) * after.shear_part[m][m]
-        assert is_probably_zero(trace, flow.domain(), FAST)
+        assert is_probably_zero(trace, flow.chart, FAST)
         for n in range(4):
             e = ZERO
             for m in range(4):
                 e = e + metric_sign(m) * flow.u[m] * after.shear_part[m][n]
-            assert is_probably_zero(e, flow.domain(), FAST)
+            assert is_probably_zero(e, flow.chart, FAST)
 
 
 class TestEntropyProduction:
     def test_perfect_fluid_produces_nothing(self):
         flow = BjorkenFlow()
         d = DissipativeDecomposition.perfect_fluid(flow)
-        assert is_probably_zero(entropy_production(d, flow), flow.domain(), FAST)
+        assert is_probably_zero(entropy_production(d, flow), flow.chart, FAST)
 
     def test_after_pgt_still_zero_symbolic_gamma(self):
         flow = BjorkenFlow()
         before = DissipativeDecomposition.perfect_fluid(flow)
         after = apply_pgt(before, PGTSuperpotential("gamma", "T^3"), flow)
-        assert is_probably_zero(entropy_production(after, flow), flow.domain(), FAST)
+        assert is_probably_zero(entropy_production(after, flow), flow.chart, FAST)
 
     def test_unit_shear_produces_sigma_squared(self):
         flow = BjorkenFlow()
@@ -224,7 +224,7 @@ class TestEntropyProduction:
         prod = entropy_production(d, flow)
         tau_sq_inv = Pow.make(Var("t") * Var("t") - Var("z") * Var("z"), Fraction(-1))
         assert is_probably_zero(prod - Rational(Fraction(2, 3)) * tau_sq_inv,
-                                flow.domain(), FAST)
+                                flow.chart, FAST)
         # and it is strictly positive on the domain
         assert evaluate(prod, {"t": 2.0, "z": 0.5}) > 0
 

@@ -17,15 +17,11 @@ from kontact.errors import (
     ZeroTestInconclusive,
 )
 from kontact.expr import Rational, Var, parse_expr, sqrt, var
-from kontact.forms import (
-    Chart,
-    DifferentialForm,
-    RkValuedOneForm,
-)
+from kontact.forms import Chart, DifferentialForm
 from kontact.hddw import KContactHamiltonianSystem, solve_hddw_at_point
 from kontact.kcontact import KContactStructure, compute_reeb
 from kontact.legendrian import thermo_structure
-from kontact.zerotest import SampleDomain, is_probably_zero, zero_test
+from kontact.zerotest import is_probably_zero, zero_test
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -33,14 +29,13 @@ FAST = RunConfig(n_sample_points=16)
 class TestSampleDomainEmpty:
     def test_contradictory_constraints(self):
         x = var("x")
-        dom = SampleDomain({"x": (Fraction(0), Fraction(1))},
-                           constraints=(x, -x))
+        dom = Chart(["x"], constraints=(x, -x), ranges={"x": (Fraction(0), Fraction(1))})
         with pytest.raises(SampleDomainEmpty):
             is_probably_zero(x - x, dom, FAST)
 
     def test_satisfiable_constraints_are_fine(self):
         x = var("x")
-        dom = SampleDomain({"x": (Fraction(-1), Fraction(1))}, constraints=(x,))
+        dom = Chart(["x"], constraints=(x,), ranges={"x": (Fraction(-1), Fraction(1))})
         assert is_probably_zero(x - x, dom, FAST)
 
     def test_all_points_singular_raises(self):
@@ -49,7 +44,7 @@ class TestSampleDomainEmpty:
         from kontact.expr import log
 
         x = var("x")
-        dom = SampleDomain({"x": (Fraction(-2), Fraction(-1))})
+        dom = Chart(["x"], ranges={"x": (Fraction(-2), Fraction(-1))})
         with pytest.raises(SampleDomainEmpty):
             is_probably_zero(log(x), dom, FAST)
 
@@ -59,7 +54,7 @@ class TestSampleDomainEmpty:
         # nor beyond the tolerance
         e = parse_expr("1 + exp(700*x)*exp(700*x) - exp(700*x)*exp(700*x)")
         with pytest.raises(SampleDomainEmpty):
-            zero_test(e, SampleDomain(ranges={"x": (1, 2)}))
+            zero_test(e, Chart(["x"], ranges={"x": (1, 2)}))
 
 
 def _ambiguous_structure() -> KContactStructure:
@@ -68,7 +63,7 @@ def _ambiguous_structure() -> KContactStructure:
     ch = Chart(["s", "q", "p"])
     c = Rational(Fraction(1, 10**8)) * sqrt(Var("p") * Var("p") + 1)
     eta = DifferentialForm(ch, 1, {(0,): 1, (1,): c})
-    return KContactStructure(RkValuedOneForm([eta]))
+    return KContactStructure([eta])
 
 
 class TestInconclusivePivot:
@@ -148,7 +143,7 @@ class TestDegeneratePoint:
     def test_solver_rejects_degenerate_structure(self):
         ch = Chart(["x", "y", "z"])
         dx = DifferentialForm.dx(ch, "x")
-        s = KContactStructure(RkValuedOneForm([dx, dx]))
+        s = KContactStructure([dx, dx])
         sys_ = KContactHamiltonianSystem(s, 0)
         with pytest.raises(StructureDegenerateAtPoint) as err:
             solve_hddw_at_point(sys_, {"x": 0.5, "y": 0.5, "z": 0.5})
@@ -219,11 +214,11 @@ class TestDegeneratePoint:
         ch = Chart(["s", "q", "p"])
         s, q, p = Var("s"), Var("q"), Var("p")
         eta = DifferentialForm(ch, 1, {(0,): s, (1,): -s * p})
-        sys_ = KContactHamiltonianSystem(KContactStructure(RkValuedOneForm([eta])), "1/q")
+        sys_ = KContactHamiltonianSystem(KContactStructure([eta]), "1/q")
         with pytest.raises(DomainError, match="division by zero"):
             solve_hddw_at_point(sys_, {"s": 1.0, "q": 0.0, "p": 2.0})
         eta = DifferentialForm(ch, 1, {(0,): Rational(1), (1,): -p / q})
-        sys_ = KContactHamiltonianSystem(KContactStructure(RkValuedOneForm([eta])), 0)
+        sys_ = KContactHamiltonianSystem(KContactStructure([eta]), 0)
         with pytest.raises(DomainError, match="division by zero"):
             solve_hddw_at_point(sys_, {"s": 0.0, "q": 0.0, "p": 2.0})
 

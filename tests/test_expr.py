@@ -36,7 +36,8 @@ from kontact.expr import (
     var,
 )
 from kontact.runner import float_runner
-from kontact.zerotest import SampleDomain, is_probably_zero, zero_test
+from kontact.forms import Chart
+from kontact.zerotest import is_probably_zero, zero_test
 
 from conftest import rand_expr, rand_rational, with_singular_tops
 
@@ -245,9 +246,8 @@ class TestIsProbablyZero:
             " + (t^2-z^2)^(-1/2) + z*z*(t^2-z^2)^(-3/2)"
             " - (t^2-z^2)^(-1/2)")
         t, z = var("t"), var("z")
-        dom = SampleDomain({"t": (Fraction(1), Fraction(2)),
-                            "z": (Fraction(-1, 2), Fraction(1, 2))},
-                           constraints=(t * t - z * z,))
+        dom = Chart(["t", "z"], constraints=(t * t - z * z,),
+                    ranges={"t": (Fraction(1), Fraction(2)), "z": (Fraction(-1, 2), Fraction(1, 2))})
         assert is_probably_zero(e, dom)
 
     def test_generic_nonzero(self):

@@ -140,6 +140,22 @@ MALFORMED_STRUCTURES = {
                                                           "coeffs": {"0": "1"}}}},
     "range_bound_a_bool": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
                                                      "ranges": {"q": [True, 2]}}},
+    # a string where a list belongs was read character by character: "sqp"
+    # ran as the chart (s, q, p), "eta1" as the forms e, t, a, 1
+    "coords_a_string": {**CANONICAL_11, "chart": {"coords": "sqp", "constraints": "s"}},
+    "constraints_a_string": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                       "constraints": "s"}},
+    "eta_a_string": {**CANONICAL_11, "eta": "eta1"},
+    "chart_a_list": {**CANONICAL_11, "chart": ["s", "q", "p"]},
+    "ranges_a_list": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                "ranges": [["q", 0, 1]]}},
+    "forms_a_list": {**CANONICAL_11, "forms": ["eta1"]},
+    "form_a_string": {**CANONICAL_11, "forms": {"eta1": "ds - p dq"}},
+    "coeffs_a_list": {**CANONICAL_11, "forms": {"eta1": {"degree": 1, "coeffs": ["1", "-p"]}}},
+    # a number as a coordinate name ended in a traceback, a list as a form name
+    # in "unhashable type"
+    "coord_a_number": {**CANONICAL_11, "chart": {"coords": ["s", "q", 3]}},
+    "eta_entry_a_list": {**CANONICAL_11, "eta": [["eta1"]]},
 }
 MALFORMED_KFUNCTIONS = {
     "n_not_an_integer": {"n": "x", "k": 1, "I": [], "F": ["p_1_1"]},
@@ -151,6 +167,9 @@ MALFORMED_KFUNCTIONS = {
     "n_a_float": {"n": 2.9, "k": 2, "I": [1], "F": ["p_1_1*q_2", "p_2_1*q_2"]},
     "n_a_bool": {"n": True, "k": 1, "I": [], "F": ["q_1"]},
     "I_entry_a_float": {"n": 2, "k": 2, "I": [1.5], "F": ["p_1_1*q_2", "p_2_1*q_2"]},
+    # "q_1" was read as the three functions q, _, 1
+    "F_a_string": {"n": 1, "k": 1, "I": [], "F": "q_1"},
+    "I_a_string": {"n": 2, "k": 1, "I": "1", "F": ["p_1_1"]},
 }
 # the error line of a value of the wrong JSON type names its field
 MALFORMED_MESSAGES = {
@@ -163,6 +182,18 @@ MALFORMED_MESSAGES = {
     "n_a_float": "n must be a JSON integer, got 2.9",
     "n_a_bool": "n must be a JSON integer, got true",
     "I_entry_a_float": "I[0] must be a JSON integer, got 1.5",
+    "coords_a_string": 'coords must be a JSON list, got "sqp"',
+    "constraints_a_string": 'constraints must be a JSON list, got "s"',
+    "eta_a_string": 'eta must be a JSON list, got "eta1"',
+    "chart_a_list": 'chart must be a JSON object, got ["s", "q", "p"]',
+    "ranges_a_list": 'ranges must be a JSON object, got [["q", 0, 1]]',
+    "forms_a_list": 'forms must be a JSON object, got ["eta1"]',
+    "form_a_string": 'form \'eta1\' must be a JSON object, got "ds - p dq"',
+    "coeffs_a_list": 'form \'eta1\' coeffs must be a JSON object, got ["1", "-p"]',
+    "coord_a_number": "coords[2] must be a JSON string, got 3",
+    "eta_entry_a_list": 'eta[0] must be a JSON string, got ["eta1"]',
+    "F_a_string": 'F must be a JSON list, got "q_1"',
+    "I_a_string": 'I must be a JSON list, got "1"',
 }
 
 
@@ -219,17 +250,18 @@ class TestMalformedFiles:
 
 class TestBuiltins:
     def test_canonical(self):
-        b = resolve_structure("canonical:2,3")
-        assert b.structure.dim == 3 + 2 + 6
-        assert b.polarization is not None
+        s, polarization = resolve_structure("canonical:2,3")
+        assert s.dim == 3 + 2 + 6
+        assert polarization is not None
 
     def test_hydro(self):
-        b = resolve_structure("hydro2")
-        assert b.structure.dim == 2 * 2 + 4 * 2 + 2
-        assert b.polarization is not None
+        s, polarization = resolve_structure("hydro2")
+        assert s.dim == 2 * 2 + 4 * 2 + 2
+        assert polarization is not None
 
     def test_thermo(self):
-        assert resolve_structure("thermo").structure.k == 1
+        s, polarization = resolve_structure("thermo")
+        assert s.k == 1 and polarization is None
 
     def test_unknown(self):
         with pytest.raises(ParseError):
@@ -460,7 +492,7 @@ class TestCLI:
         assert code == 0
         lines = csv_path.read_text().strip().split("\n")
         header = lines[0].split(",")
-        assert header == list(resolve_structure("thermo").structure.chart.coords)
+        assert header == list(resolve_structure("thermo")[0].chart.coords)
         assert len(lines) == 12  # header + 11 states
 
     def test_ideal_gas_long_flow_keeps_invariants(self, tmp_path, capsys):

@@ -42,7 +42,7 @@ FAST = RunConfig(n_sample_points=16)
 
 
 def form_is_zero(f: DifferentialForm, config=FAST) -> bool:
-    return all(is_probably_zero(c, f.chart.domain(), config) for c in f.coeffs.values())
+    return all(is_probably_zero(c, f.chart, config) for c in f.coeffs.values())
 
 
 @pytest.fixture
@@ -188,7 +188,7 @@ class TestLieDerivative:
         s = canonical_structure(2, 2)
         for a in (1, 2):
             R = VectorField.coordinate(s.chart, f"s_{a}")
-            for eta in s.eta.forms:
+            for eta in s.eta:
                 assert form_is_zero(lie_derivative(R, eta))
 
     def test_zero_form_is_directional_derivative(self, spq):

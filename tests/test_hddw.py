@@ -23,7 +23,6 @@ from kontact.expr import Rational, Var, ZERO, differentiate, evaluate, parse_exp
 from kontact.forms import (
     Chart,
     DifferentialForm,
-    RkValuedOneForm,
     SmoothMap,
     parameter_chart,
 )
@@ -200,9 +199,9 @@ class TestOneSVDSolve:
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,3",
                                       "canonical:4,4"])
     def test_nullspace_matches_nullspace_basis(self, name):
-        sys_ = KContactHamiltonianSystem(resolve_structure(name).structure, 0)
+        sys_ = KContactHamiltonianSystem(resolve_structure(name)[0], 0)
         chart = sys_.chart
-        for p in sample_points(chart.coords, chart.domain(), 3, random.Random(101)):
+        for p in sample_points(chart.coords, chart, 3, random.Random(101)):
             sol = solve_hddw_at_point(sys_, p)
             assert sol.nullspace_dim == len(nullspace_basis(sol._A))
             assert sol.nullspace_dim == expected_nullspace_dim(sys_.k, sys_.dim)
@@ -312,7 +311,7 @@ class TestOneSVDSolve:
 
         ch = Chart(["s", "q", "p"])
         eta = DifferentialForm(ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})
-        structure = KContactStructure(RkValuedOneForm([eta]))
+        structure = KContactStructure([eta])
         field = _k1_field(KContactHamiltonianSystem(structure, "-s", config=FAST))
         answered = 0
         for e in np.linspace(0.5, 17, 100):
@@ -357,7 +356,7 @@ class TestOneSVDSolve:
     def test_assembly_equals_stacked_structure_matrices(self, name):
         from kontact.hddw import _system_at
 
-        s = resolve_structure(name).structure
+        s = resolve_structure(name)[0]
         c0, c1, c2 = s.chart.coords[:3]
         sys_ = KContactHamiltonianSystem(s, f"{c0}*{c1} - {c2}^2/3 + {c1}")
         chart = s.chart
@@ -385,7 +384,7 @@ class TestSectionResidual:
         from kontact.forms import prolongation
         from kontact.hddw import _system_at
 
-        s = resolve_structure(name).structure
+        s = resolve_structure(name)[0]
         c0, c1, c2 = s.chart.coords[:3]
         sys_ = KContactHamiltonianSystem(s, f"{c0}*{c1} - {c2}^2/3 + {c1}")
         chart = s.chart
@@ -397,7 +396,7 @@ class TestSectionResidual:
             - t[-1] * t[-1] / 16 for i in range(chart.dim)])
         eq1, eq2 = section_residual(sys_, psi)
         X = prolongation(psi)  # X[alpha][i] = d psi^i / d t^alpha
-        for u in sample_points(src.coords, src.domain(), 4, random.Random(5)):
+        for u in sample_points(src.coords, src, 4, random.Random(5)):
             x = {c: float(evaluate(e, u)) for c, e in zip(chart.coords, psi.components)}
             A, b = _system_at(sys_, x)
             want = A @ np.array([float(evaluate(e, u)) for col in X for e in col]) - b
@@ -414,7 +413,7 @@ class TestSectionResidual:
         src = parameter_chart(k)
         psi = SmoothMap(src, chart, [Rational(Fraction(i, 7)) for i in range(chart.dim)])
         eq1, eq2 = section_residual(sys_, psi)
-        rep = zero_check("section_residual", eq1 + [eq2], src.domain(), FAST)
+        rep = zero_check("section_residual", eq1 + [eq2], src, FAST)
         assert rep.verdict == PASS
         assert rep.max_residual == 0.0
 
@@ -429,7 +428,7 @@ class TestSectionResidual:
         comps["xi"] = Var("t_0")
         psi = SmoothMap(src, chart, [comps[c] for c in chart.coords])
         eq1, eq2 = section_residual(sys_, psi)
-        assert zero_check("section_residual", eq1 + [eq2], src.domain(), FAST).verdict == FAIL
+        assert zero_check("section_residual", eq1 + [eq2], src, FAST).verdict == FAIL
         # the offending residual sits at the baryon-current coordinate slot
         bad = eq1[chart.index("N_0")]
         assert is_probably_zero(bad - 1, config=FAST)
@@ -553,7 +552,7 @@ class TestConstrainedSolution:
         # point of L, so its pointwise system has no meaning there
         ch = Chart(["s", "q", "p"])
         eta = DifferentialForm(ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})
-        sys_ = KContactHamiltonianSystem(KContactStructure(RkValuedOneForm([eta])), 0)
+        sys_ = KContactHamiltonianSystem(KContactStructure([eta]), 0)
         L = SmoothMap(Chart(["u"]), ch, [0, Var("u"), 0])
         with pytest.raises(StructureDegenerateAtPoint):
             check_constrained_solution(sys_, L, n_points=3, config=FAST)

@@ -10,7 +10,7 @@ import pytest
 from kontact.config import RunConfig
 from kontact.expr import (Rational, Var, ZERO, differentiate, free_variables, sqrt,
                           substitute)
-from kontact.forms import SmoothMap, VectorField, parameter_chart
+from kontact.forms import Chart, SmoothMap, VectorField, parameter_chart
 from kontact.hddw import section_residual, solve_hddw_at_point
 from kontact.hydro import (
     entropy_current,
@@ -26,7 +26,7 @@ from kontact.hydro import (
 from kontact.kcontact import (check_polarization, check_reeb_commutation, compute_reeb,
                               verify_kcontact)
 from kontact.legendrian import verify_isotropic
-from kontact.zerotest import FAIL, PASS, SampleDomain, is_probably_zero, zero_check
+from kontact.zerotest import FAIL, PASS, is_probably_zero, zero_check
 
 from conftest import rand_expr
 
@@ -52,7 +52,7 @@ class TestHydroStructure:
     def test_eta_coefficients(self):
         s = hydro_kcontact_form(2)
         ch = s.chart
-        eta0 = s.eta.forms[0]
+        eta0 = s.eta[0]
         assert eta0.coeffs[(ch.index("S_0"),)] == Rational(Fraction(1))
         assert eta0.coeffs[(ch.index("N_0"),)] == Var("xi")
         assert eta0.coeffs[(ch.index("V"),)] == -Var("P_0")
@@ -215,7 +215,7 @@ class TestEntropyCurrent:
         for l in range(k):
             for m in range(k):
                 binds[f"T_{l}_{m}"] = E * u[l] * u[m] - PV * delta[l][m]
-        domain = SampleDomain({"T_temp": (Fraction(1, 2), Fraction(2))})
+        domain = Chart(["T_temp"], ranges={"T_temp": (Fraction(1, 2), Fraction(2))})
         for m in range(k):
             got = substitute(exprs[m], binds)
             want = (E + PV) * u[m] * inv_T
@@ -340,7 +340,7 @@ class TestEquilibriumLegendrian:
             zip(L.target.coords, L.components))
         for m, e in enumerate(entropy_current(k)):
             assert is_probably_zero(substitute(e, binds) - binds[f"S_{m}"],
-                                    L.source.domain(), FAST)
+                                    L.source, FAST)
 
 
 class TestHydroSolver:

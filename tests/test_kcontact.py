@@ -17,7 +17,6 @@ from kontact.forms import (
     Chart,
     DifferentialForm,
     KVectorField,
-    RkValuedOneForm,
     VectorField,
     interior_product,
     wedge,
@@ -58,14 +57,14 @@ class TestCanonicalStructure:
     def test_lowest_case_is_contact_form(self):
         s = canonical_structure(1, 1)
         assert s.dim == 3
-        eta = s.eta.forms[0]
+        eta = s.eta[0]
         assert eta.coeffs[(s.chart.index("s_1"),)] == ONE
         assert str(eta.coeffs[(s.chart.index("q_1"),)]) == "-p_1_1"
 
     def test_n2_k2_form_layout(self):
         s = canonical_structure(2, 2)
         assert s.dim == 8
-        eta1 = s.eta.forms[0]
+        eta1 = s.eta[0]
         ch = s.chart
         assert eta1.coeffs[(ch.index("s_1"),)] == ONE
         assert str(eta1.coeffs[(ch.index("q_1"),)]) == "-p_1_1"
@@ -89,11 +88,29 @@ class TestCanonicalStructure:
         assert not diff.coeffs
 
 
+class TestStructureForms:
+    def test_eta_is_the_tuple_of_forms(self):
+        ch = Chart(["x", "y", "z"])
+        dx, dy = DifferentialForm.dx(ch, "x"), DifferentialForm.dx(ch, "y")
+        s = KContactStructure([dx, dy])
+        assert s.eta == (dx, dy) and (s.k, s.dim, s.chart) == (2, 3, ch)
+
+    def test_refused_forms(self):
+        ch = Chart(["x", "y", "z"])
+        with pytest.raises(ValueError, match="need at least one component form"):
+            KContactStructure([])
+        with pytest.raises(ChartMismatch, match="component forms live on different charts"):
+            KContactStructure([DifferentialForm.dx(ch, "x"),
+                               DifferentialForm.dx(Chart(["x", "y"]), "x")])
+        with pytest.raises(ValueError, match="components must be one-forms"):
+            KContactStructure([DifferentialForm.scalar(ch, 1)])
+
+
 class TestVerifyKContact:
     def test_degenerate_repeated_form(self):
         ch = Chart(["x", "y", "z"])
         dx = DifferentialForm.dx(ch, "x")
-        s = KContactStructure(RkValuedOneForm([dx, dx]))
+        s = KContactStructure([dx, dx])
         corank = verify_kcontact(s, n_points=5, config=FAST)[0]
         assert corank.name == "corank_condition" and corank.verdict == FAIL
         rank_table = corank.detail["rank_table"]
@@ -105,8 +122,7 @@ class TestVerifyKContact:
         # intersection condition still decides; on R^3 with dz unused the
         # Reeb kernel is 3-dimensional, so condition 2 fails.
         ch = Chart(["x", "y", "z"])
-        s = KContactStructure(RkValuedOneForm([
-            DifferentialForm.dx(ch, "x"), DifferentialForm.dx(ch, "y")]))
+        s = KContactStructure([DifferentialForm.dx(ch, "x"), DifferentialForm.dx(ch, "y")])
         reeb_rank = verify_kcontact(s, n_points=4, config=FAST)[1]
         assert reeb_rank.name == "reeb_rank_condition" and reeb_rank.verdict == FAIL
 
@@ -151,7 +167,7 @@ class TestComputeReeb:
         # the frame is -d/dy up to unfolded-but-zero coefficient expressions
         s = expression_pivot_structure()
         frame = compute_reeb(s, FAST)
-        dom = s.chart.domain()
+        dom = s.chart
         comps = frame[0].components
         assert is_probably_zero(comps[0], dom, FAST)
         assert is_probably_zero(comps[1], dom, FAST)
@@ -160,7 +176,7 @@ class TestComputeReeb:
     def test_non_kcontact_raises(self):
         ch = Chart(["x", "y", "z"])
         dx = DifferentialForm.dx(ch, "x")
-        s = KContactStructure(RkValuedOneForm([dx, dx]))
+        s = KContactStructure([dx, dx])
         with pytest.raises(SingularSystem):
             compute_reeb(s, FAST)
 
@@ -171,7 +187,7 @@ class TestComputeReeb:
         assert len(ok[0].detail["components"]) == 2
         ch = Chart(["x", "y", "z"])
         dx = DifferentialForm.dx(ch, "x")
-        bad = check_reeb(KContactStructure(RkValuedOneForm([dx, dx])), FAST)
+        bad = check_reeb(KContactStructure([dx, dx]), FAST)
         assert [(c.name, c.verdict) for c in bad] == [("reeb_frame", FAIL)]
         assert "not k-contact" in bad[0].detail["error"]
 
@@ -180,14 +196,14 @@ class TestComputeReeb:
         s = canonical_structure(2, 2)
         frame = compute_reeb(s, FAST)
         rng = random.Random(61)
-        domain = s.chart.domain()
+        domain = s.chart
         for a in range(2):
             comps = list(frame[a].components)
             slot = rng.randrange(len(comps))
             comps[slot] = comps[slot] + Var("q_1") * Var("q_1") + 1
             bad = VectorField(s.chart, comps)
             violated = False
-            for b, eta in enumerate(s.eta.forms):
+            for b, eta in enumerate(s.eta):
                 pairing = interior_product(bad, eta).coeffs.get((), ZERO)
                 want = ONE if a == b else ZERO
                 if not is_probably_zero(pairing - want, domain, FAST):
@@ -202,9 +218,9 @@ class TestComputeReeb:
         s = canonical_structure(2, 2)
         frame = compute_reeb(s, FAST)
         for R in frame:
-            for eta in s.eta.forms:
+            for eta in s.eta:
                 out = lie_derivative(R, eta)
-                assert all(is_probably_zero(c, s.chart.domain(), FAST)
+                assert all(is_probably_zero(c, s.chart, FAST)
                            for c in out.coeffs.values())
 
 
@@ -244,7 +260,7 @@ class TestContactEquivalence:
         # eta ^ (d eta)^n has one top coefficient, constant and nonzero
         for n in (1, 2, 3):
             s = canonical_structure(n, 1)
-            w = s.eta.forms[0]
+            w = s.eta[0]
             power = s.d_eta[0]
             for _ in range(n - 1):
                 power = wedge(power, s.d_eta[0])
@@ -351,8 +367,8 @@ class TestStructureMatrices:
     def test_sparse_fill_matches_dense_evaluation(self, name):
         from kontact.fileio import resolve_structure
 
-        s = resolve_structure(name).structure
-        pts = sample_points(s.chart.coords, s.chart.domain(), 3, random.Random(7))
+        s = resolve_structure(name)[0]
+        pts = sample_points(s.chart.coords, s.chart, 3, random.Random(7))
         # exact rational points (verify_kcontact) and float points (hddw)
         for p in pts + [{c: float(v) for c, v in q.items()} for q in pts]:
             A, A_ref = structure_matrices_at(s, p), dense_structure_matrices(s, p)
@@ -381,13 +397,13 @@ def k1_structure(rng: random.Random) -> KContactStructure:
         return thermo_structure()
     if kind == 2:  # s(ds - p dq): degenerate along s = 0
         ch = Chart(["s", "q", "p"])
-        return KContactStructure(RkValuedOneForm([DifferentialForm(
-            ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})]))
+        return KContactStructure([DifferentialForm(
+            ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})])
     if kind == 3:  # x dy on dimension 2 or 3: never contact
         ch = Chart(["x", "y", "z"][:rng.randint(2, 3)])
-        return KContactStructure(RkValuedOneForm([DifferentialForm(ch, 1, {(1,): Var("x")})]))
+        return KContactStructure([DifferentialForm(ch, 1, {(1,): Var("x")})])
     ch = Chart([f"x_{i}" for i in range(rng.randint(2, 5))])
-    return KContactStructure(RkValuedOneForm([rand_form(rng, ch, 1, n_terms=3)]))
+    return KContactStructure([rand_form(rng, ch, 1, n_terms=3)])
 
 
 class TestK1Rule:

@@ -39,7 +39,7 @@ def test_reeb_frame_matches_linsolve(name):
     # sympy's linsolve of eta^beta(R_alpha) = delta and d eta^beta(R_alpha, e_j) = 0,
     # on the coefficients' printed forms
     s = (expression_pivot_structure() if name == "expression_pivot"
-         else resolve_structure(name).structure)
+         else resolve_structure(name)[0])
     names = {c: sympy.Symbol(c) for c in s.chart.coords}
 
     def sym(c):
@@ -49,7 +49,7 @@ def test_reeb_frame_matches_linsolve(name):
     frame = compute_reeb(s, FAST)
     for alpha in range(s.k):
         eqs = [sum(sym(c) * R[i] for (i,), c in eta.coeffs.items()) - int(beta == alpha)
-               for beta, eta in enumerate(s.eta.forms)]
+               for beta, eta in enumerate(s.eta)]
         for d in s.d_eta:
             M = sympy.zeros(s.dim, s.dim)
             for (i, j), c in d.coeffs.items():
@@ -66,7 +66,7 @@ def test_hddw_rank_matches_matrix_rank(name):
     # the HdDW matrix [d-eta^T; eta] at one rational point, built by sympy
     # from the coefficients' printed forms and ranked exactly: its nullspace
     # has the dimension (k-1)(dim-k) + k^2 - 1, as the float solve finds
-    s = resolve_structure(name).structure
+    s = resolve_structure(name)[0]
     k, dim = s.k, s.dim
     point = {c: sympy.Rational(i + 2, 7) for i, c in enumerate(s.chart.coords)}
     names = {c: sympy.Symbol(c) for c in s.chart.coords}
@@ -76,7 +76,7 @@ def test_hddw_rank_matches_matrix_rank(name):
             {names[v]: value for v, value in point.items()})
 
     A = sympy.zeros(dim + 1, k * dim)
-    for alpha, (eta, d) in enumerate(zip(s.eta.forms, s.d_eta)):
+    for alpha, (eta, d) in enumerate(zip(s.eta, s.d_eta)):
         for (i,), c in eta.coeffs.items():
             A[dim, alpha * dim + i] = at(c)
         for (i, j), c in d.coeffs.items():
@@ -97,12 +97,12 @@ def test_k1_field_matches_lusolve(name, H):
     # (dim+1) x dim system [d-eta^T; eta] X = [dH - (R H) eta; -H], with R
     # solved by LUsolve from eta(R) = 1, iota_R d-eta = 0, all built from the
     # printed coefficients, against the symbolic field's runner
-    s = resolve_structure(name).structure
+    s = resolve_structure(name)[0]
     dim = s.dim
     names = {c: sympy.Symbol(c) for c in s.chart.coords}
     run, _ = _k1_field(KContactHamiltonianSystem(s, H, config=FAST))
     Hs = sympy.sympify(H, locals=names)
-    [eta], [d_eta] = s.eta.forms, s.d_eta
+    [eta], [d_eta] = s.eta, s.d_eta
     for shift in range(3):
         point = {c: sympy.Rational(i + 3 + shift, 8) for i, c in enumerate(s.chart.coords)}
 
@@ -246,7 +246,7 @@ def test_rank_table_matches_matrix_rank(name, tmp_path):
             "eta": ["e1", "e2", "e3"]}))
         s = load_structure_file(path)
     else:
-        s = resolve_structure(name).structure
+        s = resolve_structure(name)[0]
     dim = s.dim
     corank = verify_kcontact(s, n_points=3, config=FAST)[0]
     assert corank.name == "corank_condition"
@@ -257,7 +257,7 @@ def test_rank_table_matches_matrix_rank(name, tmp_path):
             return _to_sympy(c).subs(point)
 
         eta = sympy.zeros(s.k, dim)
-        for alpha, f in enumerate(s.eta.forms):
+        for alpha, f in enumerate(s.eta):
             for (i,), c in f.coeffs.items():
                 eta[alpha, i] = at(c)
         deta = sympy.zeros(s.k * dim, dim)

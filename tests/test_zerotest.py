@@ -15,14 +15,13 @@ from kontact.errors import DomainError, SampleDomainEmpty, ZeroTestInconclusive
 from kontact.expr import (
     Pow, Product, Rational, Sum, Var, evaluate, free_variables, parse_expr, sqrt,
 )
+from kontact.forms import Chart
 from kontact.zerotest import (
-    ANYWHERE,
     FAIL,
     INCONCLUSIVE,
     INCONCLUSIVE_MARGIN,
     MIN_EVALUATED_FRACTION,
     PASS,
-    SampleDomain,
     ZeroTestResult,
     combine,
     is_probably_zero,
@@ -65,7 +64,7 @@ def _value_and_scale(e, point):
     return v, abs(float(v))
 
 
-def reference_zero_test(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestResult:
+def reference_zero_test(e, chart=None, config=DEFAULT_CONFIG) -> ZeroTestResult:
     names = free_variables(e)
     exact = _is_rational(e)
     if not names:
@@ -80,7 +79,7 @@ def reference_zero_test(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestRe
 
     rng = random.Random(config.seed)
     n = config.n_sample_points
-    points = sample_points(names, domain, n, rng)
+    points = sample_points(names, chart, n, rng)
     max_abs = 0.0
     all_within = True
     n_evaluated = 0
@@ -111,16 +110,16 @@ def reference_zero_test(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestRe
 # ---------------------------------------------------------------------------
 
 
-def outcome(test, e, domain, config):
+def outcome(test, e, chart, config):
     try:
-        return test(e, domain, config)
+        return test(e, chart, config)
     except (DomainError, SampleDomainEmpty) as err:
         return type(err)
 
 
-def assert_agrees(e, domain=ANYWHERE, config=DEFAULT_CONFIG) -> ZeroTestResult:
-    new = outcome(zero_test, e, domain, config)
-    ref = outcome(reference_zero_test, e, domain, config)
+def assert_agrees(e, chart=None, config=DEFAULT_CONFIG) -> ZeroTestResult:
+    new = outcome(zero_test, e, chart, config)
+    ref = outcome(reference_zero_test, e, chart, config)
     if isinstance(ref, type):
         assert new is ref
         return new
@@ -174,7 +173,7 @@ class TestAgainstReference:
                             "y": (Fraction(0), Fraction(1, 16))}),
     ])
     def test_singular_domains(self, text, ranges):
-        res = assert_agrees(parse_expr(text), SampleDomain(ranges), DEFAULT_CONFIG)
+        res = assert_agrees(parse_expr(text), Chart(NAMES, ranges=ranges), DEFAULT_CONFIG)
         assert res.n_skipped > 0
         assert res.n_points + res.n_skipped == DEFAULT_CONFIG.n_sample_points
 
@@ -188,27 +187,27 @@ class TestAgainstReference:
          INCONCLUSIVE),
     ])
     def test_too_few_evaluated_points_never_pass(self, text, ranges, verdict):
-        res = assert_agrees(parse_expr(text), SampleDomain(ranges), DEFAULT_CONFIG)
+        res = assert_agrees(parse_expr(text), Chart(NAMES, ranges=ranges), DEFAULT_CONFIG)
         assert res.n_points < MIN_EVALUATED_FRACTION * DEFAULT_CONFIG.n_sample_points
         assert res.verdict == verdict
         if verdict == INCONCLUSIVE:
             with pytest.raises(ZeroTestInconclusive, match=f"at {res.n_points} of 64 points"):
-                is_probably_zero(parse_expr(text), SampleDomain(ranges))
+                is_probably_zero(parse_expr(text), Chart(NAMES, ranges=ranges))
 
 
 # ---------------------------------------------------------------------------
 # sample drawing: the same points as one lo + Fraction(randint, 64) per draw
 
 
-def reference_sample_points(names, domain, n, rng):
+def reference_sample_points(names, chart, n, rng):
     points = []
     while len(points) < n:
         p = {}
         for name in sorted(set(names)):
-            lo, hi = domain.range_of(name)
+            lo, hi = chart.ranges.get(name, (Fraction(-2), Fraction(2)))
             steps = int((hi - lo) * 64)
             p[name] = lo if steps <= 0 else lo + Fraction(rng.randint(0, steps), 64)
-        if all(evaluate(c, p) > 0 for c in domain.constraints):
+        if all(evaluate(c, p) > 0 for c in chart.constraints):
             points.append(p)
     return points
 
@@ -224,9 +223,9 @@ class TestSamplePoints:
     def test_same_points_as_reference(self, ranges):
         x, y = Var("x"), Var("y")
         for constraints in [(), (x + y + 3,)]:
-            domain = SampleDomain(ranges, constraints)
-            got = sample_points(["y", "x", "z"], domain, 40, random.Random(5))
-            want = reference_sample_points(["y", "x", "z"], domain, 40, random.Random(5))
+            chart = Chart(NAMES, constraints, ranges)
+            got = sample_points(["y", "x", "z"], chart, 40, random.Random(5))
+            want = reference_sample_points(["y", "x", "z"], chart, 40, random.Random(5))
             assert got == want
             assert all(type(v) is type(w) for p, q in zip(got, want)
                        for v, w in zip(p.values(), q.values()))
