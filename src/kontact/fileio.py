@@ -13,8 +13,9 @@ ParseError naming the file and the field:
   section file:    {"components": {coord name: "expr in t variables"}}
                    ("components" is required; unlisted coordinates are
                    constant zero)
-Index tuples are comma-joined zero-based indices; a range bound is a JSON
-number or a rational string such as "1/2".
+Index tuples are comma-joined zero-based indices; a range is a JSON list of
+two bounds, lower first, each a JSON number or a rational string such as
+"1/2"; ranges and constraints name only chart coordinates.
 """
 
 from __future__ import annotations
@@ -93,13 +94,38 @@ def _expression(text, field: str):
     return parse_expr(text)
 
 
+def _known_names(exprs, coords, field: str) -> None:
+    """Expressions that name only chart coordinates."""
+    unknown = set().union(*map(free_variables, exprs)) - set(coords)
+    if unknown:
+        raise ParseError(f"{field} names unknown variables {sorted(unknown)}")
+
+
 def _fraction(value) -> Fraction:
     if type(value) in (str, int, float):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
     raise ParseError(f"cannot read {json.dumps(value)} as a rational bound")
 
 
+def _range(name: str, bounds, coords: list[str]) -> tuple[Fraction, Fraction]:
+    """A chart coordinate's sampling range: a JSON list [lo, hi] with lo <= hi."""
+    field = f'ranges "{name}"'
+    if name not in coords:
+        raise ParseError(f"{field} names no chart coordinate")
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ParseError(f"{field} must be a JSON list of two bounds, got {json.dumps(bounds)}")
+    lo, hi = map(_fraction, bounds)
+    if lo > hi:
+        raise ParseError(f"{field} has lower bound {lo} above upper bound {hi}")
+    return lo, hi
+
+
 def chart_from_dict(spec: dict) -> Chart:
+    """A chart whose constraints name only its coordinates and whose ranges
+    are [lo, hi] pairs of its coordinates; anything else is a ParseError."""
     try:
         coords = [_of_type(c, str, f"coords[{j}]")
                   for j, c in enumerate(_of_type(spec["coords"], list, "coords"))]
@@ -107,10 +133,10 @@ def chart_from_dict(spec: dict) -> Chart:
         raise ParseError("chart definition needs a 'coords' list") from None
     constraints = [_expression(c, f"constraints[{j}]") for j, c
                    in enumerate(_of_type(spec.get("constraints", []), list, "constraints"))]
-    ranges = {
-        name: (_fraction(lo), _fraction(hi))
-        for name, (lo, hi) in _of_type(spec.get("ranges", {}), dict, "ranges").items()
-    }
+    for j, c in enumerate(constraints):
+        _known_names([c], coords, f"constraints[{j}]")
+    ranges = {name: _range(name, bounds, coords)
+              for name, bounds in _of_type(spec.get("ranges", {}), dict, "ranges").items()}
     return Chart(coords, constraints, ranges)
 
 
@@ -135,9 +161,7 @@ def load_structure_file(path: str | Path) -> KContactStructure:
         forms = {name: _form_from_dict(chart, name, _of_type(spec, dict, f"form {name!r}"))
                  for name, spec in _of_type(raw.get("forms", {}), dict, "forms").items()}
         for name, f in forms.items():
-            unknown = set().union(*map(free_variables, f.coeffs.values())) - set(chart.coords)
-            if unknown:
-                raise ParseError(f"form {name!r} names unknown variables {sorted(unknown)}")
+            _known_names(f.coeffs.values(), chart.coords, f"form {name!r}")
         eta_names = _of_type(raw.get("eta", []), list, "eta")
         if not eta_names:
             eta_names = [name for name, f in forms.items() if f.degree == 1]

@@ -72,11 +72,12 @@ class Chart:
 
     Constraints are expressions required to be > 0 on the chart's domain;
     ranges are per-coordinate sampling intervals (defaulting elsewhere to
-    [-2, 2]); zerotest samples a chart through these two.  Charts compare
-    by coordinates and constraints only.
+    [-2, 2]); zerotest samples a chart through these two, and keeps the
+    points it draws for its zero tests on the chart, drawn on first use.
+    Charts compare by coordinates and constraints only.
     """
 
-    __slots__ = ("coords", "constraints", "ranges", "_index")
+    __slots__ = ("coords", "constraints", "ranges", "_index", "_samples")
 
     def __init__(
         self,
@@ -95,6 +96,7 @@ class Chart:
             name: (Fraction(lo), Fraction(hi)) for name, (lo, hi) in (ranges or {}).items()
         }
         self._index = {name: i for i, name in enumerate(coords)}
+        self._samples = {}  # zerotest's zero-test points, by (variables, n, seed)
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem, ZeroTestInconclusive
-from .expr import ONE, ZERO, ScalarExpr, Var
+from .expr import ONE, ZERO, ScalarExpr, Var, free_variables
 from .forms import (
     Chart,
     DifferentialForm,
@@ -237,6 +237,34 @@ def canonical_structure(n: int, k: int) -> KContactStructure:
     return KContactStructure(forms)
 
 
+def _polarization_pairs(
+    s: KContactStructure, fields: Sequence[VectorField]
+) -> tuple[list[tuple[int, int, DifferentialForm]], list[tuple[int, int]]]:
+    """The field pairs a < b that check_polarization evaluates, in its order:
+    the (a, b, d eta^alpha) whose d eta^alpha(X_a, X_b) can be nonzero, and
+    the (a, b) whose [X_a, X_b] can.
+
+    Read off each field's support (its nonzero components) and the
+    coordinates its components depend on: d eta^alpha(X_a, X_b) needs a key
+    (i, j) of d eta^alpha with i in one support and j in the other, and
+    [X_a, X_b] needs one support to meet the other field's dependencies.
+    Every other pair's value is ZERO, so leaving it out is exact.
+    """
+    coords = s.chart.coords
+    support = [{i for i, c in enumerate(f.components) if c != ZERO} for f in fields]
+    depends = []
+    for f in fields:
+        names = set().union(*map(free_variables, f.components))
+        depends.append({i for i, name in enumerate(coords) if name in names})
+    pairs = [(a, b) for a in range(len(fields)) for b in range(a + 1, len(fields))]
+    isotropy = [(a, b, d) for a, b in pairs for d in s.d_eta
+                if any(i in support[a] and j in support[b] or j in support[a] and i in support[b]
+                       for i, j in d.coeffs)]
+    brackets = [(a, b) for a, b in pairs
+                if support[a] & depends[b] or support[b] & depends[a]]
+    return isotropy, brackets
+
+
 def check_polarization(
     s: KContactStructure,
     V: Sequence[VectorField],
@@ -248,7 +276,9 @@ def check_polarization(
     Requires: every field annihilates every eta^alpha and d eta^alpha
     vanishes on every pair (isotropy), both by zero tests; the span has rank
     n*k at sampled points (with dim = k + n + n*k); and pairwise brackets stay
-    inside the span at sampled points.
+    inside the span at sampled points.  Only the pairs _polarization_pairs
+    keeps are built: the others are structurally zero, so their zero tests
+    would pass with residual 0 and their brackets would add no row.
     """
     fields = list(V)
     detail = {"n_fields": len(fields)}
@@ -261,22 +291,18 @@ def check_polarization(
         return Check("polarization", FAIL, detail=detail)
     expected_rank = (dim - k) // (k + 1) * k
 
+    isotropy, bracket_pairs = _polarization_pairs(s, fields)
     exprs = [interior_product(f, eta_a).coeffs.get((), ZERO)
              for f in fields for eta_a in s.eta]
     exprs += [form_on_vectors(d, [fields[a].components, fields[b].components])
-              for a in range(len(fields)) for b in range(a + 1, len(fields))
-              for d in s.d_eta]
+              for a, b, d in isotropy]
     zero = zero_check("polarization", exprs, chart, config, detail)
     if zero.verdict == FAIL:
         return zero
 
     rng = random.Random(config.seed)
     pts = sample_points(chart.coords, chart, n_points, rng)
-    brackets = [
-        lie_bracket(fields[a], fields[b]).components
-        for a in range(len(fields))
-        for b in range(a + 1, len(fields))
-    ]
+    brackets = [lie_bracket(fields[a], fields[b]).components for a, b in bracket_pairs]
     # a structurally zero bracket adds a zero row, which cannot change the rank
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
     n = len(fields)

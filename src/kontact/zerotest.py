@@ -2,8 +2,10 @@
 
 Points are drawn from a forms.Chart: each variable within its chart range
 ([-2, 2] by default), every chart constraint > 0; no chart means the box
-[-2, 2] with no constraints.  Each expression is compiled once into a
-program with one instruction per distinct subtree (expr.compile_expr).
+[-2, 2] with no constraints.  The variables, the point count and the seed
+fix a zero test's draw, so a chart draws it once and keeps it for every
+later zero test in the same variables.  Each expression is compiled once
+into a program with one instruction per distinct subtree (expr.compile_expr).
 Points are exact rationals, so a purely rational expression is checked
 exactly at each point, and any nonzero value rejects it: Program.run_exact
 carries integer numerator/denominator pairs, reduced only past a bit bound,
@@ -146,15 +148,14 @@ def zero_test(
     chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> ZeroTestResult:
-    """Sample e over the chart and decide whether it is identically zero."""
+    """Sample e over the chart and decide whether it is identically zero.
+
+    The chart draws the points for e's free variables on its first zero test
+    in them and keeps them; with no chart they are drawn on every call."""
     if isinstance(e, Rational):  # folded at construction: nothing to compile
         return ZeroTestResult(e.value == 0, _magnitudes([e.value])[0], 1, True)
     program = compile_expr(e)
-    if program.free_vars:
-        rng = random.Random(config.seed)
-        points = sample_points(program.free_vars, chart, config.n_sample_points, rng)
-    else:
-        points = [{}]
+    points = _zero_test_points(program.free_vars, chart, config) if program.free_vars else [{}]
     if program.rational:
         values = []
         for p in points:
@@ -190,6 +191,19 @@ def zero_test(
         inconclusive = not program.rational and not within and max_abs < INCONCLUSIVE_MARGIN
     return ZeroTestResult(within, max_abs, len(magnitudes), program.rational,
                           inconclusive=inconclusive, n_skipped=n_skipped)
+
+
+def _zero_test_points(names: frozenset, chart: Chart | None, config: RunConfig) -> list[dict]:
+    """sample_points for a zero test in names, kept on the chart by
+    (names, n_sample_points, seed), which fix the draw."""
+    if chart is None:
+        return sample_points(names, None, config.n_sample_points, random.Random(config.seed))
+    key = (names, config.n_sample_points, config.seed)
+    points = chart._samples.get(key)
+    if points is None:
+        points = chart._samples[key] = sample_points(
+            names, chart, config.n_sample_points, random.Random(config.seed))
+    return points
 
 
 def _magnitudes(values: list[Fraction]) -> list[float]:

@@ -140,6 +140,23 @@ MALFORMED_STRUCTURES = {
                                                           "coeffs": {"0": "1"}}}},
     "range_bound_a_bool": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
                                                      "ranges": {"q": [True, 2]}}},
+    # "12" was read as the bounds 1 and 2; [0, 1, 2] ended in "too many
+    # values to unpack"; [2, 1] sampled q = 2 only; zz was sampled as a
+    # phantom variable; an infinite bound or "1/0" ended in a traceback
+    "range_a_string": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                 "ranges": {"q": "12"}}},
+    "range_of_three": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                 "ranges": {"q": [0, 1, 2]}}},
+    "range_reversed": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                 "ranges": {"q": [2, 1]}}},
+    "range_of_no_coordinate": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                         "ranges": {"zz": [0, 1]}}},
+    "constraint_of_no_coordinate": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                              "constraints": ["zz"]}},
+    "range_bound_infinite": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                       "ranges": {"q": [0, float("inf")]}}},
+    "range_bound_over_zero": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                        "ranges": {"q": ["1/0", 1]}}},
     # a string where a list belongs was read character by character: "sqp"
     # ran as the chart (s, q, p), "eta1" as the forms e, t, a, 1
     "coords_a_string": {**CANONICAL_11, "chart": {"coords": "sqp", "constraints": "s"}},
@@ -177,6 +194,15 @@ MALFORMED_MESSAGES = {
     "constraint_a_number": "constraints[0] needs an expression string, got 1",
     "degree_a_float": "form 'eta1' degree must be a JSON integer, got 1.7",
     "range_bound_a_bool": "cannot read true as a rational bound",
+    "range_not_a_pair": 'ranges "q" must be a JSON list of two bounds, got "abc"',
+    "range_not_rational": 'cannot read "abc" as a rational bound',
+    "range_a_string": 'ranges "q" must be a JSON list of two bounds, got "12"',
+    "range_of_three": 'ranges "q" must be a JSON list of two bounds, got [0, 1, 2]',
+    "range_reversed": 'ranges "q" has lower bound 2 above upper bound 1',
+    "range_of_no_coordinate": 'ranges "zz" names no chart coordinate',
+    "constraint_of_no_coordinate": "constraints[0] names unknown variables ['zz']",
+    "range_bound_infinite": "cannot read Infinity as a rational bound",
+    "range_bound_over_zero": 'cannot read "1/0" as a rational bound',
     "F_entry_a_number": "F[1] needs an expression string, got 3",
     "F_entry_null": "F[1] needs an expression string, got null",
     "n_a_float": "n must be a JSON integer, got 2.9",

@@ -18,11 +18,15 @@ from kontact.forms import (
     DifferentialForm,
     KVectorField,
     VectorField,
+    form_on_vectors,
     interior_product,
+    lie_bracket,
     wedge,
 )
+from kontact.fileio import resolve_structure
 from kontact.kcontact import (
     KContactStructure,
+    _polarization_pairs,
     canonical_structure,
     check_polarization,
     check_reeb,
@@ -351,6 +355,66 @@ class TestPolarization:
         X1 = VectorField.coordinate(s.chart, "p_1_1")
         X2 = VectorField(s.chart, [parse_expr(c) for c in x2])
         assert check_polarization(s, [X1, X2], n_points=5, config=FAST).verdict == verdict
+
+
+    # X1 = d/dp_1_1 + p_1_1 d/dq_2 + p_1_1*p_1_2 d/ds_1 and
+    # X2 = d/dp_1_2 + p_1_1 d/dq_1 + p_1_1^2 d/ds_1 on canonical:2,1 are
+    # isotropic, of full rank, and [X1, X2] = d/dq_1 + p_1_1 d/ds_1 leaves
+    # their span; in either order the bracket must be built
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_bracket_leaving_the_span_fails_in_either_order(self, order):
+        s = canonical_structure(2, 1)
+        X = [VectorField(s.chart, [parse_expr(c) for c in comps]) for comps in [
+            ["p_1_1*p_1_2", "0", "p_1_1", "1", "0"],
+            ["p_1_1^2", "p_1_1", "0", "0", "1"],
+        ]]
+        fields = [X[i] for i in order]
+        assert _polarization_pairs(s, fields)[1] == [(0, 1)]
+        check = check_polarization(s, fields, n_points=5, config=FAST)
+        assert (check.verdict, check.max_residual) == (FAIL, 0.0)
+
+    def test_non_isotropic_pair_is_kept(self):
+        # d eta^0(d/dxi, d/dN_0) = 1 through the key (xi, N_0) of d eta^0
+        s, V = resolve_structure("hydro2")
+        extra = [VectorField.coordinate(s.chart, "xi"), VectorField.coordinate(s.chart, "N_0")]
+        n = len(V)
+        assert (n, n + 1, s.d_eta[0]) in _polarization_pairs(s, V + extra)[0]
+        assert check_polarization(s, V + extra, n_points=5, config=FAST).verdict == FAIL
+
+    def test_non_isotropic_field_fails_its_zero_test(self):
+        # d/dxi in place of d/dP_1 keeps the rank and annihilates eta, but
+        # d eta^m(d/dxi, -xi d/dS_m + d/dN_m) = 1: the zero test fails with
+        # residual 1 (had the pair been skipped, only the bracket step would
+        # fail, with residual 0)
+        s, V = resolve_structure("hydro2")
+        V[-1] = VectorField.coordinate(s.chart, "xi")
+        check = check_polarization(s, V, n_points=5, config=FAST)
+        assert (check.verdict, check.max_residual) == (FAIL, 1.0)
+
+    @pytest.mark.parametrize("name", ["hydro2", "canonical:2,2"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_skipped_pairs_are_zero(self, name, data):
+        s = resolve_structure(name)[0]
+        coords = s.chart.coords
+        component = st.one_of(
+            st.integers(-2, 2),
+            st.sampled_from(coords).map(Var),
+            st.tuples(st.sampled_from(coords), st.sampled_from(coords))
+            .map(lambda uv: Var(uv[0]) * Var(uv[1])))
+        field = st.dictionaries(st.integers(0, s.dim - 1), component, max_size=4).map(
+            lambda comps: VectorField(s.chart, [comps.get(i, 0) for i in range(s.dim)]))
+        fields = data.draw(st.lists(field, min_size=2, max_size=5))
+        isotropy, brackets = _polarization_pairs(s, fields)
+        kept = {(a, b, id(d)) for a, b, d in isotropy}
+        for a in range(len(fields)):
+            for b in range(a + 1, len(fields)):
+                pair = [fields[a].components, fields[b].components]
+                for d in s.d_eta:
+                    if (a, b, id(d)) not in kept:
+                        assert form_on_vectors(d, pair) == ZERO
+                if (a, b) not in brackets:
+                    assert all(c == ZERO for c in lie_bracket(fields[a], fields[b]).components)
 
 
 class TestReebDistributionIntegrability:

@@ -15,6 +15,7 @@ from kontact.errors import DomainError, SampleDomainEmpty, ZeroTestInconclusive
 from kontact.expr import (
     Pow, Product, Rational, Sum, Var, evaluate, free_variables, parse_expr, sqrt,
 )
+from kontact import zerotest
 from kontact.forms import Chart
 from kontact.zerotest import (
     FAIL,
@@ -229,6 +230,54 @@ class TestSamplePoints:
             assert got == want
             assert all(type(v) is type(w) for p, q in zip(got, want)
                        for v, w in zip(p.values(), q.values()))
+
+
+class TestOneDrawPerChart:
+    """A chart keeps the points of its zero tests, drawn once per (free
+    variables, n_sample_points, seed); no chart draws on every call."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+
+        def counting(names, chart, n, rng):
+            calls.append((frozenset(names), n))
+            return sample_points(names, chart, n, rng)
+
+        monkeypatch.setattr(zerotest, "sample_points", counting)
+        return calls
+
+    def test_same_variables_draw_once(self, draws):
+        chart = Chart(NAMES)
+        for text in ["x + y", "x*y - 1", "(x - y)^2 + y"]:
+            zero_test(parse_expr(text), chart, CONFIG)
+        assert draws == [(frozenset("xy"), CONFIG.n_sample_points)]
+        zero_test(parse_expr("x + z"), chart, CONFIG)
+        assert len(draws) == 2
+
+    def test_kept_points_are_a_fresh_draw(self):
+        chart = Chart(NAMES, [Var("x") + Var("y")], {"y": (Fraction(1, 2), Fraction(3, 2))})
+        zero_test(parse_expr("x - y"), chart, CONFIG)
+        (points,) = chart._samples.values()
+        assert points == sample_points(["x", "y"], chart, CONFIG.n_sample_points,
+                                       random.Random(CONFIG.seed))
+
+    def test_other_seed_or_count_draws_again(self, draws):
+        chart = Chart(NAMES)
+        configs = [CONFIG, RunConfig(n_sample_points=24, seed=7), RunConfig(n_sample_points=16)]
+        for config in configs + configs:
+            zero_test(parse_expr("x + y"), chart, config)
+        assert len(draws) == 3
+
+    def test_equal_chart_draws_again(self, draws):
+        for chart in [Chart(NAMES), Chart(NAMES)]:
+            zero_test(parse_expr("x + y"), chart, CONFIG)
+        assert len(draws) == 2
+
+    def test_no_chart_draws_every_call(self, draws):
+        for _ in range(3):
+            zero_test(parse_expr("x + y"), None, CONFIG)
+        assert len(draws) == 3
 
 
 # ---------------------------------------------------------------------------
