@@ -3,7 +3,9 @@ demos, and emit deterministic JSON/CSV reports.
 
 Subcommands: verify-structure, reeb, legendrian, hddw, ideal-gas, bjorken.
 Each subcommand returns a list of Check records, most of them as the library
-returns them, and main emits them as the run's report.
+returns them, and main emits them as the run's report: one line per check on
+stdout and, for --json only, the report's text, sorted-key, 2-space-indented
+JSON.  Each call builds only the parser it reads: the invoked subcommand's.
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage/parse error,
 3 a check is inconclusive (and nothing failed outright).  A run that ends
 in an error instead (exit 2, or exit 1 for a library error) writes no report;
@@ -21,6 +23,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -120,6 +123,59 @@ def _add_common(p: argparse.ArgumentParser):
                    help="omit wall time from the report (byte-stable output)")
 
 
+def _json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, from a
+    writer of its own: with indent set, json falls back to its pure-Python
+    encoder, about three times slower on a report.  A value of a type json
+    would not write, or a key that is not a str, is a TypeError."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], indent: str) -> None:
+    """Append value's text to out; indent is the newline and the spaces
+    before a line at value's depth."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        # as json spells them; float.__repr__ also drops np.float64's wrapper
+        out.append("NaN" if value != value else "Infinity" if value == math.inf
+                   else "-Infinity" if value == -math.inf else float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], out, inner)
+            sep = ","
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
 def _emit(command: str, config: RunConfig, checks: list[Check], args,
           started: float) -> str:
     """Write the report (stdout, and --json if given); returns its verdict."""
@@ -137,8 +193,8 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
     }
     if not args.no_timestamp:
         report["wall_time_s"] = round(time.perf_counter() - started, 3)
-    text = json.dumps(report, sort_keys=True, indent=2)
     if args.json_path:
+        text = _json_text(report)
         _write_output("--json", args.json_path, lambda fh: fh.write(text + "\n"))
     for c in checks:
         line = f"{c.name}: {c.verdict}"
@@ -349,14 +405,7 @@ def cmd_bjorken(args, config: RunConfig) -> list[Check]:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="kontact",
-        description="Verification engine for k-contact structures, Legendrian "
-                    "submanifolds, field-equation solution spaces, and the "
-                    "hydrodynamic/boost-invariant examples.")
-    sub = top.add_subparsers(dest="command", required=True)
-
+def _add_verify_structure(sub):
     p = sub.add_parser("verify-structure", help="check the defining conditions")
     p.add_argument("path", nargs="?", help="structure definition file")
     p.add_argument("--builtin", help="canonical:n,k | hydroK | thermo")
@@ -365,17 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_verify_structure)
 
+
+def _add_reeb(sub):
     p = sub.add_parser("reeb", help="solve for the Reeb frame")
     p.add_argument("path", nargs="?")
     p.add_argument("--builtin")
     _add_common(p)
     p.set_defaults(fn=cmd_reeb)
 
+
+def _add_legendrian(sub):
     p = sub.add_parser("legendrian", help="build and verify a parametrization")
     p.add_argument("path", help="k-function definition file")
     _add_common(p)
     p.set_defaults(fn=cmd_legendrian)
 
+
+def _add_hddw(sub):
     p = sub.add_parser("hddw", help="solve the field equations at points")
     p.add_argument("path", nargs="?", help="structure definition file")
     p.add_argument("--builtin")
@@ -394,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_hddw)
 
+
+def _add_ideal_gas(sub):
     p = sub.add_parser("ideal-gas", help="integrate an isentropic process")
     p.add_argument("--cv", type=_positive_rational, default="3/2",
                    help="specific heat (positive rational)")
@@ -407,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_ideal_gas)
 
+
+def _add_bjorken(sub):
     p = sub.add_parser("bjorken", help="boost-invariant expansion identities")
     p.add_argument("--gamma", default="gamma",
                    help="transformation constant (symbolic by default)")
@@ -415,6 +474,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="temperature profile in tau")
     _add_common(p)
     p.set_defaults(fn=cmd_bjorken)
+
+
+_SUBCOMMANDS = {"verify-structure": _add_verify_structure, "reeb": _add_reeb,
+                "legendrian": _add_legendrian, "hddw": _add_hddw,
+                "ideal-gas": _add_ideal_gas, "bjorken": _add_bjorken}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The kontact parser for argv.  When argv starts with a subcommand, only
+    that subparser is built, and the usage line still names all six; any
+    other argv (none, --help, an unknown command) gets all six subparsers,
+    so its help and error text are argparse's own."""
+    top = argparse.ArgumentParser(
+        prog="kontact",
+        description="Verification engine for k-contact structures, Legendrian "
+                    "submanifolds, field-equation solution spaces, and the "
+                    "hydrodynamic/boost-invariant examples.")
+    if argv and argv[0] in _SUBCOMMANDS:
+        sub = top.add_subparsers(dest="command", required=True,
+                                 metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        _SUBCOMMANDS[argv[0]](sub)
+    else:
+        sub = top.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return top
 
 
@@ -422,7 +506,8 @@ _EXIT_CODES = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

@@ -700,6 +700,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def build(self, at: int, make, *args) -> ScalarExpr:
+        """make(*args) for the operator or function at column at; a constant
+        it cannot build (1/0, log(0)) is a ParseError there, not a
+        DomainError left for the run."""
+        try:
+            return make(*args)
+        except DomainError as err:
+            raise ParseError(str(err), self.text, at) from None
+
     def expect_op(self, op: str):
         kind, val, at = self.peek()
         if kind != "op" or val != op:
@@ -727,11 +736,11 @@ class _Parser:
     def parse_term(self) -> ScalarExpr:
         factors = [self.parse_unary()]
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
                 f = self.parse_unary()
-                factors.append(f if val == "*" else Pow.make(f, Fraction(-1)))
+                factors.append(f if val == "*" else self.build(at, Pow.make, f, Fraction(-1)))
             else:
                 return Product.make(tuple(factors))
 
@@ -753,7 +762,7 @@ class _Parser:
             exponent = self.parse_unary()
             if not isinstance(exponent, Rational):
                 raise ParseError("exponent must reduce to an exact rational", self.text, at)
-            return Pow.make(base, exponent.value)
+            return self.build(at, Pow.make, base, exponent.value)
         return base
 
     def parse_atom(self) -> ScalarExpr:
@@ -770,7 +779,7 @@ class _Parser:
                 self.advance()
                 arg = self.parse_sum()
                 self.expect_op(")")
-                return _FUNCTIONS[val](arg)
+                return self.build(at, _FUNCTIONS[val], arg)
             return Var(val)
         if kind == "op" and val == "(":
             e = self.parse_sum()

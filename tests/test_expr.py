@@ -301,6 +301,21 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expr(bad)
 
+    @pytest.mark.parametrize("text, column", [("1/0", 2), ("x/(2 - 2)", 2), ("log(0)", 1),
+                                              ("2*log(-1/2)", 3), ("tau^(1/0)", 7),
+                                              ("0^(-1)", 2), ("x + (1 - 1)^-2", 12)])
+    def test_constant_that_cannot_be_built_is_a_parse_error(self, text, column):
+        # the DomainError of building 1/0 or log(0) names the operator's column
+        with pytest.raises(ParseError, match=rf"\(at column {column}: ") as got:
+            parse_expr(text)
+        assert got.value.pos == column - 1
+
+    def test_undefined_value_stays_a_domain_error(self):
+        with pytest.raises(DomainError):
+            evaluate(parse_expr("1/x"), {"x": 0})
+        with pytest.raises(DomainError):
+            evaluate(parse_expr("log(x)"), {"x": 0})
+
     @given(st.integers(-50, 50), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_rational_roundtrip(self, p, q):

@@ -173,6 +173,11 @@ MALFORMED_STRUCTURES = {
     # in "unhashable type"
     "coord_a_number": {**CANONICAL_11, "chart": {"coords": ["s", "q", 3]}},
     "eta_entry_a_list": {**CANONICAL_11, "eta": [["eta1"]]},
+    # a constant that cannot be built ended in a DomainError naming no file
+    "coeff_over_zero": {**CANONICAL_11, "forms": {"eta1": {"degree": 1,
+                                                           "coeffs": {"0": "1", "1": "p/0"}}}},
+    "constraint_log_zero": {**CANONICAL_11, "chart": {"coords": ["s", "q", "p"],
+                                                      "constraints": ["s + log(0)"]}},
 }
 MALFORMED_KFUNCTIONS = {
     "n_not_an_integer": {"n": "x", "k": 1, "I": [], "F": ["p_1_1"]},
@@ -187,6 +192,7 @@ MALFORMED_KFUNCTIONS = {
     # "q_1" was read as the three functions q, _, 1
     "F_a_string": {"n": 1, "k": 1, "I": [], "F": "q_1"},
     "I_a_string": {"n": 2, "k": 1, "I": "1", "F": ["p_1_1"]},
+    "F_entry_over_zero": {"n": 2, "k": 2, "I": [1], "F": ["p_1_1*q_2/0", "p_2_1*q_2"]},
 }
 # the error line of a value of the wrong JSON type names its field
 MALFORMED_MESSAGES = {
@@ -220,6 +226,9 @@ MALFORMED_MESSAGES = {
     "eta_entry_a_list": 'eta[0] must be a JSON string, got ["eta1"]',
     "F_a_string": 'F must be a JSON list, got "q_1"',
     "I_a_string": 'I must be a JSON list, got "1"',
+    "coeff_over_zero": "0 raised to a negative power (at column 2: 'p/0')",
+    "constraint_log_zero": "log of non-positive constant 0 (at column 5: 's + log(0)')",
+    "F_entry_over_zero": "0 raised to a negative power (at column 10: 'p_1_1*q_2/0')",
 }
 
 
@@ -255,6 +264,11 @@ class TestMalformedFiles:
         self._run(tmp_path, capsys, {"components": {"xi": 5}},
                   ["hddw", "--builtin", "hydro2", "--section", "FILE"],
                   'components "xi" needs an expression string, got 5')
+
+    def test_section_component_over_zero(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, {"components": {"xi": "t_0/0"}},
+                  ["hddw", "--builtin", "hydro2", "--section", "FILE"],
+                  "0 raised to a negative power (at column 4: 't_0/0')")
 
     @pytest.mark.parametrize("key", ["component", "fields"])
     def test_section_file_without_components(self, tmp_path, capsys, key):
