@@ -29,12 +29,13 @@ import numpy as np
 
 from .config import RunConfig, default_seed
 from .errors import KontactError, ParseError, StructureDegenerateAtPoint
-from .expr import ZERO, free_variables, parse_expr
+from .expr import ZERO, free_variables
 from .fileio import (
-    load_json,
     load_kfunction_file,
     load_section_file,
     load_structure_file,
+    load_system_file,
+    parse_hamiltonian,
     resolve_structure,
 )
 from .hddw import (
@@ -207,23 +208,14 @@ def _emit(command: str, config: RunConfig, checks: list[Check], args,
 
 def _resolve(builtin: str | None, path: str | None) -> tuple[KContactStructure, list | None]:
     """(structure, polarization or None) of a builtin or a structure file,
-    which carries no polarization."""
+    which carries no polarization; giving both is a usage error."""
     if builtin:
+        _refuse_with("--builtin", "which names the structure",
+                     {f"structure path {path!r}": path})
         return resolve_structure(builtin)
     if path:
         return load_structure_file(path), None
     raise ParseError("give a definition file path or --builtin NAME")
-
-
-def _read_system(path: str, H: str) -> tuple[str | None, str | None, str]:
-    """(builtin, structure file, H) from an hddw system file
-    {"structure": builtin name or .json path, "H": expression}; H defaults
-    to the --H text."""
-    raw = load_json(path)
-    ref, H = raw.get("structure", ""), raw.get("H", H)
-    if not isinstance(ref, str) or not isinstance(H, str):
-        raise ParseError(f"{path}: 'structure' and 'H' must be strings")
-    return (None, ref, H) if ref.endswith(".json") else (ref, None, H)
 
 
 def _coordinate_values(option: str, text: str, coords) -> dict[str, float]:
@@ -294,14 +286,13 @@ def cmd_legendrian(args, config: RunConfig) -> list[Check]:
 
 
 def cmd_hddw(args, config: RunConfig) -> list[Check]:
-    builtin, path, H_text = args.builtin, args.path, args.H
     if args.system:
-        builtin, path, H_text = _read_system(args.system, H_text)
-    s, _ = _resolve(builtin, path)
-    H = parse_expr(H_text)
-    unknown = free_variables(H) - set(s.chart.coords)
-    if unknown:
-        raise ParseError(f"H names unknown coordinates {sorted(unknown)}")
+        _refuse_with("--system", "which names the structure", {
+            "--builtin": args.builtin, f"structure path {args.path!r}": args.path})
+        builtin, s, H = load_system_file(args.system, args.H)
+    else:
+        builtin, s = args.builtin, _resolve(args.builtin, args.path)[0]
+        H = parse_hamiltonian(args.H, s.chart)
     if args.t_end is not None:
         _refuse_with("--t-end", "which integrates a flow", {
             "--section": args.section, "--point": args.point, "--n-points": args.n_points})

@@ -426,10 +426,10 @@ class Program(NamedTuple):
     """Expressions as one straight-line program with one instruction per distinct subtree.
 
     Instruction i is (op, payload, args); args index earlier instructions.
-    roots are the expressions' instructions; run_exact and run_float compute
-    the last root, whose top-level summands are summands (the root alone when
-    it is not a sum).  rational is True when only rationals, +, * and integer
-    powers occur.
+    roots are the expressions' instructions; run_exact computes every root,
+    and run_float the last root, whose top-level summands are summands (the
+    root alone when it is not a sum).  rational is True when only rationals,
+    +, * and integer powers occur.
     """
 
     code: tuple
@@ -438,17 +438,17 @@ class Program(NamedTuple):
     free_vars: frozenset
     rational: bool
 
-    def run_exact(self, point: Mapping[str, Numeric]) -> Fraction:
-        """The root's value at one rational point, each shared node computed once.
+    def run_exact(self, point: Mapping[str, Numeric]) -> tuple[Fraction, ...]:
+        """Every root's value at one rational point, each shared node computed once.
 
         Each instruction's value is an integer pair (numerator, denominator),
         not reduced to lowest terms and not sign-normalised: a product
         multiplies the parts, a sum adds numerators over an equal denominator
         and cross-multiplies otherwise, and an integer power raises both parts
         (swapped first for a negative exponent).  A pair is divided by its gcd
-        only once its denominator passes _PAIR_BITS bits, and the root's pair
+        only once its denominator passes _PAIR_BITS bits, and each root's pair
         becomes one Fraction.  Raises DomainError for a zero base under a
-        negative power.
+        negative power anywhere in the program.
         """
         vals = []
         for op, payload, args in self.code:
@@ -486,8 +486,7 @@ class Program(NamedTuple):
                 g = math.gcd(n, d)
                 n, d = n // g, d // g
             vals.append((n, d))
-        n, d = vals[self.roots[-1]]
-        return Fraction(n, d)
+        return tuple([Fraction(*vals[r]) for r in self.roots])
 
     def beyond_float(self) -> bool:
         """Whether a constant lies beyond float range, so run_float skips every point."""

@@ -13,6 +13,8 @@ ParseError naming the file and the field:
   section file:    {"components": {coord name: "expr in t variables"}}
                    ("components" is required; unlisted coordinates are
                    constant zero)
+  system file:     {"structure": builtin name or structure file path ending
+                    in .json, "H": "expr in the chart's coordinates"}
 Index tuples are comma-joined zero-based indices; a range is a JSON list of
 two bounds, lower first, each a JSON number or a rational string such as
 "1/2"; ranges and constraints name only chart coordinates.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError
-from .expr import as_expr, free_variables, parse_expr
+from .expr import ScalarExpr, as_expr, free_variables, parse_expr
 from .forms import Chart, DifferentialForm, SmoothMap, VectorField, parameter_chart
 from .hydro import hydro_kcontact_form, hydro_polarization
 from .kcontact import KContactStructure, canonical_structure
@@ -35,7 +37,7 @@ from .legendrian import ParametrizingKFunction, thermo_structure
 
 __all__ = [
     "load_json", "chart_from_dict", "load_structure_file", "load_kfunction_file",
-    "load_section_file", "resolve_structure",
+    "load_section_file", "load_system_file", "parse_hamiltonian", "resolve_structure",
 ]
 
 
@@ -194,6 +196,32 @@ def load_section_file(path: str | Path, target: Chart, k: int) -> SmoothMap:
         exprs = [_expression(comps[c], f'components "{c}"') if c in comps else as_expr(0)
                  for c in target.coords]
         return SmoothMap(source, target, exprs)
+
+
+def parse_hamiltonian(text: str, chart: Chart) -> ScalarExpr:
+    """The Hamiltonian H parsed from text, which may name only chart coordinates."""
+    H = parse_expr(text)
+    unknown = free_variables(H) - set(chart.coords)
+    if unknown:
+        raise ParseError(f"H names unknown coordinates {sorted(unknown)}")
+    return H
+
+
+def load_system_file(path: str | Path, H: str) -> tuple[str | None, KContactStructure,
+                                                         ScalarExpr]:
+    """(builtin name or None, structure, H) of a system file; H is the
+    file's "H", or the given text when it has none.  An error in the
+    file's H names the file."""
+    raw = load_json(path)
+    ref, text = raw.get("structure", ""), raw.get("H", H)
+    if not isinstance(ref, str) or not isinstance(text, str):
+        raise ParseError(f"{path}: 'structure' and 'H' must be strings")
+    builtin = None if ref.endswith(".json") else ref
+    s = resolve_structure(builtin)[0] if builtin else load_structure_file(ref)
+    if "H" not in raw:
+        return builtin, s, parse_hamiltonian(text, s.chart)
+    with _content_of(path):
+        return builtin, s, parse_hamiltonian(text, s.chart)
 
 
 _CANONICAL_RE = re.compile(r"^canonical:(\d+),(\d+)$")

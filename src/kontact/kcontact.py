@@ -2,12 +2,16 @@
 canonical example, and polarization checks.
 
 The defining conditions (kernel coranks/ranks and their trivial intersection)
-are decided pointwise with numeric SVD ranks at sampled chart points, read
-off the HdDW matrix [d-eta^T; eta] of hddw's field equations, whose layout
-matrix_entries alone states.  The Reeb frame, a forms.KVectorField, is
-solved symbolically from its duality/annihilation equations, whose sparse
-rows are the same entries read as rows of [eta; d-eta]; the solve checks
-the frame against every one of those rows.
+are decided with numeric SVD ranks of [eta; d-eta] at sampled chart points:
+the HdDW matrix [d-eta^T; eta] of hddw's field equations, whose layout
+matrix_entries alone states, read as rows.  verify_kcontact stacks the
+points' [eta; d-eta] into arrays of at most _STACK_ENTRIES entries and
+takes each of the three ranks with one SVD call per stack; hddw checks one
+point at a time from A.  The
+Reeb frame, a forms.KVectorField, is solved symbolically from its
+duality/annihilation equations, the same rows as sparse dicts; the solve
+checks the frame against every one of those rows.  check_polarization
+likewise takes its span and bracket ranks over a stack of its points.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ChartMismatch, SampleDomainEmpty, SingularSystem, ZeroTestInconclusive
+from .errors import (ChartMismatch, DomainError, SampleDomainEmpty, SingularSystem,
+                     ZeroTestInconclusive)
 from .expr import ONE, ZERO, ScalarExpr, Var, free_variables
 from .forms import (
     Chart,
@@ -105,20 +110,47 @@ def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
     return s._matrices_at(point).reshape(s.dim + 1, n)
 
 
+def _reeb_rows(s: KContactStructure) -> list[tuple[int, int, ScalarExpr]]:
+    """(row, column, entry) for every nonzero entry of [eta; d-eta], the
+    (k + k*dim) x dim matrix whose rows are the Reeb equations: matrix_entries
+    read as rows.  Row beta is eta^beta, and row k + beta*dim + i is
+    d eta^beta(e_i, .), which is column beta*dim + i of A."""
+    dim, k = s.dim, s.k
+    return [(col // dim, col % dim, e) if r == dim else (k + col, r, e)
+            for r, col, e in matrix_entries(s)]
+
+
+def _defining_ranks(M: np.ndarray, k: int) -> tuple:
+    """(rank of eta, dim of the common kernel of d-eta, dim of the two
+    kernels' intersection) of [eta; d-eta] (_reeb_rows), one numeric SVD rank
+    each of the views M[:k], M[k:] and M; of a stack (..., k + k*dim, dim),
+    three integer arrays of per-matrix values."""
+    dim = M.shape[-1]
+    return (numeric_rank(M[..., :k, :]), dim - numeric_rank(M[..., k:, :]),
+            dim - numeric_rank(M))
+
+
 def check_structure_at(A: np.ndarray) -> tuple[int, int, int]:
-    """(rank of eta, dim of the common kernel of d-eta, dim of the two kernels'
-    intersection) from numeric SVD ranks, with eta (its last row, as k x dim)
-    and the stacked d-eta (its first dim rows, transposed: row alpha*dim + i
-    holds d eta^alpha(e_i, .)) read as views of the HdDW matrix A.
+    """The defining ranks (_defining_ranks) at one point from the HdDW matrix
+    A: eta is its last row, as k x dim, and the stacked d-eta its first dim
+    rows, transposed.
 
     The three defining conditions hold at the point exactly when this is
     (k, k, 0): ker eta has corank k, the d-eta kernel has dimension k, and
     the two kernels intersect trivially.
     """
     dim = A.shape[0] - 1
-    eta, deta = A[dim].reshape(-1, dim), A[:dim].T
-    return (numeric_rank(eta), dim - numeric_rank(deta),
-            dim - numeric_rank(np.vstack([eta, deta])))
+    eta = A[dim].reshape(-1, dim)
+    return _defining_ranks(np.vstack([eta, A[:dim].T]), len(eta))
+
+
+_STACK_ENTRIES = 1 << 13
+"""verify_kcontact stacks at most this many float64 entries (64 KiB) of
+[eta; d-eta] per SVD call: every point of the small structures, whose ranks
+cost mostly the call itself, and a few points at a time of the large ones,
+whose ranks cost mostly the SVD.  Larger stacks, allocated in varying sizes
+call after call, raised the peak memory of a long run of structure checks
+(0.9 MB over 30 passes of the benchmark's structure jobs at 256 KiB)."""
 
 
 def verify_kcontact(
@@ -134,7 +166,16 @@ def verify_kcontact(
     pts = sample_points(s.chart.coords, s.chart, n_points, rng)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
-    ranks = [check_structure_at(structure_matrices_at(s, p)) for p in pts]
+    dim, n_rows = s.dim, s.k + s.k * s.dim
+    fill = filler(n_rows * dim, [(r * dim + c, e) for r, c, e in _reeb_rows(s)])
+    ranks = []
+    per_stack = max(1, _STACK_ENTRIES // (n_rows * dim))
+    for start in range(0, len(pts), per_stack):
+        block = pts[start:start + per_stack]
+        M = np.zeros((len(block), n_rows * dim))
+        for p, out in zip(block, M):
+            fill(p, out)
+        ranks += zip(*(r.tolist() for r in _defining_ranks(M.reshape(-1, n_rows, dim), s.k)))
     want = (s.k, s.k, 0)
     rank_table = [
         {
@@ -159,19 +200,15 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> KV
     """Solve the Reeb defining equations symbolically for the frame R_1..R_k.
 
     For each alpha: eta^beta(R_alpha) = delta and iota_{R_alpha} d eta^beta = 0.
-    The equations are the rows of [eta; d-eta] read off matrix_entries: row
-    beta is eta^beta, row k + beta*dim + i is d eta^beta(e_i, .), which is
-    column beta*dim + i of A.  One sparse Gauss-Jordan elimination over the
-    expression field with k right-hand sides, which returns the frame only
-    once the sampling zero test finds it satisfies every row.
+    The equations are the rows of [eta; d-eta] (_reeb_rows).  One sparse
+    Gauss-Jordan elimination over the expression field with k right-hand
+    sides, which returns the frame only once the sampling zero test finds it
+    satisfies every row.
     """
     dim, k = s.dim, s.k
     rows = [{} for _ in range(k + k * dim)]
-    for r, col, e in matrix_entries(s):
-        if r == dim:
-            rows[col // dim][col % dim] = e
-        else:
-            rows[k + col][r] = e
+    for r, c, e in _reeb_rows(s):
+        rows[r][c] = e
     rhs = [{beta: ONE} for beta in range(k)] + [{} for _ in range(k * dim)]
     try:
         sol = solve_symbolic(rows, rhs, dim, s.chart, config)
@@ -309,10 +346,20 @@ def check_polarization(
     rows = [f.components for f in fields] + brackets
     rows_at = filler(len(rows) * dim, [(r * dim + i, c) for r, comps in enumerate(rows)
                                        for i, c in enumerate(comps) if c != ZERO])
-    for p in pts:
-        values = rows_at(p).reshape(len(rows), dim)
-        # the brackets stay in the span iff stacking them leaves its rank
-        r = numeric_rank(values[:n])
-        if r != expected_rank or (brackets and numeric_rank(values) != r):
-            return Check("polarization", FAIL, zero.max_residual, detail)
+    values = np.zeros((len(pts), len(rows) * dim))
+    undefined = None
+    for i, p in enumerate(pts):
+        try:
+            rows_at(p, values[i])
+        except DomainError as err:
+            # the points before this one decide first: a failure there fails
+            values, undefined = values[:i], err
+            break
+    values = values.reshape(-1, len(rows), dim)
+    # the brackets stay in the span iff stacking them leaves its rank
+    r = numeric_rank(values[:, :n])
+    if np.any(r != expected_rank) or (brackets and np.any(numeric_rank(values) != r)):
+        return Check("polarization", FAIL, zero.max_residual, detail)
+    if undefined is not None:
+        raise undefined
     return zero

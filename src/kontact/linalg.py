@@ -26,12 +26,18 @@ RANK_THRESHOLD = 1e-8
 """Singular values above RANK_THRESHOLD * s_max count toward a numeric rank."""
 
 
-def numeric_rank(M: np.ndarray) -> int:
-    """Rank by counting singular values above RANK_THRESHOLD * s_max."""
+def numeric_rank(M: np.ndarray) -> int | np.ndarray:
+    """Rank by counting singular values above RANK_THRESHOLD * s_max.
+
+    A stack M of shape (..., m, n) takes one SVD call for all its matrices
+    and gives their ranks as an integer array of shape M.shape[:-2]; each
+    equals the rank of its matrix alone."""
     if M.size == 0:
-        return 0
+        return 0 if M.ndim == 2 else np.zeros(M.shape[:-2], dtype=int)
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > RANK_THRESHOLD * s[0]))
+    if M.ndim == 2:
+        return int(np.count_nonzero(s > RANK_THRESHOLD * s[0]))
+    return np.count_nonzero(s > RANK_THRESHOLD * s[..., :1], axis=-1)
 
 
 def nullspace_basis(M: np.ndarray, rank: int | None = None) -> np.ndarray:

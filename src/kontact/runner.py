@@ -109,19 +109,21 @@ def _runner_source(program: Program) -> str:
             + "        return _fallback(p)\n")
 
 
-def filler(size: int, entries: Sequence[tuple]) -> Callable[[Mapping], np.ndarray]:
-    """A function point -> a new flat array of the given size that holds, at
-    each (position, expression) entry's position, the expression's value
-    plus 0.0 (which turns -0.0 into 0.0), and zero elsewhere; one float
-    runner evaluates every expression."""
+def filler(size: int, entries: Sequence[tuple]) -> Callable[..., np.ndarray]:
+    """A function (point, out=None) -> out, or a new flat array of the given
+    size, that holds, at each (position, expression) entry's position, the
+    expression's value plus 0.0 (which turns -0.0 into 0.0), and zero
+    elsewhere, where out must already hold zeros; one float runner evaluates
+    every expression."""
     at, exprs = zip(*entries) if entries else ((), ())
     at = np.array(at, dtype=np.intp)
     run = float_runner(exprs)
 
-    def fill(point):
+    def fill(point, out=None):
         values = np.array(run(point))
         values += 0.0
-        out = np.zeros(size)
+        if out is None:
+            out = np.zeros(size)
         out[at] = values
         return out
 

@@ -9,7 +9,11 @@ into a program with one instruction per distinct subtree (expr.compile_expr).
 Points are exact rationals, so a purely rational expression is checked
 exactly at each point, and any nonzero value rejects it: Program.run_exact
 carries integer numerator/denominator pairs, reduced only past a bit bound,
-and builds one Fraction per point.  Any other expression is run in float64
+and builds one Fraction per root and point.  A check (zero_check) runs its
+exact expressions in the same free variables as one batch: one program of
+them all (expr.compile_exprs), run once per point of their shared draw,
+with each expression's own program run only at a point where the joint one
+is undefined.  Any other expression is run in float64
 over all sample points at once, and is accepted as (probably) zero when
 |value| stays within atol + rtol*scale at every evaluated point, where scale
 is the magnitude of the largest top-level summand (a cancellation proxy);
@@ -35,11 +39,12 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainError, SampleDomainEmpty, ZeroTestInconclusive
-from .expr import Rational, ScalarExpr, compile_expr, evaluate, free_variables
+from .expr import (Program, Rational, ScalarExpr, compile_expr, compile_exprs, evaluate,
+                   free_variables)
 from .forms import Chart
 
 __all__ = [
-    "PASS", "FAIL", "INCONCLUSIVE", "Check", "combine", "zero_check",
+    "PASS", "FAIL", "INCONCLUSIVE", "Check", "combine", "zero_check", "zero_tests",
     "ZeroTestResult", "zero_test", "is_probably_zero", "sample_points",
     "INCONCLUSIVE_MARGIN", "MIN_EVALUATED_FRACTION", "MAX_SAMPLE_RETRIES",
 ]
@@ -147,34 +152,47 @@ def zero_test(
     e: ScalarExpr,
     chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
+    program: Program | None = None,
 ) -> ZeroTestResult:
     """Sample e over the chart and decide whether it is identically zero.
 
     The chart draws the points for e's free variables on its first zero test
-    in them and keeps them; with no chart they are drawn on every call."""
+    in them and keeps them; with no chart they are drawn on every call.
+    program is compile_expr(e) when the caller has already compiled it."""
     if isinstance(e, Rational):  # folded at construction: nothing to compile
         return ZeroTestResult(e.value == 0, _magnitudes([e.value])[0], 1, True)
-    program = compile_expr(e)
+    if program is None:
+        program = compile_expr(e)
     points = _zero_test_points(program.free_vars, chart, config) if program.free_vars else [{}]
     if program.rational:
         values = []
         for p in points:
             try:
-                values.append(program.run_exact(p))
+                values.append(program.run_exact(p)[0])
             except DomainError:
                 # constraint predicates did not exclude this singular point; skip it
                 continue
-        within = all(v == 0 for v in values)
-        magnitudes = _magnitudes(values)
-    else:
-        columns = {name: np.array([float(p[name]) for p in points])
-                   for name in program.free_vars}
-        value, scale, skip = program.run_float(columns, len(points))
-        keep = ~skip
-        residuals = np.abs(value[keep])
-        within = bool(np.all(residuals <= config.atol + config.rtol * scale[keep]))
-        magnitudes = residuals.tolist()
-    n_skipped = len(points) - len(magnitudes)
+        return _exact_result(e, program, values, len(points))
+    columns = {name: np.array([float(p[name]) for p in points])
+               for name in program.free_vars}
+    value, scale, skip = program.run_float(columns, len(points))
+    keep = ~skip
+    residuals = np.abs(value[keep])
+    within = bool(np.all(residuals <= config.atol + config.rtol * scale[keep]))
+    return _result(e, program, within, residuals.tolist(), len(points))
+
+
+def _exact_result(e: ScalarExpr, program: Program, values: list[Fraction],
+                  n_drawn: int) -> ZeroTestResult:
+    """The exact zero test of e from its values at the evaluated points."""
+    return _result(e, program, all(v == 0 for v in values), _magnitudes(values), n_drawn)
+
+
+def _result(e: ScalarExpr, program: Program, within: bool, magnitudes: list[float],
+            n_drawn: int) -> ZeroTestResult:
+    """The verdict of e's zero test from the magnitudes at its evaluated
+    points, of n_drawn, and whether every one was within tolerance; raises
+    when no point was evaluated."""
     if not magnitudes:
         if not program.free_vars:
             raise DomainError(f"constant expression {e} is undefined or not finite")
@@ -185,12 +203,12 @@ def zero_test(
             "every sampled point hit a singularity or a non-finite value; "
             "tighten the domain constraints")
     max_abs = max(magnitudes)
-    if within and len(magnitudes) < MIN_EVALUATED_FRACTION * len(points):
+    if within and len(magnitudes) < MIN_EVALUATED_FRACTION * n_drawn:
         within, inconclusive = False, True  # too few points speak for the pass
     else:
         inconclusive = not program.rational and not within and max_abs < INCONCLUSIVE_MARGIN
     return ZeroTestResult(within, max_abs, len(magnitudes), program.rational,
-                          inconclusive=inconclusive, n_skipped=n_skipped)
+                          inconclusive=inconclusive, n_skipped=n_drawn - len(magnitudes))
 
 
 def _zero_test_points(names: frozenset, chart: Chart | None, config: RunConfig) -> list[dict]:
@@ -232,6 +250,64 @@ def is_probably_zero(
     return res.is_zero
 
 
+def zero_tests(
+    exprs: Sequence[ScalarExpr],
+    chart: Chart | None = None,
+    config: RunConfig = DEFAULT_CONFIG,
+) -> list[ZeroTestResult]:
+    """[zero_test(e, chart, config) for e in exprs], field for field, with an
+    error raised at the first expression whose zero test raises it.
+
+    Two or more exact expressions in the same free variables share their
+    draw and run as one program (compile_exprs), which computes each shared
+    subtree once per point; every other expression takes its zero test."""
+    programs = [None if isinstance(e, Rational) else compile_expr(e) for e in exprs]
+    groups: dict[frozenset, list[int]] = {}
+    for i, program in enumerate(programs):
+        if program is not None and program.rational and program.free_vars:
+            groups.setdefault(program.free_vars, []).append(i)
+    group_of = {i: group for group in groups.values() if len(group) > 1 for i in group}
+    # a grouped expression's exact values, and the number of points drawn
+    values: dict[int, tuple[list[Fraction], int]] = {}
+    results = []
+    for i, (e, program) in enumerate(zip(exprs, programs)):
+        group = group_of.get(i)
+        if group is None:
+            results.append(zero_test(e, chart, config, program))
+            continue
+        if i == group[0]:
+            points = _zero_test_points(program.free_vars, chart, config)
+            columns = _joint_values([exprs[j] for j in group], [programs[j] for j in group],
+                                    points)
+            values.update((j, (column, len(points))) for j, column in zip(group, columns))
+        results.append(_exact_result(e, program, *values.pop(i)))
+    return results
+
+
+def _joint_values(exprs: list[ScalarExpr], programs: list[Program],
+                  points: list[dict]) -> list[list[Fraction]]:
+    """Each expression's exact values at the points where it is defined, from
+    one program of them all run once per point; where that program is
+    undefined, each expression's own program runs the point, so it is
+    skipped only where that one is."""
+    joint = compile_exprs(exprs)
+    values = [[] for _ in exprs]
+    for p in points:
+        try:
+            row = joint.run_exact(p)
+        except DomainError:
+            row = []
+            for program in programs:
+                try:
+                    row.append(program.run_exact(p)[0])
+                except DomainError:
+                    row.append(None)
+        for column, v in zip(values, row):
+            if v is not None:
+                column.append(v)
+    return values
+
+
 def zero_check(
     name: str,
     exprs: Sequence[ScalarExpr],
@@ -239,8 +315,9 @@ def zero_check(
     config: RunConfig = DEFAULT_CONFIG,
     detail: dict | None = None,
 ) -> Check:
-    """Zero-test every expression into one check: the verdicts combined, and
-    the largest residual over all of them (0.0 for no expressions)."""
-    results = [zero_test(e, chart, config) for e in exprs]
+    """Zero-test every expression (zero_tests) into one check: the verdicts
+    combined, and the largest residual over all of them (0.0 for no
+    expressions)."""
+    results = zero_tests(exprs, chart, config)
     return Check(name, combine(r.verdict for r in results),
                  max((r.max_abs for r in results), default=0.0), detail)

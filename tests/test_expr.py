@@ -410,7 +410,7 @@ class TestCompile:
                     with pytest.raises(DomainError):
                         program.run_exact(p)
                 else:
-                    assert program.run_exact(p) == ref
+                    assert program.run_exact(p) == (ref,)
 
     @pytest.mark.parametrize("bits", [expr_module._PAIR_BITS, 1], ids=["bound", "every_pair"])
     @given(seed=st.integers(0, 10**9), n_factors=st.integers(50, 70),
@@ -447,7 +447,7 @@ class TestCompile:
                         with pytest.raises(DomainError, match="division by zero"):
                             program.run_exact(p)
                         continue
-                    got = program.run_exact(p)
+                    (got,) = program.run_exact(p)
                     assert got == want and type(got) is Fraction
 
     def test_pair_runner_reduces_pairs_past_the_bound(self):
@@ -459,7 +459,7 @@ class TestCompile:
         p = {"x": Fraction(2, 3), "y": Fraction(3, 2), "z": Fraction(5, 7)}
         spy = GcdSpy()
         with patch.object(expr_module, "math", spy):
-            value = compile_expr(e).run_exact(p)
+            (value,) = compile_expr(e).run_exact(p)
         assert value == evaluate(e, p) == Fraction(5, 7) + Fraction(2, 3)
         assert spy.bits and min(spy.bits) > expr_module._PAIR_BITS
 

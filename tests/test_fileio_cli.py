@@ -633,7 +633,9 @@ class TestCLI:
         assert main(argv + ["--no-timestamp"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: H names unknown coordinates ['y', 'zz']\n"
+        # an H read from a system file names the file
+        prefix = f"{system}: " if from_file else ""
+        assert out.err == f"error: {prefix}H names unknown coordinates ['y', 'zz']\n"
 
     @pytest.mark.parametrize("argv", [
         ["reeb", "--builtin", "thermo", "--json", "nodir/r.json"],
@@ -651,6 +653,45 @@ class TestCLI:
         assert out.out == ""
         assert out.err.startswith("error: --") and out.err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["reeb", "--builtin", "thermo", "zz.json"],
+         "structure path 'zz.json' cannot be combined with --builtin"),
+        (["verify-structure", "--builtin", "hydro2", "zz.json"],
+         "structure path 'zz.json' cannot be combined with --builtin"),
+        (["hddw", "--builtin", "thermo", "zz.json"],
+         "structure path 'zz.json' cannot be combined with --builtin"),
+        (["hddw", "--system", "sys.json", "--builtin", "thermo"],
+         "--builtin cannot be combined with --system"),
+        (["hddw", "--system", "sys.json", "zz.json"],
+         "structure path 'zz.json' cannot be combined with --system"),
+        (["hddw", "--system", "sys.json", "--builtin", "thermo", "zz.json"],
+         "--builtin, structure path 'zz.json' cannot be combined with --system"),
+    ])
+    def test_one_structure_source(self, tmp_path, monkeypatch, capsys, argv, error):
+        # the path is not ignored, however malformed its file, nor read
+        monkeypatch.chdir(tmp_path)
+        Path("zz.json").write_text("{not json")
+        Path("sys.json").write_text(json.dumps({"structure": "thermo", "H": "V"}))
+        assert main(argv + ["--json", "r.json", "--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {error}, which names the structure\n"
+        assert not Path("r.json").exists()
+
+    @pytest.mark.parametrize("H, error", [
+        ("1/0", "0 raised to a negative power (at column 2: '1/0')"),
+        ("E*zz", "H names unknown coordinates ['zz']"),
+    ])
+    def test_system_file_H_error_names_the_file(self, tmp_path, monkeypatch, capsys, H, error):
+        monkeypatch.chdir(tmp_path)
+        Path("sys0.json").write_text(json.dumps({"structure": "thermo", "H": H}))
+        assert main(["hddw", "--system", "sys0.json", "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == f"error: sys0.json: {error}\n"
+        # an H from --H, which the file does not override, is not the file's
+        Path("sys0.json").write_text(json.dumps({"structure": "thermo"}))
+        assert main(["hddw", "--system", "sys0.json", "--H", H, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("extra", [["--csv", "x.csv"], ["--x0", '{"E": 0}']])
     def test_hddw_flow_options_need_t_end(self, tmp_path, monkeypatch, capsys, extra):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kontact.config import RunConfig
-from kontact.errors import ChartMismatch, SingularSystem, StructureDegenerateAtPoint
+from kontact.errors import (ChartMismatch, DomainError, SingularSystem,
+                            StructureDegenerateAtPoint)
 from kontact.expr import ONE, Rational, Var, ZERO, evaluate, parse_expr
 from kontact.forms import (
     Chart,
@@ -290,8 +291,8 @@ class TestPolarization:
         assert check_polarization(s, V, n_points=5, config=FAST).verdict == PASS
 
     def test_structurally_zero_brackets_cost_no_rank(self, monkeypatch):
-        # all 276 hydro4 brackets are structurally zero, so each point takes
-        # the span's rank and nothing else
+        # all 276 hydro4 brackets are structurally zero, so the points take
+        # the span's rank, one call over the stack of all five, and nothing else
         from kontact import kcontact
         from kontact.hydro import hydro_kcontact_form, hydro_polarization
 
@@ -304,7 +305,27 @@ class TestPolarization:
         monkeypatch.setattr(kcontact, "numeric_rank", counting_rank)
         assert check_polarization(hydro_kcontact_form(4), hydro_polarization(4),
                                   n_points=5, config=FAST).verdict == PASS
-        assert len(ranks) == 5
+        assert ranks == [(5, 24, 34)]
+
+    @pytest.mark.parametrize("fail_first", [True, False])
+    def test_first_failing_point_decides_before_an_undefined_one(self, fail_first):
+        # X = (q - a)/(q - b) d/dp: rank 0 where q = a, undefined where q = b.
+        # The points are taken in order: a failure before the undefined
+        # point fails the check, and an undefined point before any failure
+        # raises, as it does alone
+        s = canonical_structure(1, 1)
+        pts = sample_points(s.chart.coords, s.chart, 5, random.Random(FAST.seed))
+        q0, q1 = pts[0]["q_1"], pts[1]["q_1"]
+        assert q0 != q1
+        a, b = (q0, q1) if fail_first else (q1, q0)
+        q = Var("q_1")
+        field = VectorField(s.chart, [0, 0, (q - a) * (q - b) ** -1])
+        if fail_first:
+            check = check_polarization(s, [field], n_points=5, config=FAST)
+            assert (check.name, check.verdict) == ("polarization", FAIL)
+        else:
+            with pytest.raises(DomainError):
+                check_polarization(s, [field], n_points=5, config=FAST)
 
     def test_reeb_direction_fails(self):
         s = canonical_structure(2, 2)
@@ -438,6 +459,44 @@ class TestStructureMatrices:
             A, A_ref = structure_matrices_at(s, p), dense_structure_matrices(s, p)
             assert np.array_equal(A, A_ref)
             assert np.array_equal(np.signbit(A), np.signbit(A_ref))
+
+    @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,2",
+                                      "degenerate:2,2", "degenerate:3,3", "degenerate:4,4"])
+    def test_stacked_ranks_equal_the_point_loop(self, name):
+        # degenerate:n,k is canonical:n,k with eta^k := eta^1, as in the
+        # benchmark's degenerate structure files: every point fails
+        kind, size = name.split(":") if ":" in name else (name, None)
+        s = resolve_structure(name if kind != "degenerate" else f"canonical:{size}")[0]
+        if kind == "degenerate":
+            s = KContactStructure(s.eta[:-1] + s.eta[:1])
+        checks = verify_kcontact(s, n_points=20, config=FAST)
+        rank_table = checks[0].detail["rank_table"]
+        pts = sample_points(s.chart.coords, s.chart, 20, random.Random(FAST.seed))
+        loop = [check_structure_at(structure_matrices_at(s, p)) for p in pts]
+        assert [tuple(row[key] for key in ("eta_rank", "ker_deta_dim", "intersection_dim"))
+                for row in rank_table] == loop
+        assert all(type(r) is int for ranks in loop for r in ranks)
+        assert [row["point"] for row in rank_table] == [
+            {c: str(v) for c, v in p.items()} for p in pts]
+        assert [c.verdict == PASS for c in checks] == [
+            all(r[i] == (s.k, s.k, 0)[i] for r in loop) for i in range(3)]
+        assert all(row["pass"] for row in rank_table) == (kind != "degenerate")
+
+    def test_verify_takes_one_svd_per_rank_and_stack(self, monkeypatch):
+        from kontact.kcontact import _STACK_ENTRIES
+
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda M, **kw: calls.append(M.shape) or real(M, **kw))
+        verify_kcontact(canonical_structure(2, 2), n_points=7, config=FAST)
+        assert calls == [(7, 2, 8), (7, 16, 8), (7, 18, 8)]
+        # canonical:4,4's [eta; d-eta] is 100 x 24: 3 points fill a stack
+        calls.clear()
+        verify_kcontact(canonical_structure(4, 4), n_points=7, config=FAST)
+        assert 3 * 100 * 24 <= _STACK_ENTRIES < 4 * 100 * 24
+        assert calls == [shape for n in (3, 3, 1)
+                         for shape in ((n, 4, 24), (n, 96, 24), (n, 100, 24))]
 
     def test_point_check_matches_report(self):
         s = canonical_structure(2, 2)

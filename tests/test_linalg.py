@@ -1,17 +1,21 @@
-"""The sparse symbolic solve: pivots, absent entries and singular systems."""
+"""The sparse symbolic solve: pivots, absent entries and singular systems;
+numeric ranks of stacked matrices."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kontact.linalg as linalg
 from kontact.config import RunConfig
 from kontact.errors import SingularSystem
 from kontact.expr import ONE, Rational, Var
 from kontact.forms import Chart
-from kontact.linalg import solve_symbolic
+from kontact.linalg import numeric_rank, solve_symbolic
 from kontact.zerotest import is_probably_zero
 
 FAST = RunConfig(n_sample_points=16)
@@ -70,3 +74,44 @@ def test_checked_solution_of_a_consistent_overdetermined_system():
     sol = solve_symbolic([{0: x}, {0: y}, {0: x * y}], [{0: x}, {0: y}, {0: x * y}], 1,
                          CHART, FAST)
     assert is_probably_zero(sol[0][0] - 1, CHART, FAST)
+
+
+# ---------------------------------------------------------------------------
+# numeric_rank of a stack: one SVD call, each matrix's rank as if alone
+
+@st.composite
+def _stacks(draw):
+    """A stack (count, m, n) of matrices of random rank, each with its
+    columns scaled by powers of ten, with exactly zero matrices among them."""
+    count, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((count, m, n))
+    for M in stack:
+        rank = draw(st.integers(0, min(m, n)))
+        M[:] = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        M *= 10.0 ** rng.integers(-12, 13, size=n)
+    return stack
+
+
+@given(_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_ranks_equal_the_per_matrix_ranks(stack):
+    ranks = numeric_rank(stack)
+    assert ranks.shape == stack.shape[:1]
+    assert ranks.tolist() == [numeric_rank(M) for M in stack]
+    assert all(type(numeric_rank(M)) is int for M in stack)
+
+
+def test_stack_of_empty_matrices_has_rank_zero():
+    assert numeric_rank(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
+    assert numeric_rank(np.zeros((0, 2, 2))).tolist() == []
+    assert numeric_rank(np.zeros((0, 4))) == 0
+
+
+def test_stack_takes_one_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: calls.append(M.shape) or real(M, **kw))
+    stack = np.stack([np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1e-9, 0.0])])
+    assert numeric_rank(stack).tolist() == [3, 0, 1]
+    assert calls == [(3, 3, 3)]

@@ -29,6 +29,7 @@ from kontact.zerotest import (
     sample_points,
     zero_check,
     zero_test,
+    zero_tests,
 )
 
 from conftest import rand_expr, with_singular_tops
@@ -333,3 +334,97 @@ class TestVerdicts:
         assert res.max_abs == sys.float_info.max
         check = zero_check("huge", [Var("x") - Var("x"), e], config=CONFIG)
         assert check.verdict == FAIL and check.max_residual == sys.float_info.max
+
+
+# ---------------------------------------------------------------------------
+# zero_tests: a check's exact expressions in one program per free-variable set
+
+# x on a narrow grid, so that a pole at x = 1/16 meets several sample points
+NARROW = {"x": (Fraction(0), Fraction(1, 8))}
+VARIABLE_SETS = [["x"], ["x", "y"], ["y", "z"], NAMES]
+
+
+def _first_error(fn):
+    try:
+        fn()
+    except (DomainError, SampleDomainEmpty) as err:
+        return type(err), str(err)
+    return None
+
+
+def _zero_test_each(exprs, chart, config):
+    return [zero_test(e, chart, config) for e in exprs]
+
+
+def _check_expressions(rng: random.Random) -> list:
+    """Exact and float expressions on interleaved variable sets: identities,
+    nonzero polynomials, poles at x = 1/16 and constants."""
+    x = Var("x")
+    exprs = []
+    for _ in range(rng.randint(2, 9)):
+        names = rng.choice(VARIABLE_SETS)
+        e = rand_expr(rng, names, depth=3)
+        roll = rng.random()
+        if roll < 0.3:
+            f = rand_expr(rng, names, depth=2)
+            e = e * f - f * e  # an identity
+        elif roll < 0.5:
+            e = e + (x - Fraction(1, 16)) ** -rng.randint(1, 2)
+        elif roll < 0.6:
+            e = sqrt(e * e + 1) - sqrt(1 + e * e)  # float path
+        exprs.append(e)
+    return exprs
+
+
+class TestZeroTests:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_a_zero_test_per_expression(self, seed):
+        exprs = _check_expressions(random.Random(seed))
+        # two equal charts: each keeps its own draws, which are the same
+        got = _first_error(lambda: zero_tests(exprs, Chart(NAMES, ranges=NARROW), CONFIG))
+        want = _first_error(lambda: _zero_test_each(exprs, Chart(NAMES, ranges=NARROW), CONFIG))
+        assert got == want
+        if want is None:
+            assert (zero_tests(exprs, Chart(NAMES, ranges=NARROW), CONFIG)
+                    == _zero_test_each(exprs, Chart(NAMES, ranges=NARROW), CONFIG))
+
+    def test_one_program_per_variable_set(self, monkeypatch):
+        x, y = Var("x"), Var("y")
+        joint = []
+        real = zerotest.compile_exprs
+        monkeypatch.setattr(zerotest, "compile_exprs",
+                            lambda exprs: joint.append(len(exprs)) or real(exprs))
+        exprs = [x * x - x * x, x * y - y * x, Rational(Fraction(0)), x + 1, TINY,
+                 (x + y) ** 2 - x * x - 2 * x * y - y * y, x ** 3 - x * x * x, x * y * y]
+        results = zero_tests(exprs, Chart(NAMES), CONFIG)
+        # {x}: three exact expressions, {x, y}: three; TINY is on the float path
+        assert joint == [3, 3]
+        assert results == _zero_test_each(exprs, Chart(NAMES), CONFIG)
+        assert zero_check("c", exprs, Chart(NAMES), CONFIG).verdict == FAIL
+
+    def test_a_pole_skips_only_its_own_expression(self):
+        x, y = Var("x"), Var("y")
+        pole = (x - Fraction(1, 16)) ** -1
+        exprs = [x * y - y * x, pole * (x - Fraction(1, 16)) * y - y, x + y]
+        results = zero_tests(exprs, Chart(NAMES, ranges=NARROW), CONFIG)
+        assert results == _zero_test_each(exprs, Chart(NAMES, ranges=NARROW), CONFIG)
+        assert results[1].n_skipped > 0 and results[1].verdict == PASS
+        assert results[0].n_skipped == results[2].n_skipped == 0
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)])
+    def test_raises_at_the_first_expression_in_order(self, order):
+        x, y = Var("x"), Var("y")
+        candidates = [
+            # exact, in x and y with y - y: no point is evaluable
+            x * (y - y) ** -1,
+            # float, a constant beyond float range: no finite point
+            parse_expr("10^400 * sqrt(x^2 + y^2 + 1)"),
+            # exact, in x and y, fine everywhere
+            x * y - y * x,
+        ]
+        exprs = [candidates[i] for i in order] + [x + y - y - x]
+        got = _first_error(lambda: zero_tests(exprs, Chart(NAMES), CONFIG))
+        want = _first_error(lambda: _zero_test_each(exprs, Chart(NAMES), CONFIG))
+        assert got == want and got is not None
+        assert ("singularity" in got[1]) == (order.index(0) < order.index(1))
