@@ -25,7 +25,7 @@ ExprLike = Union["ScalarExpr", int, Fraction, str]
 
 __all__ = [
     "ScalarExpr", "Rational", "Var", "Sum", "Product", "Pow", "Exp", "Log",
-    "as_expr", "const", "var", "exp", "log", "sqrt",
+    "as_expr", "exp", "log", "sqrt",
     "differentiate", "evaluate", "substitute", "free_variables", "parse_expr",
     "Program", "compile_expr", "compile_exprs", "ZERO", "ONE",
 ]
@@ -242,14 +242,6 @@ def as_expr(x: ExprLike) -> ScalarExpr:
     if isinstance(x, str):
         return parse_expr(x)
     raise TypeError(f"cannot interpret {x!r} as a scalar expression")
-
-
-def const(p, q=1) -> Rational:
-    return Rational(Fraction(p, q))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def exp(x: ExprLike) -> ScalarExpr:

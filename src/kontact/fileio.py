@@ -14,7 +14,8 @@ ParseError naming the file and the field:
                    ("components" is required; unlisted coordinates are
                    constant zero)
   system file:     {"structure": builtin name or structure file path ending
-                    in .json, "H": "expr in the chart's coordinates"}
+                    in .json, relative to the system file's directory,
+                    "H": "expr in the chart's coordinates"}
 Index tuples are comma-joined zero-based indices; a range is a JSON list of
 two bounds, lower first, each a JSON number or a rational string such as
 "1/2"; ranges and constraints name only chart coordinates.
@@ -210,14 +211,16 @@ def parse_hamiltonian(text: str, chart: Chart) -> ScalarExpr:
 def load_system_file(path: str | Path, H: str) -> tuple[str | None, KContactStructure,
                                                          ScalarExpr]:
     """(builtin name or None, structure, H) of a system file; H is the
-    file's "H", or the given text when it has none.  An error in the
-    file's H names the file."""
+    file's "H", or the given text when it has none.  A relative structure
+    path is read from the system file's directory.  An error in the file's
+    H names the file."""
     raw = load_json(path)
-    ref, text = raw.get("structure", ""), raw.get("H", H)
+    ref, text = raw.get("structure"), raw.get("H", H)
     if not isinstance(ref, str) or not isinstance(text, str):
         raise ParseError(f"{path}: 'structure' and 'H' must be strings")
     builtin = None if ref.endswith(".json") else ref
-    s = resolve_structure(builtin)[0] if builtin else load_structure_file(ref)
+    s = (resolve_structure(builtin)[0] if builtin is not None
+         else load_structure_file(Path(path).parent / ref))
     if "H" not in raw:
         return builtin, s, parse_hamiltonian(text, s.chart)
     with _content_of(path):

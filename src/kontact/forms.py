@@ -28,7 +28,6 @@ from .expr import (
     Rational,
     ScalarExpr,
     Sum,
-    Var,
     as_expr,
     differentiate,
     free_variables,
@@ -178,11 +177,6 @@ class DifferentialForm:
     def scalar(cls, chart: Chart, value: ExprLike):
         return cls(chart, 0, {(): as_expr(value)})
 
-    @classmethod
-    def dx(cls, chart: Chart, coord: str | int):
-        i = coord if isinstance(coord, int) else chart.index(coord)
-        return cls(chart, 1, {(i,): ONE})
-
     def map_coeffs(self, fn) -> "DifferentialForm":
         return DifferentialForm(self.chart, self.degree,
                                 {k: fn(c) for k, c in self.coeffs.items()})
@@ -320,10 +314,6 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.components = components
-
-    @classmethod
-    def identity(cls, chart: Chart):
-        return cls(chart, chart, [Var(name) for name in chart.coords])
 
     def bindings(self) -> dict[str, ScalarExpr]:
         return dict(zip(self.target.coords, self.components))

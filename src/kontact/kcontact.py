@@ -161,7 +161,8 @@ def verify_kcontact(
     """The three defining conditions (see check_structure_at) at sampled points,
     one check each: corank_condition (its detail holds the per-point rank
     table), reeb_rank_condition and trivial_intersection.  Failing structures
-    yield failing checks, not an exception."""
+    yield failing checks, not an exception; a point where [eta; d-eta] is not
+    finite raises DomainError, as one where it is undefined does."""
     rng = random.Random(config.seed)
     pts = sample_points(s.chart.coords, s.chart, n_points, rng)
     if not pts:
@@ -175,11 +176,14 @@ def verify_kcontact(
         M = np.zeros((len(block), n_rows * dim))
         for p, out in zip(block, M):
             fill(p, out)
+        bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
+        if len(bad):
+            raise DomainError(f"non-finite [eta; d-eta] at {_point_text(block[bad[0]])}")
         ranks += zip(*(r.tolist() for r in _defining_ranks(M.reshape(-1, n_rows, dim), s.k)))
     want = (s.k, s.k, 0)
     rank_table = [
         {
-            "point": {k: str(v) for k, v in p.items()},
+            "point": _point_text(p),
             "eta_rank": r[0],
             "ker_deta_dim": r[1],
             "intersection_dim": r[2],
@@ -194,6 +198,12 @@ def verify_kcontact(
         Check("reeb_rank_condition", verdicts[1]),
         Check("trivial_intersection", verdicts[2]),
     ]
+
+
+def _point_text(p: dict) -> dict:
+    """A sample point as the reports write it: each coordinate's rational as
+    a string."""
+    return {k: str(v) for k, v in p.items()}
 
 
 def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> KVectorField:
@@ -355,6 +365,11 @@ def check_polarization(
             # the points before this one decide first: a failure there fails
             values, undefined = values[:i], err
             break
+    # a point whose fields are not finite is undefined there too
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        values, undefined = values[:bad[0]], DomainError(
+            f"non-finite polarization fields at {_point_text(pts[bad[0]])}")
     values = values.reshape(-1, len(rows), dim)
     # the brackets stay in the span iff stacking them leaves its rank
     r = numeric_rank(values[:, :n])

@@ -4,16 +4,18 @@ Points are drawn from a forms.Chart: each variable within its chart range
 ([-2, 2] by default), every chart constraint > 0; no chart means the box
 [-2, 2] with no constraints.  The variables, the point count and the seed
 fix a zero test's draw, so a chart draws it once and keeps it for every
-later zero test in the same variables.  Each expression is compiled once
-into a program with one instruction per distinct subtree (expr.compile_expr).
-Points are exact rationals, so a purely rational expression is checked
-exactly at each point, and any nonzero value rejects it: Program.run_exact
-carries integer numerator/denominator pairs, reduced only past a bit bound,
-and builds one Fraction per root and point.  A check (zero_check) runs its
-exact expressions in the same free variables as one batch: one program of
-them all (expr.compile_exprs), run once per point of their shared draw,
-with each expression's own program run only at a point where the joint one
-is undefined.  Any other expression is run in float64
+later zero test in the same variables.  zero_tests is the one zero test, of
+a list of expressions; zero_test is zero_tests of one.  Each expression is
+compiled once into a program with one instruction per distinct subtree
+(expr.compile_expr).  Points are exact rationals, so a purely rational
+expression is checked exactly at each point, and any nonzero value rejects
+it: Program.run_exact carries integer numerator/denominator pairs, reduced
+only past a bit bound, and builds one Fraction per root and point.  Every
+exact expression runs in one program per free-variable set: the program of
+all the list's exact expressions in that set (expr.compile_exprs; an
+expression alone in its set runs its own), run once per point of their
+shared draw, with each expression's own program run only at a point where
+the joint one is undefined.  Any other expression is run in float64
 over all sample points at once, and is accepted as (probably) zero when
 |value| stays within atol + rtol*scale at every evaluated point, where scale
 is the magnitude of the largest top-level summand (a cancellation proxy);
@@ -152,40 +154,10 @@ def zero_test(
     e: ScalarExpr,
     chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
-    program: Program | None = None,
 ) -> ZeroTestResult:
-    """Sample e over the chart and decide whether it is identically zero.
-
-    The chart draws the points for e's free variables on its first zero test
-    in them and keeps them; with no chart they are drawn on every call.
-    program is compile_expr(e) when the caller has already compiled it."""
-    if isinstance(e, Rational):  # folded at construction: nothing to compile
-        return ZeroTestResult(e.value == 0, _magnitudes([e.value])[0], 1, True)
-    if program is None:
-        program = compile_expr(e)
-    points = _zero_test_points(program.free_vars, chart, config) if program.free_vars else [{}]
-    if program.rational:
-        values = []
-        for p in points:
-            try:
-                values.append(program.run_exact(p)[0])
-            except DomainError:
-                # constraint predicates did not exclude this singular point; skip it
-                continue
-        return _exact_result(e, program, values, len(points))
-    columns = {name: np.array([float(p[name]) for p in points])
-               for name in program.free_vars}
-    value, scale, skip = program.run_float(columns, len(points))
-    keep = ~skip
-    residuals = np.abs(value[keep])
-    within = bool(np.all(residuals <= config.atol + config.rtol * scale[keep]))
-    return _result(e, program, within, residuals.tolist(), len(points))
-
-
-def _exact_result(e: ScalarExpr, program: Program, values: list[Fraction],
-                  n_drawn: int) -> ZeroTestResult:
-    """The exact zero test of e from its values at the evaluated points."""
-    return _result(e, program, all(v == 0 for v in values), _magnitudes(values), n_drawn)
+    """Sample e over the chart and decide whether it is identically zero:
+    zero_tests of e alone."""
+    return zero_tests([e], chart, config)[0]
 
 
 def _result(e: ScalarExpr, program: Program, within: bool, magnitudes: list[float],
@@ -213,7 +185,10 @@ def _result(e: ScalarExpr, program: Program, within: bool, magnitudes: list[floa
 
 def _zero_test_points(names: frozenset, chart: Chart | None, config: RunConfig) -> list[dict]:
     """sample_points for a zero test in names, kept on the chart by
-    (names, n_sample_points, seed), which fix the draw."""
+    (names, n_sample_points, seed), which fix the draw; the one empty point
+    when names is empty."""
+    if not names:
+        return [{}]
     if chart is None:
         return sample_points(names, None, config.n_sample_points, random.Random(config.seed))
     key = (names, config.n_sample_points, config.seed)
@@ -255,42 +230,58 @@ def zero_tests(
     chart: Chart | None = None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> list[ZeroTestResult]:
-    """[zero_test(e, chart, config) for e in exprs], field for field, with an
-    error raised at the first expression whose zero test raises it.
+    """Sample each expression over the chart and decide whether it is
+    identically zero; an error is raised at the first expression, in list
+    order, whose zero test raises it.
 
-    Two or more exact expressions in the same free variables share their
-    draw and run as one program (compile_exprs), which computes each shared
-    subtree once per point; every other expression takes its zero test."""
-    programs = [None if isinstance(e, Rational) else compile_expr(e) for e in exprs]
+    The chart draws the points for a set of free variables on its first zero
+    test in them and keeps them; with no chart they are drawn once per call
+    and set.  The exact expressions in the same free variables run as one
+    program over their shared draw (_exact_values); every other expression
+    runs its own program in float64 over all its points at once.  An
+    expression object listed more than once is tested once."""
+    keys = [id(e) for e in exprs]
+    unique = dict(zip(keys, exprs))  # first-listed order
+    slot = {key: i for i, key in enumerate(unique)}
+    exprs = list(unique.values())
+    programs = [compile_expr(e) for e in exprs]
     groups: dict[frozenset, list[int]] = {}
     for i, program in enumerate(programs):
-        if program is not None and program.rational and program.free_vars:
+        if program.rational:
             groups.setdefault(program.free_vars, []).append(i)
-    group_of = {i: group for group in groups.values() if len(group) > 1 for i in group}
-    # a grouped expression's exact values, and the number of points drawn
+    # an exact expression's values, and the number of points drawn
     values: dict[int, tuple[list[Fraction], int]] = {}
     results = []
     for i, (e, program) in enumerate(zip(exprs, programs)):
-        group = group_of.get(i)
-        if group is None:
-            results.append(zero_test(e, chart, config, program))
-            continue
-        if i == group[0]:
+        if program.rational:
+            group = groups[program.free_vars]
+            if i == group[0]:
+                points = _zero_test_points(program.free_vars, chart, config)
+                columns = _exact_values([exprs[j] for j in group],
+                                        [programs[j] for j in group], points)
+                values.update((j, (column, len(points))) for j, column in zip(group, columns))
+            column, n_drawn = values.pop(i)
+            within, magnitudes = all(v == 0 for v in column), _magnitudes(column)
+        else:
             points = _zero_test_points(program.free_vars, chart, config)
-            columns = _joint_values([exprs[j] for j in group], [programs[j] for j in group],
-                                    points)
-            values.update((j, (column, len(points))) for j, column in zip(group, columns))
-        results.append(_exact_result(e, program, *values.pop(i)))
-    return results
+            columns = {name: np.array([float(p[name]) for p in points])
+                       for name in program.free_vars}
+            value, scale, skip = program.run_float(columns, len(points))
+            keep = ~skip
+            residuals = np.abs(value[keep])
+            within = bool(np.all(residuals <= config.atol + config.rtol * scale[keep]))
+            magnitudes, n_drawn = residuals.tolist(), len(points)
+        results.append(_result(e, program, within, magnitudes, n_drawn))
+    return [results[slot[key]] for key in keys]
 
 
-def _joint_values(exprs: list[ScalarExpr], programs: list[Program],
+def _exact_values(exprs: list[ScalarExpr], programs: list[Program],
                   points: list[dict]) -> list[list[Fraction]]:
-    """Each expression's exact values at the points where it is defined, from
-    one program of them all run once per point; where that program is
-    undefined, each expression's own program runs the point, so it is
-    skipped only where that one is."""
-    joint = compile_exprs(exprs)
+    """Each exact expression's values at the points where it is defined, from
+    one program of them all (of one expression, its own program) run once
+    per point; where that program is undefined, each expression's own
+    program runs the point, so it is skipped only where that one is."""
+    joint = programs[0] if len(programs) == 1 else compile_exprs(exprs)
     values = [[] for _ in exprs]
     for p in points:
         try:
@@ -299,7 +290,7 @@ def _joint_values(exprs: list[ScalarExpr], programs: list[Program],
             row = []
             for program in programs:
                 try:
-                    row.append(program.run_exact(p)[0])
+                    row.append(None if program is joint else program.run_exact(p)[0])
                 except DomainError:
                     row.append(None)
         for column, v in zip(values, row):

@@ -11,7 +11,7 @@ import pytest
 from kontact.bjorken import expansion_scalar
 from kontact.config import RunConfig
 from kontact.errors import DomainError
-from kontact.expr import ZERO, Rational, ScalarExpr, Var, differentiate, evaluate, log, sqrt
+from kontact.expr import ONE, ZERO, Rational, ScalarExpr, Var, differentiate, evaluate, log, sqrt
 from kontact.forms import (Chart, DifferentialForm, VectorField, exterior_derivative,
                            interior_product)
 from kontact.hydro import spatial_projector
@@ -76,6 +76,11 @@ def with_singular_tops(e, *exponents, take_log=False):
 
 def rand_chart(rng: random.Random, dim: int) -> Chart:
     return Chart([f"x_{i}" for i in range(dim)])
+
+
+def coord_form(chart: Chart, coord: str) -> DifferentialForm:
+    """The one-form d(coord) of the chart."""
+    return DifferentialForm(chart, 1, {(chart.index(coord),): ONE})
 
 
 def rand_form(rng: random.Random, chart: Chart, degree: int,

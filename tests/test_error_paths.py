@@ -16,25 +16,27 @@ from kontact.errors import (
     StructureDegenerateAtPoint,
     ZeroTestInconclusive,
 )
-from kontact.expr import Rational, Var, parse_expr, sqrt, var
+from kontact.expr import Rational, Var, parse_expr, sqrt
 from kontact.forms import Chart, DifferentialForm
 from kontact.hddw import KContactHamiltonianSystem, solve_hddw_at_point
 from kontact.kcontact import KContactStructure, compute_reeb
 from kontact.legendrian import thermo_structure
 from kontact.zerotest import is_probably_zero, zero_test
 
+from conftest import coord_form
+
 FAST = RunConfig(n_sample_points=16)
 
 
 class TestSampleDomainEmpty:
     def test_contradictory_constraints(self):
-        x = var("x")
+        x = Var("x")
         dom = Chart(["x"], constraints=(x, -x), ranges={"x": (Fraction(0), Fraction(1))})
         with pytest.raises(SampleDomainEmpty):
             is_probably_zero(x - x, dom, FAST)
 
     def test_satisfiable_constraints_are_fine(self):
-        x = var("x")
+        x = Var("x")
         dom = Chart(["x"], constraints=(x,), ranges={"x": (Fraction(-1), Fraction(1))})
         assert is_probably_zero(x - x, dom, FAST)
 
@@ -43,7 +45,7 @@ class TestSampleDomainEmpty:
         # test must refuse a vacuous "zero" verdict
         from kontact.expr import log
 
-        x = var("x")
+        x = Var("x")
         dom = Chart(["x"], ranges={"x": (Fraction(-2), Fraction(-1))})
         with pytest.raises(SampleDomainEmpty):
             is_probably_zero(log(x), dom, FAST)
@@ -142,7 +144,7 @@ class TestInconclusiveIdentities:
 class TestDegeneratePoint:
     def test_solver_rejects_degenerate_structure(self):
         ch = Chart(["x", "y", "z"])
-        dx = DifferentialForm.dx(ch, "x")
+        dx = coord_form(ch, "x")
         s = KContactStructure([dx, dx])
         sys_ = KContactHamiltonianSystem(s, 0)
         with pytest.raises(StructureDegenerateAtPoint) as err:

@@ -441,6 +441,29 @@ class TestCLI:
                      "--no-timestamp"])
         assert code == 0
 
+    def test_system_file_structure_path_is_relative_to_it(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "ok.json").write_text(json.dumps(CANONICAL_11))
+        (sub / "sys.json").write_text(json.dumps({"structure": "ok.json", "H": "p"}))
+        (sub / "abs.json").write_text(json.dumps({"structure": str(sub / "ok.json"),
+                                                  "H": "p"}))
+        monkeypatch.chdir(tmp_path)
+        for system in ("sub/sys.json", "sub/abs.json"):
+            assert main(["hddw", "--system", system, "--samples", "16",
+                         "--no-timestamp"]) == 0
+
+    def test_non_finite_structure_matrix_is_one_error_line(self, tmp_path, capsys):
+        # q^600 * q^600 overflows to inf where |q| > 1.81: inf - inf is nan
+        spec = {**CANONICAL_11, "forms": {"eta1": {"degree": 1, "coeffs": {
+            "0": "1", "1": "-p + q^600*q^600 - q^600*q^600"}}}}
+        path = tmp_path / "infinf.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify-structure", str(path), "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: ") and "non-finite [eta; d-eta] at {" in out.err
+
     def test_hddw_flow_integration(self, tmp_path):
         from kontact.idealgas import equilibrium_state, isentropic_hamiltonian
 
@@ -749,7 +772,9 @@ class TestCLI:
         '{"structure": 1}',
         '{"structure": ["thermo"]}',
         '{"structure": "thermo", "H": 5}',
-    ], ids=["missing", "invalid_json", "list", "structure_int", "structure_list", "H_int"])
+        '{"H": "V"}',
+    ], ids=["missing", "invalid_json", "list", "structure_int", "structure_list", "H_int",
+            "no_structure"])
     def test_malformed_system_file_is_usage_error(self, tmp_path, capsys, content):
         system = tmp_path / "system.json"
         if content is not None:

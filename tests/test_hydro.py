@@ -28,7 +28,7 @@ from kontact.kcontact import (check_polarization, check_reeb_commutation, comput
 from kontact.legendrian import verify_isotropic
 from kontact.zerotest import FAIL, PASS, is_probably_zero, zero_check
 
-from conftest import rand_expr
+from conftest import coord_form, rand_expr
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -68,14 +68,14 @@ class TestHydroStructure:
         s = hydro_kcontact_form(k)
         ch = s.chart
         for m in range(k):
-            expected = wedge(DifferentialForm.dx(ch, "xi"),
-                             DifferentialForm.dx(ch, f"N_{m}"))
-            expected = expected - wedge(DifferentialForm.dx(ch, f"P_{m}"),
-                                        DifferentialForm.dx(ch, "V"))
+            expected = wedge(coord_form(ch, "xi"),
+                             coord_form(ch, f"N_{m}"))
+            expected = expected - wedge(coord_form(ch, f"P_{m}"),
+                                        coord_form(ch, "V"))
             for l in range(k):
                 expected = expected - metric_sign(l) * wedge(
-                    DifferentialForm.dx(ch, f"beta_{l}"),
-                    DifferentialForm.dx(ch, f"T_{l}_{m}"))
+                    coord_form(ch, f"beta_{l}"),
+                    coord_form(ch, f"T_{l}_{m}"))
             assert not (s.d_eta[m] - expected).coeffs
 
     @pytest.mark.parametrize("k", [2, 3])

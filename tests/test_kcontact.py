@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kontact import kcontact
 from kontact.config import RunConfig
 from kontact.errors import (ChartMismatch, DomainError, SingularSystem,
                             StructureDegenerateAtPoint)
@@ -42,8 +43,8 @@ from kontact.zerotest import (
     FAIL, INCONCLUSIVE, INCONCLUSIVE_MARGIN, PASS, is_probably_zero, sample_points,
 )
 
-from conftest import (dense_structure_matrices, expression_pivot_structure, lie_derivative,
-                      rand_form)
+from conftest import (coord_form, dense_structure_matrices, expression_pivot_structure,
+                      lie_derivative, rand_form)
 
 FAST = RunConfig(n_sample_points=16)
 
@@ -87,8 +88,8 @@ class TestCanonicalStructure:
     def test_differential_is_dq_wedge_dp(self):
         s = canonical_structure(2, 2)
         ch = s.chart
-        expected = (wedge(DifferentialForm.dx(ch, "q_1"), DifferentialForm.dx(ch, "p_1_1"))
-                    + wedge(DifferentialForm.dx(ch, "q_2"), DifferentialForm.dx(ch, "p_1_2")))
+        expected = (wedge(coord_form(ch, "q_1"), coord_form(ch, "p_1_1"))
+                    + wedge(coord_form(ch, "q_2"), coord_form(ch, "p_1_2")))
         diff = s.d_eta[0] - expected
         assert not diff.coeffs
 
@@ -96,7 +97,7 @@ class TestCanonicalStructure:
 class TestStructureForms:
     def test_eta_is_the_tuple_of_forms(self):
         ch = Chart(["x", "y", "z"])
-        dx, dy = DifferentialForm.dx(ch, "x"), DifferentialForm.dx(ch, "y")
+        dx, dy = coord_form(ch, "x"), coord_form(ch, "y")
         s = KContactStructure([dx, dy])
         assert s.eta == (dx, dy) and (s.k, s.dim, s.chart) == (2, 3, ch)
 
@@ -105,8 +106,8 @@ class TestStructureForms:
         with pytest.raises(ValueError, match="need at least one component form"):
             KContactStructure([])
         with pytest.raises(ChartMismatch, match="component forms live on different charts"):
-            KContactStructure([DifferentialForm.dx(ch, "x"),
-                               DifferentialForm.dx(Chart(["x", "y"]), "x")])
+            KContactStructure([coord_form(ch, "x"),
+                               coord_form(Chart(["x", "y"]), "x")])
         with pytest.raises(ValueError, match="components must be one-forms"):
             KContactStructure([DifferentialForm.scalar(ch, 1)])
 
@@ -114,7 +115,7 @@ class TestStructureForms:
 class TestVerifyKContact:
     def test_degenerate_repeated_form(self):
         ch = Chart(["x", "y", "z"])
-        dx = DifferentialForm.dx(ch, "x")
+        dx = coord_form(ch, "x")
         s = KContactStructure([dx, dx])
         corank = verify_kcontact(s, n_points=5, config=FAST)[0]
         assert corank.name == "corank_condition" and corank.verdict == FAIL
@@ -127,9 +128,26 @@ class TestVerifyKContact:
         # intersection condition still decides; on R^3 with dz unused the
         # Reeb kernel is 3-dimensional, so condition 2 fails.
         ch = Chart(["x", "y", "z"])
-        s = KContactStructure([DifferentialForm.dx(ch, "x"), DifferentialForm.dx(ch, "y")])
+        s = KContactStructure([coord_form(ch, "x"), coord_form(ch, "y")])
         reeb_rank = verify_kcontact(s, n_points=4, config=FAST)[1]
         assert reeb_rank.name == "reeb_rank_condition" and reeb_rank.verdict == FAIL
+
+    @pytest.mark.parametrize("stack_entries", [kcontact._STACK_ENTRIES, 36])
+    def test_non_finite_point_raises_naming_it(self, monkeypatch, stack_entries):
+        # q^600 * q^600 overflows to inf where q > 1.81: inf - inf is nan.
+        # 36 entries stack 3 points of [eta; d-eta] (4 x 3) at a time
+        monkeypatch.setattr(kcontact, "_STACK_ENTRIES", stack_entries)
+        ch = Chart(["s", "q", "p"], ranges={"q": (0, 2)})
+        coeff = parse_expr("-p + q^600*q^600 - q^600*q^600")
+        s = KContactStructure([DifferentialForm(ch, 1, {(0,): ONE, (1,): coeff})])
+        pts = sample_points(ch.coords, ch, 20, random.Random(FAST.seed))
+        finite = [np.isfinite(structure_matrices_at(s, p)).all() for p in pts]
+        first = finite.index(False)
+        assert first >= 3
+        point = {k: str(v) for k, v in pts[first].items()}
+        with pytest.raises(DomainError) as err:
+            verify_kcontact(s, n_points=20, config=FAST)
+        assert str(err.value) == f"non-finite [eta; d-eta] at {point}"
 
     def test_report_serialization(self):
         s = canonical_structure(1, 1)
@@ -180,7 +198,7 @@ class TestComputeReeb:
 
     def test_non_kcontact_raises(self):
         ch = Chart(["x", "y", "z"])
-        dx = DifferentialForm.dx(ch, "x")
+        dx = coord_form(ch, "x")
         s = KContactStructure([dx, dx])
         with pytest.raises(SingularSystem):
             compute_reeb(s, FAST)
@@ -191,7 +209,7 @@ class TestComputeReeb:
             ("reeb_frame", PASS), ("reeb_commutation", PASS)]
         assert len(ok[0].detail["components"]) == 2
         ch = Chart(["x", "y", "z"])
-        dx = DifferentialForm.dx(ch, "x")
+        dx = coord_form(ch, "x")
         bad = check_reeb(KContactStructure([dx, dx]), FAST)
         assert [(c.name, c.verdict) for c in bad] == [("reeb_frame", FAIL)]
         assert "not k-contact" in bad[0].detail["error"]
@@ -325,6 +343,29 @@ class TestPolarization:
             assert (check.name, check.verdict) == ("polarization", FAIL)
         else:
             with pytest.raises(DomainError):
+                check_polarization(s, [field], n_points=5, config=FAST)
+
+    @pytest.mark.parametrize("fail_first", [True, False])
+    def test_first_failing_point_decides_before_a_non_finite_one(self, fail_first):
+        # X = ((q - a) + big - big) d/dp: rank 0 where q = a, nan where q = b.
+        # Among multiples of 1/64, w is 5/2 at q = b and at most 5/4
+        # elsewhere, so w^600 is finite and big = w^600 * w^600 overflows to
+        # inf only at q = b.  A non-finite point is undefined: it raises only
+        # when no point before it failed
+        s = canonical_structure(1, 1)
+        pts = sample_points(s.chart.coords, s.chart, 5, random.Random(FAST.seed))
+        q0, q1 = pts[0]["q_1"], pts[1]["q_1"]
+        assert q0 != q1
+        a, b = (q0, q1) if fail_first else (q1, q0)
+        q = Var("q_1")
+        w = Rational(Fraction(5, 8192)) * ((q - b) ** 2 + Rational(Fraction(1, 4096))) ** -1
+        big = w ** 600 * w ** 600
+        field = VectorField(s.chart, [0, 0, (q - a) + big - big])
+        if fail_first:
+            check = check_polarization(s, [field], n_points=5, config=FAST)
+            assert (check.name, check.verdict) == ("polarization", FAIL)
+        else:
+            with pytest.raises(DomainError, match="non-finite polarization fields at"):
                 check_polarization(s, [field], n_points=5, config=FAST)
 
     def test_reeb_direction_fails(self):

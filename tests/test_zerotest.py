@@ -125,6 +125,11 @@ def assert_agrees(e, chart=None, config=DEFAULT_CONFIG) -> ZeroTestResult:
     if isinstance(ref, type):
         assert new is ref
         return new
+    assert_same(new, ref, e, config)
+    return new
+
+
+def assert_same(new: ZeroTestResult, ref: ZeroTestResult, e, config) -> None:
     fields = ("is_zero", "exact", "n_points", "inconclusive")
     assert [getattr(new, f) for f in fields] == [getattr(ref, f) for f in fields]
     # on the float path the loop keeps rational subtrees exact where the
@@ -134,7 +139,6 @@ def assert_agrees(e, chart=None, config=DEFAULT_CONFIG) -> ZeroTestResult:
         assert new.max_abs == ref.max_abs
     if free_variables(e):
         assert new.n_points + new.n_skipped == config.n_sample_points
-    return new
 
 
 def families(seed: int, transcendental: bool):
@@ -389,6 +393,18 @@ class TestZeroTests:
             assert (zero_tests(exprs, Chart(NAMES, ranges=NARROW), CONFIG)
                     == _zero_test_each(exprs, Chart(NAMES, ranges=NARROW), CONFIG))
 
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_reference_loop(self, seed):
+        exprs = _check_expressions(random.Random(seed))
+        chart = Chart(NAMES, ranges=NARROW)
+        got = _first_error(lambda: zero_tests(exprs, chart, CONFIG))
+        want = _first_error(lambda: [reference_zero_test(e, chart, CONFIG) for e in exprs])
+        assert (got and got[0]) == (want and want[0])
+        if want is None:
+            for new, e in zip(zero_tests(exprs, chart, CONFIG), exprs):
+                assert_same(new, reference_zero_test(e, chart, CONFIG), e, CONFIG)
+
     def test_one_program_per_variable_set(self, monkeypatch):
         x, y = Var("x"), Var("y")
         joint = []
@@ -402,6 +418,18 @@ class TestZeroTests:
         assert joint == [3, 3]
         assert results == _zero_test_each(exprs, Chart(NAMES), CONFIG)
         assert zero_check("c", exprs, Chart(NAMES), CONFIG).verdict == FAIL
+
+    def test_an_expression_listed_again_is_tested_once(self, monkeypatch):
+        x, y = Var("x"), Var("y")
+        compiled = []
+        real = zerotest.compile_expr
+        monkeypatch.setattr(zerotest, "compile_expr", lambda e: compiled.append(e) or real(e))
+        a, b = x * y - y * x, x + 1
+        exprs = [a, b, a, a, Rational(Fraction(0)), b]
+        results = zero_tests(exprs, Chart(NAMES), CONFIG)
+        assert compiled == [a, b, exprs[4]]
+        monkeypatch.setattr(zerotest, "compile_expr", real)
+        assert results == _zero_test_each(exprs, Chart(NAMES), CONFIG)
 
     def test_a_pole_skips_only_its_own_expression(self):
         x, y = Var("x"), Var("y")
