@@ -7,11 +7,12 @@ This module assembles and solves them numerically at chart points, evaluates
 the induced PDE residuals for candidate sections, and integrates k=1 flows
 with a classic 4th-order one-step method.
 
-The pointwise solve (solve_hddw_at_point) reads A from the structure's one
-runner (kcontact.structure_matrices_at) and b from one runner over
-hddw_rhs, kept on the system (_system_at).  The nullspace means something
-only where the three defining conditions hold, so every point is checked
-for them by check_structure_at(A), for every k, before b is evaluated.
+The pointwise solve (solve_hddw_at_point) reads A as verify_kcontact does,
+from kcontact.structure_matrices_at, and b from one runner over hddw_rhs,
+kept on the system (_system_at).  The nullspace means something only where
+the three defining conditions hold, so every point is checked for them by
+verify_kcontact's reader check_structure_at(A), for every k, before b is
+evaluated; an undefined or non-finite A or b raises DomainError naming it.
 One thin SVD of A gives the least-norm particular solution and the rank, a
 residual test accepts the solution, and the nullspace basis is built when read.
 
@@ -157,18 +158,20 @@ def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray,
     structure not k-contact, before b is evaluated, so that a b with a pole
     on a degenerate hypersurface still reports the failed conditions.  b
     holds the hddw_rhs values, from one runner built on first use and kept
-    on the system.  A non-finite A or b raises DomainError, as does a runner
-    where its expressions are undefined.
+    on the system.  Raises DomainError naming the point where A
+    (structure_matrices_at) or b is undefined or not finite.
     """
     A = structure_matrices_at(sys.structure, point)
-    if np.isfinite(A).all():
-        if check_structure_at(A) != (sys.k, sys.k, 0):
-            raise StructureDegenerateAtPoint(point)
-        if sys._rhs_at is None:
-            sys._rhs_at = float_runner(hddw_rhs(sys))
+    if check_structure_at(A) != (sys.k, sys.k, 0):
+        raise StructureDegenerateAtPoint(point)
+    if sys._rhs_at is None:
+        sys._rhs_at = float_runner(hddw_rhs(sys))
+    try:
         b = np.array(sys._rhs_at(point))
         if np.isfinite(b).all():
             return A, b
+    except DomainError:
+        pass
     raise DomainError(f"non-finite pointwise system at {point}")
 
 

@@ -1,17 +1,17 @@
 """k-contact structures: the three defining conditions, Reeb frames, the
 canonical example, and polarization checks.
 
-The defining conditions (kernel coranks/ranks and their trivial intersection)
-are decided with numeric SVD ranks of [eta; d-eta] at sampled chart points:
-the HdDW matrix [d-eta^T; eta] of hddw's field equations, whose layout
-matrix_entries alone states, read as rows.  verify_kcontact stacks the
-points' [eta; d-eta] into arrays of at most _STACK_ENTRIES entries and
-takes each of the three ranks with one SVD call per stack; hddw checks one
-point at a time from A.  The
-Reeb frame, a forms.KVectorField, is solved symbolically from its
-duality/annihilation equations, the same rows as sparse dicts; the solve
-checks the frame against every one of those rows.  check_polarization
-likewise takes its span and bracket ranks over a stack of its points.
+A structure becomes numbers in one place, structure_matrices_at: the HdDW
+matrix A = [d-eta^T; eta] of hddw's field equations, whose layout
+matrix_entries alone states.  The defining conditions (kernel coranks/ranks
+and their trivial intersection) are read in one place, check_structure_at:
+numeric SVD ranks of [eta; d-eta], A rearranged, at one point (hddw) or over
+a stack of at most _STACK_ENTRIES entries of sampled points
+(verify_kcontact), one SVD call per rank and stack.  The Reeb frame, a
+forms.KVectorField, is solved symbolically from its duality/annihilation
+equations, the same entries as sparse rows; the solve checks the frame
+against every one of those rows.  check_polarization likewise takes its
+span and bracket ranks over a stack of its points.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class KContactStructure:
                 raise ValueError("components must be one-forms")
         self.eta = eta
         self.d_eta = tuple(exterior_derivative(f) for f in eta)
-        self._matrices_at = None  # structure_matrices_at's filler, built on first use
+        self._matrices_at = None  # the one filler of A (structure_matrices_at), built on first use
 
     @property
     def chart(self) -> Chart:
@@ -102,52 +102,44 @@ def matrix_entries(s: KContactStructure) -> list[tuple[int, int, ScalarExpr]]:
 def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
     """The HdDW matrix A of s (matrix_entries) at a point, with -0.0 turned
     into 0.0, filled by one runner built on first use and kept on the
-    structure."""
+    structure; raises DomainError naming the point where A is undefined or
+    not finite."""
     n = s.k * s.dim
     if s._matrices_at is None:
         s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, e)
                                                   for r, col, e in matrix_entries(s)])
-    return s._matrices_at(point).reshape(s.dim + 1, n)
+    try:
+        A = s._matrices_at(point)
+        if np.isfinite(A).all():
+            return A.reshape(s.dim + 1, n)
+    except DomainError:
+        pass
+    raise DomainError(f"structure matrix undefined or not finite at {_point_text(point)}")
 
 
-def _reeb_rows(s: KContactStructure) -> list[tuple[int, int, ScalarExpr]]:
-    """(row, column, entry) for every nonzero entry of [eta; d-eta], the
-    (k + k*dim) x dim matrix whose rows are the Reeb equations: matrix_entries
-    read as rows.  Row beta is eta^beta, and row k + beta*dim + i is
-    d eta^beta(e_i, .), which is column beta*dim + i of A."""
-    dim, k = s.dim, s.k
-    return [(col // dim, col % dim, e) if r == dim else (k + col, r, e)
-            for r, col, e in matrix_entries(s)]
-
-
-def _defining_ranks(M: np.ndarray, k: int) -> tuple:
+def check_structure_at(A: np.ndarray) -> tuple:
     """(rank of eta, dim of the common kernel of d-eta, dim of the two
-    kernels' intersection) of [eta; d-eta] (_reeb_rows), one numeric SVD rank
-    each of the views M[:k], M[k:] and M; of a stack (..., k + k*dim, dim),
-    three integer arrays of per-matrix values."""
-    dim = M.shape[-1]
+    kernels' intersection) from the HdDW matrix A; from a stack
+    (..., dim + 1, k*dim), three integer arrays of per-matrix values.
+
+    [eta; d-eta] stacks eta, A's last row as k x dim, on d-eta, its first
+    dim rows transposed; each rank is one SVD call on a tall view of it (eta,
+    d-eta, the whole).  The three defining conditions hold at a point
+    exactly when this is (k, k, 0): ker eta has corank k, the d-eta kernel
+    has dimension k, and the two kernels intersect trivially.
+    """
+    dim = A.shape[-2] - 1
+    eta = A[..., dim, :].reshape(*A.shape[:-2], -1, dim)
+    M = np.concatenate([eta, np.swapaxes(A[..., :dim, :], -1, -2)], axis=-2)
+    k = eta.shape[-2]
     return (numeric_rank(M[..., :k, :]), dim - numeric_rank(M[..., k:, :]),
             dim - numeric_rank(M))
 
 
-def check_structure_at(A: np.ndarray) -> tuple[int, int, int]:
-    """The defining ranks (_defining_ranks) at one point from the HdDW matrix
-    A: eta is its last row, as k x dim, and the stacked d-eta its first dim
-    rows, transposed.
-
-    The three defining conditions hold at the point exactly when this is
-    (k, k, 0): ker eta has corank k, the d-eta kernel has dimension k, and
-    the two kernels intersect trivially.
-    """
-    dim = A.shape[0] - 1
-    eta = A[dim].reshape(-1, dim)
-    return _defining_ranks(np.vstack([eta, A[:dim].T]), len(eta))
-
-
 _STACK_ENTRIES = 1 << 13
-"""verify_kcontact stacks at most this many float64 entries (64 KiB) of
-[eta; d-eta] per SVD call: every point of the small structures, whose ranks
-cost mostly the call itself, and a few points at a time of the large ones,
+"""verify_kcontact stacks at most this many float64 entries (64 KiB) of A
+per SVD call: every point of the small structures, whose ranks cost
+mostly the call itself, and a few points at a time of the large ones,
 whose ranks cost mostly the SVD.  Larger stacks, allocated in varying sizes
 call after call, raised the peak memory of a long run of structure checks
 (0.9 MB over 30 passes of the benchmark's structure jobs at 256 KiB)."""
@@ -161,25 +153,17 @@ def verify_kcontact(
     """The three defining conditions (see check_structure_at) at sampled points,
     one check each: corank_condition (its detail holds the per-point rank
     table), reeb_rank_condition and trivial_intersection.  Failing structures
-    yield failing checks, not an exception; a point where [eta; d-eta] is not
-    finite raises DomainError, as one where it is undefined does."""
+    yield failing checks, not an exception; a point where A is undefined or
+    not finite raises DomainError (structure_matrices_at)."""
     rng = random.Random(config.seed)
     pts = sample_points(s.chart.coords, s.chart, n_points, rng)
     if not pts:
         raise SampleDomainEmpty("no sample points for structure verification")
-    dim, n_rows = s.dim, s.k + s.k * s.dim
-    fill = filler(n_rows * dim, [(r * dim + c, e) for r, c, e in _reeb_rows(s)])
     ranks = []
-    per_stack = max(1, _STACK_ENTRIES // (n_rows * dim))
+    per_stack = max(1, _STACK_ENTRIES // ((s.dim + 1) * s.k * s.dim))
     for start in range(0, len(pts), per_stack):
-        block = pts[start:start + per_stack]
-        M = np.zeros((len(block), n_rows * dim))
-        for p, out in zip(block, M):
-            fill(p, out)
-        bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
-        if len(bad):
-            raise DomainError(f"non-finite [eta; d-eta] at {_point_text(block[bad[0]])}")
-        ranks += zip(*(r.tolist() for r in _defining_ranks(M.reshape(-1, n_rows, dim), s.k)))
+        A = np.stack([structure_matrices_at(s, p) for p in pts[start:start + per_stack]])
+        ranks += zip(*(r.tolist() for r in check_structure_at(A)))
     want = (s.k, s.k, 0)
     rank_table = [
         {
@@ -210,15 +194,19 @@ def compute_reeb(s: KContactStructure, config: RunConfig = DEFAULT_CONFIG) -> KV
     """Solve the Reeb defining equations symbolically for the frame R_1..R_k.
 
     For each alpha: eta^beta(R_alpha) = delta and iota_{R_alpha} d eta^beta = 0.
-    The equations are the rows of [eta; d-eta] (_reeb_rows).  One sparse
-    Gauss-Jordan elimination over the expression field with k right-hand
-    sides, which returns the frame only once the sampling zero test finds it
-    satisfies every row.
+    The equations are the rows of [eta; d-eta], matrix_entries read as rows:
+    row beta is eta^beta, and row k + beta*dim + i, d eta^beta(e_i, .), is
+    column beta*dim + i of A.  One sparse Gauss-Jordan elimination over the
+    expression field with k right-hand sides, which returns the frame only
+    once the sampling zero test finds it satisfies every row.
     """
     dim, k = s.dim, s.k
     rows = [{} for _ in range(k + k * dim)]
-    for r, c, e in _reeb_rows(s):
-        rows[r][c] = e
+    for r, col, e in matrix_entries(s):
+        if r == dim:
+            rows[col // dim][col % dim] = e
+        else:
+            rows[k + col][r] = e
     rhs = [{beta: ONE} for beta in range(k)] + [{} for _ in range(k * dim)]
     try:
         sol = solve_symbolic(rows, rhs, dim, s.chart, config)
@@ -325,7 +313,8 @@ def check_polarization(
     n*k at sampled points (with dim = k + n + n*k); and pairwise brackets stay
     inside the span at sampled points.  Only the pairs _polarization_pairs
     keeps are built: the others are structurally zero, so their zero tests
-    would pass with residual 0 and their brackets would add no row.
+    would pass with residual 0 and their brackets would add no row.  With no
+    rank point drawn, raises SampleDomainEmpty; see below for DomainError.
     """
     fields = list(V)
     detail = {"n_fields": len(fields)}
@@ -349,6 +338,8 @@ def check_polarization(
 
     rng = random.Random(config.seed)
     pts = sample_points(chart.coords, chart, n_points, rng)
+    if not pts:
+        raise SampleDomainEmpty("no sample points for the polarization check")
     brackets = [lie_bracket(fields[a], fields[b]).components for a, b in bracket_pairs]
     # a structurally zero bracket adds a zero row, which cannot change the rank
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
@@ -357,19 +348,19 @@ def check_polarization(
     rows_at = filler(len(rows) * dim, [(r * dim + i, c) for r, comps in enumerate(rows)
                                        for i, c in enumerate(comps) if c != ZERO])
     values = np.zeros((len(pts), len(rows) * dim))
-    undefined = None
     for i, p in enumerate(pts):
         try:
             rows_at(p, values[i])
-        except DomainError as err:
-            # the points before this one decide first: a failure there fails
-            values, undefined = values[:i], err
+        except DomainError:
+            values[i] = np.nan  # undefined: as a non-finite point
             break
-    # a point whose fields are not finite is undefined there too
+    undefined = None
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if len(bad):
+        # DomainError naming the first undefined or non-finite point, but the
+        # points before it decide first: a failure there fails
         values, undefined = values[:bad[0]], DomainError(
-            f"non-finite polarization fields at {_point_text(pts[bad[0]])}")
+            f"polarization fields undefined or not finite at {_point_text(pts[bad[0]])}")
     values = values.reshape(-1, len(rows), dim)
     # the brackets stay in the span iff stacking them leaves its rank
     r = numeric_rank(values[:, :n])

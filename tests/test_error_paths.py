@@ -212,17 +212,22 @@ class TestDegeneratePoint:
         assert check["detail"]["failed_at"] == point
 
     def test_undefined_system_on_a_k_contact_point_is_a_domain_error(self):
-        # A finite and k-contact, b undefined; then A itself undefined
+        # A finite and k-contact, b undefined; then A itself undefined: each
+        # error names the point
         ch = Chart(["s", "q", "p"])
         s, q, p = Var("s"), Var("q"), Var("p")
         eta = DifferentialForm(ch, 1, {(0,): s, (1,): -s * p})
         sys_ = KContactHamiltonianSystem(KContactStructure([eta]), "1/q")
-        with pytest.raises(DomainError, match="division by zero"):
-            solve_hddw_at_point(sys_, {"s": 1.0, "q": 0.0, "p": 2.0})
+        point = {"s": 1.0, "q": 0.0, "p": 2.0}
+        with pytest.raises(DomainError) as err:
+            solve_hddw_at_point(sys_, point)
+        assert str(err.value) == f"non-finite pointwise system at {point}"
         eta = DifferentialForm(ch, 1, {(0,): Rational(1), (1,): -p / q})
         sys_ = KContactHamiltonianSystem(KContactStructure([eta]), 0)
-        with pytest.raises(DomainError, match="division by zero"):
+        with pytest.raises(DomainError) as err:
             solve_hddw_at_point(sys_, {"s": 0.0, "q": 0.0, "p": 2.0})
+        assert str(err.value) == (
+            "structure matrix undefined or not finite at {'s': '0.0', 'q': '0.0', 'p': '2.0'}")
 
     @pytest.mark.parametrize("s0, dt", [(-0.5, 0.25), (-0.3, 0.1)])
     def test_flow_stops_on_a_degenerate_hypersurface(self, tmp_path, capsys, s0, dt):
@@ -262,7 +267,7 @@ class TestNonFiniteSystem:
         sys_ = KContactHamiltonianSystem(thermo_structure(), "V*V*V")
         point = dict.fromkeys(["E", "S", "V", "N", "T", "P", "mu"], 1.0)
         point["T"] = float("nan")
-        with pytest.raises(DomainError, match="non-finite pointwise system at"):
+        with pytest.raises(DomainError, match="structure matrix undefined or not finite at"):
             solve_hddw_at_point(sys_, point)
 
 

@@ -462,7 +462,35 @@ class TestCLI:
         assert main(["verify-structure", str(path), "--no-timestamp"]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
-        assert out.err.startswith("error: ") and "non-finite [eta; d-eta] at {" in out.err
+        assert out.err.startswith(
+            "error: DomainError: structure matrix undefined or not finite at {")
+
+    @pytest.mark.parametrize("argv, point", [
+        (["verify-structure", "--seed", "17"], "{'p': '-31/32', 'q': '0', 's': '29/64'}"),
+        (["verify-structure", "--seed", "26"], "{'p': '-25/16', 'q': '0', 's': '-27/64'}"),
+        (["hddw", "--point", '{"s": 0, "q": 0, "p": 1}'],
+         "{'s': '0.0', 'q': '0.0', 'p': '1.0'}"),
+    ])
+    def test_undefined_structure_matrix_names_its_point(self, tmp_path, capsys, argv, point):
+        # eta = ds - p dq + dp/q^2 is undefined at q = 0, which these seeds draw
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps({"chart": {"coords": ["s", "q", "p"]}, "forms": {
+            "eta": {"coeffs": {"0": "1", "1": "-p", "2": "1/q^2"}}}}))
+        assert main([argv[0], str(path), *argv[1:], "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: DomainError: structure matrix undefined or not finite at {point}\n")
+
+    def test_undefined_right_hand_side_names_its_point(self, capsys):
+        # b holds d(1/E) = -dE/E^2, undefined at E = 0, where thermo's A is fine
+        point = {"E": 0, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}
+        assert main(["hddw", "--builtin", "thermo", "--H", "1/E", "--point", json.dumps(point),
+                     "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        floats = {name: float(v) for name, v in point.items()}
+        assert out.out == ""
+        assert out.err == f"error: DomainError: non-finite pointwise system at {floats}\n"
 
     def test_hddw_flow_integration(self, tmp_path):
         from kontact.idealgas import equilibrium_state, isentropic_hamiltonian

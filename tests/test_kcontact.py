@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kontact import kcontact
 from kontact.config import RunConfig
-from kontact.errors import (ChartMismatch, DomainError, SingularSystem,
+from kontact.errors import (ChartMismatch, DomainError, SampleDomainEmpty, SingularSystem,
                             StructureDegenerateAtPoint)
 from kontact.expr import ONE, Rational, Var, ZERO, evaluate, parse_expr
 from kontact.forms import (
@@ -141,13 +141,14 @@ class TestVerifyKContact:
         coeff = parse_expr("-p + q^600*q^600 - q^600*q^600")
         s = KContactStructure([DifferentialForm(ch, 1, {(0,): ONE, (1,): coeff})])
         pts = sample_points(ch.coords, ch, 20, random.Random(FAST.seed))
-        finite = [np.isfinite(structure_matrices_at(s, p)).all() for p in pts]
-        first = finite.index(False)
+        # the first point where q^600 * q^600 overflows in floats, as in the runner
+        coeff_at = [float(p["q"]) ** 600 * float(p["q"]) ** 600 for p in pts]
+        first = next(i for i, c in enumerate(coeff_at) if c == float("inf"))
         assert first >= 3
         point = {k: str(v) for k, v in pts[first].items()}
         with pytest.raises(DomainError) as err:
             verify_kcontact(s, n_points=20, config=FAST)
-        assert str(err.value) == f"non-finite [eta; d-eta] at {point}"
+        assert str(err.value) == f"structure matrix undefined or not finite at {point}"
 
     def test_report_serialization(self):
         s = canonical_structure(1, 1)
@@ -342,8 +343,18 @@ class TestPolarization:
             check = check_polarization(s, [field], n_points=5, config=FAST)
             assert (check.name, check.verdict) == ("polarization", FAIL)
         else:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as err:
                 check_polarization(s, [field], n_points=5, config=FAST)
+            point = {c: str(v) for c, v in pts[0].items()}
+            assert str(err.value) == f"polarization fields undefined or not finite at {point}"
+
+    def test_no_rank_point_is_refused(self):
+        # a pass needs evaluable points: with none drawn there is no verdict
+        s = canonical_structure(1, 1)
+        V = [VectorField.coordinate(s.chart, "p_1_1")]
+        assert check_polarization(s, V, n_points=1, config=FAST).verdict == PASS
+        with pytest.raises(SampleDomainEmpty, match="no sample points"):
+            check_polarization(s, V, n_points=0, config=FAST)
 
     @pytest.mark.parametrize("fail_first", [True, False])
     def test_first_failing_point_decides_before_a_non_finite_one(self, fail_first):
@@ -365,7 +376,8 @@ class TestPolarization:
             check = check_polarization(s, [field], n_points=5, config=FAST)
             assert (check.name, check.verdict) == ("polarization", FAIL)
         else:
-            with pytest.raises(DomainError, match="non-finite polarization fields at"):
+            with pytest.raises(DomainError,
+                               match="polarization fields undefined or not finite at"):
                 check_polarization(s, [field], n_points=5, config=FAST)
 
     def test_reeb_direction_fails(self):
@@ -514,6 +526,8 @@ class TestStructureMatrices:
         rank_table = checks[0].detail["rank_table"]
         pts = sample_points(s.chart.coords, s.chart, 20, random.Random(FAST.seed))
         loop = [check_structure_at(structure_matrices_at(s, p)) for p in pts]
+        stacked = check_structure_at(np.stack([structure_matrices_at(s, p) for p in pts]))
+        assert list(zip(*(r.tolist() for r in stacked))) == loop
         assert [tuple(row[key] for key in ("eta_rank", "ker_deta_dim", "intersection_dim"))
                 for row in rank_table] == loop
         assert all(type(r) is int for ranks in loop for r in ranks)
