@@ -298,12 +298,15 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
             "--section": args.section, "--point": args.point, "--n-points": args.n_points})
         if s.k != 1:
             raise ParseError("flow integration applies to k = 1 systems only")
-        _usage(flow_steps, args.t_end, args.dt)
+        dt = 1e-3 if args.dt is None else args.dt
+        _usage(flow_steps, args.t_end, dt)
         if args.x0 is None:
             raise ParseError("flow integration needs --x0 with coordinate values")
         x0 = _coordinate_values("--x0", args.x0, s.chart.coords)
     elif args.x0 is not None or args.csv:
         raise ParseError("--x0 and --csv apply to flow integration: give --t-end")
+    elif args.dt is not None:
+        raise ParseError("--dt applies to flow integration: give --t-end")
     elif args.point in (None, "random"):
         n_points = 1 if args.n_points is None else args.n_points
         points = sample_points(s.chart.coords, s.chart, n_points, random.Random(config.seed))
@@ -321,7 +324,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
     sys_ = KContactHamiltonianSystem(s, H, reeb=reeb, config=config)
     try:
         if args.t_end is not None:
-            traj = integrate_contact_flow(sys_, x0, args.t_end, args.dt)
+            traj = integrate_contact_flow(sys_, x0, args.t_end, dt)
         else:
             dims, max_res = set(), 0.0
             for p in points:
@@ -337,7 +340,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         if args.csv:
             _write_output("--csv", args.csv, traj.to_csv)
         return [Check("flow_integrated", PASS,
-                      detail={"steps": len(traj.states) - 1, "dt": args.dt})]
+                      detail={"steps": len(traj.states) - 1, "dt": dt})]
 
     expected = expected_nullspace_dim(s.k, s.dim)
     checks = [Check("nullspace_dimension", _verdict(dims == {expected}),
@@ -434,7 +437,7 @@ def _add_hddw(sub):
     p.add_argument("--section", help="section file to test for the PDE residual")
     p.add_argument("--t-end", type=float, default=None,
                    help="integrate the k=1 flow up to this time")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, help="flow step (default 1e-3)")
     p.add_argument("--x0", help="initial point as a JSON object")
     p.add_argument("--csv", help="write the trajectory as CSV")
     _add_common(p)

@@ -13,8 +13,9 @@ kept on the system (_system_at).  The nullspace means something only where
 the three defining conditions hold, so every point is checked for them by
 verify_kcontact's reader check_structure_at(A), for every k, before b is
 evaluated; an undefined or non-finite A or b raises DomainError naming it.
-One thin SVD of A gives the least-norm particular solution and the rank, a
-residual test accepts the solution, and the nullspace basis is built when read.
+One thin SVD of A (of A^T where A is wide, every k >= 2) gives the
+least-norm particular solution and the rank, a residual test accepts the
+solution, and the nullspace basis is built when read.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the

@@ -5,13 +5,14 @@ A structure becomes numbers in one place, structure_matrices_at: the HdDW
 matrix A = [d-eta^T; eta] of hddw's field equations, whose layout
 matrix_entries alone states.  The defining conditions (kernel coranks/ranks
 and their trivial intersection) are read in one place, check_structure_at:
-numeric SVD ranks of [eta; d-eta], A rearranged, at one point (hddw) or over
-a stack of at most _STACK_ENTRIES entries of sampled points
-(verify_kcontact), one SVD call per rank and stack.  The Reeb frame, a
-forms.KVectorField, is solved symbolically from its duality/annihilation
-equations, the same entries as sparse rows; the solve checks the frame
-against every one of those rows.  check_polarization likewise takes its
-span and bracket ranks over a stack of its points.
+numeric SVD ranks of [eta; d-eta], A rearranged less the d-eta rows that
+are zero throughout, at one point (hddw) or over a stack of at most
+_STACK_ENTRIES entries of sampled points (verify_kcontact), one SVD call
+per rank and stack.  The Reeb frame, a forms.KVectorField, is solved
+symbolically from its duality/annihilation equations, the same entries as
+sparse rows; the solve checks the frame against every one of those rows.
+check_polarization likewise takes its span and bracket ranks over a stack
+of its points.
 """
 
 from __future__ import annotations
@@ -123,14 +124,19 @@ def check_structure_at(A: np.ndarray) -> tuple:
     (..., dim + 1, k*dim), three integer arrays of per-matrix values.
 
     [eta; d-eta] stacks eta, A's last row as k x dim, on d-eta, its first
-    dim rows transposed; each rank is one SVD call on a tall view of it (eta,
-    d-eta, the whole).  The three defining conditions hold at a point
-    exactly when this is (k, k, 0): ker eta has corank k, the d-eta kernel
-    has dimension k, and the two kernels intersect trivially.
+    dim rows transposed, less the d-eta rows (A's columns) that are zero in
+    every matrix of the stack: a zero row changes no singular value, and
+    most d-eta rows are zero (row alpha*dim + i, for a coordinate i that
+    d eta^alpha never names).  Each rank is one SVD call on a tall view of
+    it (eta, d-eta, the whole).  The three defining conditions hold at a
+    point exactly when this is (k, k, 0): ker eta has corank k, the d-eta
+    kernel has dimension k, and the two kernels intersect trivially.
     """
     dim = A.shape[-2] - 1
     eta = A[..., dim, :].reshape(*A.shape[:-2], -1, dim)
-    M = np.concatenate([eta, np.swapaxes(A[..., :dim, :], -1, -2)], axis=-2)
+    d_eta = A[..., :dim, :]
+    nonzero = d_eta.any(axis=tuple(range(A.ndim - 1)))
+    M = np.concatenate([eta, np.swapaxes(d_eta.compress(nonzero, axis=-1), -1, -2)], axis=-2)
     k = eta.shape[-2]
     return (numeric_rank(M[..., :k, :]), dim - numeric_rank(M[..., k:, :]),
             dim - numeric_rank(M))

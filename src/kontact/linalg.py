@@ -54,18 +54,22 @@ def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
     4th ed., 5.5): M's minimum-norm least-squares solution and its numeric
     rank.
 
-    The rank counts singular values above RANK_THRESHOLD * s_max, and x is
+    A wide M is solved through the thin SVD of M^T, since pinv(M) =
+    pinv(M^T)^T and LAPACK factors the tall M^T faster than the wide M.  The
+    rank counts singular values above RANK_THRESHOLD * s_max, and x is
     V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so x
-    equals pinv(M, RANK_THRESHOLD) @ b bit for bit.
+    equals pinv(M, RANK_THRESHOLD) @ b bit for bit where M is tall or
+    square, and pinv(M.T, RANK_THRESHOLD).T @ b where M is wide.
     """
     if M.size == 0:
         return np.zeros(M.shape[1]), 0
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
+    wide = M.shape[0] < M.shape[1]
+    u, s, vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
     large = s > RANK_THRESHOLD * np.maximum.reduce(s)  # np.amax without its wrapper
     s_inv = np.divide(1, s, where=large, out=s)
     s_inv[~large] = 0
-    x = np.matmul(vt.T, np.multiply(s_inv[:, np.newaxis], u.T)) @ b
-    return x, int(np.count_nonzero(large))
+    pinv = np.matmul(vt.T, np.multiply(s_inv[:, np.newaxis], u.T))
+    return (pinv.T if wide else pinv) @ b, int(np.count_nonzero(large))
 
 
 def solve_symbolic(

@@ -755,6 +755,25 @@ class TestCLI:
         assert out.err.startswith("error: --x0 and --csv") and out.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_hddw_dt_needs_t_end(self, tmp_path, monkeypatch, capsys):
+        from kontact.idealgas import equilibrium_state, isentropic_hamiltonian
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["hddw", "--builtin", "hydro2", "--dt", "0.5", "--json", "r.json",
+                     "--no-timestamp"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --dt applies to flow integration: give --t-end\n"
+        assert list(tmp_path.iterdir()) == []
+        # a flow without --dt steps by 1e-3
+        Path("system.json").write_text(json.dumps({"structure": "thermo",
+                                                   "H": str(isentropic_hamiltonian("3/2"))}))
+        assert main(["hddw", "--system", "system.json", "--x0",
+                     json.dumps(equilibrium_state("3/2")), "--t-end", "0.01",
+                     "--json", "r.json", "--samples", "16", "--no-timestamp"]) == 0
+        [check] = json.loads(Path("r.json").read_text())["checks"]
+        assert check["detail"] == {"steps": 10, "dt": 0.001}
+
     @pytest.mark.parametrize("extra", [["--section", "sect.json"], ["--point", '{"E": 1}'],
                                        ["--n-points", "3"]])
     def test_hddw_pointwise_options_refuse_t_end(self, tmp_path, monkeypatch, capsys, extra):

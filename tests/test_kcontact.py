@@ -516,12 +516,8 @@ class TestStructureMatrices:
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,2",
                                       "degenerate:2,2", "degenerate:3,3", "degenerate:4,4"])
     def test_stacked_ranks_equal_the_point_loop(self, name):
-        # degenerate:n,k is canonical:n,k with eta^k := eta^1, as in the
-        # benchmark's degenerate structure files: every point fails
-        kind, size = name.split(":") if ":" in name else (name, None)
-        s = resolve_structure(name if kind != "degenerate" else f"canonical:{size}")[0]
-        if kind == "degenerate":
-            s = KContactStructure(s.eta[:-1] + s.eta[:1])
+        kind = name.split(":")[0]
+        s = named_structure(name)
         checks = verify_kcontact(s, n_points=20, config=FAST)
         rank_table = checks[0].detail["rank_table"]
         pts = sample_points(s.chart.coords, s.chart, 20, random.Random(FAST.seed))
@@ -537,6 +533,31 @@ class TestStructureMatrices:
             all(r[i] == (s.k, s.k, 0)[i] for r in loop) for i in range(3)]
         assert all(row["pass"] for row in rank_table) == (kind != "degenerate")
 
+    @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "thermo",
+                                      "degenerate:2,2", "degenerate:3,3", "degenerate:4,4"]
+                             + [f"canonical:{n},{k}" for n in range(1, 5) for k in range(1, 5)])
+    def test_ranks_equal_the_uncompressed_ranks(self, name):
+        s = named_structure(name)
+        pts = sample_points(s.chart.coords, s.chart, 6, random.Random(11))
+        stack = np.stack([structure_matrices_at(s, {c: float(v) for c, v in p.items()})
+                          for p in pts])
+        for got, want in zip(check_structure_at(stack), uncompressed_ranks(stack)):
+            assert np.array_equal(got, want)
+        for A in stack:
+            assert check_structure_at(A) == uncompressed_ranks(A)
+
+    def test_a_row_nonzero_at_one_point_is_kept(self):
+        # eta = ds - x^2/2 dy: d eta = -x dx ^ dy, whose x and y rows vanish
+        # where x = 0, and there ker d eta is everything
+        ch = Chart(["s", "x", "y"])
+        s = KContactStructure([DifferentialForm(ch, 1, {(0,): "1", (2,): "-x^2/2"})])
+        stack = np.stack([structure_matrices_at(s, {"s": 1.0, "x": x, "y": 2.0})
+                          for x in (0.0, 0.0, 1.0, 0.0)])
+        ranks = [r.tolist() for r in check_structure_at(stack)]
+        assert ranks == [[1, 1, 1, 1], [3, 3, 1, 3], [2, 2, 0, 2]]
+        assert ranks == [r.tolist() for r in uncompressed_ranks(stack)]
+        assert check_structure_at(stack[2]) == (1, 1, 0)
+
     def test_verify_takes_one_svd_per_rank_and_stack(self, monkeypatch):
         from kontact.kcontact import _STACK_ENTRIES
 
@@ -544,14 +565,16 @@ class TestStructureMatrices:
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda M, **kw: calls.append(M.shape) or real(M, **kw))
+        # canonical:n,k keeps 2nk of its k*dim d-eta rows: iota_{e_i} d eta^a
+        # is nonzero only for i a q_j or a p_a_j
         verify_kcontact(canonical_structure(2, 2), n_points=7, config=FAST)
-        assert calls == [(7, 2, 8), (7, 16, 8), (7, 18, 8)]
-        # canonical:4,4's [eta; d-eta] is 100 x 24: 3 points fill a stack
+        assert calls == [(7, 2, 8), (7, 8, 8), (7, 10, 8)]
+        # canonical:4,4's A is 25 x 96: 3 points fill a stack
         calls.clear()
         verify_kcontact(canonical_structure(4, 4), n_points=7, config=FAST)
-        assert 3 * 100 * 24 <= _STACK_ENTRIES < 4 * 100 * 24
+        assert 3 * 25 * 96 <= _STACK_ENTRIES < 4 * 25 * 96
         assert calls == [shape for n in (3, 3, 1)
-                         for shape in ((n, 4, 24), (n, 96, 24), (n, 100, 24))]
+                         for shape in ((n, 4, 24), (n, 32, 24), (n, 36, 24))]
 
     def test_point_check_matches_report(self):
         s = canonical_structure(2, 2)
@@ -561,6 +584,26 @@ class TestStructureMatrices:
             ranks = check_structure_at(structure_matrices_at(s, p))
             assert ranks == (row["eta_rank"], row["ker_deta_dim"], row["intersection_dim"])
             assert ranks == (2, 2, 0) and row["pass"]
+
+
+def named_structure(name: str) -> KContactStructure:
+    """A builtin, or degenerate:n,k: canonical:n,k with eta^k := eta^1, as
+    in the benchmark's degenerate structure files, which fails at every
+    point."""
+    kind, size = name.split(":") if ":" in name else (name, None)
+    s = resolve_structure(name if kind != "degenerate" else f"canonical:{size}")[0]
+    return KContactStructure(s.eta[:-1] + s.eta[:1]) if kind == "degenerate" else s
+
+
+def uncompressed_ranks(A: np.ndarray) -> tuple:
+    """check_structure_at's three ranks taken on the whole [eta; d-eta],
+    zero d-eta rows included: the reference for its ranks."""
+    dim = A.shape[-2] - 1
+    eta = A[..., dim, :].reshape(*A.shape[:-2], -1, dim)
+    M = np.concatenate([eta, np.swapaxes(A[..., :dim, :], -1, -2)], axis=-2)
+    k = eta.shape[-2]
+    return (numeric_rank(M[..., :k, :]), dim - numeric_rank(M[..., k:, :]),
+            dim - numeric_rank(M))
 
 
 def k1_structure(rng: random.Random) -> KContactStructure:

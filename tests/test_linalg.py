@@ -1,5 +1,6 @@
 """The sparse symbolic solve: pivots, absent entries and singular systems;
-numeric ranks of stacked matrices."""
+numeric ranks of stacked matrices; the least-norm solve of tall, square and
+wide matrices."""
 
 from __future__ import annotations
 
@@ -115,3 +116,34 @@ def test_stack_takes_one_svd(monkeypatch):
     stack = np.stack([np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1e-9, 0.0])])
     assert numeric_rank(stack).tolist() == [3, 0, 1]
     assert calls == [(3, 3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# least_norm_solution: pinv's arithmetic on M, or on M^T where M is wide
+
+@st.composite
+def _systems(draw):
+    """(M, b, r): a tall, square or wide M of rank at most r, some of its
+    rows and columns zeroed, and a right-hand side b."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(0, min(m, n)))
+    M = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    M[draw(st.lists(st.integers(0, m - 1), max_size=2)), :] = 0
+    M[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    return M, rng.standard_normal(m), r
+
+
+@given(_systems())
+@settings(max_examples=300, deadline=None)
+def test_least_norm_solution_is_pinv_of_the_tall_side(system):
+    M, b, r = system
+    x, rank = linalg.least_norm_solution(M, b)
+    RT = linalg.RANK_THRESHOLD
+    m, n = M.shape
+    want = np.linalg.pinv(M, RT) @ b if m >= n else np.linalg.pinv(M.T, RT).T @ b
+    assert np.array_equal(x, want)
+    assert rank <= r
+    if np.linalg.cond(M) < 1e6:
+        assert rank == min(m, n)
+        assert np.allclose(x, np.linalg.pinv(M) @ b, rtol=1e-9, atol=1e-12)
