@@ -14,8 +14,10 @@ the three defining conditions hold, so every point is checked for them by
 verify_kcontact's reader check_structure_at(A), for every k, before b is
 evaluated; an undefined or non-finite A or b raises DomainError naming it.
 One thin SVD of A (of A^T where A is wide, every k >= 2) gives the
-least-norm particular solution and the rank, a residual test accepts the
-solution, and the nullspace basis is built when read.
+least-norm particular solution and the rank; where b = 0 (every system with
+H = 0) the solution is 0 and the SVD takes singular values only.  A
+residual test accepts the solution, and the nullspace basis is built when
+read.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
@@ -246,9 +248,13 @@ class Trajectory:
         return [s[name] for s in self.states]
 
     def to_csv(self, fh):
-        fh.write(",".join(self.chart_coords) + "\n")
+        """A header of the coordinate names, then one row per state, each
+        value written with %.17g, enough digits to read it back exactly."""
+        coords = self.chart_coords
+        fh.write(",".join(coords) + "\n")
+        row = ",".join(["%.17g"] * len(coords)) + "\n"
         for s in self.states:
-            fh.write(",".join(f"{s[c]:.17g}" for c in self.chart_coords) + "\n")
+            fh.write(row % tuple([s[c] for c in coords]))
 
 
 def flow_steps(t_end: float, dt: float) -> int:
@@ -335,17 +341,18 @@ def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: f
     return bound > 2 * RANK_THRESHOLD * math.sqrt(2 * d_eta_sq + eta_sq)
 
 
-def _field_at(field: tuple, point: dict) -> np.ndarray | None:
-    """X at a float point from _k1_field's runner, or None where the stage
-    takes the pointwise solve: the runner raises DomainError there, a value
-    is not finite, or _full_rank cannot show that A has full rank."""
+def _field_at(field: tuple, point: dict) -> list | None:
+    """X at a float point from _k1_field's runner, as its list of floats, or
+    None where the stage takes the pointwise solve: the runner raises
+    DomainError there, a value is not finite, or _full_rank cannot show that
+    A has full rank."""
     run, n = field
     try:
         *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
     except DomainError:
         return None
     if all(map(math.isfinite, x)) and _full_rank(n, omega, power_sq, eta_sq, d_eta_sq):
-        return np.array(x)
+        return x
     return None
 
 
@@ -361,27 +368,35 @@ def integrate_contact_flow(
     A stage where _field_at cannot vouch for X, and every stage where the
     field is not proven, is re-solved by solve_hddw_at_point, which raises
     StructureDegenerateAtPoint, DomainError or InconsistentSystem there.
+
+    The state and the stage slopes are lists of Python floats, combined
+    coordinate by coordinate in the IEEE operations, and their order, of the
+    array form y + (dt/2) k1, y + dt k3 and y + (dt/6)(k1 + 2 k2 + 2 k3 + k4),
+    so each state is the array form's bit for bit; an overflow gives inf
+    with no numpy warning.
     """
     if sys.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")
     n_steps = flow_steps(t_end, dt)
     coords = sys.chart.coords
-    state = np.array([float(x0[c]) for c in coords])
+    state = [float(x0[c]) for c in coords]
     field = _k1_field(sys)
 
-    def f(y: np.ndarray) -> np.ndarray:
-        point = dict(zip(coords, y.tolist()))
+    def f(y: list) -> list:
+        point = dict(zip(coords, y))
         x = None if field is None else _field_at(field, point)
-        return solve_hddw_at_point(sys, point).particular[0] if x is None else x
+        return solve_hddw_at_point(sys, point).particular[0].tolist() if x is None else x
 
-    states = [dict(zip(coords, state.tolist()))]
+    half, sixth = 0.5 * dt, dt / 6.0
+    states = [dict(zip(coords, state))]
     for _ in range(n_steps):
         k1 = f(state)
-        k2 = f(state + 0.5 * dt * k1)
-        k3 = f(state + 0.5 * dt * k2)
-        k4 = f(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states.append(dict(zip(coords, state.tolist())))
+        k2 = f([y + half * a for y, a in zip(state, k1)])
+        k3 = f([y + half * a for y, a in zip(state, k2)])
+        k4 = f([y + dt * a for y, a in zip(state, k3)])
+        state = [y + sixth * (a + 2 * b + 2 * c + d)
+                 for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        states.append(dict(zip(coords, state)))
     return Trajectory(chart_coords=coords, dt=dt, states=states)
 
 

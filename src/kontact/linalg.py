@@ -50,20 +50,27 @@ def nullspace_basis(M: np.ndarray, rank: int | None = None) -> np.ndarray:
 
 
 def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
-    """(x, rank) from one thin SVD (Golub & Van Loan, Matrix Computations,
+    """(x, rank) from one SVD (Golub & Van Loan, Matrix Computations,
     4th ed., 5.5): M's minimum-norm least-squares solution and its numeric
     rank.
 
     A wide M is solved through the thin SVD of M^T, since pinv(M) =
     pinv(M^T)^T and LAPACK factors the tall M^T faster than the wide M.  The
     rank counts singular values above RANK_THRESHOLD * s_max, and x is
-    V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so x
-    equals pinv(M, RANK_THRESHOLD) @ b bit for bit where M is tall or
-    square, and pinv(M.T, RANK_THRESHOLD).T @ b where M is wide.
+    V diag(1/s) U^T b over them in np.linalg.pinv's own arithmetic, so for
+    a nonzero b, x equals pinv(M, RANK_THRESHOLD) @ b bit for bit where M is
+    tall or square, and pinv(M.T, RANK_THRESHOLD).T @ b where M is wide.
+
+    A zero b (every entry 0.0 or -0.0, as in every HdDW solve with H = 0)
+    has the least-norm solution x = 0, returned as +0.0s, and takes only the
+    singular values: the rank is numeric_rank of the factored side, M or
+    M^T, with no U, no V and no pseudo-inverse.
     """
     if M.size == 0:
         return np.zeros(M.shape[1]), 0
     wide = M.shape[0] < M.shape[1]
+    if not b.any():
+        return np.zeros(M.shape[1]), numeric_rank(M.T if wide else M)
     u, s, vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
     large = s > RANK_THRESHOLD * np.maximum.reduce(s)  # np.amax without its wrapper
     s_inv = np.divide(1, s, where=large, out=s)

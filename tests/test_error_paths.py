@@ -261,6 +261,21 @@ class TestNonFiniteSystem:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: non-finite pointwise system at {")
 
+    def test_overflowing_flow_ends_in_one_error_line(self, capsys):
+        # V = exp(t) overflows to inf near t = 709: the RK4 state's list
+        # arithmetic gives inf silently, and the next stage's pointwise
+        # system is refused, with no numpy overflow warning before it
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["ideal-gas", "--t-end", "709", "--dt", "0.5", "--no-timestamp"])
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: DomainError: non-finite pointwise system at {")
+
     def test_solver_refuses_nan_in_A(self):
         # the CLI refuses a NaN --point as a usage error, so the solver's own
         # guard is tested here

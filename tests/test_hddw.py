@@ -232,9 +232,10 @@ class TestOneSVDSolve:
         assert main(["hddw", "--builtin", "hydro3", "--n-points", "3", "--samples", "16",
                      "--no-timestamp"]) == 0
         assert "nullspace_dimension: pass" in capsys.readouterr().out
-        # per point: the structure check's three ranks and the solve's thin SVD;
-        # no V is computed for a nullspace basis that nothing reads
-        assert calls == ([(False, True)] * 3 + [(True, False)]) * 3
+        # per point: the structure check's three ranks and the solve's SVD;
+        # H = 0 makes b = 0, so the solve takes singular values only, and no
+        # V is computed for a nullspace basis that nothing reads
+        assert calls == [(False, True)] * 4 * 3
 
     @pytest.mark.parametrize("name", K1_SYSTEMS)
     def test_every_stage_field_matches_solve_hddw_at_point(self, name, monkeypatch):
@@ -479,6 +480,51 @@ class TestIntegrateContactFlow:
         for state in traj.states[:: len(traj.states) // 5]:
             sol = solve_hddw_at_point(sys_, state)
             assert sol.residual_norm < 1e-6
+
+    FLOW_SYSTEMS = {
+        "ideal gas": lambda: (ideal_gas_system(Fraction(5, 2)),
+                              equilibrium_state(Fraction(5, 2))),
+        "thermo, H = E - TS": lambda: (KContactHamiltonianSystem(thermo_structure(), "E - T*S"),
+                                       random_point(thermo_structure().chart,
+                                                    random.Random(127))),
+        # the squares of eta's coefficients overflow a float, so _field_at
+        # cannot vouch for X and every stage takes solve_hddw_at_point
+        "pointwise stages": lambda: (KContactHamiltonianSystem(KContactStructure([
+            DifferentialForm(Chart(["s", "q", "p"]), 1, {
+                (0,): parse_expr("10^160"), (1,): parse_expr("-10^160*p")})]),
+            "10^160*(p^2/2 + q*s)", config=FAST), {"s": 0.5, "q": 0.7, "p": 1.1}),
+    }
+
+    @pytest.mark.parametrize("name", FLOW_SYSTEMS)
+    def test_flow_equals_the_array_rk4_bit_for_bit(self, name):
+        # the list arithmetic does the array form's IEEE operations in its
+        # order: every state, -0.0 included, matches bit for bit
+        from kontact.hddw import _field_at, _k1_field
+
+        sys_, x0 = self.FLOW_SYSTEMS[name]()
+        coords, field, dt = sys_.chart.coords, _k1_field(sys_), 0.01
+        pointwise = []
+
+        def f(y):
+            point = dict(zip(coords, y.tolist()))
+            x = None if field is None else _field_at(field, point)
+            pointwise.append(x is None)
+            return solve_hddw_at_point(sys_, point).particular[0] if x is None else np.array(x)
+
+        y = np.array([float(x0[c]) for c in coords])
+        want = [y]
+        for _ in range(5):
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + 0.5 * dt * k2)
+            k4 = f(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            want.append(y)
+        traj = integrate_contact_flow(sys_, x0, t_end=5 * dt, dt=dt)
+        got = [[state[c].hex() for c in coords] for state in traj.states]
+        assert got == [[v.hex() for v in w.tolist()] for w in want]
+        assert all(type(state[c]) is float for state in traj.states for c in coords)
+        assert all(pointwise) if name == "pointwise stages" else not any(pointwise)
 
     def test_zero_hamiltonian_is_fixed_point(self):
         sys_ = KContactHamiltonianSystem(thermo_structure(), 0)

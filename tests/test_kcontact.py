@@ -645,8 +645,8 @@ class TestK1Rule:
             # for k = 1 the conditions hold exactly where dim is odd and A has
             # full column rank: A has the rows of [eta; d eta] up to order and
             # sign, and hddw._full_rank's docstring shows that full rank gives
-            # (1, 1, 0)
-            _, rank = least_norm_solution(A, np.zeros(s.dim + 1))
+            # (1, 1, 0); a nonzero b, since a zero b reads numeric_rank(A)
+            _, rank = least_norm_solution(A, np.ones(s.dim + 1))
             assert (s.dim % 2 == 1 and rank == s.dim) == holds
             assert (s.dim % 2 == 1 and numeric_rank(A) == s.dim) == holds
             if holds:

@@ -147,3 +147,34 @@ def test_least_norm_solution_is_pinv_of_the_tall_side(system):
     if np.linalg.cond(M) < 1e6:
         assert rank == min(m, n)
         assert np.allclose(x, np.linalg.pinv(M) @ b, rtol=1e-9, atol=1e-12)
+
+
+@given(_systems(), st.lists(st.booleans(), min_size=9, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_zero_right_hand_side_takes_the_rank_only(system, negative):
+    # b = 0, some entries -0.0: x is 0, all +0.0, and the rank is the tall
+    # side's numeric rank, the one the thin-SVD path reads for a nonzero b
+    M, b, r = system
+    m, n = M.shape
+    zero = np.where(negative[:m], -0.0, 0.0)
+    x, rank = linalg.least_norm_solution(M, zero)
+    assert x.shape == (n,)
+    assert np.array_equal(x, np.zeros(n)) and not np.signbit(x).any()
+    assert type(rank) is int
+    assert rank == numeric_rank(M if m >= n else M.T)
+    assert rank == linalg.least_norm_solution(M, b)[1]
+    assert rank <= r
+
+
+def test_zero_right_hand_side_takes_no_u_or_v(monkeypatch):
+    # one SVD of the tall side, singular values only: a wide M is factored
+    # transposed
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M, **kw: calls.append((M.shape, kw)) or real(M, **kw))
+    for shape in ((5, 3), (3, 3), (3, 5)):
+        M = np.arange(1.0, 16.0)[:shape[0] * shape[1]].reshape(shape)
+        linalg.least_norm_solution(M, np.zeros(shape[0]))
+    assert calls == [((5, 3), {"compute_uv": False}), ((3, 3), {"compute_uv": False}),
+                     ((5, 3), {"compute_uv": False})]
