@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
 from fractions import Fraction
@@ -309,7 +308,7 @@ def cmd_hddw(args, config: RunConfig) -> list[Check]:
         raise ParseError("--dt applies to flow integration: give --t-end")
     elif args.point in (None, "random"):
         n_points = 1 if args.n_points is None else args.n_points
-        points = sample_points(s.chart.coords, s.chart, n_points, random.Random(config.seed))
+        points = sample_points(s.chart.coords, s.chart, n_points, config.seed)
     else:
         _refuse_with("--point JSON", "which gives the one point", {"--n-points": args.n_points})
         points = [_coordinate_values("--point", args.point, s.chart.coords)]

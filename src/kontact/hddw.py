@@ -9,10 +9,11 @@ with a classic 4th-order one-step method.
 
 The pointwise solve (solve_hddw_at_point) reads A as verify_kcontact does,
 from kcontact.structure_matrices_at, and b from one runner over hddw_rhs,
-kept on the system (_system_at).  The nullspace means something only where
-the three defining conditions hold, so every point is checked for them by
-verify_kcontact's reader check_structure_at(A), for every k, before b is
-evaluated; an undefined or non-finite A or b raises DomainError naming it.
+kept on the system (_system_at), at a given point or one of a draw that
+(variables, chart, n, seed) fixes (zerotest.sample_points).  The nullspace
+means something only where the three defining conditions hold, so every
+point is checked for them by verify_kcontact's reader check_structure_at(A),
+for every k, before b is evaluated; a runner's DomainError names the point.
 One thin SVD of A (of A^T where A is wide, every k >= 2) gives the
 least-norm particular solution and the rank; where b = 0 (every system with
 H = 0) the solution is 0 and the SVD takes singular values only.  A
@@ -35,7 +36,6 @@ raises, so every degenerate point is left to its structure check.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,6 +58,7 @@ from .forms import (DifferentialForm, KVectorField, SmoothMap, exterior_derivati
                     prolongation, wedge)
 from .kcontact import (
     KContactStructure,
+    _point_text,
     check_structure_at,
     compute_reeb,
     matrix_entries,
@@ -170,12 +171,9 @@ def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray,
     if sys._rhs_at is None:
         sys._rhs_at = float_runner(hddw_rhs(sys))
     try:
-        b = np.array(sys._rhs_at(point))
-        if np.isfinite(b).all():
-            return A, b
+        return A, np.array(sys._rhs_at(point))
     except DomainError:
-        pass
-    raise DomainError(f"non-finite pointwise system at {point}")
+        raise DomainError(f"non-finite pointwise system at {point}") from None
 
 
 def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -344,16 +342,14 @@ def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: f
 def _field_at(field: tuple, point: dict) -> list | None:
     """X at a float point from _k1_field's runner, as its list of floats, or
     None where the stage takes the pointwise solve: the runner raises
-    DomainError there, a value is not finite, or _full_rank cannot show that
-    A has full rank."""
+    DomainError there (a value is undefined or not finite), or _full_rank
+    cannot show that A has full rank."""
     run, n = field
     try:
         *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
     except DomainError:
         return None
-    if all(map(math.isfinite, x)) and _full_rank(n, omega, power_sq, eta_sq, d_eta_sq):
-        return x
-    return None
+    return x if _full_rank(n, omega, power_sq, eta_sq, d_eta_sq) else None
 
 
 def integrate_contact_flow(
@@ -415,7 +411,8 @@ def check_constrained_solution(
     the polarized-case formula k*dim L - (n*(k+1) - dim L).  The check passes
     when H vanishes on L and the restricted system is feasible at every
     sampled point.  It is inconclusive when the isotropy of L or the vanishing
-    of H on L is.
+    of H on L is.  Then n_points < 1 raises SampleDomainEmpty, and a point
+    where L's image or tangent map is not finite, DomainError naming it.
     """
     isotropy = verify_isotropic(L, sys.structure, config).verdict
     if isotropy == FAIL:
@@ -439,15 +436,18 @@ def check_constrained_solution(
         n = (dim - k) // (k + 1)
         expected = k * dim_L - (n * (k + 1) - dim_L)
 
-    rng = random.Random(config.seed)
-    params = sample_points(L.source.coords, L.source, n_points, rng)
+    params = sample_points(L.source.coords, L.source, n_points, config.seed)
     jac = L.jacobian()
     # the image point, then the tangent map J (dim x dim_L) row by row
     image_at = float_runner(list(L.components) + [c for row in jac for c in row])
     feasible = True
     null_dims = set()
     for u in params:
-        values = image_at(u)
+        try:
+            values = image_at(u)
+        except DomainError:
+            raise DomainError("Legendrian image or tangent map undefined or not finite "
+                              f"at {_point_text(u)}") from None
         x = dict(zip(sys.chart.coords, values[:dim]))
         A, b = _system_at(sys, x)
         J = np.array(values[dim:]).reshape(dim, dim_L)
@@ -460,7 +460,7 @@ def check_constrained_solution(
     return Check("constrained_solution", PASS if feasible else FAIL, detail={
         "H_vanishes_on_L": True,
         "feasible": feasible,
-        "constrained_nullspace_dim": max(null_dims) if null_dims else None,
+        "constrained_nullspace_dim": max(null_dims),
         "expected_pseudo_gauge_dof": expected,
         "n_points": len(params),
     })

@@ -17,14 +17,12 @@ of its points.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (ChartMismatch, DomainError, SampleDomainEmpty, SingularSystem,
-                     ZeroTestInconclusive)
+from .errors import ChartMismatch, DomainError, SingularSystem, ZeroTestInconclusive
 from .expr import ONE, ZERO, ScalarExpr, Var, free_variables
 from .forms import (
     Chart,
@@ -110,12 +108,10 @@ def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
         s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, e)
                                                   for r, col, e in matrix_entries(s)])
     try:
-        A = s._matrices_at(point)
-        if np.isfinite(A).all():
-            return A.reshape(s.dim + 1, n)
+        return s._matrices_at(point).reshape(s.dim + 1, n)
     except DomainError:
-        pass
-    raise DomainError(f"structure matrix undefined or not finite at {_point_text(point)}")
+        raise DomainError(
+            f"structure matrix undefined or not finite at {_point_text(point)}") from None
 
 
 def check_structure_at(A: np.ndarray) -> tuple:
@@ -160,11 +156,9 @@ def verify_kcontact(
     one check each: corank_condition (its detail holds the per-point rank
     table), reeb_rank_condition and trivial_intersection.  Failing structures
     yield failing checks, not an exception; a point where A is undefined or
-    not finite raises DomainError (structure_matrices_at)."""
-    rng = random.Random(config.seed)
-    pts = sample_points(s.chart.coords, s.chart, n_points, rng)
-    if not pts:
-        raise SampleDomainEmpty("no sample points for structure verification")
+    not finite raises DomainError (structure_matrices_at), and n_points < 1
+    raises SampleDomainEmpty (sample_points)."""
+    pts = sample_points(s.chart.coords, s.chart, n_points, config.seed)
     ranks = []
     per_stack = max(1, _STACK_ENTRIES // ((s.dim + 1) * s.k * s.dim))
     for start in range(0, len(pts), per_stack):
@@ -342,10 +336,7 @@ def check_polarization(
     if zero.verdict == FAIL:
         return zero
 
-    rng = random.Random(config.seed)
-    pts = sample_points(chart.coords, chart, n_points, rng)
-    if not pts:
-        raise SampleDomainEmpty("no sample points for the polarization check")
+    pts = sample_points(chart.coords, chart, n_points, config.seed)
     brackets = [lie_bracket(fields[a], fields[b]).components for a, b in bracket_pairs]
     # a structurally zero bracket adds a zero row, which cannot change the rank
     brackets = [br for br in brackets if any(c != ZERO for c in br)]
@@ -353,21 +344,17 @@ def check_polarization(
     rows = [f.components for f in fields] + brackets
     rows_at = filler(len(rows) * dim, [(r * dim + i, c) for r, comps in enumerate(rows)
                                        for i, c in enumerate(comps) if c != ZERO])
-    values = np.zeros((len(pts), len(rows) * dim))
-    for i, p in enumerate(pts):
+    values, undefined = [], None
+    for p in pts:
         try:
-            rows_at(p, values[i])
+            values.append(rows_at(p))
         except DomainError:
-            values[i] = np.nan  # undefined: as a non-finite point
+            # DomainError naming the first undefined or non-finite point, but
+            # the points before it decide first: a failure there fails
+            undefined = DomainError(
+                f"polarization fields undefined or not finite at {_point_text(p)}")
             break
-    undefined = None
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if len(bad):
-        # DomainError naming the first undefined or non-finite point, but the
-        # points before it decide first: a failure there fails
-        values, undefined = values[:bad[0]], DomainError(
-            f"polarization fields undefined or not finite at {_point_text(pts[bad[0]])}")
-    values = values.reshape(-1, len(rows), dim)
+    values = np.array(values).reshape(-1, len(rows), dim)
     # the brackets stay in the span iff stacking them leaves its rank
     r = numeric_rank(values[:, :n])
     if np.any(r != expected_rank) or (brackets and np.any(numeric_rank(values) != r)):

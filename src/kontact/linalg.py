@@ -26,18 +26,24 @@ RANK_THRESHOLD = 1e-8
 """Singular values above RANK_THRESHOLD * s_max count toward a numeric rank."""
 
 
+def _large(s: np.ndarray) -> np.ndarray:
+    """The rank rule: s > RANK_THRESHOLD * s_max along s's last axis, s_max
+    leading it (LAPACK sorts s descending), as a cheaper scalar for 1-D s."""
+    return s > RANK_THRESHOLD * (s[0] if s.ndim == 1 else s[..., :1])
+
+
 def numeric_rank(M: np.ndarray) -> int | np.ndarray:
-    """Rank by counting singular values above RANK_THRESHOLD * s_max.
+    """Rank by counting the singular values that _large keeps.
 
     A stack M of shape (..., m, n) takes one SVD call for all its matrices
     and gives their ranks as an integer array of shape M.shape[:-2]; each
     equals the rank of its matrix alone."""
     if M.size == 0:
         return 0 if M.ndim == 2 else np.zeros(M.shape[:-2], dtype=int)
-    s = np.linalg.svd(M, compute_uv=False)
+    large = _large(np.linalg.svd(M, compute_uv=False))
     if M.ndim == 2:
-        return int(np.count_nonzero(s > RANK_THRESHOLD * s[0]))
-    return np.count_nonzero(s > RANK_THRESHOLD * s[..., :1], axis=-1)
+        return int(np.count_nonzero(large))
+    return np.count_nonzero(large, axis=-1)
 
 
 def nullspace_basis(M: np.ndarray, rank: int | None = None) -> np.ndarray:
@@ -46,7 +52,7 @@ def nullspace_basis(M: np.ndarray, rank: int | None = None) -> np.ndarray:
     if M.size == 0:
         return np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M)
-    return vh[int(np.sum(s > RANK_THRESHOLD * s[0])) if rank is None else rank:]
+    return vh[np.count_nonzero(_large(s)) if rank is None else rank:]
 
 
 def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
@@ -72,7 +78,7 @@ def least_norm_solution(M: np.ndarray, b: np.ndarray) -> tuple:
     if not b.any():
         return np.zeros(M.shape[1]), numeric_rank(M.T if wide else M)
     u, s, vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
-    large = s > RANK_THRESHOLD * np.maximum.reduce(s)  # np.amax without its wrapper
+    large = _large(s)
     s_inv = np.divide(1, s, where=large, out=s)
     s_inv[~large] = 0
     pinv = np.matmul(vt.T, np.multiply(s_inv[:, np.newaxis], u.T))

@@ -2,7 +2,9 @@
 
 float_runner writes an expr.Program out as straight-line Python source and
 exec's it once, in the manner of sympy's lambdify; filler scatters a
-runner's values into a flat array.  The owner of the expressions builds these on
+runner's values into a flat array.  A runner returns finite floats or raises
+DomainError, at points from zerotest.sample_points, where (variables, chart,
+n, seed) fixes a draw.  The owner of the expressions builds these on
 first use and keeps them (a structure, a Hamiltonian system) or uses them
 for one call; nothing is built at import time or cached beyond its owner.
 """
@@ -35,14 +37,15 @@ def float_runner(exprs: Sequence[ScalarExpr]) -> Callable[[Mapping], tuple]:
     the source raises ValueError, ZeroDivisionError, OverflowError or
     KeyError, the point is re-run through evaluate, which returns its values
     or raises its own DomainError; an exact value beyond float range raises
-    DomainError too.
+    DomainError too.  Either way a value that is not finite (an overflow to
+    inf that raised nothing, or a NaN) raises DomainError.
     """
     exprs = tuple(exprs)
 
     def fallback(point):
         values = [evaluate(e, point) for e in exprs]
         try:
-            return tuple(float(v) for v in values)
+            return _finite(tuple(float(v) for v in values))
         except OverflowError:
             raise DomainError("value beyond float range") from None
 
@@ -50,11 +53,18 @@ def float_runner(exprs: Sequence[ScalarExpr]) -> Callable[[Mapping], tuple]:
         source = _runner_source(compile_exprs(exprs))
     except OverflowError:  # a constant beyond float range; evaluate raises there
         return fallback
-    namespace = {"_exp": math.exp, "_log": math.log, "_fallback": fallback}
+    namespace = {"_exp": math.exp, "_log": math.log, "_fallback": fallback, "_finite": _finite}
     exec(source, namespace)
     # popped, so that namespace and _run (whose globals it is) form no cycle
     # and are freed with their owner, not at the next full collection
     return namespace.pop("_run")
+
+
+def _finite(values: tuple) -> tuple:
+    """values, where each is finite; else DomainError."""
+    if all(map(math.isfinite, values)):
+        return values
+    raise DomainError("value not finite")
 
 
 def _runner_source(program: Program) -> str:
@@ -102,29 +112,26 @@ def _runner_source(program: Program) -> str:
             lines.append(f"_{i} = {ref(args[0])} ** {float(payload)!r}")
         else:
             lines.append(f"_{i} = {'_exp' if op == _EXP else '_log'}({ref(args[0])})")
-    lines.append(f"return ({''.join(ref(r) + ', ' for r in program.roots)})")
+    lines.append(f"return _finite(({''.join(ref(r) + ', ' for r in program.roots)}))")
     body = "".join(f"        {line}\n" for line in lines)
     return ("def _run(p):\n    try:\n" + body
             + "    except (ValueError, ZeroDivisionError, OverflowError, KeyError):\n"
             + "        return _fallback(p)\n")
 
 
-def filler(size: int, entries: Sequence[tuple]) -> Callable[..., np.ndarray]:
-    """A function (point, out=None) -> out, or a new flat array of the given
-    size, that holds, at each (position, expression) entry's position, the
-    expression's value plus 0.0 (which turns -0.0 into 0.0), and zero
-    elsewhere, where out must already hold zeros; one float runner evaluates
-    every expression."""
+def filler(size: int, entries: Sequence[tuple]) -> Callable[[Mapping], np.ndarray]:
+    """A function point -> a new flat array of the given size that holds, at
+    each (position, expression) entry's position, the expression's value plus
+    0.0 (which turns -0.0 into 0.0), and zero elsewhere; one float runner
+    evaluates every expression, so the array is finite or DomainError is
+    raised."""
     at, exprs = zip(*entries) if entries else ((), ())
     at = np.array(at, dtype=np.intp)
     run = float_runner(exprs)
 
-    def fill(point, out=None):
-        values = np.array(run(point))
-        values += 0.0
-        if out is None:
-            out = np.zeros(size)
-        out[at] = values
+    def fill(point):
+        out = np.zeros(size)
+        out[at] = np.add(run(point), 0.0)
         return out
 
     return fill

@@ -2,9 +2,11 @@
 
 Points are drawn from a forms.Chart: each variable within its chart range
 ([-2, 2] by default), every chart constraint > 0; no chart means the box
-[-2, 2] with no constraints.  The variables, the point count and the seed
-fix a zero test's draw, so a chart draws it once and keeps it for every
-later zero test in the same variables.  zero_tests is the one zero test, of
+[-2, 2] with no constraints.  sample_points is the one draw of the engine:
+(variables, chart, n, seed) fixes it, so a chart draws a zero test's points
+once and keeps them for every later zero test in the same variables, and
+every pointwise check (k-contact ranks, polarization, HdDW solves) reads
+its points from the same function.  zero_tests is the one zero test, of
 a list of expressions; zero_test is zero_tests of one.  Each expression is
 compiled once into a program with one instruction per distinct subtree
 (expr.compile_expr).  Points are exact rationals, so a purely rational
@@ -113,9 +115,14 @@ def sample_points(
     variables: Iterable[str],
     chart: Chart | None,
     n: int,
-    rng: random.Random,
+    seed: int,
 ) -> list[dict]:
-    """Draw n rational points of the chart (None: the box [-2, 2])."""
+    """Draw n rational points of the chart (None: the box [-2, 2]) from a
+    fresh random.Random(seed), so (variables, chart, n, seed) fixes the
+    draw; n < 1 raises SampleDomainEmpty: no verdict is read from no points."""
+    if n < 1:
+        raise SampleDomainEmpty(f"no sample points: {n} requested")
+    rng = random.Random(seed)
     ranges, constraints = (chart.ranges, chart.constraints) if chart else ({}, ())
     names = sorted(set(variables))
     for c in constraints:
@@ -136,17 +143,11 @@ def sample_points(
         attempts += 1
         p = {name: Fraction(num + rng.randint(0, steps) * den, scale) if steps > 0 else lo
              for name, lo, steps, num, den, scale in grid}
-        ok = True
-        for c in constraints:
-            try:
-                if evaluate(c, p) <= 0:
-                    ok = False
-                    break
-            except DomainError:
-                ok = False
-                break
-        if ok:
-            points.append(p)
+        try:
+            if not any(evaluate(c, p) <= 0 for c in constraints):
+                points.append(p)
+        except DomainError:
+            pass  # a constraint undefined at p: outside the domain
     return points
 
 
@@ -190,13 +191,11 @@ def _zero_test_points(names: frozenset, chart: Chart | None, config: RunConfig) 
     if not names:
         return [{}]
     if chart is None:
-        return sample_points(names, None, config.n_sample_points, random.Random(config.seed))
+        return sample_points(names, None, config.n_sample_points, config.seed)
     key = (names, config.n_sample_points, config.seed)
-    points = chart._samples.get(key)
-    if points is None:
-        points = chart._samples[key] = sample_points(
-            names, chart, config.n_sample_points, random.Random(config.seed))
-    return points
+    if key not in chart._samples:
+        chart._samples[key] = sample_points(names, chart, config.n_sample_points, config.seed)
+    return chart._samples[key]
 
 
 def _magnitudes(values: list[Fraction]) -> list[float]:

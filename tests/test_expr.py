@@ -33,7 +33,7 @@ from kontact.expr import (
     sqrt,
     substitute,
 )
-from kontact.runner import float_runner
+from kontact.runner import filler, float_runner
 from kontact.forms import Chart
 from kontact.zerotest import is_probably_zero, zero_test
 
@@ -519,7 +519,8 @@ def bits(values) -> bytes:
 
 
 def assert_runner_matches_evaluate(run, roots, p):
-    """run(p) is (float(evaluate(e, p)) for e in roots), or raises its DomainError."""
+    """run(p) is (float(evaluate(e, p)) for e in roots), or raises its
+    DomainError, or, where a value is not finite, DomainError."""
     try:
         want = tuple(float(evaluate(e, p)) for e in roots)
     except DomainError as err:
@@ -527,6 +528,10 @@ def assert_runner_matches_evaluate(run, roots, p):
             run(p)
         assert str(got.value) == str(err)
     else:
+        if not all(map(math.isfinite, want)):
+            with pytest.raises(DomainError, match="value not finite"):
+                run(p)
+            return
         got = run(p)
         assert got == want
         assert bits(got) == bits(want)
@@ -598,6 +603,31 @@ class TestFloatRunner:
     def test_value_beyond_float_range_is_a_domain_error(self, text):
         with pytest.raises(DomainError, match="beyond float range"):
             float_runner([parse_expr(text), Var("x")])({"x": 1.0})
+
+    # q^600 * q^600 overflows to inf at q = 2 with no exception, and
+    # inf - inf is NaN; the generated source runs the point
+    @pytest.mark.parametrize("text", ["q^600*q^600", "q^600*q^600 - q^600*q^600"])
+    @pytest.mark.parametrize("q", [2.0, Fraction(2)])
+    def test_value_not_finite_is_a_domain_error(self, text, q):
+        e = parse_expr(text)
+        with pytest.raises(DomainError, match="value not finite"):
+            float_runner([Var("q"), e])({"q": q})
+        with pytest.raises(DomainError, match="value not finite"):
+            filler(3, [(0, Var("q")), (2, e)])({"q": q})
+
+    # q = 10^400 has no float, so the source raises OverflowError and the
+    # point is re-run through evaluate: 1/q is exact, exp(700)^2 is inf
+    @pytest.mark.parametrize("text", [
+        "exp(700 + 1/q)*exp(700 + 1/q)",
+        "exp(700 + 1/q)*exp(700 + 1/q) - exp(700 + 1/q)*exp(700 + 1/q)",
+    ])
+    def test_value_not_finite_from_evaluate_is_a_domain_error(self, text):
+        e, p = parse_expr(text), {"q": Fraction(10**400)}
+        assert not math.isfinite(evaluate(e, p))
+        with pytest.raises(DomainError, match="value not finite"):
+            float_runner([e])(p)
+        with pytest.raises(DomainError, match="value not finite"):
+            filler(2, [(1, e)])(p)
 
     def test_missing_variable_is_unbound(self):
         with pytest.raises(UnboundVariable):

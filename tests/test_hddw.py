@@ -15,7 +15,9 @@ from kontact.cli import main
 from kontact.config import RunConfig
 from kontact.errors import (
     ChartMismatch,
+    DomainError,
     NotIsotropic,
+    SampleDomainEmpty,
     SourceNotRk,
     StructureDegenerateAtPoint,
 )
@@ -43,11 +45,12 @@ from kontact.idealgas import (
     run_isentropic,
 )
 from kontact.fileio import resolve_structure
-from kontact.kcontact import KContactStructure, canonical_structure
+from kontact.kcontact import KContactStructure, _point_text, canonical_structure
 from kontact.linalg import RANK_THRESHOLD, nullspace_basis
 from kontact.legendrian import (
     ParametrizingKFunction,
     build_parametrization,
+    thermo_parametrization,
     thermo_structure,
 )
 from kontact.zerotest import (
@@ -201,7 +204,7 @@ class TestOneSVDSolve:
     def test_nullspace_matches_nullspace_basis(self, name):
         sys_ = KContactHamiltonianSystem(resolve_structure(name)[0], 0)
         chart = sys_.chart
-        for p in sample_points(chart.coords, chart, 3, random.Random(101)):
+        for p in sample_points(chart.coords, chart, 3, 101):
             sol = solve_hddw_at_point(sys_, p)
             assert sol.nullspace_dim == len(nullspace_basis(sol._A))
             assert sol.nullspace_dim == expected_nullspace_dim(sys_.k, sys_.dim)
@@ -397,7 +400,7 @@ class TestSectionResidual:
             - t[-1] * t[-1] / 16 for i in range(chart.dim)])
         eq1, eq2 = section_residual(sys_, psi)
         X = prolongation(psi)  # X[alpha][i] = d psi^i / d t^alpha
-        for u in sample_points(src.coords, src, 4, random.Random(5)):
+        for u in sample_points(src.coords, src, 4, 5):
             x = {c: float(evaluate(e, u)) for c, e in zip(chart.coords, psi.components)}
             A, b = _system_at(sys_, x)
             want = A @ np.array([float(evaluate(e, u)) for col in X for e in col]) - b
@@ -604,6 +607,26 @@ class TestConstrainedSolution:
             check_constrained_solution(sys_, L, n_points=3, config=FAST)
         with pytest.raises(StructureDegenerateAtPoint):
             solve_hddw_at_point(sys_, {"s": 0.0, "q": 0.5, "p": 0.0})
+
+    def test_no_points_is_refused(self):
+        # a pass must come from sampled points: n_points = 0 reads none
+        s = canonical_structure(2, 2)
+        L = build_parametrization(ParametrizingKFunction(2, 2, [], ["0", "0"]), s)
+        sys_ = KContactHamiltonianSystem(s, Var("s_1"))
+        with pytest.raises(SampleDomainEmpty, match="no sample points"):
+            check_constrained_solution(sys_, L, n_points=0, config=FAST)
+
+    def test_non_finite_image_names_the_parameter_point(self):
+        # S^600 * S^600 overflows to inf where S > 1.81, and inf - inf is NaN:
+        # the image's E and T are NaN at the first such parameter point
+        L = thermo_parametrization("S^600*S^600 - S^600*S^600 + S*V^(-1)*N")
+        sys_ = KContactHamiltonianSystem(thermo_structure(), 0)
+        u = next(p for p in sample_points(L.source.coords, L.source, 10, FAST.seed)
+                 if math.isinf(float(p["S"]) ** 600 * float(p["S"]) ** 600))
+        with pytest.raises(DomainError) as err:
+            check_constrained_solution(sys_, L, n_points=10, config=FAST)
+        assert str(err.value) == ("Legendrian image or tangent map undefined or not finite "
+                                  f"at {_point_text(u)}")
 
     def test_inconclusive_isotropy_is_passed_through(self):
         s = canonical_structure(1, 1)

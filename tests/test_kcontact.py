@@ -140,7 +140,7 @@ class TestVerifyKContact:
         ch = Chart(["s", "q", "p"], ranges={"q": (0, 2)})
         coeff = parse_expr("-p + q^600*q^600 - q^600*q^600")
         s = KContactStructure([DifferentialForm(ch, 1, {(0,): ONE, (1,): coeff})])
-        pts = sample_points(ch.coords, ch, 20, random.Random(FAST.seed))
+        pts = sample_points(ch.coords, ch, 20, FAST.seed)
         # the first point where q^600 * q^600 overflows in floats, as in the runner
         coeff_at = [float(p["q"]) ** 600 * float(p["q"]) ** 600 for p in pts]
         first = next(i for i, c in enumerate(coeff_at) if c == float("inf"))
@@ -333,7 +333,7 @@ class TestPolarization:
         # point fails the check, and an undefined point before any failure
         # raises, as it does alone
         s = canonical_structure(1, 1)
-        pts = sample_points(s.chart.coords, s.chart, 5, random.Random(FAST.seed))
+        pts = sample_points(s.chart.coords, s.chart, 5, FAST.seed)
         q0, q1 = pts[0]["q_1"], pts[1]["q_1"]
         assert q0 != q1
         a, b = (q0, q1) if fail_first else (q1, q0)
@@ -364,7 +364,7 @@ class TestPolarization:
         # inf only at q = b.  A non-finite point is undefined: it raises only
         # when no point before it failed
         s = canonical_structure(1, 1)
-        pts = sample_points(s.chart.coords, s.chart, 5, random.Random(FAST.seed))
+        pts = sample_points(s.chart.coords, s.chart, 5, FAST.seed)
         q0, q1 = pts[0]["q_1"], pts[1]["q_1"]
         assert q0 != q1
         a, b = (q0, q1) if fail_first else (q1, q0)
@@ -506,7 +506,7 @@ class TestStructureMatrices:
         from kontact.fileio import resolve_structure
 
         s = resolve_structure(name)[0]
-        pts = sample_points(s.chart.coords, s.chart, 3, random.Random(7))
+        pts = sample_points(s.chart.coords, s.chart, 3, 7)
         # exact rational points (verify_kcontact) and float points (hddw)
         for p in pts + [{c: float(v) for c, v in q.items()} for q in pts]:
             A, A_ref = structure_matrices_at(s, p), dense_structure_matrices(s, p)
@@ -520,7 +520,7 @@ class TestStructureMatrices:
         s = named_structure(name)
         checks = verify_kcontact(s, n_points=20, config=FAST)
         rank_table = checks[0].detail["rank_table"]
-        pts = sample_points(s.chart.coords, s.chart, 20, random.Random(FAST.seed))
+        pts = sample_points(s.chart.coords, s.chart, 20, FAST.seed)
         loop = [check_structure_at(structure_matrices_at(s, p)) for p in pts]
         stacked = check_structure_at(np.stack([structure_matrices_at(s, p) for p in pts]))
         assert list(zip(*(r.tolist() for r in stacked))) == loop
@@ -538,7 +538,7 @@ class TestStructureMatrices:
                              + [f"canonical:{n},{k}" for n in range(1, 5) for k in range(1, 5)])
     def test_ranks_equal_the_uncompressed_ranks(self, name):
         s = named_structure(name)
-        pts = sample_points(s.chart.coords, s.chart, 6, random.Random(11))
+        pts = sample_points(s.chart.coords, s.chart, 6, 11)
         stack = np.stack([structure_matrices_at(s, {c: float(v) for c, v in p.items()})
                           for p in pts])
         for got, want in zip(check_structure_at(stack), uncompressed_ranks(stack)):

@@ -79,9 +79,7 @@ def reference_zero_test(e, chart=None, config=DEFAULT_CONFIG) -> ZeroTestResult:
         return ZeroTestResult(is_zero, va, 1, False,
                               inconclusive=not is_zero and va < INCONCLUSIVE_MARGIN)
 
-    rng = random.Random(config.seed)
-    n = config.n_sample_points
-    points = sample_points(names, chart, n, rng)
+    points = sample_points(names, chart, config.n_sample_points, config.seed)
     max_abs = 0.0
     all_within = True
     n_evaluated = 0
@@ -230,11 +228,17 @@ class TestSamplePoints:
         x, y = Var("x"), Var("y")
         for constraints in [(), (x + y + 3,)]:
             chart = Chart(NAMES, constraints, ranges)
-            got = sample_points(["y", "x", "z"], chart, 40, random.Random(5))
+            got = sample_points(["y", "x", "z"], chart, 40, 5)
             want = reference_sample_points(["y", "x", "z"], chart, 40, random.Random(5))
             assert got == want
             assert all(type(v) is type(w) for p, q in zip(got, want)
                        for v, w in zip(p.values(), q.values()))
+
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_points_is_refused(self, n):
+        with pytest.raises(SampleDomainEmpty, match="no sample points"):
+            sample_points(["x"], Chart(NAMES), n, 5)
 
 
 class TestOneDrawPerChart:
@@ -245,9 +249,9 @@ class TestOneDrawPerChart:
     def draws(self, monkeypatch):
         calls = []
 
-        def counting(names, chart, n, rng):
+        def counting(names, chart, n, seed):
             calls.append((frozenset(names), n))
-            return sample_points(names, chart, n, rng)
+            return sample_points(names, chart, n, seed)
 
         monkeypatch.setattr(zerotest, "sample_points", counting)
         return calls
@@ -264,8 +268,7 @@ class TestOneDrawPerChart:
         chart = Chart(NAMES, [Var("x") + Var("y")], {"y": (Fraction(1, 2), Fraction(3, 2))})
         zero_test(parse_expr("x - y"), chart, CONFIG)
         (points,) = chart._samples.values()
-        assert points == sample_points(["x", "y"], chart, CONFIG.n_sample_points,
-                                       random.Random(CONFIG.seed))
+        assert points == sample_points(["x", "y"], chart, CONFIG.n_sample_points, CONFIG.seed)
 
     def test_other_seed_or_count_draws_again(self, draws):
         chart = Chart(NAMES)
