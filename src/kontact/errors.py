@@ -60,7 +60,3 @@ class StructureDegenerateAtPoint(KontactError):
 
 class InconsistentSystem(KontactError):
     """The pointwise linear system admits no solution within tolerance."""
-
-
-class NotIsotropic(KontactError):
-    """The submanifold is not isotropic for the given structure."""

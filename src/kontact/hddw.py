@@ -7,9 +7,12 @@ This module assembles and solves them numerically at chart points, evaluates
 the induced PDE residuals for candidate sections, and integrates k=1 flows
 with a classic 4th-order one-step method.
 
+Everything a KContactHamiltonianSystem builds from its structure, H and
+run config is a cached property: reeb, rhs (b), rhs_at and k1_field.
+
 The pointwise solve (solve_hddw_at_point) reads A as verify_kcontact does,
-from kcontact.structure_matrices_at, and b from one runner over hddw_rhs,
-kept on the system (_system_at), at a given point or one of a draw that
+from kcontact.structure_matrices_at, and b from the system's runner
+rhs_at (_system_at), at a given point or one of a draw that
 (variables, chart, n, seed) fixes (zerotest.sample_points).  The nullspace
 means something only where the three defining conditions hold, so every
 point is checked for them by verify_kcontact's reader check_structure_at(A),
@@ -22,7 +25,7 @@ read.
 
 A k = 1 flow integrates the contact Hamiltonian vector field, the unique
 solution X of the field equations, solved once per system over the
-expression field (_k1_field: linalg.solve_symbolic on the rows of
+expression field (k1_field: linalg.solve_symbolic on the rows of
 matrix_entries, which returns X only once A X - b passes the zero test).
 One runner, kept on the system, evaluates X, Omega (the top-form
 coefficient of eta ^ (d eta)^n) and the squared norms of (d eta)^n, eta
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -46,14 +50,13 @@ from .errors import (
     ChartMismatch,
     DomainError,
     InconsistentSystem,
-    NotIsotropic,
     SampleDomainEmpty,
     SingularSystem,
     SourceNotRk,
     StructureDegenerateAtPoint,
     ZeroTestInconclusive,
 )
-from .expr import ZERO, Rational, ScalarExpr, as_expr, free_variables, substitute
+from .expr import ZERO, Rational, ScalarExpr, as_expr, evaluate, free_variables, substitute
 from .forms import (DifferentialForm, KVectorField, SmoothMap, exterior_derivative,
                     prolongation, wedge)
 from .kcontact import (
@@ -66,12 +69,12 @@ from .kcontact import (
 )
 from .legendrian import verify_isotropic
 from .linalg import RANK_THRESHOLD, least_norm_solution, nullspace_basis, solve_symbolic
-from .runner import float_runner
-from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, sample_points, zero_check
+from .runner import _finite, float_runner
+from .zerotest import FAIL, INCONCLUSIVE, PASS, Check, combine, sample_points, zero_check
 
 __all__ = [
     "KContactHamiltonianSystem", "HdDWPointSolution", "Trajectory",
-    "hddw_rhs", "solve_hddw_at_point", "section_residual", "flow_steps",
+    "solve_hddw_at_point", "section_residual", "flow_steps",
     "integrate_contact_flow", "check_constrained_solution", "expected_nullspace_dim",
 ]
 
@@ -83,7 +86,8 @@ def expected_nullspace_dim(k: int, dim: int) -> int:
 
 
 class KContactHamiltonianSystem:
-    """A verified k-contact structure together with a Hamiltonian function."""
+    """A verified k-contact structure together with a Hamiltonian function;
+    a frame given as reeb fills the cached property reeb."""
 
     def __init__(
         self,
@@ -94,44 +98,77 @@ class KContactHamiltonianSystem:
     ):
         self.structure = structure
         self.H = as_expr(H)
-        self._reeb = reeb
-        self._config = config
-        self._rhs: tuple[ScalarExpr, ...] | None = None
-        self._rhs_at = None  # _system_at's runner over hddw_rhs, built on first use
-        # _k1_field's (runner, n), built on first use; False where not proven
-        self._field = None
+        self.config = config
+        if reeb is not None:
+            self.reeb = reeb
 
-    @property
-    def chart(self):
-        return self.structure.chart
-
-    @property
-    def k(self) -> int:
-        return self.structure.k
-
-    @property
-    def dim(self) -> int:
-        return self.structure.dim
-
-    @property
+    @cached_property
     def reeb(self) -> KVectorField:
-        if self._reeb is None:
-            self._reeb = compute_reeb(self.structure, self._config)
-        return self._reeb
+        """The Reeb frame R_1..R_k (compute_reeb)."""
+        return compute_reeb(self.structure, self.config)
 
-
-def hddw_rhs(sys: KContactHamiltonianSystem) -> tuple[ScalarExpr, ...]:
-    """b of the field equations A X = b, as dim + 1 expressions: the
-    coefficients of dH - sum_a (R_a H) eta^a, then -H."""
-    if sys._rhs is None:
-        rhs1 = exterior_derivative(DifferentialForm.scalar(sys.chart, sys.H))
-        if free_variables(sys.H):
-            for R, eta_a in zip(sys.reeb, sys.structure.eta):
-                rh = R.apply(sys.H)
+    @cached_property
+    def rhs(self) -> tuple[ScalarExpr, ...]:
+        """b of the field equations A X = b, as dim + 1 expressions: the
+        coefficients of dH - sum_a (R_a H) eta^a, then -H."""
+        s, H = self.structure, self.H
+        rhs1 = exterior_derivative(DifferentialForm.scalar(s.chart, H))
+        if free_variables(H):
+            for R, eta_a in zip(self.reeb, s.eta):
+                rh = R.apply(H)
                 if not (isinstance(rh, Rational) and rh.value == 0):
                     rhs1 = rhs1 - rh * eta_a
-        sys._rhs = (*(rhs1.coeffs.get((l,), ZERO) for l in range(sys.dim)), -sys.H)
-    return sys._rhs
+        return (*(rhs1.coeffs.get((l,), ZERO) for l in range(s.dim)), -H)
+
+    @cached_property
+    def rhs_at(self) -> Callable[[Mapping], tuple]:
+        """The runner over rhs."""
+        return float_runner(self.rhs)
+
+    @cached_property
+    def k1_field(self) -> Callable[[dict], list | None] | None:
+        """For a k = 1 system of dim = 2n + 1, a function from a float point
+        to X_0, .., X_{dim-1}, or to None where the stage takes the pointwise
+        solve: one runner over X and the four values that _full_rank reads
+        raises DomainError there, or _full_rank cannot show that A has full
+        rank.  The four are Omega, the top-form coefficient of
+        eta ^ (d eta)^n, nonzero exactly where the defining conditions hold,
+        and the sums of the squared coefficients of (d eta)^n, eta and d eta.
+
+        X solves the dim + 1 field equations A X = b (the rows of
+        matrix_entries, b from rhs) over the expression field.  The property
+        is None where solve_symbolic does not return X, which it does only
+        once A X - b has passed the zero test row by row: a solve that raises
+        SingularSystem (a structure degenerate everywhere, such as eta = ds),
+        ZeroTestInconclusive or SampleDomainEmpty proves nothing, and every
+        stage takes the pointwise solve, which keeps its verdicts.
+        """
+        s = self.structure
+        dim = s.dim
+        rows = [{} for _ in range(dim + 1)]
+        for r, col, e in matrix_entries(s):
+            rows[r][col] = e
+        try:
+            sol = solve_symbolic(rows, [{0: c} for c in self.rhs], dim, s.chart, self.config)
+        except (SingularSystem, ZeroTestInconclusive, SampleDomainEmpty):
+            return None
+        X = [x.get(0, ZERO) for x in sol]
+        eta, d_eta, n = s.eta[0], s.d_eta[0], dim // 2
+        power = DifferentialForm.scalar(s.chart, 1)
+        for _ in range(n):
+            power = wedge(power, d_eta)
+        omega = wedge(eta, power).coeffs.get(tuple(range(dim)), ZERO)
+        squares = [sum((c * c for c in f.coeffs.values()), ZERO) for f in (power, eta, d_eta)]
+        run = float_runner([*X, omega, *squares])
+
+        def field_at(point: dict) -> list | None:
+            try:
+                *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
+            except DomainError:
+                return None
+            return x if _full_rank(n, omega, power_sq, eta_sq, d_eta_sq) else None
+
+        return field_at
 
 
 @dataclass
@@ -161,17 +198,16 @@ def _system_at(sys: KContactHamiltonianSystem, point: dict) -> tuple[np.ndarray,
     Raises StructureDegenerateAtPoint where check_structure_at(A) finds the
     structure not k-contact, before b is evaluated, so that a b with a pole
     on a degenerate hypersurface still reports the failed conditions.  b
-    holds the hddw_rhs values, from one runner built on first use and kept
-    on the system.  Raises DomainError naming the point where A
-    (structure_matrices_at) or b is undefined or not finite.
+    holds the rhs values, from the system's rhs_at.  Raises DomainError
+    naming the point where A (structure_matrices_at) or b is undefined or
+    not finite.
     """
-    A = structure_matrices_at(sys.structure, point)
-    if check_structure_at(A) != (sys.k, sys.k, 0):
+    s = sys.structure
+    A = structure_matrices_at(s, point)
+    if check_structure_at(A) != (s.k, s.k, 0):
         raise StructureDegenerateAtPoint(point)
-    if sys._rhs_at is None:
-        sys._rhs_at = float_runner(hddw_rhs(sys))
     try:
-        return A, np.array(sys._rhs_at(point))
+        return A, np.array(sys.rhs_at(point))
     except DomainError:
         raise DomainError(f"non-finite pointwise system at {point}") from None
 
@@ -192,7 +228,7 @@ def solve_hddw_at_point(sys: KContactHamiltonianSystem, point: Mapping) -> HdDWP
     p = {name: float(v) for name, v in point.items()}
     A, b = _system_at(sys, p)
     x, rank = least_norm_solution(A, b)
-    k, dim = sys.k, sys.dim
+    k, dim = sys.structure.k, sys.structure.dim
     residual, tolerance = _residual(A, x, b)
     if not residual <= tolerance:
         raise InconsistentSystem(
@@ -211,21 +247,22 @@ def section_residual(
     ambient coordinate, eq2 the pairing equation.  Both live on the section's
     parameter chart; zero_check over that chart gives the verdict.
     """
-    if psi.target != sys.chart:
+    s = sys.structure
+    if psi.target != s.chart:
         raise ChartMismatch(
-            f"section targets {psi.target}, system lives on {sys.chart}")
-    if psi.source.dim != sys.k:
+            f"section targets {psi.target}, system lives on {s.chart}")
+    if psi.source.dim != s.k:
         raise SourceNotRk(
-            f"section parameter chart has dimension {psi.source.dim}, need k={sys.k}")
+            f"section parameter chart has dimension {psi.source.dim}, need k={s.k}")
     # X[alpha*dim + i] = d psi^i / d t^alpha, the unknowns in A's column order
     X = [c for column in prolongation(psi) for c in column]
     # A X - b with the section substituted into A and b (matrix_entries,
-    # hddw_rhs): -b leads the pairing row and closes each 1-form row, the
-    # term order that fixes the trees and so their float values; a zero
-    # entry of b subtracts nothing and costs no substitution
-    binds, dim, b = psi.bindings(), sys.dim, hddw_rhs(sys)
+    # rhs): -b leads the pairing row and closes each 1-form row, the term
+    # order that fixes the trees and so their float values; a zero entry of
+    # b subtracts nothing and costs no substitution
+    binds, dim, b = psi.bindings(), s.dim, sys.rhs
     eq = [ZERO] * dim + [-substitute(b[dim], binds)]
-    for r, col, e in matrix_entries(sys.structure):
+    for r, col, e in matrix_entries(s):
         eq[r] = eq[r] + substitute(e, binds) * X[col]
     return [e if c == ZERO else e - substitute(c, binds) for e, c in zip(eq[:dim], b)], eq[dim]
 
@@ -265,48 +302,9 @@ def flow_steps(t_end: float, dt: float) -> int:
     return round(steps)
 
 
-def _k1_field(sys: KContactHamiltonianSystem) -> tuple | None:
-    """(run, n) for a k = 1 system of dim = 2n + 1, or None where its field
-    is not proven; built on first use and kept on the system.  run maps a
-    point to X_0, .., X_{dim-1} and the four values that _full_rank reads:
-    Omega, the top-form coefficient of eta ^ (d eta)^n, which is nonzero
-    exactly where the defining conditions hold, and the sums of the squared
-    coefficients of (d eta)^n, eta and d eta.
-
-    X is the unique solution of the dim + 1 field equations A X = b in dim
-    unknowns (the rows of matrix_entries, b from hddw_rhs), solved over the
-    expression field.  The field counts as proven where solve_symbolic
-    returns it, which it does only once A X - b has passed the zero test
-    row by row; a solve that raises SingularSystem (a structure degenerate
-    everywhere, such as eta = ds), ZeroTestInconclusive or SampleDomainEmpty
-    proves nothing, and every stage then takes the pointwise solve, which
-    keeps its verdicts.
-    """
-    if sys._field is not None:
-        return sys._field or None
-    dim, s = sys.dim, sys.structure
-    rows = [{} for _ in range(dim + 1)]
-    for r, col, e in matrix_entries(s):
-        rows[r][col] = e
-    try:
-        sol = solve_symbolic(rows, [{0: c} for c in hddw_rhs(sys)], dim, sys.chart, sys._config)
-    except (SingularSystem, ZeroTestInconclusive, SampleDomainEmpty):
-        sys._field = False
-        return None
-    X = [x.get(0, ZERO) for x in sol]
-    eta, d_eta, n = s.eta[0], s.d_eta[0], dim // 2
-    power = DifferentialForm.scalar(sys.chart, 1)
-    for _ in range(n):
-        power = wedge(power, d_eta)
-    omega = wedge(eta, power).coeffs.get(tuple(range(dim)), ZERO)
-    squares = [sum((c * c for c in f.coeffs.values()), ZERO) for f in (power, eta, d_eta)]
-    sys._field = (float_runner([*X, omega, *squares]), n)
-    return sys._field
-
-
 def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: float) -> bool:
     """Whether the k = 1 HdDW matrix A = [D^T; eta] (D the d-eta matrix) must
-    have numeric rank dim = 2n + 1, from _k1_field's values: a lower bound on
+    have numeric rank dim = 2n + 1, from k1_field's values: a lower bound on
     A's smallest singular value exceeds 2 * RANK_THRESHOLD * |A|_F, at least
     twice the rank threshold.  False, never an error, where a value is not
     finite, d eta = 0 (dim = 1) or mu c = 0.
@@ -339,19 +337,6 @@ def _full_rank(n: int, omega: float, power_sq: float, eta_sq: float, d_eta_sq: f
     return bound > 2 * RANK_THRESHOLD * math.sqrt(2 * d_eta_sq + eta_sq)
 
 
-def _field_at(field: tuple, point: dict) -> list | None:
-    """X at a float point from _k1_field's runner, as its list of floats, or
-    None where the stage takes the pointwise solve: the runner raises
-    DomainError there (a value is undefined or not finite), or _full_rank
-    cannot show that A has full rank."""
-    run, n = field
-    try:
-        *x, omega, power_sq, eta_sq, d_eta_sq = run(point)
-    except DomainError:
-        return None
-    return x if _full_rank(n, omega, power_sq, eta_sq, d_eta_sq) else None
-
-
 def integrate_contact_flow(
     sys: KContactHamiltonianSystem,
     x0: Mapping,
@@ -360,8 +345,8 @@ def integrate_contact_flow(
 ) -> Trajectory:
     """Integrate the unique k=1 Hamiltonian vector field with fixed-step RK4.
 
-    Each stage evaluates the symbolic field (_k1_field) in one runner call.
-    A stage where _field_at cannot vouch for X, and every stage where the
+    Each stage evaluates the symbolic field (k1_field) in one runner call.
+    A stage where the field cannot vouch for X, and every stage where the
     field is not proven, is re-solved by solve_hddw_at_point, which raises
     StructureDegenerateAtPoint, DomainError or InconsistentSystem there.
 
@@ -371,16 +356,16 @@ def integrate_contact_flow(
     so each state is the array form's bit for bit; an overflow gives inf
     with no numpy warning.
     """
-    if sys.k != 1:
+    if sys.structure.k != 1:
         raise ValueError("flow integration applies to k = 1 systems only")
     n_steps = flow_steps(t_end, dt)
-    coords = sys.chart.coords
+    coords = sys.structure.chart.coords
     state = [float(x0[c]) for c in coords]
-    field = _k1_field(sys)
+    field = sys.k1_field
 
     def f(y: list) -> list:
         point = dict(zip(coords, y))
-        x = None if field is None else _field_at(field, point)
+        x = None if field is None else field(point)
         return solve_hddw_at_point(sys, point).particular[0].tolist() if x is None else x
 
     half, sixth = 0.5 * dt, dt / 6.0
@@ -404,24 +389,26 @@ def check_constrained_solution(
 ) -> Check:
     """Tangency analysis along a Legendrian parametrization.
 
-    First the necessity test: H composed with the parametrization must vanish.
-    If it does, the pointwise system is re-solved with the unknowns restricted
-    to the image of the tangent map, reporting feasibility and the dimension
-    k*dim L - rank of the restricted system.  The expected count comes from
-    the polarized-case formula k*dim L - (n*(k+1) - dim L).  The check passes
-    when H vanishes on L and the restricted system is feasible at every
-    sampled point.  It is inconclusive when the isotropy of L or the vanishing
-    of H on L is.  Then n_points < 1 raises SampleDomainEmpty, and a point
-    where L's image or tangent map is not finite, DomainError naming it.
+    First the necessity tests: L must be isotropic (verify_isotropic) and H
+    composed with it must vanish; their combined verdict, unless it passes,
+    is the check's.  Then the pointwise system is re-solved with the
+    unknowns restricted to the image of the tangent map, reporting
+    feasibility and the dimension k*dim L - rank of the restricted system.
+    The expected count comes from the polarized-case formula
+    k*dim L - (n*(k+1) - dim L).  The check passes when the restricted
+    system is feasible at every sampled point.  L's image and tangent map
+    are read exactly at the drawn rational parameter points, then as floats,
+    so no cancellation in them reaches the rank; n_points < 1 raises
+    SampleDomainEmpty, and a point where one of them is undefined or beyond
+    float range, DomainError naming it.
     """
-    isotropy = verify_isotropic(L, sys.structure, config).verdict
-    if isotropy == FAIL:
-        raise NotIsotropic("parametrization image is not isotropic for this structure")
-    binds = L.bindings()
-    h_on_L = zero_check("H_on_L", [substitute(sys.H, binds)], L.source, config).verdict
-    verdict = INCONCLUSIVE if INCONCLUSIVE in (isotropy, h_on_L) else h_on_L
+    s = sys.structure
+    isotropy = verify_isotropic(L, s, config).verdict
+    h_on_L = zero_check("H_on_L", [substitute(sys.H, L.bindings())], L.source, config).verdict
+    verdict = combine([isotropy, h_on_L])
     if verdict != PASS:
         return Check("constrained_solution", verdict, detail={
+            "isotropy": isotropy,
             "H_vanishes_on_L": None if h_on_L == INCONCLUSIVE else h_on_L == PASS,
             "feasible": None,
             "constrained_nullspace_dim": None,
@@ -429,7 +416,7 @@ def check_constrained_solution(
             "n_points": 0,
         })
 
-    k, dim = sys.k, sys.dim
+    k, dim = s.k, s.dim
     dim_L = L.source.dim
     expected = None
     if (dim - k) % (k + 1) == 0:
@@ -437,19 +424,17 @@ def check_constrained_solution(
         expected = k * dim_L - (n * (k + 1) - dim_L)
 
     params = sample_points(L.source.coords, L.source, n_points, config.seed)
-    jac = L.jacobian()
     # the image point, then the tangent map J (dim x dim_L) row by row
-    image_at = float_runner(list(L.components) + [c for row in jac for c in row])
+    exprs = [*L.components, *(c for row in L.jacobian() for c in row)]
     feasible = True
     null_dims = set()
     for u in params:
         try:
-            values = image_at(u)
-        except DomainError:
+            values = _finite(tuple(float(evaluate(e, u)) for e in exprs))
+        except (DomainError, OverflowError):
             raise DomainError("Legendrian image or tangent map undefined or not finite "
                               f"at {_point_text(u)}") from None
-        x = dict(zip(sys.chart.coords, values[:dim]))
-        A, b = _system_at(sys, x)
+        A, b = _system_at(sys, dict(zip(s.chart.coords, values[:dim])))
         J = np.array(values[dim:]).reshape(dim, dim_L)
         Ares = np.hstack([A[:, alpha * dim:(alpha + 1) * dim] @ J for alpha in range(k)])
         y, rank = least_norm_solution(Ares, b)
@@ -458,6 +443,7 @@ def check_constrained_solution(
             feasible = False
         null_dims.add(k * dim_L - rank)
     return Check("constrained_solution", PASS if feasible else FAIL, detail={
+        "isotropy": isotropy,
         "H_vanishes_on_L": True,
         "feasible": feasible,
         "constrained_nullspace_dim": max(null_dims),

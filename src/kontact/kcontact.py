@@ -3,7 +3,8 @@ canonical example, and polarization checks.
 
 A structure becomes numbers in one place, structure_matrices_at: the HdDW
 matrix A = [d-eta^T; eta] of hddw's field equations, whose layout
-matrix_entries alone states.  The defining conditions (kernel coranks/ranks
+matrix_entries alone states, filled by the structure's one filler, the
+cached property fill_matrix.  The defining conditions (kernel coranks/ranks
 and their trivial intersection) are read in one place, check_structure_at:
 numeric SVD ranks of [eta; d-eta], A rearranged less the d-eta rows that
 are zero throughout, at one point (hddw) or over a stack of at most
@@ -17,7 +18,8 @@ of its points.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,8 +51,6 @@ __all__ = [
 class KContactStructure:
     """The k one-forms eta^1..eta^k on one chart, and their differentials."""
 
-    __slots__ = ("eta", "d_eta", "_matrices_at")
-
     def __init__(self, eta: Sequence[DifferentialForm]):
         eta = tuple(eta)
         if not eta:
@@ -62,7 +62,6 @@ class KContactStructure:
                 raise ValueError("components must be one-forms")
         self.eta = eta
         self.d_eta = tuple(exterior_derivative(f) for f in eta)
-        self._matrices_at = None  # the one filler of A (structure_matrices_at), built on first use
 
     @property
     def chart(self) -> Chart:
@@ -75,6 +74,13 @@ class KContactStructure:
     @property
     def dim(self) -> int:
         return self.chart.dim
+
+    @cached_property
+    def fill_matrix(self) -> Callable[[Mapping], np.ndarray]:
+        """The one filler of A (structure_matrices_at), flat."""
+        n = self.k * self.dim
+        return filler((self.dim + 1) * n, [(r * n + col, e)
+                                           for r, col, e in matrix_entries(self)])
 
 
 def matrix_entries(s: KContactStructure) -> list[tuple[int, int, ScalarExpr]]:
@@ -100,15 +106,10 @@ def matrix_entries(s: KContactStructure) -> list[tuple[int, int, ScalarExpr]]:
 
 def structure_matrices_at(s: KContactStructure, point: dict) -> np.ndarray:
     """The HdDW matrix A of s (matrix_entries) at a point, with -0.0 turned
-    into 0.0, filled by one runner built on first use and kept on the
-    structure; raises DomainError naming the point where A is undefined or
-    not finite."""
-    n = s.k * s.dim
-    if s._matrices_at is None:
-        s._matrices_at = filler((s.dim + 1) * n, [(r * n + col, e)
-                                                  for r, col, e in matrix_entries(s)])
+    into 0.0, from the structure's fill_matrix; raises DomainError naming
+    the point where A is undefined or not finite."""
     try:
-        return s._matrices_at(point).reshape(s.dim + 1, n)
+        return s.fill_matrix(point).reshape(s.dim + 1, s.k * s.dim)
     except DomainError:
         raise DomainError(
             f"structure matrix undefined or not finite at {_point_text(point)}") from None
@@ -155,16 +156,29 @@ def verify_kcontact(
     """The three defining conditions (see check_structure_at) at sampled points,
     one check each: corank_condition (its detail holds the per-point rank
     table), reeb_rank_condition and trivial_intersection.  Failing structures
-    yield failing checks, not an exception; a point where A is undefined or
-    not finite raises DomainError (structure_matrices_at), and n_points < 1
-    raises SampleDomainEmpty (sample_points)."""
+    yield failing checks, not an exception.  The first event in point order
+    decides: at a point where A is undefined or not finite, DomainError
+    (structure_matrices_at) is raised unless a point before it fails, and
+    then all three checks fail, the table holding the points before it.
+    n_points < 1 raises SampleDomainEmpty (sample_points)."""
     pts = sample_points(s.chart.coords, s.chart, n_points, config.seed)
-    ranks = []
+    ranks, undefined = [], None
     per_stack = max(1, _STACK_ENTRIES // ((s.dim + 1) * s.k * s.dim))
     for start in range(0, len(pts), per_stack):
-        A = np.stack([structure_matrices_at(s, p) for p in pts[start:start + per_stack]])
-        ranks += zip(*(r.tolist() for r in check_structure_at(A)))
+        stack = []
+        for p in pts[start:start + per_stack]:
+            try:
+                stack.append(structure_matrices_at(s, p))
+            except DomainError as err:
+                undefined = err
+                break
+        if stack:
+            ranks += zip(*(r.tolist() for r in check_structure_at(np.stack(stack))))
+        if undefined is not None:
+            break
     want = (s.k, s.k, 0)
+    if undefined is not None and all(r == want for r in ranks):
+        raise undefined
     rank_table = [
         {
             "point": _point_text(p),
@@ -175,7 +189,8 @@ def verify_kcontact(
         }
         for p, r in zip(pts, ranks)
     ]
-    verdicts = [PASS if all(r[i] == want[i] for r in ranks) else FAIL for i in range(3)]
+    verdicts = [PASS if undefined is None and all(r[i] == want[i] for r in ranks) else FAIL
+                for i in range(3)]
     return [
         Check("corank_condition", verdicts[0],
               detail={"k": s.k, "dim": s.dim, "rank_table": rank_table}),

@@ -168,11 +168,12 @@ def test_criterion_04_nullspace_dimensions():
         ("hydro4", hydro_system(4), 105),
     ]
     for name, sys_, frozen in cases:
-        formula = expected_nullspace_dim(sys_.k, sys_.dim)
+        s = sys_.structure
+        formula = expected_nullspace_dim(s.k, s.dim)
         assert formula == frozen  # the oracle and the frozen integer agree
         dims = set()
         for _ in range(20):
-            p = {c: rng.uniform(0.4, 1.6) for c in sys_.chart.coords}
+            p = {c: rng.uniform(0.4, 1.6) for c in s.chart.coords}
             sol = solve_hddw_at_point(sys_, p)
             dims.add(sol.nullspace_dim)
         observed[name] = sorted(dims)

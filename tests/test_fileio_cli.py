@@ -482,6 +482,26 @@ class TestCLI:
         assert out.err == (
             f"error: DomainError: structure matrix undefined or not finite at {point}\n")
 
+    def test_failing_points_before_an_undefined_one_decide(self, tmp_path, capsys):
+        # eta = (1/q) ds fails trivial_intersection wherever it is defined,
+        # and seed 17 draws q = 0 at point 17: points 0-16 fail first, so
+        # verify-structure writes its report, as hddw --n-points 20 does
+        path = tmp_path / "invq.json"
+        path.write_text(json.dumps({"chart": {"coords": ["s", "q", "p"]}, "forms": {
+            "eta": {"coeffs": {"0": "1/q"}}}}))
+        report = tmp_path / "r.json"
+        assert main(["verify-structure", str(path), "--seed", "17", "--json", str(report),
+                     "--no-timestamp"]) == 1
+        assert capsys.readouterr().err == ""
+        checks = json.loads(report.read_text())["checks"]
+        assert [(c["name"], c["verdict"]) for c in checks[:3]] == [
+            ("corank_condition", "fail"), ("reeb_rank_condition", "fail"),
+            ("trivial_intersection", "fail")]
+        assert len(checks[0]["detail"]["rank_table"]) == 17
+        assert main(["hddw", str(path), "--seed", "17", "--n-points", "20",
+                     "--no-timestamp"]) == 1
+        assert capsys.readouterr().out == "defining_conditions: fail\nverdict: fail\n"
+
     def test_undefined_right_hand_side_names_its_point(self, capsys):
         # b holds d(1/E) = -dE/E^2, undefined at E = 0, where thermo's A is fine
         point = {"E": 0, "S": 1, "V": 1, "N": 1, "T": 1, "P": 1, "mu": 1}
@@ -609,7 +629,7 @@ class TestCLI:
                      "--samples", "16", "--atol", "1e-11", "--rtol", "1e-8",
                      "--no-timestamp"])
         assert code == 0
-        assert [s._config for s in systems] == [RunConfig(7, 16, 1e-11, 1e-8)]
+        assert [s.config for s in systems] == [RunConfig(7, 16, 1e-11, 1e-8)]
 
     def test_bjorken_command(self, tmp_path):
         out_path = tmp_path / "b.json"

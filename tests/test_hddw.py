@@ -16,7 +16,6 @@ from kontact.config import RunConfig
 from kontact.errors import (
     ChartMismatch,
     DomainError,
-    NotIsotropic,
     SampleDomainEmpty,
     SourceNotRk,
     StructureDegenerateAtPoint,
@@ -32,7 +31,6 @@ from kontact.hddw import (
     KContactHamiltonianSystem,
     check_constrained_solution,
     expected_nullspace_dim,
-    hddw_rhs,
     _system_at,
     integrate_contact_flow,
     section_residual,
@@ -45,7 +43,8 @@ from kontact.idealgas import (
     run_isentropic,
 )
 from kontact.fileio import resolve_structure
-from kontact.kcontact import KContactStructure, _point_text, canonical_structure
+from kontact.kcontact import (KContactStructure, _point_text, canonical_structure,
+                              compute_reeb)
 from kontact.linalg import RANK_THRESHOLD, nullspace_basis
 from kontact.legendrian import (
     ParametrizingKFunction,
@@ -75,19 +74,59 @@ class TestRhs:
     def test_zero_hamiltonian(self):
         s = canonical_structure(1, 2)
         sys_ = KContactHamiltonianSystem(s, 0)
-        assert hddw_rhs(sys_) == (ZERO,) * (s.dim + 1)
+        assert sys_.rhs == (ZERO,) * (s.dim + 1)
 
     def test_constant_hamiltonian(self):
         s = canonical_structure(1, 2)
         sys_ = KContactHamiltonianSystem(s, Rational(Fraction(5)))
-        assert hddw_rhs(sys_) == (ZERO,) * s.dim + (Rational(Fraction(-5)),)
+        assert sys_.rhs == (ZERO,) * s.dim + (Rational(Fraction(-5)),)
 
     def test_momentum_hamiltonian(self):
         # H = p on the lowest canonical chart (s, q, p): R(H) = 0, b = (dp, -p)
         s = canonical_structure(1, 1)
         sys_ = KContactHamiltonianSystem(s, Var("p_1_1"))
         assert s.chart.coords == ("s_1", "q_1", "p_1_1")
-        assert hddw_rhs(sys_) == (ZERO, ZERO, Rational(Fraction(1)), -Var("p_1_1"))
+        assert sys_.rhs == (ZERO, ZERO, Rational(Fraction(1)), -Var("p_1_1"))
+
+
+class TestCachedProperties:
+    def test_given_reeb_frame_is_never_recomputed(self, monkeypatch):
+        import kontact.hddw
+
+        s = canonical_structure(1, 1)
+        frame = compute_reeb(s, FAST)
+        calls = []
+        real = kontact.hddw.compute_reeb
+        monkeypatch.setattr(kontact.hddw, "compute_reeb",
+                            lambda *args: calls.append(args) or real(*args))
+        given = KContactHamiltonianSystem(s, "p_1_1*s_1", reeb=frame)
+        solve_hddw_at_point(given, {"s_1": 0.2, "q_1": 0.7, "p_1_1": 1.3})
+        assert given.reeb is frame
+        assert calls == []
+        # without a frame, the system solves it once, on first read
+        solved = KContactHamiltonianSystem(s, "p_1_1*s_1")
+        assert solved.rhs == given.rhs
+        assert solved.reeb is solved.reeb
+        assert len(calls) == 1
+
+    def test_unproven_field_is_solved_once_per_system(self, monkeypatch):
+        # the constraint s > 5 leaves no sample point in [-2, 2]: the field's
+        # solve raises SampleDomainEmpty, and every stage is solved pointwise
+        import kontact.hddw
+
+        chart = Chart(["s", "q", "p"], constraints=[Var("s") - 5])
+        eta = DifferentialForm(chart, 1, {(0,): Rational(1), (1,): -Var("p")})
+        sys_ = KContactHamiltonianSystem(KContactStructure([eta]), "p^2/2 + q")
+        calls = []
+        real = kontact.hddw.solve_symbolic
+        monkeypatch.setattr(kontact.hddw, "solve_symbolic",
+                            lambda *args: calls.append(args) or real(*args))
+        x0 = {"s": 6.0, "q": 1.0, "p": 1.0}
+        flows = [integrate_contact_flow(sys_, x0, t_end=0.02, dt=0.01) for _ in range(2)]
+        assert sys_.k1_field is None
+        assert len(calls) == 1
+        assert flows[0].states == flows[1].states
+        assert flows[0].states[-1] != flows[0].states[0]
 
 
 class TestSolveAtPoint:
@@ -113,10 +152,10 @@ class TestSolveAtPoint:
 
         sys_ = hydro_system(4)
         rng = random.Random(73)
-        sol = solve_hddw_at_point(sys_, random_point(sys_.chart, rng))
+        sol = solve_hddw_at_point(sys_, random_point(sys_.structure.chart, rng))
         # (k-1)(dim-k) + k^2-1 with dim = 34: 3*30 + 15
         assert sol.nullspace_dim == 105
-        assert sol.nullspace_dim == expected_nullspace_dim(4, sys_.dim)
+        assert sol.nullspace_dim == expected_nullspace_dim(4, sys_.structure.dim)
 
     def test_contact_reduction_matches_published_components(self):
         # the k=1 solve must reproduce the isentropic-process vector field:
@@ -125,7 +164,7 @@ class TestSolveAtPoint:
         cv = Fraction(3, 2)
         f = ideal_gas_energy(cv)
         sys_ = ideal_gas_system(cv)
-        chart = sys_.chart
+        chart = sys_.structure.chart
         x0 = equilibrium_state(cv, S0=1.2, V0=0.8, N0=1.1)
         sol = solve_hddw_at_point(sys_, x0)
         X = dict(zip(chart.coords, sol.particular[0]))
@@ -193,7 +232,7 @@ class TestOneSVDSolve:
         sys_ = self.K1_SYSTEMS[name]()
         rng = random.Random(97)
         for _ in range(4):
-            point = random_point(sys_.chart, rng)
+            point = random_point(sys_.structure.chart, rng)
             sol = solve_hddw_at_point(sys_, point)
             A, b = _system_at(sys_, point)
             want = np.linalg.pinv(A, RANK_THRESHOLD) @ b
@@ -202,17 +241,17 @@ class TestOneSVDSolve:
     @pytest.mark.parametrize("name", ["hydro2", "hydro3", "hydro4", "canonical:2,3",
                                       "canonical:4,4"])
     def test_nullspace_matches_nullspace_basis(self, name):
-        sys_ = KContactHamiltonianSystem(resolve_structure(name)[0], 0)
-        chart = sys_.chart
-        for p in sample_points(chart.coords, chart, 3, 101):
+        s = resolve_structure(name)[0]
+        sys_ = KContactHamiltonianSystem(s, 0)
+        for p in sample_points(s.chart.coords, s.chart, 3, 101):
             sol = solve_hddw_at_point(sys_, p)
             assert sol.nullspace_dim == len(nullspace_basis(sol._A))
-            assert sol.nullspace_dim == expected_nullspace_dim(sys_.k, sys_.dim)
+            assert sol.nullspace_dim == expected_nullspace_dim(s.k, s.dim)
             # the basis is read off the solve's rank: nullspace_dim rows,
             # orthonormal, in ker A, and so spanning it
             basis = sol.nullspace
             assert len(basis) == sol.nullspace_dim
-            assert all(v.shape == (sys_.k, sys_.dim) for v in basis)
+            assert all(v.shape == (s.k, s.dim) for v in basis)
             N = np.array([v.ravel() for v in basis])
             assert np.allclose(sol._A @ N.T, 0.0, atol=1e-9)
             assert np.allclose(N @ N.T, np.eye(len(N)), atol=1e-9)
@@ -224,7 +263,7 @@ class TestOneSVDSolve:
     def test_one_svd_per_solve(self, k, monkeypatch):
         sys_ = (self.K1_SYSTEMS["ideal gas"]() if k == 1 else
                 KContactHamiltonianSystem(canonical_structure(2, 2), "q_1*p_2_2"))
-        point = random_point(sys_.chart, random.Random(103))
+        point = random_point(sys_.structure.chart, random.Random(103))
         calls = _record_svd_calls(monkeypatch)
         solve_hddw_at_point(sys_, point)
         # the structure check's three numeric_rank calls, then the solve's thin SVD
@@ -241,20 +280,18 @@ class TestOneSVDSolve:
         assert calls == [(False, True)] * 4 * 3
 
     @pytest.mark.parametrize("name", K1_SYSTEMS)
-    def test_every_stage_field_matches_solve_hddw_at_point(self, name, monkeypatch):
-        import kontact.hddw
-
+    def test_every_stage_field_matches_solve_hddw_at_point(self, name):
         sys_ = self.K1_SYSTEMS[name]()
-        real = kontact.hddw._field_at
+        real = sys_.k1_field
         stages = []
 
-        def recording(field, point):
-            x = real(field, point)
+        def recording(point):
+            x = real(point)
             stages.append((dict(point), x))
             return x
 
-        monkeypatch.setattr(kontact.hddw, "_field_at", recording)
-        x0 = random_point(sys_.chart, random.Random(107))
+        sys_.k1_field = recording
+        x0 = random_point(sys_.structure.chart, random.Random(107))
         integrate_contact_flow(sys_, x0, t_end=0.05, dt=0.01)
         assert len(stages) == 4 * 5
         for point, x in stages:
@@ -265,8 +302,9 @@ class TestOneSVDSolve:
     @pytest.mark.parametrize("name", K1_SYSTEMS)
     def test_flow_matches_rk4_over_solve_hddw_at_point(self, name):
         sys_ = self.K1_SYSTEMS[name]()
-        coords = sys_.chart.coords
-        x0 = random_point(sys_.chart, random.Random(107))
+        chart = sys_.structure.chart
+        coords = chart.coords
+        x0 = random_point(chart, random.Random(107))
         traj = integrate_contact_flow(sys_, x0, t_end=0.05, dt=0.01)
 
         def f(y):
@@ -310,19 +348,18 @@ class TestOneSVDSolve:
         # eta = s(ds - p dq) degenerates on s = 0, where A's smallest singular
         # value falls like s^2: the field answers a stage only where the
         # pointwise solve's structure check must pass
-        from kontact.hddw import _field_at, _k1_field
         from kontact.kcontact import check_structure_at, structure_matrices_at
 
         ch = Chart(["s", "q", "p"])
         eta = DifferentialForm(ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})
         structure = KContactStructure([eta])
-        field = _k1_field(KContactHamiltonianSystem(structure, "-s", config=FAST))
+        field = KContactHamiltonianSystem(structure, "-s", config=FAST).k1_field
         answered = 0
         for e in np.linspace(0.5, 17, 100):
             for p in (0.1, 2.0, 30.0):
                 point = {"s": -10.0 ** -e, "q": 1.0, "p": p}
                 holds = check_structure_at(structure_matrices_at(structure, point)) == (1, 1, 0)
-                x = _field_at(field, point)
+                x = field(point)
                 assert x is None or holds
                 answered += x is not None
         assert answered > 50
@@ -341,10 +378,10 @@ class TestOneSVDSolve:
             return real(exprs)
 
         monkeypatch.setattr(kontact.hddw, "float_runner", counting)
-        x0 = random_point(sys_.chart, random.Random(113))
+        x0 = random_point(sys_.structure.chart, random.Random(113))
         integrate_contact_flow(sys_, x0, t_end=0.02, dt=0.01)
         integrate_contact_flow(sys_, x0, t_end=0.02, dt=0.01)
-        assert built == [sys_.dim + 4]
+        assert built == [sys_.structure.dim + 4]
 
     def test_full_rank_is_total(self):
         # mu underflows to 0 with Omega = 0: the bound would be 0/0; then
@@ -371,7 +408,7 @@ class TestOneSVDSolve:
             p = {c: 0.0 if zero_every and i % zero_every == 0 else rng.uniform(-1.5, 1.5)
                  for i, c in enumerate(chart.coords)}
             A_old = dense_structure_matrices(sys_.structure, p)
-            b_old = np.array([float(evaluate(c, p)) for c in hddw_rhs(sys_)])
+            b_old = np.array([float(evaluate(c, p)) for c in sys_.rhs])
             A, b = _system_at(sys_, p)
             for new, old in ((A, A_old), (b, b_old)):
                 assert np.array_equal(new, old)
@@ -392,7 +429,7 @@ class TestSectionResidual:
         c0, c1, c2 = s.chart.coords[:3]
         sys_ = KContactHamiltonianSystem(s, f"{c0}*{c1} - {c2}^2/3 + {c1}")
         chart = s.chart
-        src = parameter_chart(sys_.k)
+        src = parameter_chart(s.k)
         t = [Var(c) for c in src.coords]
         # a section with components 1 + (i+1)/8 + t_0 (i mod 3)/5 - t_{k-1}^2/16
         psi = SmoothMap(src, chart, [
@@ -490,7 +527,7 @@ class TestIntegrateContactFlow:
         "thermo, H = E - TS": lambda: (KContactHamiltonianSystem(thermo_structure(), "E - T*S"),
                                        random_point(thermo_structure().chart,
                                                     random.Random(127))),
-        # the squares of eta's coefficients overflow a float, so _field_at
+        # the squares of eta's coefficients overflow a float, so the field
         # cannot vouch for X and every stage takes solve_hddw_at_point
         "pointwise stages": lambda: (KContactHamiltonianSystem(KContactStructure([
             DifferentialForm(Chart(["s", "q", "p"]), 1, {
@@ -502,15 +539,13 @@ class TestIntegrateContactFlow:
     def test_flow_equals_the_array_rk4_bit_for_bit(self, name):
         # the list arithmetic does the array form's IEEE operations in its
         # order: every state, -0.0 included, matches bit for bit
-        from kontact.hddw import _field_at, _k1_field
-
         sys_, x0 = self.FLOW_SYSTEMS[name]()
-        coords, field, dt = sys_.chart.coords, _k1_field(sys_), 0.01
+        coords, field, dt = sys_.structure.chart.coords, sys_.k1_field, 0.01
         pointwise = []
 
         def f(y):
             point = dict(zip(coords, y.tolist()))
-            x = None if field is None else _field_at(field, point)
+            x = None if field is None else field(point)
             pointwise.append(x is None)
             return solve_hddw_at_point(sys_, point).particular[0] if x is None else np.array(x)
 
@@ -592,8 +627,10 @@ class TestConstrainedSolution:
         base = Chart(["q_1"])
         graph = SmoothMap(base, s.chart, [0, Var("q_1"), 1])
         sys_ = KContactHamiltonianSystem(s, 0)
-        with pytest.raises(NotIsotropic):
-            check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        assert rep.verdict == FAIL
+        assert rep.detail["isotropy"] == FAIL
+        assert rep.detail["feasible"] is None
 
     def test_structure_degenerate_along_L_raises(self):
         # eta = s(ds - p dq) vanishes on L(u) = (0, u, 0): L is isotropic and
@@ -617,16 +654,25 @@ class TestConstrainedSolution:
             check_constrained_solution(sys_, L, n_points=0, config=FAST)
 
     def test_non_finite_image_names_the_parameter_point(self):
-        # S^600 * S^600 overflows to inf where S > 1.81, and inf - inf is NaN:
-        # the image's E and T are NaN at the first such parameter point
-        L = thermo_parametrization("S^600*S^600 - S^600*S^600 + S*V^(-1)*N")
+        # E has a pole at S = 59/32, a point of the 1/64 sampling grid: the
+        # image's E and T are undefined at the first such parameter point
+        L = thermo_parametrization("S*V^(-1)*N + (S - 59/32)^(-1)")
         sys_ = KContactHamiltonianSystem(thermo_structure(), 0)
         u = next(p for p in sample_points(L.source.coords, L.source, 10, FAST.seed)
-                 if math.isinf(float(p["S"]) ** 600 * float(p["S"]) ** 600))
+                 if p["S"] == Fraction(59, 32))
         with pytest.raises(DomainError) as err:
             check_constrained_solution(sys_, L, n_points=10, config=FAST)
         assert str(err.value) == ("Legendrian image or tangent map undefined or not finite "
                                   f"at {_point_text(u)}")
+
+    def test_image_is_read_exactly(self):
+        # S^600 * S^600 - S^600 * S^600 cancels exactly, but not in floats:
+        # at S = 67/64, dT/dS reads 3.5e13 where the exact value is 0
+        L = thermo_parametrization("S^600*S^600 - S^600*S^600 + S*V^(-1)*N")
+        sys_ = KContactHamiltonianSystem(thermo_structure(), 0)
+        rep = check_constrained_solution(sys_, L, n_points=3, config=RunConfig(seed=42))
+        assert rep.verdict == PASS
+        assert rep.detail["constrained_nullspace_dim"] == 0
 
     def test_inconclusive_isotropy_is_passed_through(self):
         s = canonical_structure(1, 1)
@@ -635,6 +681,12 @@ class TestConstrainedSolution:
         sys_ = KContactHamiltonianSystem(s, 0)
         rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
         assert rep.verdict == INCONCLUSIVE
+        assert rep.detail["isotropy"] == INCONCLUSIVE
+        # the verdicts combine: an H that fails on L fails the check
+        sys_ = KContactHamiltonianSystem(s, 1)
+        rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        assert rep.verdict == FAIL
+        assert rep.detail["H_vanishes_on_L"] is False
 
     def test_hydro_equilibrium_family_unique_tangent_solution(self):
         from kontact.hydro import equilibrium_legendrian, hydro_system

@@ -346,9 +346,10 @@ class TestEquilibriumLegendrian:
 class TestHydroSolver:
     def test_nullspace_at_20_points_k2(self):
         sys_ = hydro_system(2)
+        chart = sys_.structure.chart
         rng = random.Random(103)
-        expected = (2 - 1) * (sys_.dim - 2) + 2 * 2 - 1
+        expected = (2 - 1) * (chart.dim - 2) + 2 * 2 - 1
         for _ in range(5):
-            p = {c: rng.uniform(0.4, 1.6) for c in sys_.chart.coords}
+            p = {c: rng.uniform(0.4, 1.6) for c in chart.coords}
             sol = solve_hddw_at_point(sys_, p)
             assert sol.nullspace_dim == expected

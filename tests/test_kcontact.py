@@ -28,6 +28,7 @@ from kontact.forms import (
 from kontact.fileio import resolve_structure
 from kontact.kcontact import (
     KContactStructure,
+    _point_text,
     _polarization_pairs,
     canonical_structure,
     check_polarization,
@@ -149,6 +150,37 @@ class TestVerifyKContact:
         with pytest.raises(DomainError) as err:
             verify_kcontact(s, n_points=20, config=FAST)
         assert str(err.value) == f"structure matrix undefined or not finite at {point}"
+
+    @pytest.mark.parametrize("stack_entries", [kcontact._STACK_ENTRIES, 36])
+    @pytest.mark.parametrize("fail_first", [True, False])
+    def test_first_failing_point_decides_before_an_undefined_one(
+            self, monkeypatch, fail_first, stack_entries):
+        # eta = (q - a)/(q - b) (ds - p dq) is contact where q is neither,
+        # zero where q = a and undefined where q = b.  The points are taken
+        # in order, as check_polarization takes them: a failure before the
+        # undefined point fails all three checks, whose table holds the
+        # points before it, and an undefined point before any failure
+        # raises.  36 entries stack 3 points at a time, so the undefined
+        # point 7 is the middle one of its stack
+        monkeypatch.setattr(kcontact, "_STACK_ENTRIES", stack_entries)
+        ch = Chart(["s", "q", "p"])
+        pts = sample_points(ch.coords, ch, 20, FAST.seed)
+        qs = [p["q"] for p in pts]
+        assert qs[4] not in qs[:4] and qs[7] not in qs[:7]
+        a, b = (qs[4], qs[7]) if fail_first else (qs[7], qs[4])
+        f = (Var("q") - a) * (Var("q") - b) ** -1
+        s = KContactStructure([DifferentialForm(ch, 1, {(0,): f, (1,): -Var("p") * f})])
+        if fail_first:
+            checks = verify_kcontact(s, n_points=20, config=FAST)
+            assert [c.verdict for c in checks] == [FAIL] * 3
+            table = checks[0].detail["rank_table"]
+            assert [row["point"] for row in table] == [_point_text(p) for p in pts[:7]]
+            assert [row["pass"] for row in table] == [i != 4 for i in range(7)]
+        else:
+            with pytest.raises(DomainError) as err:
+                verify_kcontact(s, n_points=20, config=FAST)
+            assert str(err.value) == (
+                f"structure matrix undefined or not finite at {_point_text(pts[4])}")
 
     def test_report_serialization(self):
         s = canonical_structure(1, 1)
