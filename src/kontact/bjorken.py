@@ -2,8 +2,9 @@
 
 Works on the (t, z) chart with proper time tau = sqrt(t^2 - z^2) and flow
 velocity u = (t/tau, 0, 0, z/tau).  Provides the spatial projector Delta, the
-expansion scalar theta and the shear tensor sigma, built from Delta and theta
-alone; the superpotential-generated transformation of the dissipative
+divergence d_mu v^mu of a vector (the one index sum over the flow's partials),
+the expansion scalar theta and the shear tensor sigma, built from Delta and
+theta alone; the superpotential-generated transformation of the dissipative
 decomposition; and the entropy-production verdicts before and after the
 transformation.  The transformation parameter gamma may stay symbolic.
 """
@@ -28,12 +29,12 @@ from .expr import (
     substitute,
 )
 from .forms import Chart
-from .hydro import metric_sign, spatial_projector
+from .hydro import contract, metric_sign, spatial_projector
 from .zerotest import Check, combine, zero_check
 
 __all__ = [
     "BjorkenFlow", "PGTSuperpotential", "DissipativeDecomposition",
-    "expansion_scalar", "shear_tensor",
+    "divergence", "expansion_scalar", "shear_tensor",
     "apply_pgt", "entropy_production", "full_pgt_demo",
     "superpotential_components", "pgt_shift_tensor", "DEFAULT_T_PROFILE",
 ]
@@ -62,7 +63,7 @@ class BjorkenFlow:
         self.chart = bjorken_chart()
         t, z = Var("t"), Var("z")
         self.tau = Pow.make(t * t - z * z, Fraction(1, 2))
-        inv_tau = Pow.make(t * t - z * z, Fraction(-1, 2))
+        inv_tau = 1 / self.tau
         self.u = (t * inv_tau, ZERO, ZERO, z * inv_tau)
         profile = as_expr(temperature_profile)
         extra = free_variables(profile) - {"tau"}
@@ -89,12 +90,15 @@ class BjorkenFlow:
         return total
 
 
+def divergence(flow: BjorkenFlow, v: Sequence[ScalarExpr]) -> ScalarExpr:
+    """d_mu v^mu over flow.d, summed from ZERO in index order.  Reads only
+    flow.d, so any object with a d(e, mu) partial will do."""
+    return sum((flow.d(v[m], m) for m in range(len(v))), ZERO)
+
+
 def expansion_scalar(flow: BjorkenFlow) -> ScalarExpr:
     """theta = d_mu u^mu; equals 1/tau on the flow domain."""
-    total = ZERO
-    for mu in range(4):
-        total = total + flow.d(flow.u[mu], mu)
-    return total
+    return divergence(flow, flow.u)
 
 
 def shear_tensor(flow: BjorkenFlow) -> list[list[ScalarExpr]]:
@@ -163,17 +167,9 @@ def pgt_shift_tensor(s: PGTSuperpotential, flow: BjorkenFlow) -> list[list[Scala
     """(1/2) d_lambda (Phi^{lambda mu nu} - Phi^{mu lambda nu} - Phi^{nu lambda mu})."""
     phi = superpotential_components(s, flow)
     half = Rational(Fraction(1, 2))
-    out = []
-    for m in range(4):
-        row = []
-        for n in range(4):
-            e = ZERO
-            for l in range(4):
-                combo = phi[l][m][n] - phi[m][l][n] - phi[n][l][m]
-                e = e + flow.d(combo, l)
-            row.append(half * e)
-        out.append(row)
-    return out
+    return [[half * divergence(flow, [phi[l][m][n] - phi[m][l][n] - phi[n][l][m]
+                                      for l in range(4)])
+             for n in range(4)] for m in range(4)]
 
 
 @dataclass
@@ -242,16 +238,10 @@ def full_pgt_demo(
     flow = BjorkenFlow(temperature_profile)
     theta, sigma = flow.theta, flow.sigma
 
-    inv_tau = Pow.make(Var("t") * Var("t") - Var("z") * Var("z"), Fraction(-1, 2))
-    identities = {"theta_identity": [theta - inv_tau]}
-
-    ortho = []
-    for n in range(4):
-        e = ZERO
-        for m in range(4):
-            e = e + metric_sign(m) * flow.u[m] * sigma[m][n]
-        ortho.append(e)
-    identities["sigma_orthogonal"] = ortho
+    identities = {
+        "theta_identity": [theta - 1 / flow.tau],
+        "sigma_orthogonal": [contract(flow.u, [row[n] for row in sigma]) for n in range(4)],
+    }
 
     trace = ZERO
     for m in range(4):
@@ -266,13 +256,8 @@ def full_pgt_demo(
         phi[l][m][n] + phi[l][n][m] for l in range(4) for m in range(4) for n in range(m, 4)]
 
     shift = pgt_shift_tensor(sp, flow)
-    divergences = []
-    for n in range(4):
-        e = ZERO
-        for m in range(4):
-            e = e + flow.d(shift[m][n], m)
-        divergences.append(e)
-    identities["divergence_free_shift"] = divergences
+    identities["divergence_free_shift"] = [divergence(flow, [row[n] for row in shift])
+                                           for n in range(4)]
 
     before = DissipativeDecomposition.perfect_fluid(flow)
     after = apply_pgt(before, sp, flow)

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .config import RunConfig, default_seed
+from .config import DEFAULT_CONFIG, RunConfig, default_seed
 from .errors import KontactError, ParseError, StructureDegenerateAtPoint
 from .expr import ZERO, free_variables
 from .fileio import (
@@ -114,11 +114,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the report as JSON")
     p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (default: KONTACT_SEED or 42)")
-    p.add_argument("--samples", type=int, default=64,
+                   help=f"sampling seed (default: KONTACT_SEED or {DEFAULT_CONFIG.seed})")
+    p.add_argument("--samples", type=int, default=DEFAULT_CONFIG.n_sample_points,
                    help="sample points per zero test")
-    p.add_argument("--atol", type=float, default=1e-10)
-    p.add_argument("--rtol", type=float, default=1e-9)
+    p.add_argument("--atol", type=float, default=DEFAULT_CONFIG.atol)
+    p.add_argument("--rtol", type=float, default=DEFAULT_CONFIG.rtol)
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit wall time from the report (byte-stable output)")
 

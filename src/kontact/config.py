@@ -32,10 +32,11 @@ class RunConfig:
 
 
 def default_seed() -> int:
-    """Seed 42 unless the KONTACT_SEED environment variable overrides it."""
+    """DEFAULT_CONFIG's seed unless the KONTACT_SEED environment variable
+    overrides it."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return 42
+        return DEFAULT_CONFIG.seed
     try:
         return int(raw)
     except ValueError:

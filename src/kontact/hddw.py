@@ -385,9 +385,8 @@ def check_constrained_solution(
     sys: KContactHamiltonianSystem,
     L: SmoothMap,
     n_points: int = 5,
-    config: RunConfig = DEFAULT_CONFIG,
 ) -> Check:
-    """Tangency analysis along a Legendrian parametrization.
+    """Tangency analysis along a Legendrian parametrization, under sys.config.
 
     First the necessity tests: L must be isotropic (verify_isotropic) and H
     composed with it must vanish; their combined verdict, unless it passes,
@@ -402,7 +401,7 @@ def check_constrained_solution(
     SampleDomainEmpty, and a point where one of them is undefined or beyond
     float range, DomainError naming it.
     """
-    s = sys.structure
+    s, config = sys.structure, sys.config
     isotropy = verify_isotropic(L, s, config).verdict
     h_on_L = zero_check("H_on_L", [substitute(sys.H, L.bindings())], L.source, config).verdict
     verdict = combine([isotropy, h_on_L])

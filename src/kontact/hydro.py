@@ -5,8 +5,9 @@ current P^mu, volume V, ratio xi = mu/T, baryon current N^mu, inverse-
 temperature velocity beta^mu, and the k^2 energy-momentum components T^{lm}
 (no symmetry imposed; that is a property of sections, not of the chart).
 Greek indices run 0..k-1; index lowering uses the fixed mostly-minus diagonal
-metric (metric_sign), and spatial_projector gives a velocity's rank-2 spatial
-projector.  Chart dimension is k^2 + 4k + 2.
+metric (metric_sign), contract is the one Minkowski contraction a_mu b^mu, and
+spatial_projector gives a velocity's rank-2 spatial projector.  Chart
+dimension is k^2 + 4k + 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .kcontact import KContactStructure
 from .zerotest import PASS, Check, combine, zero_check
 
 __all__ = [
-    "metric_sign", "spatial_projector", "hydro_chart", "hydro_kcontact_form",
+    "metric_sign", "contract", "spatial_projector", "hydro_chart", "hydro_kcontact_form",
     "hydro_polarization", "hydro_system",
     "equilibrium_conditions_residual", "entropy_current",
     "equilibrium_legendrian",
@@ -33,6 +34,11 @@ __all__ = [
 def metric_sign(mu: int) -> Fraction:
     """g_{mu mu} = g^{mu mu} of diag(+1, -1, ..., -1), the metric's only entries."""
     return Fraction(1) if mu == 0 else Fraction(-1)
+
+
+def contract(a: Sequence[ScalarExpr], b: Sequence[ScalarExpr]) -> ScalarExpr:
+    """a_mu b^mu of two upper-index component lists, summed from ZERO in index order."""
+    return sum((metric_sign(m) * a[m] * b[m] for m in range(len(a))), ZERO)
 
 
 def spatial_projector(u: Sequence[ScalarExpr]) -> list[list[ScalarExpr]]:
@@ -165,13 +171,9 @@ def equilibrium_conditions_residual(
 
 def entropy_current(k: int = 4) -> list[ScalarExpr]:
     """S^mu = P^mu V - xi N^mu + beta_lambda T^{lambda mu}, componentwise."""
-    out = []
-    for m in range(k):
-        e = Var(f"P_{m}") * Var("V") - Var("xi") * Var(f"N_{m}")
-        for l in range(k):
-            e = e + metric_sign(l) * Var(f"beta_{l}") * Var(f"T_{l}_{m}")
-        out.append(e)
-    return out
+    beta = [Var(f"beta_{l}") for l in range(k)]
+    return [Var(f"P_{m}") * Var("V") - Var("xi") * Var(f"N_{m}")
+            + contract(beta, [Var(f"T_{l}_{m}") for l in range(k)]) for m in range(k)]
 
 
 def equilibrium_legendrian(k: int = 4) -> SmoothMap:
@@ -185,9 +187,8 @@ def equilibrium_legendrian(k: int = 4) -> SmoothMap:
     """
     chart = hydro_chart(k)
     coords = [f"beta_{m}" for m in range(k)] + ["xi", "V"]
-    bb = ZERO
-    for m in range(k):
-        bb = bb + metric_sign(m) * Var(f"beta_{m}") * Var(f"beta_{m}")
+    beta = [Var(f"beta_{m}") for m in range(k)]
+    bb = contract(beta, beta)
     ranges = {"beta_0": (Fraction(1), Fraction(2)), "xi": (Fraction(-1), Fraction(1)),
               "V": (Fraction(1, 2), Fraction(2))}
     for m in range(1, k):

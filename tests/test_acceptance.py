@@ -275,10 +275,10 @@ def test_criterion_08_bjorken_identities():
 
 
 def test_criterion_09_constrained_solution_counting():
-    sys_ = hydro_system(4)
+    sys_ = KContactHamiltonianSystem(hydro_kcontact_form(4), 0, config=CONFIG)
     L = equilibrium_legendrian(4)
     assert L.source.dim == 6
-    rep = check_constrained_solution(sys_, L, n_points=5, config=CONFIG)
+    rep = check_constrained_solution(sys_, L, n_points=5)
     ok = (rep.verdict == PASS and rep.detail["H_vanishes_on_L"] and rep.detail["feasible"]
           and rep.detail["constrained_nullspace_dim"] == 0
           and rep.detail["expected_pseudo_gauge_dof"] == 0)

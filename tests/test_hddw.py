@@ -601,8 +601,8 @@ class TestConstrainedSolution:
         s = canonical_structure(2, 2)
         kf = ParametrizingKFunction(2, 2, [], ["0", "0"])
         L = build_parametrization(kf, s)
-        sys_ = KContactHamiltonianSystem(s, Var("s_1"))
-        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
+        sys_ = KContactHamiltonianSystem(s, Var("s_1"), config=FAST)
+        rep = check_constrained_solution(sys_, L, n_points=3)
         assert rep.verdict == PASS
         assert rep.detail["H_vanishes_on_L"]
         assert rep.detail["feasible"]
@@ -616,8 +616,8 @@ class TestConstrainedSolution:
             # H on L is 1e-8 sqrt(q_1^2+1): neither clearly zero nor not
             ("1/100000000 * sqrt(q_1^2 + 1)", INCONCLUSIVE, None),
         ]:
-            sys_ = KContactHamiltonianSystem(s, parse_expr(H))
-            rep = check_constrained_solution(sys_, L, n_points=3, config=FAST)
+            sys_ = KContactHamiltonianSystem(s, parse_expr(H), config=FAST)
+            rep = check_constrained_solution(sys_, L, n_points=3)
             assert rep.verdict == verdict
             assert rep.detail["H_vanishes_on_L"] is vanishes
             assert rep.detail["feasible"] is None
@@ -626,8 +626,8 @@ class TestConstrainedSolution:
         s = canonical_structure(1, 1)
         base = Chart(["q_1"])
         graph = SmoothMap(base, s.chart, [0, Var("q_1"), 1])
-        sys_ = KContactHamiltonianSystem(s, 0)
-        rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        sys_ = KContactHamiltonianSystem(s, 0, config=FAST)
+        rep = check_constrained_solution(sys_, graph, n_points=2)
         assert rep.verdict == FAIL
         assert rep.detail["isotropy"] == FAIL
         assert rep.detail["feasible"] is None
@@ -638,10 +638,10 @@ class TestConstrainedSolution:
         # point of L, so its pointwise system has no meaning there
         ch = Chart(["s", "q", "p"])
         eta = DifferentialForm(ch, 1, {(0,): Var("s"), (1,): -Var("s") * Var("p")})
-        sys_ = KContactHamiltonianSystem(KContactStructure([eta]), 0)
+        sys_ = KContactHamiltonianSystem(KContactStructure([eta]), 0, config=FAST)
         L = SmoothMap(Chart(["u"]), ch, [0, Var("u"), 0])
         with pytest.raises(StructureDegenerateAtPoint):
-            check_constrained_solution(sys_, L, n_points=3, config=FAST)
+            check_constrained_solution(sys_, L, n_points=3)
         with pytest.raises(StructureDegenerateAtPoint):
             solve_hddw_at_point(sys_, {"s": 0.0, "q": 0.5, "p": 0.0})
 
@@ -649,19 +649,19 @@ class TestConstrainedSolution:
         # a pass must come from sampled points: n_points = 0 reads none
         s = canonical_structure(2, 2)
         L = build_parametrization(ParametrizingKFunction(2, 2, [], ["0", "0"]), s)
-        sys_ = KContactHamiltonianSystem(s, Var("s_1"))
+        sys_ = KContactHamiltonianSystem(s, Var("s_1"), config=FAST)
         with pytest.raises(SampleDomainEmpty, match="no sample points"):
-            check_constrained_solution(sys_, L, n_points=0, config=FAST)
+            check_constrained_solution(sys_, L, n_points=0)
 
     def test_non_finite_image_names_the_parameter_point(self):
         # E has a pole at S = 59/32, a point of the 1/64 sampling grid: the
         # image's E and T are undefined at the first such parameter point
         L = thermo_parametrization("S*V^(-1)*N + (S - 59/32)^(-1)")
-        sys_ = KContactHamiltonianSystem(thermo_structure(), 0)
+        sys_ = KContactHamiltonianSystem(thermo_structure(), 0, config=FAST)
         u = next(p for p in sample_points(L.source.coords, L.source, 10, FAST.seed)
                  if p["S"] == Fraction(59, 32))
         with pytest.raises(DomainError) as err:
-            check_constrained_solution(sys_, L, n_points=10, config=FAST)
+            check_constrained_solution(sys_, L, n_points=10)
         assert str(err.value) == ("Legendrian image or tangent map undefined or not finite "
                                   f"at {_point_text(u)}")
 
@@ -669,8 +669,8 @@ class TestConstrainedSolution:
         # S^600 * S^600 - S^600 * S^600 cancels exactly, but not in floats:
         # at S = 67/64, dT/dS reads 3.5e13 where the exact value is 0
         L = thermo_parametrization("S^600*S^600 - S^600*S^600 + S*V^(-1)*N")
-        sys_ = KContactHamiltonianSystem(thermo_structure(), 0)
-        rep = check_constrained_solution(sys_, L, n_points=3, config=RunConfig(seed=42))
+        sys_ = KContactHamiltonianSystem(thermo_structure(), 0, config=RunConfig(seed=42))
+        rep = check_constrained_solution(sys_, L, n_points=3)
         assert rep.verdict == PASS
         assert rep.detail["constrained_nullspace_dim"] == 0
 
@@ -678,22 +678,22 @@ class TestConstrainedSolution:
         s = canonical_structure(1, 1)
         graph = SmoothMap(Chart(["q_1"]), s.chart,
                           [parse_expr("1/100000000 * sqrt(q_1^2 + 1)"), Var("q_1"), 0])
-        sys_ = KContactHamiltonianSystem(s, 0)
-        rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        sys_ = KContactHamiltonianSystem(s, 0, config=FAST)
+        rep = check_constrained_solution(sys_, graph, n_points=2)
         assert rep.verdict == INCONCLUSIVE
         assert rep.detail["isotropy"] == INCONCLUSIVE
         # the verdicts combine: an H that fails on L fails the check
-        sys_ = KContactHamiltonianSystem(s, 1)
-        rep = check_constrained_solution(sys_, graph, n_points=2, config=FAST)
+        sys_ = KContactHamiltonianSystem(s, 1, config=FAST)
+        rep = check_constrained_solution(sys_, graph, n_points=2)
         assert rep.verdict == FAIL
         assert rep.detail["H_vanishes_on_L"] is False
 
     def test_hydro_equilibrium_family_unique_tangent_solution(self):
-        from kontact.hydro import equilibrium_legendrian, hydro_system
+        from kontact.hydro import equilibrium_legendrian, hydro_kcontact_form
 
-        sys_ = hydro_system(4)
+        sys_ = KContactHamiltonianSystem(hydro_kcontact_form(4), 0, config=FAST)
         L = equilibrium_legendrian(4)
-        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST).detail
+        rep = check_constrained_solution(sys_, L, n_points=3).detail
         assert rep["H_vanishes_on_L"] and rep["feasible"]
         assert rep["constrained_nullspace_dim"] == 0
         assert rep["expected_pseudo_gauge_dof"] == 0
@@ -703,8 +703,8 @@ class TestConstrainedSolution:
         s = canonical_structure(2, 2)
         kf = ParametrizingKFunction(2, 2, [1], ["p_1_1 * q_2", "p_2_1 * q_2"])
         L = build_parametrization(kf, s)
-        sys_ = KContactHamiltonianSystem(s, 0)
-        rep = check_constrained_solution(sys_, L, n_points=3, config=FAST).detail
+        sys_ = KContactHamiltonianSystem(s, 0, config=FAST)
+        rep = check_constrained_solution(sys_, L, n_points=3).detail
         n, k, dim_L = 2, 2, L.source.dim
         assert rep["expected_pseudo_gauge_dof"] == k * dim_L - (n * (k + 1) - dim_L)
         assert rep["constrained_nullspace_dim"] == rep["expected_pseudo_gauge_dof"]
