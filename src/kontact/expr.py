@@ -411,17 +411,18 @@ _CONST, _VAR, _SUM, _PRODUCT, _POW, _EXP, _LOG = range(7)
 _PAIR_BITS = 4096
 """run_exact reduces a pair past this many denominator bits: that stops runaway
 growth in deep products and high powers, yet typical pairs never pay a gcd
-(the benchmark's polynomial legendrian programs peak at 137 bits)."""
+(over the points' shared denominators, the benchmark's polynomial legendrian
+programs peak at 137 bits on seeds 1 and 7 and at 139 on seed 42)."""
 
 
 class Program(NamedTuple):
     """Expressions as one straight-line program with one instruction per distinct subtree.
 
     Instruction i is (op, payload, args); args index earlier instructions.
-    roots are the expressions' instructions; run_exact computes every root,
-    and run_float the last root, whose top-level summands are summands (the
-    root alone when it is not a sum).  rational is True when only rationals,
-    +, * and integer powers occur.
+    roots are the expressions' instructions; run_exact computes every root
+    over all the points at once, and run_float the last root, whose top-level
+    summands are summands (the root alone when it is not a sum).  rational is
+    True when only rationals, +, * and integer powers occur.
     """
 
     code: tuple
@@ -430,55 +431,65 @@ class Program(NamedTuple):
     free_vars: frozenset
     rational: bool
 
-    def run_exact(self, point: Mapping[str, Numeric]) -> tuple[Fraction, ...]:
-        """Every root's value at one rational point, each shared node computed once.
+    def run_exact(self, points: Sequence[Mapping[str, Numeric]]) -> tuple[tuple, np.ndarray]:
+        """Every root's value at rational points, each instruction run once over all of them.
 
-        Each instruction's value is an integer pair (numerator, denominator),
-        not reduced to lowest terms and not sign-normalised: a product
-        multiplies the parts, a sum adds numerators over an equal denominator
-        and cross-multiplies otherwise, and an integer power raises both parts
-        (swapped first for a negative exponent).  A pair is divided by its gcd
-        only once its denominator passes _PAIR_BITS bits, and each root's pair
-        becomes one Fraction.  Raises DomainError for a zero base under a
-        negative power anywhere in the program.
+        Each instruction's value is a pair (numerators, denominator): an
+        object array of Python ints, one per point, over a denominator that
+        is one int shared by all points (a variable's is the lcm of its
+        denominators at the points) until a negative power makes it an array
+        too.  Pairs are not reduced to lowest terms and not sign-normalised:
+        a product multiplies the parts, a sum adds numerators over an equal
+        shared denominator and cross-multiplies otherwise, and an integer
+        power raises both parts (swapped first for a negative exponent).  A
+        pair is divided by its gcd only once its denominator passes
+        _PAIR_BITS bits.  Returns the roots' pairs and the mask of points
+        where a zero base meets a negative power anywhere in the program;
+        the pairs mean nothing there.
         """
+        size = len(points)
+        undefined = np.zeros(size, dtype=bool)
         vals = []
         for op, payload, args in self.code:
             if op == _PRODUCT:
                 n, d = vals[args[0]]
                 for a in args[1:]:
                     an, ad = vals[a]
-                    n *= an
-                    d *= ad
+                    n, d = n * an, d * ad
             elif op == _SUM:
                 n, d = vals[args[0]]
                 for a in args[1:]:
                     an, ad = vals[a]
-                    if ad == d:
-                        n += an
+                    if isinstance(d, int) and isinstance(ad, int) and ad == d:
+                        n = n + an
                     else:
-                        n = n * ad + an * d
-                        d *= ad
+                        n, d = n * ad + an * d, d * ad
             elif op == _VAR:
-                v = point[payload]
-                n, d = v.numerator, v.denominator
+                column = [p[payload] for p in points]
+                d = math.lcm(*[v.denominator for v in column])
+                n = np.array([v.numerator * (d // v.denominator) for v in column], dtype=object)
             elif op == _CONST:
-                n, d = payload.numerator, payload.denominator
+                n, d = np.full(size, payload.numerator, dtype=object), payload.denominator
             elif op == _POW and payload.denominator == 1:
                 n, d = vals[args[0]]
                 k = payload.numerator
                 if k < 0:
-                    if n == 0:
-                        raise DomainError("division by zero")
-                    n, d, k = d, n, -k
+                    zero = n == 0
+                    undefined |= zero
+                    swapped = np.full(size, d, dtype=object) if isinstance(d, int) else d
+                    n, d, k = swapped, np.where(zero, 1, n), -k
                 n, d = n ** k, d ** k
             else:
                 raise TypeError("run_exact needs a rational program")
-            if d.bit_length() > _PAIR_BITS:
-                g = math.gcd(n, d)
+            if isinstance(d, int):
+                if d.bit_length() > _PAIR_BITS:
+                    g = math.gcd(d, *n)
+                    n, d = n // g, d // g
+            elif any(b.bit_length() > _PAIR_BITS for b in d):
+                g = np.gcd(n, d)
                 n, d = n // g, d // g
             vals.append((n, d))
-        return tuple([Fraction(*vals[r]) for r in self.roots])
+        return tuple([vals[r] for r in self.roots]), undefined
 
     def beyond_float(self) -> bool:
         """Whether a constant lies beyond float range, so run_float skips every point."""

@@ -78,9 +78,10 @@ def hydro_kcontact_form(k: int = 4) -> KContactStructure:
     return KContactStructure(forms)
 
 
-def hydro_system(k: int = 4, H: ExprLike = 0) -> KContactHamiltonianSystem:
-    """The hydro structure with H; its Reeb frame is solved on first use."""
-    return KContactHamiltonianSystem(hydro_kcontact_form(k), H)
+def hydro_system(k: int = 4, H: ExprLike = 0,
+                 config: RunConfig = DEFAULT_CONFIG) -> KContactHamiltonianSystem:
+    """The hydro structure with H under config; its Reeb frame is solved on first use."""
+    return KContactHamiltonianSystem(hydro_kcontact_form(k), H, config=config)
 
 
 def hydro_polarization(k: int = 4) -> list[VectorField]:

@@ -11,13 +11,15 @@ a list of expressions; zero_test is zero_tests of one.  Each expression is
 compiled once into a program with one instruction per distinct subtree
 (expr.compile_expr).  Points are exact rationals, so a purely rational
 expression is checked exactly at each point, and any nonzero value rejects
-it: Program.run_exact carries integer numerator/denominator pairs, reduced
-only past a bit bound, and builds one Fraction per root and point.  Every
-exact expression runs in one program per free-variable set: the program of
-all the list's exact expressions in that set (expr.compile_exprs; an
-expression alone in its set runs its own), run once per point of their
-shared draw, with each expression's own program run only at a point where
-the joint one is undefined.  Any other expression is run in float64
+it: Program.run_exact runs each instruction once over all the points, on
+columns of integer numerators over a shared denominator, reduced only past
+a bit bound; an expression is zero when every numerator is, and |n / d| is
+its magnitude, correctly rounded.  Every exact expression runs in one
+program per free-variable set: the program of all the list's exact
+expressions in that set (expr.compile_exprs; an expression alone in its set
+runs its own), run once over their shared draw, with each expression's own
+program run once more over the points where the joint one is undefined.
+Any other expression is run in float64
 over all sample points at once, and is accepted as (probably) zero when
 |value| stays within atol + rtol*scale at every evaluated point, where scale
 is the magnitude of the largest top-level summand (a cancellation proxy);
@@ -198,15 +200,6 @@ def _zero_test_points(names: frozenset, chart: Chart | None, config: RunConfig) 
     return chart._samples[key]
 
 
-def _magnitudes(values: list[Fraction]) -> list[float]:
-    """|v| of exact values as floats, one beyond float range as the largest
-    float (a lower bound of it); one try for the whole list."""
-    try:
-        return [abs(float(v)) for v in values]
-    except OverflowError:
-        return [float(min(abs(v), _FLOAT_MAX)) for v in values]
-
-
 def is_probably_zero(
     e: ScalarExpr,
     chart: Chart | None = None,
@@ -248,19 +241,18 @@ def zero_tests(
     for i, program in enumerate(programs):
         if program.rational:
             groups.setdefault(program.free_vars, []).append(i)
-    # an exact expression's values, and the number of points drawn
-    values: dict[int, tuple[list[Fraction], int]] = {}
+    # an exact expression's reading (_exact_values), and the number of points drawn
+    values: dict[int, tuple[bool, list[float], int]] = {}
     results = []
     for i, (e, program) in enumerate(zip(exprs, programs)):
         if program.rational:
             group = groups[program.free_vars]
             if i == group[0]:
                 points = _zero_test_points(program.free_vars, chart, config)
-                columns = _exact_values([exprs[j] for j in group],
-                                        [programs[j] for j in group], points)
-                values.update((j, (column, len(points))) for j, column in zip(group, columns))
-            column, n_drawn = values.pop(i)
-            within, magnitudes = all(v == 0 for v in column), _magnitudes(column)
+                readings = _exact_values([exprs[j] for j in group],
+                                         [programs[j] for j in group], points)
+                values.update((j, (*reading, len(points))) for j, reading in zip(group, readings))
+            within, magnitudes, n_drawn = values.pop(i)
         else:
             points = _zero_test_points(program.free_vars, chart, config)
             columns = {name: np.array([float(p[name]) for p in points])
@@ -275,27 +267,34 @@ def zero_tests(
 
 
 def _exact_values(exprs: list[ScalarExpr], programs: list[Program],
-                  points: list[dict]) -> list[list[Fraction]]:
-    """Each exact expression's values at the points where it is defined, from
-    one program of them all (of one expression, its own program) run once
-    per point; where that program is undefined, each expression's own
-    program runs the point, so it is skipped only where that one is."""
+                  points: list[dict]) -> list[tuple[bool, list[float]]]:
+    """Each exact expression's reading at the points where it is defined:
+    whether every value is zero, and each |value| as the nearest float (the
+    largest float when beyond float range).  The program of them all (of one
+    expression, its own program) runs once over the points; the points where
+    it is undefined go once through each expression's own program, so each
+    is skipped only where that one is undefined."""
     joint = programs[0] if len(programs) == 1 else compile_exprs(exprs)
-    values = [[] for _ in exprs]
-    for p in points:
-        try:
-            row = joint.run_exact(p)
-        except DomainError:
-            row = []
-            for program in programs:
-                try:
-                    row.append(None if program is joint else program.run_exact(p)[0])
-                except DomainError:
-                    row.append(None)
-        for column, v in zip(values, row):
-            if v is not None:
-                column.append(v)
-    return values
+    roots, undefined = joint.run_exact(points)
+    parts = [[(n, d, ~undefined)] for n, d in roots]
+    if joint is not programs[0] and undefined.any():
+        rest = [p for p, u in zip(points, undefined) if u]
+        for part, program in zip(parts, programs):
+            ((n, d),), skip = program.run_exact(rest)
+            part.append((n, d, ~skip))
+    readings = []
+    for part in parts:
+        within, magnitudes = True, []
+        for n, d, keep in part:
+            n = n[keep]
+            d = d[keep] if isinstance(d, np.ndarray) else np.full(len(n), d, dtype=object)
+            within = within and not n.any()
+            try:
+                magnitudes += np.abs(n / d).tolist()
+            except OverflowError:
+                magnitudes += [float(min(abs(Fraction(a, b)), _FLOAT_MAX)) for a, b in zip(n, d)]
+        readings.append((within, magnitudes))
+    return readings
 
 
 def zero_check(

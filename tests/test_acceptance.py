@@ -275,7 +275,7 @@ def test_criterion_08_bjorken_identities():
 
 
 def test_criterion_09_constrained_solution_counting():
-    sys_ = KContactHamiltonianSystem(hydro_kcontact_form(4), 0, config=CONFIG)
+    sys_ = hydro_system(4, 0, config=CONFIG)
     L = equilibrium_legendrian(4)
     assert L.source.dim == 6
     rep = check_constrained_solution(sys_, L, n_points=5)

@@ -376,9 +376,9 @@ class GcdSpy:
     def __getattr__(self, name):
         return getattr(math, name)
 
-    def gcd(self, n, d):
+    def gcd(self, d, *numerators):
         self.bits.append(d.bit_length())
-        return math.gcd(n, d)
+        return math.gcd(d, *numerators)
 
 
 def reference_values(e, points):
@@ -393,6 +393,40 @@ def reference_values(e, points):
     return out
 
 
+def exact_rows(program, points):
+    """run_exact over all the points, read back per point: the roots' values
+    as Fractions, or None where the run marks the point undefined.  Every
+    numerator and denominator is a Python int."""
+    roots, undefined = program.run_exact(points)
+    assert undefined.dtype == bool and undefined.shape == (len(points),)
+    rows = []
+    for i, u in enumerate(undefined):
+        row = []
+        for n, d in roots:
+            assert n.dtype == object and n.shape == (len(points),)
+            di = d[i] if isinstance(d, np.ndarray) else d
+            assert type(n[i]) is int and type(di) is int and di != 0
+            row.append(Fraction(n[i], di))
+        rows.append(None if u else tuple(row))
+    return rows
+
+
+def assert_exact_rows(program, roots, points):
+    """run_exact equals evaluate at every point: the values where evaluate
+    gives one, and the undefined mask exactly where it raises division by zero."""
+    rows = exact_rows(program, points)
+    for i, p in enumerate(points):
+        want = []
+        for e in roots:
+            try:
+                want.append(evaluate(e, p))
+            except DomainError as err:
+                assert "division by zero" in str(err)
+                want = None
+                break
+        assert rows[i] == (None if want is None else tuple(want))
+
+
 class TestCompile:
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -404,12 +438,9 @@ class TestCompile:
             program = compile_expr(e)
             assert program.rational
             assert program.free_vars == free_variables(e)
-            for p, ref in zip(points, reference_values(e, points)):
-                if ref is None:
-                    with pytest.raises(DomainError):
-                        program.run_exact(p)
-                else:
-                    assert program.run_exact(p) == (ref,)
+            rows = exact_rows(program, points)
+            for row, ref in zip(rows, reference_values(e, points)):
+                assert row == (None if ref is None else (ref,))
 
     @pytest.mark.parametrize("bits", [expr_module._PAIR_BITS, 1], ids=["bound", "every_pair"])
     @given(seed=st.integers(0, 10**9), n_factors=st.integers(50, 70),
@@ -439,15 +470,8 @@ class TestCompile:
             for e in roots:
                 program = compile_expr(e)
                 assert program.rational
-                for p in points:
-                    try:
-                        want = evaluate(e, p)
-                    except DomainError:
-                        with pytest.raises(DomainError, match="division by zero"):
-                            program.run_exact(p)
-                        continue
-                    (got,) = program.run_exact(p)
-                    assert got == want and type(got) is Fraction
+                assert_exact_rows(program, [e], points)
+            assert_exact_rows(compile_exprs(roots), roots, points)
 
     def test_pair_runner_reduces_pairs_past_the_bound(self):
         # x*y at x = 2/3, y = 3/2 is the pair (6, 6), and its 1600th power
@@ -458,9 +482,45 @@ class TestCompile:
         p = {"x": Fraction(2, 3), "y": Fraction(3, 2), "z": Fraction(5, 7)}
         spy = GcdSpy()
         with patch.object(expr_module, "math", spy):
-            (value,) = compile_expr(e).run_exact(p)
+            [(value,)] = exact_rows(compile_expr(e), [p])
         assert value == evaluate(e, p) == Fraction(5, 7) + Fraction(2, 3)
         assert spy.bits and min(spy.bits) > expr_module._PAIR_BITS
+
+    def test_exact_run_over_points_of_unequal_denominators(self):
+        # each variable's column is over the lcm of its denominators at the
+        # points; without a negative power every denominator stays one int
+        x, y, z = Var("x"), Var("y"), Var("z")
+        polynomial = x * y ** 3 - Rational(Fraction(5, 9)) * z + x ** 2 * z + y
+        rational = Pow.make(x * x + 1, Fraction(-1)) * y + Pow.make(z ** 2 + y ** 2 + 1, Fraction(-3))
+        points = [{"x": Fraction(1, 3), "y": Fraction(-1, 7), "z": Fraction(5, 64)},
+                  {"x": Fraction(2), "y": Fraction(3, 64), "z": Fraction(-2, 3)},
+                  {"x": Fraction(-5, 7), "y": Fraction(-3), "z": Fraction(4)},
+                  {"x": Fraction(9, 64), "y": Fraction(1, 3), "z": Fraction(1, 7)}]
+        program = compile_exprs([polynomial, rational])
+        assert_exact_rows(program, [polynomial, rational], points)
+        ((_, d),), undefined = compile_expr(polynomial).run_exact(points)
+        assert type(d) is int and not undefined.any()
+
+    def test_exact_run_of_a_constant_at_the_empty_point(self):
+        roots, undefined = compile_expr(Rational(Fraction(-3, 4))).run_exact([{}])
+        [(n, d)] = roots
+        assert Fraction(n[0], d) == Fraction(-3, 4) and n.shape == (1,)
+        assert undefined.tolist() == [False]
+
+    def test_exact_run_undefined_at_some_points(self):
+        # (x - y)^-2 and 1/y: each point is undefined exactly where evaluate
+        # raises division by zero, and from the first negative power on the
+        # denominator is one per point
+        x, y = Var("x"), Var("y")
+        e = Pow.make(x - y, Fraction(-2)) + x * Pow.make(y, Fraction(-1)) + Rational(Fraction(1, 3))
+        points = [{"x": Fraction(a, 64), "y": Fraction(b, 7)}
+                  for a, b in [(64, 7), (1, 2), (0, 0), (-5, 3), (3, 0), (128, 14)]]
+        points.append({"x": Fraction(1, 7), "y": Fraction(1, 7)})
+        program = compile_expr(e)
+        assert_exact_rows(program, [e], points)
+        ((_, d),), undefined = program.run_exact(points)
+        assert isinstance(d, np.ndarray)
+        assert undefined.tolist() == [True, False, True, False, True, True, True]
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)

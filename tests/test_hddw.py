@@ -689,9 +689,9 @@ class TestConstrainedSolution:
         assert rep.detail["H_vanishes_on_L"] is False
 
     def test_hydro_equilibrium_family_unique_tangent_solution(self):
-        from kontact.hydro import equilibrium_legendrian, hydro_kcontact_form
+        from kontact.hydro import equilibrium_legendrian, hydro_system
 
-        sys_ = KContactHamiltonianSystem(hydro_kcontact_form(4), 0, config=FAST)
+        sys_ = hydro_system(4, 0, config=FAST)
         L = equilibrium_legendrian(4)
         rep = check_constrained_solution(sys_, L, n_points=3).detail
         assert rep["H_vanishes_on_L"] and rep["feasible"]

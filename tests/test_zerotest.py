@@ -443,6 +443,23 @@ class TestZeroTests:
         assert results[1].n_skipped > 0 and results[1].verdict == PASS
         assert results[0].n_skipped == results[2].n_skipped == 0
 
+    def test_a_member_beyond_float_range_at_some_points(self):
+        # x^2000 passes the largest float where |x| > 2^(1024/2000), about
+        # 1.43: there the largest float stands for |value|, every point
+        # still counts, and the group-mates read as they do alone
+        x, y = Var("x"), Var("y")
+        huge = x ** 2000 * y + x
+        mates = [x * y - y * x, (x + y) ** 2 - x * x - 2 * x * y - y * y, x * y + Fraction(1, 3)]
+        points = sample_points(["x", "y"], Chart(NAMES), CONFIG.n_sample_points, CONFIG.seed)
+        assert {abs(p["x"]) > Fraction(3, 2) for p in points} == {True, False}
+        results = zero_tests([mates[0], huge, *mates[1:]], Chart(NAMES), CONFIG)
+        assert results[1].exact and results[1].verdict == FAIL
+        assert results[1].max_abs == sys.float_info.max
+        assert results[1].n_points == CONFIG.n_sample_points and results[1].n_skipped == 0
+        assert [results[0], *results[2:]] == _zero_test_each(mates, Chart(NAMES), CONFIG)
+        check = zero_check("huge", [mates[0], huge], Chart(NAMES), CONFIG)
+        assert check.verdict == FAIL and check.max_residual == sys.float_info.max
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)])
     def test_raises_at_the_first_expression_in_order(self, order):
         x, y = Var("x"), Var("y")
